@@ -7,9 +7,9 @@ use serde::{Deserialize, Serialize};
 /// A rejected configuration: which field was nonsensical and why.
 ///
 /// Validation returns this instead of panicking so serving layers can
-/// refuse a bad request (or refuse to start) with a typed error; the
-/// `validate_strict` shims keep the old panic behaviour for tests and
-/// fail-fast callers.
+/// refuse a bad request (or refuse to start) with a typed error;
+/// [`SessionConfig::validate_strict`] keeps the old panic behaviour for the
+/// fail-fast session constructors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// Name of the offending field.

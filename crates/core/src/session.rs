@@ -408,12 +408,20 @@ impl<'m> SelectiveSession<'m> {
     }
 
     /// One decode step: runs the model with this session as the KV source.
+    ///
+    /// Panics on a store fault latched during the step (a failed append, a
+    /// page that failed its checksum): logits computed from the damaged
+    /// state are never returned.
     pub fn decode(&mut self, token: u32) -> DecodeOutput {
         let pos = self.pos;
         self.pos += 1;
         self.steps += 1;
         let model = self.model;
-        model.decode_step(token, pos, self)
+        let out = model.decode_step(token, pos, self);
+        if let Some(e) = self.pending_fault.take() {
+            panic!("{}", StepError::Store(e));
+        }
+        out
     }
 
     /// One decode step through worker-owned scratch — the serving hot path.
@@ -422,23 +430,16 @@ impl<'m> SelectiveSession<'m> {
     /// duration of the step (policy retrieval buffers, selection buffer)
     /// and the model runs with the shared attention buffers, so N
     /// concurrent sessions reuse one set of hot-path allocations.
-    /// Bit-identical to [`SelectiveSession::decode`].
+    /// Bit-identical to [`SelectiveSession::decode`], and panics on the
+    /// same faults [`SelectiveSession::try_step_with_scratch`] returns.
     pub fn step_with_scratch(&mut self, token: u32, scratch: &mut SessionScratch) -> DecodeOutput {
-        std::mem::swap(&mut self.sel_scratch, &mut scratch.selection);
-        std::mem::swap(&mut self.policy_scratch, &mut scratch.policy);
-        let pos = self.pos;
-        self.pos += 1;
-        self.steps += 1;
-        let model = self.model;
-        let out = model.decode_step_with_scratch(token, pos, self, &mut scratch.decode);
-        std::mem::swap(&mut self.sel_scratch, &mut scratch.selection);
-        std::mem::swap(&mut self.policy_scratch, &mut scratch.policy);
-        out
+        self.try_step_with_scratch(token, scratch).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`SelectiveSession::step_with_scratch`] — the fault-tolerant
-    /// serving hot path. Two failure modes are contained here instead of
-    /// unwinding through the shard worker:
+    /// serving hot path. The shard's [`SessionScratch`] is swapped into the
+    /// session for the duration of the step. Two failure modes are
+    /// contained here instead of unwinding through the shard worker:
     ///
     /// - a host-tier fault latched by `publish` (the `KvSource` trait can't
     ///   return errors) surfaces as [`StepError::Store`];
@@ -572,23 +573,11 @@ impl<'m> SelectiveSession<'m> {
     /// conversations ("periodically reconstruct PQ to update the
     /// information"). Dropping policies ignore it.
     pub fn refresh_policy(&mut self) {
-        let mcfg = self.model.config();
         let mid = self.store.len(0, 0);
         if mid == 0 {
             return;
         }
-        let middle_keys: Vec<Vec<Matrix>> = (0..mcfg.n_layers)
-            .map(|l| (0..mcfg.n_kv_heads).map(|h| self.store.keys_matrix(l, h)).collect())
-            .collect();
-        let zeros = vec![vec![vec![0.0f32; mid]; mcfg.n_kv_heads]; mcfg.n_layers];
-        let pinit = PolicyInit {
-            n_layers: mcfg.n_layers,
-            n_kv_heads: mcfg.n_kv_heads,
-            head_dim: mcfg.head_dim,
-            middle_keys,
-            accum_scores: Some(zeros.clone()),
-            window_scores: Some(zeros),
-        };
+        let pinit = self.middle_init(mid);
         self.policy.refresh(&pinit);
         self.policy_ready = true;
     }
@@ -619,35 +608,13 @@ impl<'m> SelectiveSession<'m> {
             self.pending_fault.is_none(),
             "cannot suspend a session with a pending store fault"
         );
-        let mcfg = self.model.config();
-        let dh = mcfg.head_dim;
-        let mut swap = tier.new_namespace();
-        for l in 0..mcfg.n_layers {
-            for h in 0..mcfg.n_kv_heads {
-                let window = &self.local[l][h];
-                assert_eq!(
-                    window.len(),
-                    self.cfg.n_local,
-                    "suspend must run between steps (local window full)"
-                );
-                let rows = self.cfg.n_init + window.len();
-                let mut k = Matrix::zeros(rows, dh);
-                let mut v = Matrix::zeros(rows, dh);
-                for i in 0..self.cfg.n_init {
-                    k.copy_row_from(i, self.init_k[l][h].row(i));
-                    v.copy_row_from(i, self.init_v[l][h].row(i));
-                }
-                for (i, (wk, wv)) in window.iter().enumerate() {
-                    k.copy_row_from(self.cfg.n_init + i, wk);
-                    v.copy_row_from(self.cfg.n_init + i, wv);
-                }
-                if let Err(error) = swap.try_offload(l, h, k, v) {
-                    let swap_transfer = swap.stats();
-                    drop(swap); // releases the partial chains
-                    return Err(SuspendError { session: self, error, swap_transfer });
-                }
+        assert!(self.windows_full(), "suspend must run between steps (local window full)");
+        let swap = match self.offload_resident(tier) {
+            Ok(swap) => swap,
+            Err((error, swap_transfer)) => {
+                return Err(SuspendError { session: self, error, swap_transfer });
             }
-        }
+        };
         let SelectiveSession {
             cfg,
             policy,
@@ -703,29 +670,10 @@ impl<'m> SelectiveSession<'m> {
         let Some(policy) = self.policy.fork() else {
             return Ok(None);
         };
-        let mcfg = self.model.config();
-        let dh = mcfg.head_dim;
-        if self.local.iter().flatten().any(|w| w.len() != self.cfg.n_local) {
+        if !self.windows_full() {
             return Ok(None);
         }
-        let mut swap = tier.new_namespace();
-        for l in 0..mcfg.n_layers {
-            for h in 0..mcfg.n_kv_heads {
-                let window = &self.local[l][h];
-                let rows = self.cfg.n_init + window.len();
-                let mut k = Matrix::zeros(rows, dh);
-                let mut v = Matrix::zeros(rows, dh);
-                for i in 0..self.cfg.n_init {
-                    k.copy_row_from(i, self.init_k[l][h].row(i));
-                    v.copy_row_from(i, self.init_v[l][h].row(i));
-                }
-                for (i, (wk, wv)) in window.iter().enumerate() {
-                    k.copy_row_from(self.cfg.n_init + i, wk);
-                    v.copy_row_from(self.cfg.n_init + i, wv);
-                }
-                swap.try_offload(l, h, k, v)?; // drop of `swap` rolls back
-            }
-        }
+        let swap = self.offload_resident(tier).map_err(|(e, _)| e)?;
         Ok(Some(SuspendedSession {
             cfg: self.cfg,
             policy,
@@ -749,6 +697,64 @@ impl<'m> SelectiveSession<'m> {
         self.store.corrupt_slot(layer, head, bit)
     }
 
+    /// A [`PolicyInit`] over the current `mid`-token middle region with
+    /// zero attention scores — no prefill captures exist for tokens that
+    /// entered the middle during decode.
+    fn middle_init(&self, mid: usize) -> PolicyInit {
+        let mcfg = self.model.config();
+        let middle_keys: Vec<Vec<Matrix>> = (0..mcfg.n_layers)
+            .map(|l| (0..mcfg.n_kv_heads).map(|h| self.store.keys_matrix(l, h)).collect())
+            .collect();
+        let zeros = vec![vec![vec![0.0f32; mid]; mcfg.n_kv_heads]; mcfg.n_layers];
+        PolicyInit {
+            n_layers: mcfg.n_layers,
+            n_kv_heads: mcfg.n_kv_heads,
+            head_dim: mcfg.head_dim,
+            middle_keys,
+            accum_scores: Some(zeros.clone()),
+            window_scores: Some(zeros),
+        }
+    }
+
+    /// True between decode steps: every local window holds exactly
+    /// `n_local` rows.
+    fn windows_full(&self) -> bool {
+        self.local.iter().flatten().all(|w| w.len() == self.cfg.n_local)
+    }
+
+    /// Offload the GPU-resident state into a fresh swap namespace of
+    /// `tier` (the metered D2H path): per (layer, head), the `n_init`
+    /// initial rows followed by the local window. On pool exhaustion the
+    /// partial swap is released and the error carries the D2H it had
+    /// already metered.
+    fn offload_resident(
+        &self,
+        tier: &pqc_memhier::KvTier,
+    ) -> Result<HostKvStore, (MemError, TransferStats)> {
+        let mcfg = self.model.config();
+        let n_init = self.cfg.n_init;
+        let mut swap = tier.new_namespace();
+        for l in 0..mcfg.n_layers {
+            for h in 0..mcfg.n_kv_heads {
+                let window = &self.local[l][h];
+                let mut k = Matrix::zeros(n_init + window.len(), mcfg.head_dim);
+                let mut v = Matrix::zeros(n_init + window.len(), mcfg.head_dim);
+                for i in 0..n_init {
+                    k.copy_row_from(i, self.init_k[l][h].row(i));
+                    v.copy_row_from(i, self.init_v[l][h].row(i));
+                }
+                for (i, (wk, wv)) in window.iter().enumerate() {
+                    k.copy_row_from(n_init + i, wk);
+                    v.copy_row_from(n_init + i, wv);
+                }
+                if let Err(e) = swap.try_offload(l, h, k, v) {
+                    return Err((e, swap.stats())); // dropping `swap` releases the partial chains
+                }
+            }
+        }
+        Ok(swap)
+    }
+
     fn maybe_lazy_init(&mut self) {
         if self.policy_ready {
             return;
@@ -757,19 +763,7 @@ impl<'m> SelectiveSession<'m> {
         if mid < LAZY_INIT_THRESHOLD {
             return;
         }
-        let mcfg = self.model.config();
-        let middle_keys: Vec<Vec<Matrix>> = (0..mcfg.n_layers)
-            .map(|l| (0..mcfg.n_kv_heads).map(|h| self.store.keys_matrix(l, h)).collect())
-            .collect();
-        let zeros = vec![vec![vec![0.0f32; mid]; mcfg.n_kv_heads]; mcfg.n_layers];
-        let pinit = PolicyInit {
-            n_layers: mcfg.n_layers,
-            n_kv_heads: mcfg.n_kv_heads,
-            head_dim: mcfg.head_dim,
-            middle_keys,
-            accum_scores: Some(zeros.clone()),
-            window_scores: Some(zeros),
-        };
+        let pinit = self.middle_init(mid);
         self.policy.init(&pinit);
         self.policy_ready = true;
     }
@@ -1438,28 +1432,30 @@ mod tests {
         assert_eq!(plain.transfer_stats(), fallible.transfer_stats());
     }
 
-    #[test]
-    fn try_step_surfaces_store_fault_on_capped_tier() {
-        // A tier capped to exactly the prefill's page footprint fails the
-        // first decode-step eviction append with a typed store fault.
-        let model = Model::new(LlmConfig::tiny());
-        let toks = prompt(72, 62);
+    /// A session on a tier capped to exactly its prefill's page footprint
+    /// (4-token pages): the first decode-step eviction that crosses a page
+    /// boundary cannot allocate. Returns the session, its first token, and
+    /// the cap.
+    fn session_at_exact_page_cap(model: &Model, seed: u64) -> (SelectiveSession<'_>, u32, usize) {
+        let toks = prompt(72, seed);
         let c = cfg();
         let mcfg = model.config();
         let prefill = model.prefill(&toks, &SelectiveSession::prefill_options(&c, toks.len()));
+        let start_in = |tier: &pqc_memhier::KvTier| {
+            SelectiveSession::try_start_from_prefill_in(
+                model,
+                Box::new(PqCachePolicy::default()),
+                c,
+                &prefill,
+                SessionResources {
+                    store: tier.new_namespace(),
+                    cache: SessionResources::standalone(model, &c).cache,
+                },
+            )
+        };
         // Find the exact page footprint with an uncapped dry run.
         let dry = pqc_memhier::KvTier::with_pages(mcfg.n_layers, mcfg.n_kv_heads, mcfg.head_dim, 4, None);
-        let start = SelectiveSession::try_start_from_prefill_in(
-            &model,
-            Box::new(PqCachePolicy::default()),
-            c,
-            &prefill,
-            SessionResources {
-                store: dry.new_namespace(),
-                cache: SessionResources::standalone(&model, &c).cache,
-            },
-        )
-        .expect("uncapped start");
+        let start = start_in(&dry).expect("uncapped start");
         let footprint = dry.allocator().pages_in_use();
         drop(start);
 
@@ -1471,23 +1467,19 @@ mod tests {
             None,
             Some(footprint),
         );
-        let start = SelectiveSession::try_start_from_prefill_in(
-            &model,
-            Box::new(PqCachePolicy::default()),
-            c,
-            &prefill,
-            SessionResources {
-                store: tier.new_namespace(),
-                cache: SessionResources::standalone(&model, &c).cache,
-            },
-        )
-        .expect("prefill exactly fits the cap");
-        let mut session = start.session;
+        let start = start_in(&tier).expect("prefill exactly fits the cap");
+        let next = pqc_tensor::argmax(&start.logits) as u32;
+        (start.session, next, footprint)
+    }
+
+    #[test]
+    fn try_step_surfaces_store_fault_on_capped_tier() {
+        let model = Model::new(LlmConfig::tiny());
+        let (mut session, mut next, footprint) = session_at_exact_page_cap(&model, 62);
         let mut scratch = SessionScratch::new();
-        // Middle region is 4-token-page aligned per (layer, head)? Not
-        // necessarily — step until the first page boundary forces an alloc.
+        // The middle region is not necessarily page aligned — step until
+        // the first page boundary forces an alloc.
         let mut fault = None;
-        let mut next = pqc_tensor::argmax(&start.logits) as u32;
         for _ in 0..8 {
             match session.try_step_with_scratch(next, &mut scratch) {
                 Ok(out) => next = out.greedy(),
@@ -1502,6 +1494,31 @@ mod tests {
                 assert_eq!(max_pages, footprint);
             }
             other => panic!("expected PageExhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn panicking_step_twins_surface_store_faults_too() {
+        // The same failed append must not be swallowed by the infallible
+        // spellings: `decode` and `step_with_scratch` panic with the store
+        // fault instead of returning logits computed from the damaged state.
+        let model = Model::new(LlmConfig::tiny());
+        for through_scratch in [false, true] {
+            let (mut session, mut next, _) = session_at_exact_page_cap(&model, 62);
+            let mut scratch = SessionScratch::new();
+            let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for _ in 0..8 {
+                    let out = if through_scratch {
+                        session.step_with_scratch(next, &mut scratch)
+                    } else {
+                        session.decode(next)
+                    };
+                    next = out.greedy();
+                }
+            }));
+            let payload = stepped.expect_err("a failed append must not return output");
+            let message = panic_message(payload.as_ref());
+            assert!(message.contains("session store fault"), "scratch={through_scratch}: {message}");
         }
     }
 

@@ -1,17 +1,54 @@
 //! The sharded serve engine: continuous batching over `SelectiveSession`s.
 //!
-//! `ServeEngine::run` owns the whole lifecycle of a request batch:
+//! [`ServeEngine::run`] builds one `Fleet` (model, paged [`KvTier`], shared
+//! [`CacheBudget`], bounded admission queues, and the cross-shard recovery
+//! state), spawns one worker thread per shard, feeds the queues from the
+//! caller's thread (bounded pushes are the back-pressure), joins, fails dead
+//! shards over (`recover.rs`), and assembles the [`ServeReport`].
 //!
-//! 1. requests are admitted through a [`BoundedQueue`] (back-pressure);
-//! 2. each of `shards` worker threads pulls requests, prefills them, and
-//!    binds the session to a fresh [`KvTier`] namespace and a
-//!    [`BlockCache`] drawing on the engine-wide [`CacheBudget`];
-//! 3. every scheduler tick steps each ready session once through the
-//!    shard's single [`SessionScratch`] (continuous batching: sessions at
-//!    different depths coexist in one tick loop, finished sessions retire
-//!    and free their slot for the next queued request);
-//! 4. completions carry per-session stats; the report adds the tier-wide
-//!    aggregate, queue high-water, and per-shard busy time.
+//! Each worker is a `Shard` (`shard.rs`) holding four pools: `waiting`
+//! (popped requests holding for an arrival tick, a retry backoff, or a
+//! brownout deferral), `prefilling` and `active` (the two kinds of slot
+//! holder), and `parked` (preempted: off slot, pages pinned in the host
+//! tier). A request's scheduler-side state is one `Ticket` (`ticket.rs`)
+//! that moves whole between pools and into its [`Completion`].
+//!
+//! ## `Shard::tick`
+//!
+//! One pass runs these phases, in this order — the order is part of every
+//! tick-clocked outcome (deadlines, backoff, TTFT ticks, the brownout
+//! ladder):
+//!
+//! 1. `admit` — reads free slots, `parked`, matured `waiting`, the queue.
+//!    Moves parked → active (resume), and queue/waiting → waiting (not due,
+//!    rejected, deferred), prefilling, active, or a shed completion. Blocks
+//!    on the queue when every pool is empty (a closed, drained queue then
+//!    ends the worker), or — if no queue can ever fill — for an arrived
+//!    request the producer has yet to deliver.
+//! 2. `retire` — reads `active`. Moves sessions with nothing left to decode
+//!    → completions.
+//! 3. `preempt` — reads full slots and the best pending priority (queue,
+//!    matured `waiting`). Moves the weakest strictly-lower active → parked
+//!    and the pending request into its slot.
+//! 4. idle tick — when nothing holds a slot but `waiting`/`parked` are not
+//!    empty: moves nothing, burns one tick so holds elapse, feeds the
+//!    controller, and ends the pass.
+//! 5. `observe` — reads the tick-clock backlog, slots, page pool, and
+//!    unpublished completions. Moves nothing; steps the brownout ladder.
+//! 6. `publish` — moves local completions → the fleet (a published id
+//!    leaves the in-flight map and drops its checkpoint).
+//! 7. kill / stall — reads the fault plan. A planned kill unwinds the
+//!    worker here; a planned stall starts.
+//! 8. `reap` — reads every ticket's deadlines. Moves late active /
+//!    prefilling / parked → `DeadlineExceeded` completions. A stalled pass
+//!    ends here.
+//! 9. `checkpoint` — reads the cadence (stretched under pressure). Moves
+//!    nothing; snapshots each active session into the registry.
+//! 10. `prefill_chunk` — advances the strongest prefilling job one budgeted
+//!     chunk. Moves a finished prompt prefilling → active.
+//! 11. `decode` — steps each active session once. Moves a failed step →
+//!     completion; a corrupt page rolls back to its checkpoint in place.
+//! 12. `retire` — as 2.
 //!
 //! Scheduling never changes results: a token decoded here is bit-identical
 //! to the same session run alone through `SelectiveSession::decode`
@@ -22,12 +59,13 @@
 //! Per-request failure is a normal state, not an abort. Every recoverable
 //! fault — a panicking session, an exhausted page pool, a blown deadline,
 //! an admission shed — is contained to the session it hit: the session
-//! becomes a [`Completion`] carrying a [`FailureCause`], its slot frees for
-//! the next request, and every other session keeps its bit-identical
-//! results (locked down by `tests/chaos.rs`). Only a config rejection fails
-//! the whole run, as a typed `Err` from [`ServeEngine::run`]. A seeded
-//! [`FaultPlan`] threaded through [`ServeConfig::faults`] provokes each
-//! fault class deterministically at chosen points.
+//! becomes a [`Completion`] carrying a [`FailureCause`](crate::FailureCause),
+//! its slot frees for the next request, and every other session keeps its
+//! bit-identical results (locked down by `tests/chaos.rs`). Only a config
+//! rejection fails the whole run, as a typed `Err` from
+//! [`ServeEngine::run`]. A seeded [`FaultPlan`] threaded through
+//! [`ServeConfig::faults`] provokes each fault class deterministically at
+//! chosen points.
 //!
 //! ## Crash recovery
 //!
@@ -36,7 +74,7 @@
 //!
 //! - **Checkpointing** ([`ServeConfig::checkpoint_every_ticks`]): every k
 //!   ticks each resident session is snapshotted *without being evicted*
-//!   ([`SelectiveSession::checkpoint`]): the GPU-resident rows offload into
+//!   (`SelectiveSession::checkpoint`): the GPU-resident rows offload into
 //!   a pinned swap namespace, the host middle store is forked
 //!   copy-on-write, and the policy is deep-copied. Snapshots live in a
 //!   registry shared across shards; bytes and counts are metered
@@ -64,25 +102,30 @@
 //! aggregate — so `aggregate_transfer` can exceed the per-completion sum
 //! on runs that recovered (it still equals it on fault-free runs).
 
-use crate::error::{FailureCause, RetryPolicy, ServeError};
-use crate::faults::{FaultPlan, InjectedPanic};
+mod recover;
+mod shard;
+mod ticket;
+mod types;
+
+pub use types::{
+    Completion, Priority, ServeConfig, ServeReport, ServeRequest, ShardAssignment, ShardStats,
+    StepTrace,
+};
+
+use crate::error::ServeError;
+use crate::faults::FaultPlan;
 use crate::latency::LatencySummary;
-use crate::overload::{OverloadController, OverloadSummary, PressureLevel, PressureSample};
+use crate::overload::OverloadSummary;
 use crate::queue::BoundedQueue;
-use pqc_cache::{BlockCache, CacheBudget, CacheStats};
-use pqc_core::{
-    panic_message, ConfigError, SelectiveSession, SessionConfig, SessionResources, SessionScratch,
-    StepError, SuspendedSession,
-};
-use pqc_llm::{Model, PrefillJob, PrefillOutput};
-use pqc_memhier::{
-    KvTier, MemError, PrefixCacheStats, SharingStats, TransferStats, DEFAULT_PAGE_TOKENS,
-};
-use pqc_policies::{SelectionPolicy, SharedPolicyState};
-use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use pqc_cache::{BlockCache, CacheBudget};
+use pqc_llm::Model;
+use pqc_memhier::KvTier;
+use shard::Shard;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
+use ticket::Parked;
 
 /// Poison-tolerant lock: the recovery structures' invariants (plain maps
 /// and vectors) survive any interrupted critical section, and a dead
@@ -91,773 +134,79 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Scheduling class of a request. Admission pops the highest class first
-/// (FIFO within a class), and a queued request **strictly** outranking a
-/// running session preempts it: the victim is suspended through the paged
-/// host tier ([`SelectiveSession::suspend`]) and resumed later — bit
-/// identically — once a slot frees up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Priority {
-    /// Background work: preempted by anything higher whenever slots are
-    /// contended.
-    Low,
-    /// The default class; FIFO among itself, never preempts `Low`… unless
-    /// slots are contended.
-    #[default]
-    Normal,
-    /// Latency-sensitive work: skips the queue and claims a slot from a
-    /// lower-class session when none is free.
-    High,
+/// One admission queue plus the tick-clock view of its backlog. The
+/// physical queue depth depends on how far the producer thread has got and
+/// counts requests whose arrival tick is still in the future, so the
+/// scheduler never reads it; it reads [`Inbox::backlog`], a function of the
+/// request list and the shard's own pops.
+struct Inbox {
+    queue: BoundedQueue<ServeRequest>,
+    /// Arrival ticks of every request routed to this queue, sorted.
+    arrivals: Vec<u64>,
+    /// Requests popped so far (a statistic: publishes no other data).
+    popped: AtomicUsize,
 }
 
-impl Priority {
-    /// Number of priority classes.
-    pub const COUNT: usize = 3;
-
-    /// Dense index of this class (`Low` = 0, `Normal` = 1, `High` = 2) —
-    /// keys per-class arrays like [`ServeReport::latency_by_priority`].
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// How requests map onto shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardAssignment {
-    /// One shared queue; whichever worker has a free slot first takes the
-    /// request. Work-conserving — the right default for live traffic.
-    #[default]
-    FirstFree,
-    /// Request `i` goes to shard `i mod shards` through per-shard queues.
-    /// Deterministic placement and balance independent of OS scheduling —
-    /// what benchmarks and placement-sensitive tests want (on a host with
-    /// fewer cores than shards, first-free lets one timesliced worker
-    /// drain the queue while the rest starve, which skews per-shard load).
-    RoundRobin,
-}
-
-/// Serving-layer configuration.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads, each owning one shard of the session pool.
-    pub shards: usize,
-    /// Continuous-batching width: sessions decoded per shard per tick.
-    pub max_active_per_shard: usize,
-    /// Admission-queue bound across all shards (back-pressure on the
-    /// producer). Round-robin splits it evenly over the per-shard queues,
-    /// so it must be ≥ `shards` in that mode.
-    pub queue_capacity: usize,
-    /// Request→shard placement.
-    pub assignment: ShardAssignment,
-    /// Per-session engine configuration (segmentation, budgets, cache).
-    pub session: SessionConfig,
-    /// Sessions' worth of GPU cache backing the global [`CacheBudget`];
-    /// `None` sizes it for the peak concurrency (`shards ×
-    /// max_active_per_shard`), which reproduces standalone cache behaviour
-    /// exactly. Smaller values exercise cross-session cache pressure.
-    pub cache_budget_sessions: Option<usize>,
-    /// Record per-step logits and selected-token sets in each completion
-    /// (the equivalence battery's evidence; costs memory).
-    pub record_trace: bool,
-    /// Parallelise prefill across kv heads inside a worker. Off by default:
-    /// shard workers are the parallelism axis, and nesting head threads
-    /// under every worker oversubscribes the host.
-    pub prefill_parallel: bool,
-    /// Share host KV pages and trained PQ/IVF state across sessions whose
-    /// prompts are identical (vLLM-style prefix caching on the paged tier).
-    /// On by default — sharing is exact, so results are bit-identical to a
-    /// cold start; turn off to model a fleet without prefix reuse.
-    pub prefix_cache: bool,
-    /// Host-tier page size in tokens (the paged `KvTier` granularity).
-    pub page_tokens: usize,
-    /// Chunked prefill: cap prompt rows prefilled per scheduler tick.
-    /// `None` (the default) prefills each prompt monolithically at
-    /// admission — decode on the shard halts for the whole prompt. `Some`
-    /// splits prefill into tick-sized chunks interleaved with ready decode
-    /// steps, bounding head-of-line blocking: a long prompt no longer
-    /// freezes its neighbours' TPOT. Chunking never changes results —
-    /// prefill is chunk-invariant by construction (`Model::begin_prefill`).
-    pub prefill_chunk_tokens: Option<usize>,
-    /// Deterministic fault-injection plan (chaos testing). `None` injects
-    /// nothing; real faults flow through the same reporting paths either
-    /// way.
-    pub faults: Option<FaultPlan>,
-    /// Crash-recovery checkpoint cadence: every `k` scheduler ticks each
-    /// resident session is snapshotted through the paged host tier
-    /// ([`SelectiveSession::checkpoint`] — pinned swap pages + a
-    /// copy-on-write fork of the middle store, no eviction, no extra
-    /// middle-store copies) into a registry shared across shards. A shard
-    /// that later dies fails its checkpointed sessions over to healthy
-    /// shards; a session whose store turns out corrupt rolls back to its
-    /// snapshot. `None` (the default) checkpoints nothing — sessions on a
-    /// dead shard are lost with [`ServeError::ShardLost`]. Checkpointing
-    /// never changes results; it costs the periodic offload of the
-    /// GPU-resident rows (metered in [`ShardStats::checkpoint_bytes`]).
-    pub checkpoint_every_ticks: Option<u64>,
-    /// Brownout overload control: each shard runs an
-    /// [`crate::OverloadController`] that samples pressure every tick and
-    /// stages degrade actions (effort reduction for Low/Normal sessions
-    /// within a recall floor, Low-admission deferral, checkpoint-cadence
-    /// stretch, Critical-only shedding) that reverse as pressure clears.
-    /// `None` (the default) disables the controller entirely — the engine
-    /// is then **bit-identical** to one built without brownout support:
-    /// no effort calls are made and no degraded path is evaluated.
-    pub overload: Option<crate::OverloadConfig>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            shards: 4,
-            max_active_per_shard: 4,
-            queue_capacity: 16,
-            assignment: ShardAssignment::FirstFree,
-            session: SessionConfig::default(),
-            cache_budget_sessions: None,
-            record_trace: false,
-            prefill_parallel: false,
-            prefix_cache: true,
-            page_tokens: DEFAULT_PAGE_TOKENS,
-            prefill_chunk_tokens: None,
-            faults: None,
-            checkpoint_every_ticks: None,
-            overload: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Validate, returning the first offending field as a typed error.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.shards == 0 {
-            return Err(ConfigError::new("shards", "need at least one shard"));
-        }
-        if self.max_active_per_shard == 0 {
-            return Err(ConfigError::new(
-                "max_active_per_shard",
-                "need at least one session slot per shard",
-            ));
-        }
-        if self.queue_capacity == 0 {
-            return Err(ConfigError::new("queue_capacity", "queue capacity must be positive"));
-        }
-        if self.page_tokens == 0 {
-            return Err(ConfigError::new("page_tokens", "page size must be positive"));
-        }
-        if self.prefill_chunk_tokens == Some(0) {
-            return Err(ConfigError::new(
-                "prefill_chunk_tokens",
-                "chunk budget must be positive (use None for monolithic prefill)",
-            ));
-        }
-        if self.assignment == ShardAssignment::RoundRobin && self.queue_capacity < self.shards {
-            return Err(ConfigError::new(
-                "queue_capacity",
-                "round-robin needs queue capacity >= shards (one slot per shard queue)",
-            ));
-        }
-        if self.checkpoint_every_ticks == Some(0) {
-            return Err(ConfigError::new(
-                "checkpoint_every_ticks",
-                "checkpoint cadence must be positive (use None to disable checkpointing)",
-            ));
-        }
-        if let Some(plan) = &self.faults {
-            if plan.page_limit == Some(0) {
-                return Err(ConfigError::new("faults", "page_limit 0 would reject every page"));
-            }
-        }
-        if let Some(overload) = &self.overload {
-            overload.validate()?;
-            // Effort-floor consistency against the session's routing: a
-            // probe floor wider than the configured probe width could
-            // never be honoured (capping at min_n_probe would *raise*
-            // effort above construction-time behaviour).
-            if let pqc_core::IvfMode::Probe(n_probe) = self.session.ivf {
-                if overload.min_n_probe > n_probe {
-                    return Err(ConfigError::new(
-                        "overload.min_n_probe",
-                        format!(
-                            "probe floor {} exceeds the session's configured probe width \
-                             {n_probe} — the floor could never take effect",
-                            overload.min_n_probe
-                        ),
-                    ));
-                }
-            }
-        }
-        self.session.validate()
+impl Inbox {
+    /// Pop the highest-priority request (FIFO within a class), blocking
+    /// for one when `block`. `None`: nothing queued — when blocking, the
+    /// queue is closed and drained.
+    fn pop(&self, block: bool) -> Option<ServeRequest> {
+        let req = if block {
+            self.queue.pop_wait_max_by_key(|r| r.priority)
+        } else {
+            self.queue.try_pop_max_by_key(|r| r.priority)
+        }?;
+        self.popped.fetch_add(1, Ordering::Relaxed);
+        Some(req)
     }
 
-    /// [`Self::validate`], panicking on the first error — for call sites
-    /// that treat a bad config as a programming bug.
-    pub fn validate_strict(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{}", e.message);
-        }
+    /// Requests that have arrived by `tick` and not been popped. `not_due`
+    /// is how many popped requests the caller still holds for a future
+    /// arrival tick — popped early, not yet part of the backlog. Exact per
+    /// shard under round-robin placement; with a shared first-free queue
+    /// other shards' early pops undercount it.
+    fn backlog(&self, tick: u64, not_due: usize) -> usize {
+        let arrived = self.arrivals.partition_point(|&a| a <= tick);
+        let taken = self.popped.load(Ordering::Relaxed).saturating_sub(not_due);
+        arrived.saturating_sub(taken)
     }
-
-    /// Peak concurrent sessions the engine will run.
-    pub fn peak_sessions(&self) -> usize {
-        self.shards * self.max_active_per_shard
-    }
-}
-
-/// One admission: a prompt plus how many tokens to decode greedily.
-pub struct ServeRequest {
-    /// Caller-chosen id, echoed in the completion (must be unique).
-    pub id: u64,
-    /// Prompt tokens (must satisfy the session's segmentation minimum).
-    pub tokens: Vec<u32>,
-    /// Greedy decode steps to run after prefill.
-    pub decode_steps: usize,
-    /// Selection policy instance for this session.
-    pub policy: Box<dyn SelectionPolicy + Send>,
-    /// Optional deadline in scheduler ticks (the engine's deterministic
-    /// clock): a session still decoding `deadline` ticks after admission is
-    /// reaped with [`ServeError::DeadlineExceeded`]. `None` never expires.
-    pub deadline: Option<u64>,
-    /// Optional wall-clock deadline, measured from the run's epoch (batch
-    /// arrival): a request still in flight this long after admission is
-    /// reaped with the same [`ServeError::DeadlineExceeded`] taxonomy, the
-    /// tick fields carrying **milliseconds**. Unlike [`Self::deadline`]
-    /// this follows real time — it is an SLO class, not a reproducible
-    /// schedule bound. `None` never expires.
-    pub wall_deadline: Option<Duration>,
-    /// Earliest per-shard scheduler tick at which this request may be
-    /// admitted (0 = immediately). Set from a trace's `arrival_tick` to
-    /// replay recorded traffic time-accurately: the serving shard holds
-    /// the request — without consuming an admission retry — until its
-    /// clock reaches this tick. Deterministic under round-robin placement
-    /// (each shard's clock is its own); under first-free placement the
-    /// serving shard, and so the gating clock, depends on OS scheduling.
-    pub arrival_tick: u64,
-    /// Bounded-retry policy applied when admission rejects the request.
-    pub retry: RetryPolicy,
-    /// Scheduling class. `Normal` (the default) keeps exact FIFO among
-    /// itself; `High` is admitted first and may preempt a strictly
-    /// lower-class running session when no slot is free.
-    pub priority: Priority,
-}
-
-impl ServeRequest {
-    /// A request with no deadline, normal priority, and the default retry
-    /// policy.
-    pub fn new(
-        id: u64,
-        tokens: Vec<u32>,
-        decode_steps: usize,
-        policy: Box<dyn SelectionPolicy + Send>,
-    ) -> Self {
-        Self {
-            id,
-            tokens,
-            decode_steps,
-            policy,
-            deadline: None,
-            wall_deadline: None,
-            arrival_tick: 0,
-            retry: RetryPolicy::default(),
-            priority: Priority::default(),
-        }
-    }
-
-    /// Set a deadline in scheduler ticks.
-    pub fn with_deadline(mut self, ticks: u64) -> Self {
-        self.deadline = Some(ticks);
-        self
-    }
-
-    /// Set a wall-clock deadline (an SLO class — see
-    /// [`Self::wall_deadline`] for the clock and reporting convention).
-    pub fn with_wall_deadline(mut self, deadline: Duration) -> Self {
-        self.wall_deadline = Some(deadline);
-        self
-    }
-
-    /// Hold admission until the serving shard's clock reaches `tick`
-    /// (time-accurate trace replay — see [`Self::arrival_tick`]).
-    pub fn with_arrival_tick(mut self, tick: u64) -> Self {
-        self.arrival_tick = tick;
-        self
-    }
-
-    /// Override the admission retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Set the scheduling class.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-}
-
-/// What the first session to serve a prompt leaves behind in the tier's
-/// prefix registry, alongside the refcounted KV pages: the deterministic
-/// prefill output (logits, score captures) and the trained PQ/IVF policy
-/// snapshot. Later sessions with the same prompt adopt all three and skip
-/// prefill, offload, and clustering entirely.
-struct SharedPrefix {
-    prefill: PrefillOutput,
-    policy: Option<SharedPolicyState>,
-}
-
-/// Per-step evidence captured when [`ServeConfig::record_trace`] is set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepTrace {
-    /// The step's classifier logits.
-    pub logits: Vec<f32>,
-    /// Selected middle tokens (absolute ids), `[layer][kv_head]`.
-    pub selected: Vec<Vec<Vec<usize>>>,
-}
-
-/// A finished request — successfully decoded, or failed/shed with a typed
-/// cause ([`Self::failure`]). Every admitted request produces exactly one.
-#[derive(Debug, Clone)]
-pub struct Completion {
-    /// The request id.
-    pub id: u64,
-    /// Shard (worker) that served the session.
-    pub shard: usize,
-    /// Greedy-decoded tokens: `decode_steps` of them on success, however
-    /// many the session managed before failing otherwise.
-    pub generated: Vec<u32>,
-    /// This session's host-transfer stats (its KvTier namespace).
-    pub transfer: TransferStats,
-    /// This session's GPU block-cache stats.
-    pub cache: CacheStats,
-    /// Prefix-sharing stats: prompt tokens adopted from the prefix cache
-    /// and copy-on-write page copies this session triggered.
-    pub sharing: SharingStats,
-    /// Per-step trace (empty unless [`ServeConfig::record_trace`]).
-    pub trace: Vec<StepTrace>,
-    /// Why the session failed (`None` = clean completion).
-    pub failure: Option<FailureCause>,
-    /// Admission retries this request consumed before being served or shed.
-    pub retries: u32,
-    /// Scheduling class the request ran at.
-    pub priority: Priority,
-    /// Time-to-first-token, wall clock from batch arrival (includes queue
-    /// wait and head-of-line blocking). `None` when the request never
-    /// produced a first token (shed, or reaped mid-prefill).
-    pub ttft_wall: Option<Duration>,
-    /// Time-to-first-token in scheduler ticks from admission: 0 for
-    /// monolithic or prefix-adopted prefill (one admission event), the
-    /// chunk-tick count under chunked prefill. Deterministic run over run.
-    pub ttft_ticks: Option<u64>,
-    /// Mean wall time per decoded token. `None` when nothing was decoded.
-    pub tpot_wall: Option<Duration>,
-    /// Times this session was preempted (suspended to the host tier and
-    /// later resumed) by a higher-priority request.
-    pub preemptions: u32,
-    /// True when crash recovery produced this completion: the session was
-    /// replayed forward from a checkpoint after its shard's worker died,
-    /// or rolled back to a checkpoint after store corruption. Recovered
-    /// output is bit-identical to the fault-free run.
-    pub recovered: bool,
-    /// Highest [`PressureLevel`] at which this session decoded a token
-    /// under *reduced* effort. `Nominal` means every token was produced
-    /// at full effort — always the case for High-priority sessions, for
-    /// runs with the controller disabled, and for requests that never
-    /// decoded. Survives preemption and checkpoint failover.
-    pub max_degrade_level: PressureLevel,
-}
-
-impl Completion {
-    /// True when the request decoded everything it asked for.
-    pub fn is_success(&self) -> bool {
-        self.failure.is_none()
-    }
-}
-
-/// Per-shard scheduling statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardStats {
-    /// Scheduler ticks executed.
-    pub ticks: u64,
-    /// Sessions admitted on this shard.
-    pub admitted: u64,
-    /// Sessions that failed or were shed on this shard.
-    pub failed: u64,
-    /// Decode tokens requested but never produced (shed at admission,
-    /// reaped by deadline, or lost to a mid-decode fault).
-    pub shed_tokens: u64,
-    /// Decode session-steps executed while the shard's brownout
-    /// controller sat at a non-`Nominal` [`PressureLevel`] — exactly the
-    /// steps served under degradation pressure (whether or not the
-    /// individual session's effort was reduced; High-priority steps under
-    /// a pressured shard count). Always 0 with the controller disabled.
-    pub degraded_steps: u64,
-    /// Session-steps skipped while the shard was stalled by an injected
-    /// slow-shard fault (sessions held but not decoded that tick).
-    pub stalled_steps: u64,
-    /// Scheduler ticks spent at each pressure rung (indexed by
-    /// [`PressureLevel::index`]); all-zero with the controller disabled.
-    pub level_ticks: [u64; PressureLevel::COUNT],
-    /// Decode tokens produced under reduced (non-full) effort.
-    pub degraded_tokens: u64,
-    /// Low-priority admissions deferred by the controller at `Saturated`
-    /// (every deferral counts, including re-deferrals of the same
-    /// request).
-    pub deferrals: u64,
-    /// Requests shed by the controller at `Critical` (disjoint from
-    /// fault-plan and deadline sheds).
-    pub overload_sheds: u64,
-    /// Admission retries performed (re-attempts after a rejection).
-    pub retries: u64,
-    /// Priority preemptions performed: a running session suspended through
-    /// the paged host tier to free its slot for a higher-class request.
-    pub preemptions: u64,
-    /// Prefill chunks executed (0 unless
-    /// [`ServeConfig::prefill_chunk_tokens`] is set).
-    pub prefill_chunks: u64,
-    /// Checkpoint snapshots taken on this shard (0 unless
-    /// [`ServeConfig::checkpoint_every_ticks`]).
-    pub checkpoints: u64,
-    /// Bytes offloaded device→host by checkpoint snapshots (the recurring
-    /// cost of crash recovery; the copy-on-write store fork moves nothing).
-    pub checkpoint_bytes: u64,
-    /// Sessions this shard served by replaying a dead shard's checkpoint
-    /// forward (metered on the *failover target*, not the dead shard).
-    pub recovered_sessions: u64,
-    /// Decode tokens produced during failover replay (post-checkpoint
-    /// tokens the dead shard lost and this shard regenerated).
-    pub recovered_tokens: u64,
-    /// Sessions rolled back to their last checkpoint after a KV page
-    /// failed its checksum mid-decode.
-    pub rollbacks: u64,
-    /// Wall time spent prefilling + decoding (excludes queue waits).
-    /// Caveat: on a host with fewer cores than shards this includes time
-    /// preempted by sibling workers — use a per-shard single-thread run
-    /// (as `benches/serve_throughput.rs` does) to model one-core-per-shard
-    /// occupancy.
-    pub busy: Duration,
-}
-
-/// Everything `ServeEngine::run` produces.
-#[derive(Debug)]
-pub struct ServeReport {
-    /// Completions, sorted by request id (failed ones carry
-    /// [`Completion::failure`]).
-    pub completions: Vec<Completion>,
-    /// Tier-wide transfer aggregate (equals the sum of per-completion
-    /// transfer stats — asserted by the equivalence battery).
-    pub aggregate_transfer: TransferStats,
-    /// Highest queue occupancy observed (≤ the configured bound).
-    pub queue_high_water: usize,
-    /// Prefix-cache registry counters (lookups, full/partial hits, entries).
-    pub prefix: PrefixCacheStats,
-    /// Tier-wide sharing aggregate (equals the sum of per-completion
-    /// [`Completion::sharing`]).
-    pub aggregate_sharing: SharingStats,
-    /// Peak host-tier footprint over the run: distinct pages held at the
-    /// busiest instant × page bytes. With prefix sharing on, a fleet of
-    /// identical prompts peaks near O(unique tokens) instead of
-    /// O(sessions × tokens).
-    pub peak_host_bytes: u64,
-    /// Per-shard scheduling stats.
-    pub shards: Vec<ShardStats>,
-    /// True if the shared cache budget ever observed a release/acquire
-    /// imbalance (saturated instead of underflowing — a bug latch, not an
-    /// abort).
-    pub budget_underflow: bool,
-    /// Worker threads that aborted outright instead of returning (always 0
-    /// unless something escapes the per-session isolation; the engine
-    /// absorbs the loss and still reports).
-    pub worker_panics: u64,
-    /// TTFT/TPOT percentile summary across completions (only requests that
-    /// reached the respective event contribute — see [`LatencySummary`]).
-    pub latency: LatencySummary,
-    /// [`latency`](Self::latency) broken down by [`Priority`] class,
-    /// indexed by [`Priority::index`] — the brownout contract ("High never
-    /// degrades") is checked against these, not the blended summary.
-    pub latency_by_priority: [LatencySummary; Priority::COUNT],
-    /// Brownout-controller aggregate across shards: ticks at each pressure
-    /// rung, degraded tokens, deferrals, and overload sheds. All-zero when
-    /// [`ServeConfig::overload`] is `None`.
-    pub overload: OverloadSummary,
-    /// Wall-clock time of the whole run.
-    pub wall: Duration,
-}
-
-impl ServeReport {
-    /// Total decoded tokens across completions.
-    pub fn tokens_decoded(&self) -> u64 {
-        self.completions.iter().map(|c| c.generated.len() as u64).sum()
-    }
-
-    /// The completion for a request id, if present.
-    pub fn completion(&self, id: u64) -> Option<&Completion> {
-        self.completions.iter().find(|c| c.id == id)
-    }
-
-    /// Completions that failed, with their causes.
-    pub fn failures(&self) -> impl Iterator<Item = &Completion> {
-        self.completions.iter().filter(|c| c.failure.is_some())
-    }
-
-    /// Completions that decoded everything they asked for.
-    pub fn successes(&self) -> impl Iterator<Item = &Completion> {
-        self.completions.iter().filter(|c| c.failure.is_none())
-    }
-
-    /// Total decode tokens requested but never produced.
-    pub fn total_shed_tokens(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed_tokens).sum()
-    }
-
-    /// Total decode session-steps served while a shard's pressure level
-    /// was non-`Nominal` (0 with the controller disabled).
-    pub fn total_degraded_steps(&self) -> u64 {
-        self.shards.iter().map(|s| s.degraded_steps).sum()
-    }
-
-    /// Total session-steps lost to injected shard stalls.
-    pub fn total_stalled_steps(&self) -> u64 {
-        self.shards.iter().map(|s| s.stalled_steps).sum()
-    }
-
-    /// The latency summary for one [`Priority`] class.
-    pub fn latency_for(&self, priority: Priority) -> &LatencySummary {
-        &self.latency_by_priority[priority.index()]
-    }
-
-    /// Total priority preemptions across shards.
-    pub fn total_preemptions(&self) -> u64 {
-        self.shards.iter().map(|s| s.preemptions).sum()
-    }
-
-    /// Total checkpoint snapshots across shards.
-    pub fn total_checkpoints(&self) -> u64 {
-        self.shards.iter().map(|s| s.checkpoints).sum()
-    }
-
-    /// Total checkpoint device→host bytes across shards.
-    pub fn total_checkpoint_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.checkpoint_bytes).sum()
-    }
-
-    /// Total sessions recovered by failover replay.
-    pub fn total_recovered_sessions(&self) -> u64 {
-        self.shards.iter().map(|s| s.recovered_sessions).sum()
-    }
-
-    /// Total decode tokens regenerated by failover replay.
-    pub fn total_recovered_tokens(&self) -> u64 {
-        self.shards.iter().map(|s| s.recovered_tokens).sum()
-    }
-
-    /// Total corruption rollbacks across shards.
-    pub fn total_rollbacks(&self) -> u64 {
-        self.shards.iter().map(|s| s.rollbacks).sum()
-    }
-
-    /// The busiest shard's occupied time — the modelled wall-clock of the
-    /// run on a host with one core per shard (shards share nothing on the
-    /// decode path, so their busy intervals overlap there).
-    pub fn max_shard_busy(&self) -> Duration {
-        self.shards.iter().map(|s| s.busy).max().unwrap_or(Duration::ZERO)
-    }
-}
-
-/// An in-flight session on a shard.
-struct Active<'m> {
-    id: u64,
-    session: SelectiveSession<'m>,
-    next: u32,
-    remaining: usize,
-    generated: Vec<u32>,
-    trace: Vec<StepTrace>,
-    /// Per-shard tick at which the session was admitted (deadline base).
-    admitted_tick: u64,
-    deadline: Option<u64>,
-    /// Wall clock from the run's epoch at admission (wall-deadline base).
-    admitted_wall: Duration,
-    wall_deadline: Option<Duration>,
-    retries: u32,
-    priority: Priority,
-    /// Set when the first token became known (end of prefill / adoption).
-    ttft_wall: Option<Duration>,
-    ttft_ticks: Option<u64>,
-    /// Wall time spent in this session's decode steps.
-    decode_wall: Duration,
-    /// Transfer metered outside the live session's namespace: suspend/
-    /// resume swap traffic from earlier preemption round trips.
-    extra_transfer: TransferStats,
-    /// Cache stats from caches dropped by earlier suspends (a resume binds
-    /// a fresh budget-backed cache).
-    extra_cache: CacheStats,
-    preemptions: u32,
-    /// True once crash recovery touched this session (checkpoint rollback).
-    recovered: bool,
-    /// Highest pressure rung at which this session decoded under reduced
-    /// effort (see [`Completion::max_degrade_level`]).
-    max_degrade: PressureLevel,
-}
-
-/// A request whose prompt is mid-prefill under chunked admission: it holds
-/// a session slot (its KV is being built) but has no session yet.
-struct Prefilling<'m> {
-    id: u64,
-    job: PrefillJob<'m>,
-    tokens: Vec<u32>,
-    policy: Box<dyn SelectionPolicy + Send>,
-    decode_steps: usize,
-    admitted_tick: u64,
-    deadline: Option<u64>,
-    admitted_wall: Duration,
-    wall_deadline: Option<Duration>,
-    retries: u32,
-    priority: Priority,
-}
-
-/// A preempted session parked in the paged host tier: its pages sit pinned
-/// off-slot until a slot frees (or its deadline reaps it while parked).
-struct Parked {
-    id: u64,
-    suspended: SuspendedSession,
-    next: u32,
-    remaining: usize,
-    generated: Vec<u32>,
-    trace: Vec<StepTrace>,
-    admitted_tick: u64,
-    deadline: Option<u64>,
-    admitted_wall: Duration,
-    wall_deadline: Option<Duration>,
-    retries: u32,
-    priority: Priority,
-    ttft_wall: Option<Duration>,
-    ttft_ticks: Option<u64>,
-    decode_wall: Duration,
-    extra_transfer: TransferStats,
-    extra_cache: CacheStats,
-    preemptions: u32,
-    recovered: bool,
-    max_degrade: PressureLevel,
-}
-
-/// A request waiting out its admission-retry backoff — or, when
-/// `not_before` is its arrival tick, a trace-replay request holding for
-/// its recorded arrival time.
-struct Waiting {
-    req: ServeRequest,
-    not_before: u64,
-}
-
-/// A checkpoint snapshot plus everything needed to resume decoding from
-/// it on any shard: the scheduler-side session state the engine tracks
-/// outside the `SelectiveSession` itself. Lives in the cross-shard
-/// registry; replaced wholesale at the next checkpoint of the same id.
-/// Deadline state is deliberately absent — recovery replay does not reap.
-struct CheckpointEntry {
-    suspended: SuspendedSession,
-    next: u32,
-    remaining: usize,
-    generated: Vec<u32>,
-    trace: Vec<StepTrace>,
-    retries: u32,
-    priority: Priority,
-    ttft_wall: Option<Duration>,
-    ttft_ticks: Option<u64>,
-    decode_wall: Duration,
-    preemptions: u32,
-    max_degrade: PressureLevel,
-    /// Transfer accounted to the session up to the snapshot (live
-    /// namespace + earlier preemption swaps). The snapshot's forked
-    /// namespace meters from zero, so replay adds cleanly on top.
-    base_transfer: TransferStats,
-    /// Cache stats accounted up to the snapshot.
-    base_cache: CacheStats,
 }
 
 /// What the coordinator needs to account for a request that was on a shard
-/// when its worker died: enough to emit a typed [`ServeError::ShardLost`]
-/// completion when no checkpoint exists. One map per shard; a request
-/// enters when the shard pops it from the queue and leaves when its
-/// completion is published.
+/// when its worker died and left no checkpoint: enough to emit a typed
+/// [`ServeError::ShardLost`] completion. A request enters its shard's map
+/// when popped from the queue and leaves when its completion is published.
 struct InflightInfo {
     priority: Priority,
     retries: u32,
     decode_steps: usize,
 }
 
-/// Index of the highest-priority entry; the earliest index wins ties, so a
-/// uniform-priority pool keeps stable order. `None` when empty.
-fn best_by_priority<T>(items: &[T], priority: impl Fn(&T) -> Priority) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (i, item) in items.iter().enumerate() {
-        let better = match best {
-            None => true,
-            Some(b) => priority(item) > priority(&items[b]),
-        };
-        if better {
-            best = Some(i);
-        }
-    }
-    best
+/// Everything one run's shards share. Workers publish finished completions
+/// incrementally (a dying worker loses nothing already done), checkpoints
+/// live in a cross-shard registry, and each shard tracks what it has in
+/// flight so the coordinator can account every request of a dead shard.
+struct Fleet<'a> {
+    model: &'a Model,
+    cfg: &'a ServeConfig,
+    plan: FaultPlan,
+    tier: KvTier,
+    budget: CacheBudget,
+    /// FirstFree: one shared queue. RoundRobin: one per shard.
+    inboxes: Vec<Inbox>,
+    /// True when every queue can hold everything routed to it: the
+    /// producer never blocks, so a request that has arrived on the tick
+    /// clock but is not in its queue yet is only ever moments away.
+    unthrottled: bool,
+    epoch: Instant,
+    completions: Mutex<Vec<Completion>>,
+    registry: Mutex<HashMap<u64, Parked>>,
+    inflight: Vec<Mutex<HashMap<u64, InflightInfo>>>,
 }
 
-/// Index of the strongest matured retry (earliest index wins ties).
-fn best_matured(waiting: &[Waiting], now: u64) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (i, w) in waiting.iter().enumerate() {
-        if w.not_before > now {
-            continue;
-        }
-        let better = match best {
-            None => true,
-            Some(b) => w.req.priority > waiting[b].req.priority,
-        };
-        if better {
-            best = Some(i);
-        }
-    }
-    best
-}
-
-/// The preemption victim for an arrival of class `qp`: the weakest
-/// strictly-lower-priority running session. Among equals the most recently
-/// admitted loses (older sessions keep their progress), then the highest
-/// id — a total, deterministic order.
-fn victim_index(active: &[Active<'_>], qp: Priority) -> Option<usize> {
-    active
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.priority < qp && a.remaining > 0)
-        .min_by_key(|(_, a)| (a.priority, Reverse(a.admitted_tick), Reverse(a.id)))
-        .map(|(i, _)| i)
-}
-
-/// Where [`ServeEngine::try_admit`] lands a request: straight into decode
-/// (monolithic or prefix-adopted prefill) or into the chunked-prefill set.
-enum Admit<'m> {
-    Active(Box<Active<'m>>),
-    Prefilling(Box<Prefilling<'m>>),
-}
-
-/// The sharded multi-session serving engine. Stateless: each [`Self::run`]
-/// call owns its workers, tier, and budget for the duration of the batch.
-pub struct ServeEngine;
-
-impl ServeEngine {
-    /// Serve `requests` to completion and return the report.
-    ///
-    /// Blocks until every admitted request has finished. Request→shard
-    /// assignment is first-free-worker (work conserving), which is safe
-    /// because results are scheduling-independent.
-    ///
-    /// `Err` only on a rejected configuration; every per-request fault
-    /// (panic, page exhaustion, deadline, shed) is reported as a failed
-    /// [`Completion`] inside an `Ok` report instead.
-    pub fn run(
-        model: &Model,
-        cfg: &ServeConfig,
-        requests: Vec<ServeRequest>,
-    ) -> Result<ServeReport, ServeError> {
-        cfg.validate()?;
+impl<'a> Fleet<'a> {
+    fn new(model: &'a Model, cfg: &'a ServeConfig, requests: &[ServeRequest]) -> Self {
         let plan = cfg.faults.clone().unwrap_or_default();
         let mcfg = model.config();
         let tier = KvTier::with_page_limit(
@@ -873,133 +222,153 @@ impl ServeEngine {
             cfg.session.cache.capacity_tokens * budget_sessions,
             cfg.session.cache.block_size,
         );
-        // FirstFree: one shared queue. RoundRobin: one queue per shard,
-        // splitting the global bound exactly (first `remainder` shards get
-        // the extra slot, so per-shard capacities sum to queue_capacity).
-        let queues: Vec<BoundedQueue<ServeRequest>> = match cfg.assignment {
-            ShardAssignment::FirstFree => vec![BoundedQueue::new(cfg.queue_capacity)],
-            ShardAssignment::RoundRobin => (0..cfg.shards)
-                .map(|i| {
-                    let base = cfg.queue_capacity / cfg.shards;
-                    BoundedQueue::new(base + usize::from(i < cfg.queue_capacity % cfg.shards))
-                })
-                .collect(),
+        // Round-robin splits the global bound exactly: the first
+        // `remainder` shards get the extra slot, so per-shard capacities
+        // sum to queue_capacity.
+        let n = match cfg.assignment {
+            ShardAssignment::FirstFree => 1,
+            ShardAssignment::RoundRobin => cfg.shards,
         };
-        let start = Instant::now();
+        let inboxes = (0..n)
+            .map(|i| {
+                let capacity = cfg.queue_capacity / n + usize::from(i < cfg.queue_capacity % n);
+                let mut arrivals: Vec<u64> =
+                    requests.iter().skip(i).step_by(n).map(|r| r.arrival_tick).collect();
+                arrivals.sort_unstable();
+                Inbox { queue: BoundedQueue::new(capacity), arrivals, popped: AtomicUsize::new(0) }
+            })
+            .collect::<Vec<Inbox>>();
+        Self {
+            model,
+            cfg,
+            plan,
+            tier,
+            budget,
+            unthrottled: inboxes.iter().all(|i| i.arrivals.len() <= i.queue.capacity()),
+            inboxes,
+            epoch: Instant::now(),
+            completions: Mutex::new(Vec::new()),
+            registry: Mutex::new(HashMap::new()),
+            inflight: (0..cfg.shards).map(|_| Mutex::new(HashMap::new())).collect(),
+        }
+    }
 
-        // Crash-recovery state shared across shards: workers publish
-        // finished completions incrementally (so a dying worker loses
-        // nothing already done), checkpoints live in a cross-shard
-        // registry, and each shard tracks what it has in flight so the
-        // coordinator can account every request of a dead shard.
-        let completions_shared: Mutex<Vec<Completion>> = Mutex::new(Vec::new());
-        let registry: Mutex<HashMap<u64, CheckpointEntry>> = Mutex::new(HashMap::new());
-        let inflight: Vec<Mutex<HashMap<u64, InflightInfo>>> =
-            (0..cfg.shards).map(|_| Mutex::new(HashMap::new())).collect();
+    /// The queue shard `shard` pops from.
+    fn inbox(&self, shard: usize) -> &Inbox {
+        &self.inboxes[shard % self.inboxes.len()]
+    }
 
-        let (mut completions, shard_stats, worker_panics) = std::thread::scope(|scope| {
-            let plan = &plan;
-            let completions_shared = &completions_shared;
-            let registry = &registry;
-            let inflight = &inflight;
+    /// A fresh cache drawing on the engine-wide budget.
+    fn fresh_cache(&self) -> BlockCache {
+        let c = &self.cfg.session.cache;
+        BlockCache::with_budget(c.capacity_tokens, c.block_size, c.policy(), self.budget.clone())
+    }
+
+    /// True when the fault plan kills workers — marks shard-loss causes as
+    /// injected.
+    fn kills_injected(&self) -> bool {
+        !self.plan.worker_kills.is_empty()
+    }
+
+    /// The producer side, on the caller's thread: bounded pushes are the
+    /// admission back-pressure. A push only bounces when a dying worker
+    /// closed its queue first — shed the request as a shard loss instead
+    /// of aborting the run. Returns those sheds.
+    fn produce(&self, requests: Vec<ServeRequest>) -> Vec<Completion> {
+        let mut shed = Vec::new();
+        for (i, req) in requests.into_iter().enumerate() {
+            if let Err(req) = self.inboxes[i % self.inboxes.len()].queue.push(req) {
+                let shard = i % self.cfg.shards;
+                shed.push(Completion::unserved(
+                    req.id,
+                    req.priority,
+                    0,
+                    shard,
+                    ServeError::ShardLost { shard },
+                    self.kills_injected(),
+                ));
+            }
+        }
+        for inbox in &self.inboxes {
+            inbox.queue.close();
+        }
+        shed
+    }
+}
+
+/// The sharded multi-session serving engine. Stateless: each [`Self::run`]
+/// call owns its workers, tier, and budget for the duration of the batch.
+pub struct ServeEngine;
+
+impl ServeEngine {
+    /// Serve `requests` to completion and return the report.
+    ///
+    /// Blocks until every admitted request has finished. Request→shard
+    /// assignment is first-free-worker (work conserving) by default, which
+    /// is safe because results are scheduling-independent.
+    ///
+    /// `Err` only on a rejected configuration; every per-request fault
+    /// (panic, page exhaustion, deadline, shed) is reported as a failed
+    /// [`Completion`] inside an `Ok` report instead.
+    pub fn run(
+        model: &Model,
+        cfg: &ServeConfig,
+        requests: Vec<ServeRequest>,
+    ) -> Result<ServeReport, ServeError> {
+        cfg.validate()?;
+        let fleet = Fleet::new(model, cfg, &requests);
+        let (completions, shards, worker_panics) = std::thread::scope(|scope| {
+            let fleet = &fleet;
             let handles: Vec<_> = (0..cfg.shards)
-                .map(|shard| {
-                    let queue = &queues[shard % queues.len()];
-                    let tier = tier.clone();
-                    let budget = budget.clone();
-                    scope.spawn(move || {
-                        Self::worker(
-                            model,
-                            cfg,
-                            plan,
-                            shard,
-                            queue,
-                            tier,
-                            budget,
-                            start,
-                            completions_shared,
-                            registry,
-                            &inflight[shard],
-                        )
+                .map(|id| scope.spawn(move || Shard::new(fleet, id).run()))
+                .collect();
+            let mut completions = fleet.produce(requests);
+            // A worker that died outside the per-session isolation is
+            // absorbed: the other shards' completions and the report still
+            // come back, and its in-flight sessions fail over below.
+            let mut dead = Vec::new();
+            let mut shards: Vec<ShardStats> = handles
+                .into_iter()
+                .enumerate()
+                .map(|(id, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        dead.push(id);
+                        ShardStats::default()
                     })
                 })
                 .collect();
-
-            // The caller's thread is the producer: bounded pushes are the
-            // admission back-pressure. A push only bounces when a dying
-            // worker closed its queue first — shed the request as a shard
-            // loss instead of aborting the run.
-            let mut completions = Vec::new();
-            for (i, req) in requests.into_iter().enumerate() {
-                if let Err(req) = queues[i % queues.len()].push(req) {
-                    let shard = i % cfg.shards;
-                    completions.push(Self::shed(
-                        &req,
-                        shard,
-                        ServeError::ShardLost { shard },
-                        !plan.worker_kills.is_empty(),
-                        0,
-                    ));
-                }
-            }
-            for q in &queues {
-                q.close();
-            }
-
-            let mut shard_stats = Vec::with_capacity(cfg.shards);
-            let mut worker_panics = 0u64;
-            let mut dead: Vec<usize> = Vec::new();
-            for (shard, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(stats) => shard_stats.push(stats),
-                    Err(_) => {
-                        // A worker died outside the per-session isolation.
-                        // Absorb it: the other shards' completions and the
-                        // report still come back, and the dead shard's
-                        // in-flight sessions fail over below.
-                        worker_panics += 1;
-                        dead.push(shard);
-                        shard_stats.push(ShardStats::default());
-                    }
-                }
-            }
-            completions.append(&mut lock(completions_shared));
+            completions.append(&mut lock(&fleet.completions));
             if !dead.is_empty() {
-                Self::recover_dead_shards(
-                    model,
-                    cfg,
-                    &budget,
-                    registry,
-                    inflight,
-                    &dead,
-                    &queues,
-                    &mut shard_stats,
-                    &mut completions,
-                );
+                recover::recover_dead_shards(fleet, &dead, &mut shards, &mut completions);
             }
-            (completions, shard_stats, worker_panics)
+            (completions, shards, dead.len() as u64)
         });
+        Ok(fleet.report(completions, shards, worker_panics))
+    }
+}
 
+impl Fleet<'_> {
+    /// Fold the run into its report: completions by id, latency tails
+    /// overall and per class, the brownout aggregate, and the tier's view.
+    fn report(
+        &self,
+        mut completions: Vec<Completion>,
+        shards: Vec<ShardStats>,
+        worker_panics: u64,
+    ) -> ServeReport {
         completions.sort_by_key(|c| c.id);
-        let (mut ttft_wall, mut ttft_ticks, mut tpot_wall) = (Vec::new(), Vec::new(), Vec::new());
+        // (ttft wall, ttft ticks, tpot wall) samples: overall, then by class.
+        let mut all: (Vec<f64>, Vec<f64>, Vec<f64>) = Default::default();
         let mut by_class: [(Vec<f64>, Vec<f64>, Vec<f64>); Priority::COUNT] = Default::default();
         for c in &completions {
-            let class = &mut by_class[c.priority.index()];
-            if let Some(d) = c.ttft_wall {
-                ttft_wall.push(d.as_secs_f64());
-                class.0.push(d.as_secs_f64());
-            }
-            if let Some(t) = c.ttft_ticks {
-                ttft_ticks.push(t as f64);
-                class.1.push(t as f64);
-            }
-            if let Some(d) = c.tpot_wall {
-                tpot_wall.push(d.as_secs_f64());
-                class.2.push(d.as_secs_f64());
+            for samples in [&mut all, &mut by_class[c.priority.index()]] {
+                samples.0.extend(c.ttft_wall.map(|d| d.as_secs_f64()));
+                samples.1.extend(c.ttft_ticks.map(|t| t as f64));
+                samples.2.extend(c.tpot_wall.map(|d| d.as_secs_f64()));
             }
         }
         let mut overload = OverloadSummary::default();
-        for s in &shard_stats {
+        for s in &shards {
             for (acc, ticks) in overload.level_ticks.iter_mut().zip(s.level_ticks) {
                 *acc += ticks;
             }
@@ -1007,2301 +376,25 @@ impl ServeEngine {
             overload.deferrals += s.deferrals;
             overload.sheds += s.overload_sheds;
         }
-        Ok(ServeReport {
-            latency: LatencySummary::new(&ttft_wall, &ttft_ticks, &tpot_wall),
-            latency_by_priority: by_class
-                .map(|(tw, tt, tp)| LatencySummary::new(&tw, &tt, &tp)),
+        ServeReport {
+            latency: LatencySummary::new(&all.0, &all.1, &all.2),
+            latency_by_priority: by_class.map(|(tw, tt, tp)| LatencySummary::new(&tw, &tt, &tp)),
             overload,
             completions,
-            aggregate_transfer: tier.aggregate_stats(),
-            prefix: tier.prefix_stats(),
-            aggregate_sharing: tier.aggregate_sharing(),
-            peak_host_bytes: tier.allocator().peak_resident_bytes(),
+            aggregate_transfer: self.tier.aggregate_stats(),
+            prefix: self.tier.prefix_stats(),
+            aggregate_sharing: self.tier.aggregate_sharing(),
+            peak_host_bytes: self.tier.allocator().peak_resident_bytes(),
             // Sum of per-queue high waters: an upper bound on peak global
             // occupancy, itself bounded by the configured capacity.
-            queue_high_water: queues.iter().map(BoundedQueue::high_water).sum(),
-            shards: shard_stats,
-            budget_underflow: budget.underflow_detected(),
+            queue_high_water: self.inboxes.iter().map(|i| i.queue.high_water()).sum(),
+            shards,
+            budget_underflow: self.budget.underflow_detected(),
             worker_panics,
-            wall: start.elapsed(),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn worker<'m>(
-        model: &'m Model,
-        cfg: &ServeConfig,
-        plan: &FaultPlan,
-        shard: usize,
-        queue: &BoundedQueue<ServeRequest>,
-        tier: KvTier,
-        budget: CacheBudget,
-        epoch: Instant,
-        completions_shared: &Mutex<Vec<Completion>>,
-        registry: &Mutex<HashMap<u64, CheckpointEntry>>,
-        inflight: &Mutex<HashMap<u64, InflightInfo>>,
-    ) -> ShardStats {
-        let mut scratch = SessionScratch::new();
-        let mut active: Vec<Active<'m>> = Vec::new();
-        let mut prefilling: Vec<Prefilling<'m>> = Vec::new();
-        let mut parked: Vec<Parked> = Vec::new();
-        let mut completions = Vec::new();
-        let mut stats = ShardStats::default();
-        // Injected-admission-reject bookkeeping: rejections consumed per
-        // request, and requests waiting out their retry backoff.
-        let mut rejected: HashMap<u64, u32> = HashMap::new();
-        let mut waiting: Vec<Waiting> = Vec::new();
-        let mut stall_remaining: u64 = 0;
-        // Bit flips already injected: a rollback replays the trigger step,
-        // and the fault must not re-fire or recovery could never converge.
-        let mut fired_flips: HashSet<(u64, u64)> = HashSet::new();
-        // Brownout controller: per-shard, fed one pressure sample per tick.
-        // `None` leaves every decision path untouched — bit-identical to
-        // the pre-brownout engine. Controller sheds keep their own retry
-        // ledger, disjoint from the fault plan's `rejected` map, so an
-        // injected-rejection schedule replays unperturbed; `obs_watermark`
-        // marks how much of the local completions buffer the controller
-        // has already sampled (publish drains the buffer, resetting it).
-        let mut ctrl = cfg.overload.as_ref().map(|c| OverloadController::new(c.clone()));
-        let mut ctrl_rejected: HashMap<u64, u32> = HashMap::new();
-        let mut obs_watermark: usize = 0;
-
-        loop {
-            // Admission: fill free slots (occupied by decoding + prefilling
-            // sessions; parked sessions hold pinned pages, not slots).
-            // Order: resume preempted work, then matured retries, then the
-            // queue — highest priority first, FIFO within a class. Block
-            // only when fully idle; a shard with live sessions or pending
-            // retries keeps ticking while the queue is empty.
-            let mut drained = false;
-            while active.len() + prefilling.len() < cfg.max_active_per_shard {
-                if let Some(pi) = best_by_priority(&parked, |p: &Parked| p.priority) {
-                    // A queued request strictly outranking every parked
-                    // session is admitted first; otherwise resume.
-                    let outranked = queue
-                        .max_key(|r| r.priority)
-                        .is_some_and(|qp| qp > parked[pi].priority);
-                    if !outranked {
-                        let p = parked.swap_remove(pi);
-                        let t0 = Instant::now();
-                        active.push(Self::reactivate(model, cfg, p, &budget));
-                        stats.busy += t0.elapsed();
-                        continue;
-                    }
-                }
-                let req = if let Some(i) = best_matured(&waiting, stats.ticks) {
-                    waiting.swap_remove(i).req
-                } else if active.is_empty()
-                    && prefilling.is_empty()
-                    && parked.is_empty()
-                    && waiting.is_empty()
-                {
-                    match queue.pop_wait_max_by_key(|r| r.priority) {
-                        Some(r) => r,
-                        None => {
-                            drained = true;
-                            break;
-                        }
-                    }
-                } else {
-                    match queue.try_pop_max_by_key(|r| r.priority) {
-                        Some(r) => r,
-                        None => break,
-                    }
-                };
-                lock(inflight).insert(
-                    req.id,
-                    InflightInfo {
-                        priority: req.priority,
-                        retries: rejected.get(&req.id).copied().unwrap_or(0)
-                            + ctrl_rejected.get(&req.id).copied().unwrap_or(0),
-                        decode_steps: req.decode_steps,
-                    },
-                );
-                if req.arrival_tick > stats.ticks {
-                    // Time-accurate replay: hold the request — consuming no
-                    // retry — until this shard's clock reaches its recorded
-                    // arrival (the idle-tick path below matures the clock).
-                    waiting.push(Waiting { not_before: req.arrival_tick, req });
-                    continue;
-                }
-
-                let Some(req) = Self::screen(
-                    req,
-                    plan,
-                    &mut rejected,
-                    &mut waiting,
-                    &mut completions,
-                    &mut stats,
-                    shard,
-                ) else {
-                    continue;
-                };
-                let prior = rejected.get(&req.id).copied().unwrap_or(0);
-                let Some(req) = Self::brownout_gate(
-                    ctrl.as_ref(),
-                    req,
-                    prior,
-                    &mut ctrl_rejected,
-                    &mut waiting,
-                    &mut completions,
-                    &mut stats,
-                    shard,
-                ) else {
-                    continue;
-                };
-                let retries = prior + ctrl_rejected.get(&req.id).copied().unwrap_or(0);
-                let t0 = Instant::now();
-                Self::admit_into(
-                    model,
-                    cfg,
-                    plan,
-                    req,
-                    &tier,
-                    &budget,
-                    epoch,
-                    shard,
-                    retries,
-                    &mut active,
-                    &mut prefilling,
-                    &mut completions,
-                    &mut stats,
-                );
-                stats.busy += t0.elapsed();
-            }
-            if drained
-                && active.is_empty()
-                && prefilling.is_empty()
-                && parked.is_empty()
-                && waiting.is_empty()
-            {
-                Self::publish(&mut completions, completions_shared, registry, inflight);
-                return stats;
-            }
-            Self::retire(&mut active, &mut completions, shard);
-
-            // Preemption: slots full and a pending request (queued, or a
-            // matured retry) strictly outranking a running session claims
-            // its slot. The weakest victim is suspended through the paged
-            // host tier — bit-identical on resume — and the request admits
-            // into the freed slot. Loops while candidates remain.
-            while active.len() + prefilling.len() >= cfg.max_active_per_shard {
-                let queued = queue.max_key(|r| r.priority);
-                let waited = best_matured(&waiting, stats.ticks).map(|i| waiting[i].req.priority);
-                let Some(qp) = queued.max(waited) else { break };
-                let Some(vi) = victim_index(&active, qp) else { break };
-                // Prefer the matured retry when it's at least as strong (it
-                // arrived first); otherwise pop the queue.
-                let take_waiting = waited >= queued && waited.is_some();
-                let req = if take_waiting {
-                    let wi = best_matured(&waiting, stats.ticks).expect("matured retry observed");
-                    waiting.swap_remove(wi).req
-                } else {
-                    match queue.try_pop_max_by_key(|r| r.priority) {
-                        Some(r) => r,
-                        None => break,
-                    }
-                };
-                lock(inflight).insert(
-                    req.id,
-                    InflightInfo {
-                        priority: req.priority,
-                        retries: rejected.get(&req.id).copied().unwrap_or(0)
-                            + ctrl_rejected.get(&req.id).copied().unwrap_or(0),
-                        decode_steps: req.decode_steps,
-                    },
-                );
-                if req.arrival_tick > stats.ticks {
-                    // Not due yet: hold it without parking a victim.
-                    waiting.push(Waiting { not_before: req.arrival_tick, req });
-                    break;
-                }
-                let Some(req) = Self::screen(
-                    req,
-                    plan,
-                    &mut rejected,
-                    &mut waiting,
-                    &mut completions,
-                    &mut stats,
-                    shard,
-                ) else {
-                    continue;
-                };
-                if req.priority <= active[vi].priority {
-                    // Raced: another shard took the stronger request between
-                    // the scan and the pop. Hold this one for admission.
-                    waiting.push(Waiting { req, not_before: stats.ticks });
-                    break;
-                }
-                let t0 = Instant::now();
-                match Self::park(active.swap_remove(vi), &tier) {
-                    Ok(p) => {
-                        parked.push(p);
-                        stats.preemptions += 1;
-                        let retries = rejected.get(&req.id).copied().unwrap_or(0)
-                            + ctrl_rejected.get(&req.id).copied().unwrap_or(0);
-                        Self::admit_into(
-                            model,
-                            cfg,
-                            plan,
-                            req,
-                            &tier,
-                            &budget,
-                            epoch,
-                            shard,
-                            retries,
-                            &mut active,
-                            &mut prefilling,
-                            &mut completions,
-                            &mut stats,
-                        );
-                        stats.busy += t0.elapsed();
-                    }
-                    Err(victim) => {
-                        // The host pool can't take the swap right now: the
-                        // victim came back intact — keep decoding it, retry
-                        // the request next tick.
-                        active.push(*victim);
-                        waiting.push(Waiting { req, not_before: stats.ticks + 1 });
-                        stats.busy += t0.elapsed();
-                        break;
-                    }
-                }
-            }
-            if active.is_empty() && prefilling.is_empty() {
-                if waiting.is_empty() && parked.is_empty() {
-                    continue;
-                }
-                // Nothing to decode but retries or parked work pending:
-                // ticks are the engine's clock, so burn one to let backoff
-                // elapse (parked work resumes via admission next pass). The
-                // controller observes idle ticks too — liveness: deferred
-                // work only re-admits once decayed pressure steps the
-                // ladder down, which needs the clock *and* the controller
-                // to keep running.
-                stats.ticks += 1;
-                if let Some(ctrl) = ctrl.as_mut() {
-                    Self::observe_pressure(
-                        ctrl,
-                        cfg,
-                        queue,
-                        &tier,
-                        0,
-                        &completions,
-                        &mut obs_watermark,
-                        &mut stats,
-                    );
-                }
-                continue;
-            }
-
-            // One scheduler tick: at most one budgeted prefill chunk, then
-            // each ready session decodes one token through the shard's
-            // shared scratch.
-            let tick = stats.ticks;
-            stats.ticks += 1;
-            // Observe before publish: the pressure sample's rolling rates
-            // come from completions still in the local buffer.
-            if let Some(ctrl) = ctrl.as_mut() {
-                Self::observe_pressure(
-                    ctrl,
-                    cfg,
-                    queue,
-                    &tier,
-                    active.len() + prefilling.len(),
-                    &completions,
-                    &mut obs_watermark,
-                    &mut stats,
-                );
-            }
-            // Publish finished completions at every tick boundary: if this
-            // worker dies, everything already done has left the thread.
-            Self::publish(&mut completions, completions_shared, registry, inflight);
-            obs_watermark = 0;
-            if plan.kill_at(shard, tick) {
-                // A dying worker that exclusively owns its queue closes it
-                // first: a blocked producer push bounces (shed as a shard
-                // loss) instead of deadlocking, and stranded items stay
-                // drainable after the close. The first-free shared queue
-                // stays open for the surviving workers.
-                if cfg.assignment == ShardAssignment::RoundRobin || cfg.shards == 1 {
-                    queue.close();
-                }
-                // resume_unwind skips the panic hook: an injected crash
-                // must not spray a backtrace over every chaos run.
-                std::panic::resume_unwind(Box::new(format!(
-                    "injected worker kill: shard {shard} at tick {tick}"
-                )));
-            }
-            if stall_remaining == 0 {
-                if let Some(t) = plan.stall_ticks(shard, tick) {
-                    stall_remaining = t;
-                }
-            }
-            // Deadlines are checked every tick — including stalled ones: a
-            // stalled shard is exactly how deadlines get blown. Mid-prefill
-            // and parked sessions are reaped too.
-            let now = epoch.elapsed();
-            Self::reap_deadlines(&mut active, &mut completions, shard, tick, now, &mut stats);
-            Self::reap_prefilling(&mut prefilling, &mut completions, shard, tick, now, &mut stats);
-            Self::reap_parked(&mut parked, &mut completions, shard, tick, now, &mut stats);
-            if stall_remaining > 0 {
-                // Injected slow shard: hold the sessions, skip the work.
-                stall_remaining -= 1;
-                stats.stalled_steps += (active.len() + prefilling.len()) as u64;
-                continue;
-            }
-            // Checkpoint pass: snapshot every resident session through the
-            // paged tier without evicting it. Best effort per session — a
-            // pending store fault or unforkable policy mid-state skips this
-            // round (`Ok(None)`), pool exhaustion keeps the previous
-            // snapshot — and each snapshot is checksum-verified before it
-            // replaces the registry entry, so the registry only ever holds
-            // provably good state to roll back or fail over to.
-            if let Some(k) = cfg.checkpoint_every_ticks {
-                // Under pressure the cadence stretches: snapshots are pure
-                // overhead on a saturated shard, and a sparser checkpoint
-                // trail only widens the replay window, never correctness.
-                let k = ctrl.as_ref().map_or(k, |c| c.checkpoint_every(k));
-                if tick % k == 0 && !active.is_empty() {
-                    let t0 = Instant::now();
-                    for a in active.iter() {
-                        if let Ok(Some(suspended)) = a.session.checkpoint(&tier) {
-                            if suspended.verify().is_ok() {
-                                stats.checkpoints += 1;
-                                stats.checkpoint_bytes += suspended.swap_stats().d2h_bytes;
-                                lock(registry).insert(
-                                    a.id,
-                                    CheckpointEntry {
-                                        suspended,
-                                        next: a.next,
-                                        remaining: a.remaining,
-                                        generated: a.generated.clone(),
-                                        trace: a.trace.clone(),
-                                        retries: a.retries,
-                                        priority: a.priority,
-                                        ttft_wall: a.ttft_wall,
-                                        ttft_ticks: a.ttft_ticks,
-                                        decode_wall: a.decode_wall,
-                                        preemptions: a.preemptions,
-                                        max_degrade: a.max_degrade,
-                                        base_transfer: a.session.transfer_stats()
-                                            + a.extra_transfer,
-                                        base_cache: a.session.cache_stats() + a.extra_cache,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    stats.busy += t0.elapsed();
-                }
-            }
-            // Chunked prefill: the highest-priority prefill advances one
-            // budgeted chunk per tick, interleaved with the decode loop
-            // below — a long prompt trickles in without freezing decode.
-            if let Some(chunk) = cfg.prefill_chunk_tokens {
-                if let Some(pi) = best_by_priority(&prefilling, |p: &Prefilling<'_>| p.priority) {
-                    let t0 = Instant::now();
-                    prefilling[pi].job.advance(chunk);
-                    stats.prefill_chunks += 1;
-                    if prefilling[pi].job.is_done() {
-                        let p = prefilling.swap_remove(pi);
-                        match Self::finish_prefill(
-                            model, cfg, p, &tier, &budget, tick, epoch, plan, shard,
-                        ) {
-                            Ok(a) => active.push(*a),
-                            Err((c, lost)) => {
-                                stats.failed += 1;
-                                stats.shed_tokens += lost;
-                                completions.push(*c);
-                            }
-                        }
-                    }
-                    stats.busy += t0.elapsed();
-                }
-            }
-            let t0 = Instant::now();
-            let mut i = 0;
-            while i < active.len() {
-                let a = &mut active[i];
-                // Brownout effort is re-applied every step: the level can
-                // move every tick, and a policy fork/resume resets effort
-                // to full. A full-effort application is an exact
-                // passthrough, so High-priority (and Nominal) sessions
-                // decode bit-identically to the controller-off engine.
-                if let Some(ctrl) = ctrl.as_ref() {
-                    a.session.set_effort(ctrl.effort_for(a.priority));
-                }
-                let token = a.next;
-                let inject = plan.panic_step(a.id).filter(|&s| s == a.session.steps());
-                if let Some(bit) = plan.bit_flip_at(a.id, a.session.steps()) {
-                    // Silent store corruption: flip a bit behind the
-                    // checksum's back. Detection happens on the next fetch
-                    // of the damaged slot — possibly steps later if intact
-                    // GPU copies mask it — never at injection.
-                    if fired_flips.insert((a.id, a.session.steps())) {
-                        a.session.corrupt_middle_slot(0, 0, bit);
-                    }
-                }
-                let s0 = Instant::now();
-                // The outer catch only ever sees the injected panic: it
-                // fires before the step, so the shared scratch is never
-                // mid-swap. Genuine step panics are contained (and scratch
-                // restored) inside `try_step_with_scratch` itself.
-                let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(at_step) = inject {
-                        std::panic::panic_any(InjectedPanic { request_id: a.id, at_step });
-                    }
-                    a.session.try_step_with_scratch(token, &mut scratch)
-                }));
-                a.decode_wall += s0.elapsed();
-                let (error, injected) = match stepped {
-                    Ok(Ok(dec)) => {
-                        if let Some(ctrl) = ctrl.as_ref() {
-                            let level = ctrl.level();
-                            if level != PressureLevel::Nominal {
-                                stats.degraded_steps += 1;
-                            }
-                            if !ctrl.effort_for(a.priority).is_full() {
-                                stats.degraded_tokens += 1;
-                                a.max_degrade = a.max_degrade.max(level);
-                            }
-                        }
-                        a.generated.push(token);
-                        if cfg.record_trace {
-                            a.trace.push(StepTrace {
-                                logits: dec.logits.clone(),
-                                selected: a.session.selected_snapshot(),
-                            });
-                        }
-                        a.next = dec.greedy();
-                        a.remaining -= 1;
-                        i += 1;
-                        continue;
-                    }
-                    Ok(Err(StepError::Store(e))) => {
-                        if matches!(e, MemError::PageCorrupt { .. }) {
-                            // A page failed its checksum: the corrupt bytes
-                            // were never served (the fetch failed the step).
-                            // Roll back to the last good checkpoint and
-                            // replay in place; only a session with no
-                            // snapshot surfaces KvCorruption.
-                            if let Some(entry) = lock(registry).remove(&a.id) {
-                                let CheckpointEntry {
-                                    suspended,
-                                    next,
-                                    remaining,
-                                    generated,
-                                    trace,
-                                    base_transfer,
-                                    base_cache,
-                                    ..
-                                } = entry;
-                                if suspended.verify().is_ok() {
-                                    let (session, swap_transfer) =
-                                        suspended.resume(model, Self::fresh_cache(cfg, &budget));
-                                    a.session = session;
-                                    a.next = next;
-                                    a.remaining = remaining;
-                                    a.generated = generated;
-                                    a.trace = trace;
-                                    a.extra_transfer = base_transfer + swap_transfer;
-                                    a.extra_cache = base_cache;
-                                    a.recovered = true;
-                                    stats.rollbacks += 1;
-                                    i += 1;
-                                    continue;
-                                }
-                            }
-                        }
-                        let injected = (plan.page_limit.is_some()
-                            && matches!(e, MemError::PageExhausted { .. }))
-                            || (!plan.bit_flips.is_empty()
-                                && matches!(e, MemError::PageCorrupt { .. }));
-                        (e.into(), injected)
-                    }
-                    Ok(Err(StepError::Poisoned { message })) => {
-                        (ServeError::SessionPoisoned { message }, false)
-                    }
-                    Err(payload) => match payload.downcast::<InjectedPanic>() {
-                        Ok(inj) => (inj.to_error(), true),
-                        Err(other) => (
-                            ServeError::SessionPoisoned { message: panic_message(other.as_ref()) },
-                            false,
-                        ),
-                    },
-                };
-                let failed = active.swap_remove(i);
-                stats.failed += 1;
-                stats.shed_tokens += failed.remaining as u64;
-                completions.push(Self::fail(failed, shard, error, injected));
-            }
-            stats.busy += t0.elapsed();
-            Self::retire(&mut active, &mut completions, shard);
-        }
-    }
-
-    /// Publish a worker's locally buffered completions to the shared vec.
-    /// A published id leaves the in-flight map and drops its checkpoint —
-    /// it can no longer need recovery — so at any kill boundary the
-    /// in-flight map is exactly the set of incomplete requests.
-    fn publish(
-        local: &mut Vec<Completion>,
-        shared: &Mutex<Vec<Completion>>,
-        registry: &Mutex<HashMap<u64, CheckpointEntry>>,
-        inflight: &Mutex<HashMap<u64, InflightInfo>>,
-    ) {
-        if local.is_empty() {
-            return;
-        }
-        {
-            let mut reg = lock(registry);
-            let mut inf = lock(inflight);
-            for c in local.iter() {
-                reg.remove(&c.id);
-                inf.remove(&c.id);
-            }
-        }
-        lock(shared).append(local);
-    }
-
-    /// Feed the brownout controller one tick's pressure sample and meter
-    /// the resulting level. The sample sees only *admitted* load — queue
-    /// depth, resident slots, page-pool occupancy, and completion-derived
-    /// rolling miss/TTFT rates — never deferred (`waiting`) work, so
-    /// pressure decays once admissions stop and the ladder steps back
-    /// down, re-admitting what was deferred.
-    #[allow(clippy::too_many_arguments)]
-    fn observe_pressure(
-        ctrl: &mut OverloadController,
-        cfg: &ServeConfig,
-        queue: &BoundedQueue<ServeRequest>,
-        tier: &KvTier,
-        resident: usize,
-        completions: &[Completion],
-        watermark: &mut usize,
-        stats: &mut ShardStats,
-    ) {
-        let slo = ctrl.config().ttft_slo_ticks;
-        let (mut done, mut missed, mut ttft_over) = (0u32, 0u32, 0u32);
-        for c in &completions[*watermark..] {
-            done += 1;
-            if matches!(
-                &c.failure,
-                Some(FailureCause { error: ServeError::DeadlineExceeded { .. }, .. })
-            ) {
-                missed += 1;
-            }
-            if c.ttft_ticks.is_some_and(|t| t > slo) {
-                ttft_over += 1;
-            }
-        }
-        *watermark = completions.len();
-        let alloc = tier.allocator();
-        let pool_frac = match alloc.max_pages() {
-            Some(max) if max > 0 => alloc.pages_in_use() as f64 / max as f64,
-            _ => 0.0,
-        };
-        let sample = PressureSample {
-            queue_frac: queue.len() as f64 / queue.capacity().max(1) as f64,
-            slot_frac: resident as f64 / cfg.max_active_per_shard.max(1) as f64,
-            pool_frac,
-            done,
-            missed,
-            ttft_over,
-        };
-        let level = ctrl.observe(&sample);
-        stats.level_ticks[level.index()] += 1;
-    }
-
-    /// Brownout admission control, applied *after* injected screening so a
-    /// fault plan's rejection schedule plays out identically with the
-    /// controller on. Only Low-priority requests are gated: at `Saturated`
-    /// the request is **deferred** — pushed back with a bounded seeded
-    /// delay, consuming no retry — and at `Critical` it takes today's shed
-    /// path (seeded backoff retries, then a typed admission shed). Returns
-    /// the request when it's clear to admit.
-    #[allow(clippy::too_many_arguments)]
-    fn brownout_gate(
-        ctrl: Option<&OverloadController>,
-        req: ServeRequest,
-        prior_retries: u32,
-        ctrl_rejected: &mut HashMap<u64, u32>,
-        waiting: &mut Vec<Waiting>,
-        completions: &mut Vec<Completion>,
-        stats: &mut ShardStats,
-        shard: usize,
-    ) -> Option<ServeRequest> {
-        let Some(ctrl) = ctrl else { return Some(req) };
-        if req.priority != Priority::Low {
-            return Some(req);
-        }
-        if ctrl.sheds_low_admission() {
-            let consumed = ctrl_rejected.entry(req.id).or_insert(0);
-            *consumed += 1;
-            let attempts = *consumed;
-            if attempts > req.retry.max_retries {
-                stats.failed += 1;
-                stats.overload_sheds += 1;
-                stats.shed_tokens += req.decode_steps as u64;
-                completions.push(Self::shed(
-                    &req,
-                    shard,
-                    ServeError::Admission { attempts },
-                    false,
-                    prior_retries + attempts.saturating_sub(1),
-                ));
-                return None;
-            }
-            stats.retries += 1;
-            let backoff = req.retry.backoff(ctrl.seed() ^ req.id, attempts);
-            waiting.push(Waiting { not_before: stats.ticks + backoff, req });
-            return None;
-        }
-        if ctrl.defers_low_admission() {
-            stats.deferrals += 1;
-            let delay = ctrl.defer_delay(req.id, stats.ticks);
-            waiting.push(Waiting { not_before: stats.ticks + delay, req });
-            return None;
-        }
-        Some(req)
-    }
-
-    /// Injected admission screening: consume a planned rejection (retrying
-    /// with backoff, or shedding once retries are exhausted). Returns the
-    /// request when it's clear to admit. Both the admission loop and the
-    /// preemption path screen through here, so a request's rejection
-    /// schedule plays out identically whichever path first pops it.
-    #[allow(clippy::too_many_arguments)]
-    fn screen(
-        req: ServeRequest,
-        plan: &FaultPlan,
-        rejected: &mut HashMap<u64, u32>,
-        waiting: &mut Vec<Waiting>,
-        completions: &mut Vec<Completion>,
-        stats: &mut ShardStats,
-        shard: usize,
-    ) -> Option<ServeRequest> {
-        let planned = plan.rejections(req.id);
-        if planned > 0 {
-            let consumed = rejected.entry(req.id).or_insert(0);
-            if *consumed < planned {
-                *consumed += 1;
-                let attempts = *consumed;
-                if attempts > req.retry.max_retries {
-                    stats.failed += 1;
-                    stats.shed_tokens += req.decode_steps as u64;
-                    completions.push(Self::shed(
-                        &req,
-                        shard,
-                        ServeError::Admission { attempts },
-                        true,
-                        attempts.saturating_sub(1),
-                    ));
-                    return None;
-                }
-                stats.retries += 1;
-                let backoff = req.retry.backoff(plan.seed ^ req.id, attempts);
-                waiting.push(Waiting { req, not_before: stats.ticks + backoff });
-                return None;
-            }
-        }
-        Some(req)
-    }
-
-    /// Admit a screened request into a free slot, routing the admission
-    /// outcome (active session, chunked prefill, or a shed completion when
-    /// the host tier can't hold the prompt) into the worker's state.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_into<'m>(
-        model: &'m Model,
-        cfg: &ServeConfig,
-        plan: &FaultPlan,
-        req: ServeRequest,
-        tier: &KvTier,
-        budget: &CacheBudget,
-        epoch: Instant,
-        shard: usize,
-        retries: u32,
-        active: &mut Vec<Active<'m>>,
-        prefilling: &mut Vec<Prefilling<'m>>,
-        completions: &mut Vec<Completion>,
-        stats: &mut ShardStats,
-    ) {
-        let (id, decode_steps, priority) = (req.id, req.decode_steps, req.priority);
-        match Self::try_admit(model, cfg, req, tier, budget, stats.ticks, retries, epoch) {
-            Ok(Admit::Active(a)) => {
-                active.push(*a);
-                stats.admitted += 1;
-            }
-            Ok(Admit::Prefilling(p)) => {
-                prefilling.push(*p);
-                stats.admitted += 1;
-            }
-            Err(e) => {
-                // Prefill offload exhausted the page pool: shed this
-                // session, keep serving everyone else.
-                let injected =
-                    plan.page_limit.is_some() && matches!(e, MemError::PageExhausted { .. });
-                stats.failed += 1;
-                stats.shed_tokens += decode_steps as u64;
-                completions.push(Completion {
-                    id,
-                    shard,
-                    generated: Vec::new(),
-                    transfer: TransferStats::default(),
-                    cache: CacheStats::default(),
-                    sharing: SharingStats::default(),
-                    trace: Vec::new(),
-                    failure: Some(FailureCause { error: e.into(), injected, step: 0 }),
-                    retries,
-                    priority,
-                    ttft_wall: None,
-                    ttft_ticks: None,
-                    tpot_wall: None,
-                    preemptions: 0,
-                    recovered: false,
-                    max_degrade_level: PressureLevel::Nominal,
-                });
-            }
-        }
-    }
-
-    /// A fresh cache drawing on the engine-wide budget.
-    fn fresh_cache(cfg: &ServeConfig, budget: &CacheBudget) -> BlockCache {
-        BlockCache::with_budget(
-            cfg.session.cache.capacity_tokens,
-            cfg.session.cache.block_size,
-            cfg.session.cache.policy(),
-            budget.clone(),
-        )
-    }
-
-    /// Admit a request: bind a session to a fresh tier namespace and a
-    /// budget-backed cache, prefilling (or adopting a shared prefix). Under
-    /// chunked admission the prompt enters a [`Prefilling`] slot instead —
-    /// its prefill runs one budgeted chunk per tick. `Err` when the host
-    /// tier cannot hold the prompt — the caller sheds the request; it never
-    /// aborts the worker.
-    #[allow(clippy::too_many_arguments)]
-    fn try_admit<'m>(
-        model: &'m Model,
-        cfg: &ServeConfig,
-        req: ServeRequest,
-        tier: &KvTier,
-        budget: &CacheBudget,
-        admitted_tick: u64,
-        retries: u32,
-        epoch: Instant,
-    ) -> Result<Admit<'m>, MemError> {
-        let cache = || Self::fresh_cache(cfg, budget);
-        let activate = |start: pqc_core::SessionStart<'m>| {
-            Box::new(Active {
-                id: req.id,
-                next: pqc_tensor::argmax(&start.logits) as u32,
-                session: start.session,
-                remaining: req.decode_steps,
-                generated: Vec::with_capacity(req.decode_steps),
-                trace: Vec::new(),
-                admitted_tick,
-                deadline: req.deadline,
-                admitted_wall: epoch.elapsed(),
-                wall_deadline: req.wall_deadline,
-                retries,
-                priority: req.priority,
-                // First token known now (prefill/adoption is one admission
-                // event): 0 ticks on the deterministic clock.
-                ttft_wall: Some(epoch.elapsed()),
-                ttft_ticks: Some(0),
-                decode_wall: Duration::ZERO,
-                extra_transfer: TransferStats::default(),
-                extra_cache: CacheStats::default(),
-                preemptions: 0,
-                recovered: false,
-                max_degrade: PressureLevel::Nominal,
-            })
-        };
-
-        // Prefix-cache fast path: an identical prompt already served means
-        // the pages, prefill output, and trained policy state are all in
-        // the tier — adopt them instead of recomputing. Only a full-prompt
-        // hit qualifies; a partial hit would still need a partial prefill,
-        // which the dense model here cannot resume mid-prompt.
-        if cfg.prefix_cache {
-            if let Some(hit) = tier.lookup_prefix(&req.tokens) {
-                if hit.len() == req.tokens.len() {
-                    if let Some(shared) = hit.payload().downcast_ref::<SharedPrefix>() {
-                        let resources = SessionResources {
-                            store: tier.new_namespace_with_prefix(&hit),
-                            cache: cache(),
-                        };
-                        let start = SelectiveSession::try_start_from_shared_prefix(
-                            model,
-                            req.policy,
-                            cfg.session,
-                            &shared.prefill,
-                            resources,
-                            shared.policy.as_ref(),
-                        )?;
-                        return Ok(Admit::Active(activate(start)));
-                    }
-                }
-            }
-        }
-
-        // Chunked admission: start the prefill job but run none of it yet —
-        // the tick loop advances it one budgeted chunk at a time so decode
-        // on this shard never stalls behind a long prompt.
-        if cfg.prefill_chunk_tokens.is_some() {
-            let mut opts = SelectiveSession::prefill_options(&cfg.session, req.tokens.len());
-            opts.parallel = cfg.prefill_parallel;
-            let job = model.begin_prefill(&req.tokens, &opts);
-            return Ok(Admit::Prefilling(Box::new(Prefilling {
-                id: req.id,
-                job,
-                tokens: req.tokens,
-                policy: req.policy,
-                decode_steps: req.decode_steps,
-                admitted_tick,
-                deadline: req.deadline,
-                admitted_wall: epoch.elapsed(),
-                wall_deadline: req.wall_deadline,
-                retries,
-                priority: req.priority,
-            })));
-        }
-
-        let mut opts = SelectiveSession::prefill_options(&cfg.session, req.tokens.len());
-        opts.parallel = cfg.prefill_parallel;
-        let prefill = model.prefill(&req.tokens, &opts);
-        let resources = SessionResources { store: tier.new_namespace(), cache: cache() };
-        let start = SelectiveSession::try_start_from_prefill_in(
-            model,
-            req.policy,
-            cfg.session,
-            &prefill,
-            resources,
-        )?;
-        if cfg.prefix_cache {
-            // First server of this prompt donates its pages + policy state.
-            // Racing registrants are benign: first wins, the loser just
-            // keeps its private copy.
-            let payload =
-                Arc::new(SharedPrefix { policy: start.session.export_policy_state(), prefill });
-            let _ = tier.register_prefix(&req.tokens, start.session.store(), payload);
-        }
-        Ok(Admit::Active(activate(start)))
-    }
-
-    /// Bind a completed chunked prefill to a live session — registering the
-    /// prompt as a shared prefix exactly like monolithic admission does.
-    /// The first token becomes known here: TTFT is stamped on both clocks.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_prefill<'m>(
-        model: &'m Model,
-        cfg: &ServeConfig,
-        p: Prefilling<'m>,
-        tier: &KvTier,
-        budget: &CacheBudget,
-        tick: u64,
-        epoch: Instant,
-        plan: &FaultPlan,
-        shard: usize,
-    ) -> Result<Box<Active<'m>>, (Box<Completion>, u64)> {
-        let Prefilling {
-            id,
-            job,
-            tokens,
-            policy,
-            decode_steps,
-            admitted_tick,
-            deadline,
-            admitted_wall,
-            wall_deadline,
-            retries,
-            priority,
-        } = p;
-        let prefill = job.finish();
-        let resources =
-            SessionResources { store: tier.new_namespace(), cache: Self::fresh_cache(cfg, budget) };
-        match SelectiveSession::try_start_from_prefill_in(model, policy, cfg.session, &prefill, resources)
-        {
-            Ok(start) => {
-                if cfg.prefix_cache {
-                    let payload = Arc::new(SharedPrefix {
-                        policy: start.session.export_policy_state(),
-                        prefill,
-                    });
-                    let _ = tier.register_prefix(&tokens, start.session.store(), payload);
-                }
-                Ok(Box::new(Active {
-                    id,
-                    next: pqc_tensor::argmax(&start.logits) as u32,
-                    session: start.session,
-                    remaining: decode_steps,
-                    generated: Vec::with_capacity(decode_steps),
-                    trace: Vec::new(),
-                    admitted_tick,
-                    deadline,
-                    admitted_wall,
-                    wall_deadline,
-                    retries,
-                    priority,
-                    ttft_wall: Some(epoch.elapsed()),
-                    // The chunk completing on `tick` yielded the first
-                    // token: inclusive tick count since admission.
-                    ttft_ticks: Some(tick + 1 - admitted_tick),
-                    decode_wall: Duration::ZERO,
-                    extra_transfer: TransferStats::default(),
-                    extra_cache: CacheStats::default(),
-                    preemptions: 0,
-                    recovered: false,
-                    max_degrade: PressureLevel::Nominal,
-                }))
-            }
-            Err(e) => {
-                let injected =
-                    plan.page_limit.is_some() && matches!(e, MemError::PageExhausted { .. });
-                Err((
-                    Box::new(Completion {
-                        id,
-                        shard,
-                        generated: Vec::new(),
-                        transfer: TransferStats::default(),
-                        cache: CacheStats::default(),
-                        sharing: SharingStats::default(),
-                        trace: Vec::new(),
-                        failure: Some(FailureCause { error: e.into(), injected, step: 0 }),
-                        retries,
-                        priority,
-                        ttft_wall: None,
-                        ttft_ticks: None,
-                        tpot_wall: None,
-                        preemptions: 0,
-                        recovered: false,
-                        max_degrade_level: PressureLevel::Nominal,
-                    }),
-                    decode_steps as u64,
-                ))
-            }
-        }
-    }
-
-    /// Suspend a preemption victim through the paged host tier. On
-    /// suspension failure (host pool exhausted) the victim comes back
-    /// intact — decoding continues as if nothing happened, with the
-    /// orphaned partial-swap metering folded into its transfer stats.
-    fn park<'m>(a: Active<'m>, tier: &KvTier) -> Result<Parked, Box<Active<'m>>> {
-        // Read before suspend: on success the session's cache is dropped
-        // (its budget slots free for the usurper) and the stats would be
-        // lost; on failure the session keeps its cache, so nothing folds.
-        let cache_stats = a.session.cache_stats();
-        let Active {
-            id,
-            session,
-            next,
-            remaining,
-            generated,
-            trace,
-            admitted_tick,
-            deadline,
-            admitted_wall,
-            wall_deadline,
-            retries,
-            priority,
-            ttft_wall,
-            ttft_ticks,
-            decode_wall,
-            extra_transfer,
-            extra_cache,
-            preemptions,
-            recovered,
-            max_degrade,
-        } = a;
-        match session.suspend(tier) {
-            Ok(suspended) => Ok(Parked {
-                id,
-                suspended,
-                next,
-                remaining,
-                generated,
-                trace,
-                admitted_tick,
-                deadline,
-                admitted_wall,
-                wall_deadline,
-                retries,
-                priority,
-                ttft_wall,
-                ttft_ticks,
-                decode_wall,
-                extra_transfer,
-                extra_cache: extra_cache + cache_stats,
-                preemptions: preemptions + 1,
-                recovered,
-                max_degrade,
-            }),
-            Err(e) => Err(Box::new(Active {
-                id,
-                session: e.session,
-                next,
-                remaining,
-                generated,
-                trace,
-                admitted_tick,
-                deadline,
-                admitted_wall,
-                wall_deadline,
-                retries,
-                priority,
-                ttft_wall,
-                ttft_ticks,
-                decode_wall,
-                extra_transfer: extra_transfer + e.swap_transfer,
-                extra_cache,
-                preemptions,
-                recovered,
-                max_degrade,
-            })),
-        }
-    }
-
-    /// Resume a parked session into a freed slot with a fresh budget-backed
-    /// cache. Decoding continues bit-identically to never having been
-    /// preempted; the suspend+resume swap traffic lands in
-    /// `extra_transfer` so per-completion accounting stays closed.
-    fn reactivate<'m>(
-        model: &'m Model,
-        cfg: &ServeConfig,
-        p: Parked,
-        budget: &CacheBudget,
-    ) -> Active<'m> {
-        let Parked {
-            id,
-            suspended,
-            next,
-            remaining,
-            generated,
-            trace,
-            admitted_tick,
-            deadline,
-            admitted_wall,
-            wall_deadline,
-            retries,
-            priority,
-            ttft_wall,
-            ttft_ticks,
-            decode_wall,
-            extra_transfer,
-            extra_cache,
-            preemptions,
-            recovered,
-            max_degrade,
-        } = p;
-        let (session, swap_transfer) = suspended.resume(model, Self::fresh_cache(cfg, budget));
-        Active {
-            id,
-            session,
-            next,
-            remaining,
-            generated,
-            trace,
-            admitted_tick,
-            deadline,
-            admitted_wall,
-            wall_deadline,
-            retries,
-            priority,
-            ttft_wall,
-            ttft_ticks,
-            decode_wall,
-            extra_transfer: extra_transfer + swap_transfer,
-            extra_cache,
-            preemptions,
-            recovered,
-            max_degrade,
-        }
-    }
-
-    /// A completion for a request shed before it ever got a session.
-    fn shed(
-        req: &ServeRequest,
-        shard: usize,
-        error: ServeError,
-        injected: bool,
-        retries: u32,
-    ) -> Completion {
-        Completion {
-            id: req.id,
-            shard,
-            generated: Vec::new(),
-            transfer: TransferStats::default(),
-            cache: CacheStats::default(),
-            sharing: SharingStats::default(),
-            trace: Vec::new(),
-            failure: Some(FailureCause { error, injected, step: 0 }),
-            retries,
-            priority: req.priority,
-            ttft_wall: None,
-            ttft_ticks: None,
-            tpot_wall: None,
-            preemptions: 0,
-            recovered: false,
-            max_degrade_level: PressureLevel::Nominal,
-        }
-    }
-
-    /// The one place an [`Active`] session becomes a [`Completion`]: full
-    /// per-session stats (live namespace + swap traffic from preemption
-    /// round trips), latency stamps, and the optional failure cause.
-    fn complete(a: Active<'_>, shard: usize, failure: Option<FailureCause>) -> Completion {
-        let tokens = a.generated.len() as u32;
-        Completion {
-            id: a.id,
-            shard,
-            transfer: a.session.transfer_stats() + a.extra_transfer,
-            cache: a.session.cache_stats() + a.extra_cache,
-            sharing: a.session.sharing_stats(),
-            generated: a.generated,
-            trace: a.trace,
-            failure,
-            retries: a.retries,
-            priority: a.priority,
-            ttft_wall: a.ttft_wall,
-            ttft_ticks: a.ttft_ticks,
-            tpot_wall: (tokens > 0).then(|| a.decode_wall / tokens),
-            preemptions: a.preemptions,
-            recovered: a.recovered,
-            max_degrade_level: a.max_degrade,
-        }
-    }
-
-    /// A completion for a session that failed mid-flight: partial output
-    /// and real per-session stats, plus the classified cause.
-    fn fail(a: Active<'_>, shard: usize, error: ServeError, injected: bool) -> Completion {
-        // Decode steps *completed*, not attempted: a failed step attempt has
-        // already bumped the session's counter, but served no token — every
-        // failure class reports the same clock this way.
-        let step = a.generated.len() as u64;
-        Self::complete(a, shard, Some(FailureCause { error, injected, step }))
-    }
-
-    /// The `DeadlineExceeded` payload for an expiry on either clock. The
-    /// deterministic tick deadline takes precedence when both elapsed; a
-    /// wall (SLO) expiry reports **milliseconds** in the tick fields.
-    fn deadline_cause(
-        deadline: Option<u64>,
-        wall_deadline: Option<Duration>,
-        elapsed_ticks: u64,
-        elapsed_wall: Duration,
-    ) -> ServeError {
-        if deadline.is_some_and(|d| elapsed_ticks >= d) {
-            ServeError::DeadlineExceeded {
-                deadline_ticks: deadline.unwrap_or(0),
-                elapsed_ticks,
-            }
-        } else {
-            ServeError::DeadlineExceeded {
-                deadline_ticks: wall_deadline.unwrap_or_default().as_millis() as u64,
-                elapsed_ticks: elapsed_wall.as_millis() as u64,
-            }
-        }
-    }
-
-    /// Reap sessions whose deadline elapsed on either clock: scheduler
-    /// ticks (deterministic) or wall time since admission (SLO classes).
-    fn reap_deadlines(
-        active: &mut Vec<Active<'_>>,
-        completions: &mut Vec<Completion>,
-        shard: usize,
-        tick: u64,
-        now: Duration,
-        stats: &mut ShardStats,
-    ) {
-        let mut i = 0;
-        while i < active.len() {
-            let a = &active[i];
-            let elapsed = tick - a.admitted_tick;
-            let elapsed_wall = now.saturating_sub(a.admitted_wall);
-            let expired = a.remaining > 0
-                && (a.deadline.is_some_and(|d| elapsed >= d)
-                    || a.wall_deadline.is_some_and(|d| elapsed_wall >= d));
-            if expired {
-                let a = active.swap_remove(i);
-                let cause =
-                    Self::deadline_cause(a.deadline, a.wall_deadline, elapsed, elapsed_wall);
-                stats.failed += 1;
-                stats.shed_tokens += a.remaining as u64;
-                completions.push(Self::fail(a, shard, cause, false));
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Reap mid-prefill requests whose deadline elapsed: no session exists
-    /// yet, so the completion is empty — `DeadlineExceeded` at step 0 with
-    /// no first token (`ttft_*` stay `None`).
-    fn reap_prefilling(
-        prefilling: &mut Vec<Prefilling<'_>>,
-        completions: &mut Vec<Completion>,
-        shard: usize,
-        tick: u64,
-        now: Duration,
-        stats: &mut ShardStats,
-    ) {
-        let mut i = 0;
-        while i < prefilling.len() {
-            let p = &prefilling[i];
-            let elapsed = tick - p.admitted_tick;
-            let elapsed_wall = now.saturating_sub(p.admitted_wall);
-            let expired = p.deadline.is_some_and(|d| elapsed >= d)
-                || p.wall_deadline.is_some_and(|d| elapsed_wall >= d);
-            if expired {
-                let p = prefilling.swap_remove(i);
-                let cause =
-                    Self::deadline_cause(p.deadline, p.wall_deadline, elapsed, elapsed_wall);
-                stats.failed += 1;
-                stats.shed_tokens += p.decode_steps as u64;
-                completions.push(Completion {
-                    id: p.id,
-                    shard,
-                    generated: Vec::new(),
-                    transfer: TransferStats::default(),
-                    cache: CacheStats::default(),
-                    sharing: SharingStats::default(),
-                    trace: Vec::new(),
-                    failure: Some(FailureCause { error: cause, injected: false, step: 0 }),
-                    retries: p.retries,
-                    priority: p.priority,
-                    ttft_wall: None,
-                    ttft_ticks: None,
-                    tpot_wall: None,
-                    preemptions: 0,
-                    recovered: false,
-                    max_degrade_level: PressureLevel::Nominal,
-                });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Reap parked (preempted) sessions whose deadline elapsed while they
-    /// waited for a slot. Dropping the suspended session unpins and
-    /// releases its pages; the completion still accounts its full transfer
-    /// history (live namespace + swap traffic) so the books stay closed.
-    fn reap_parked(
-        parked: &mut Vec<Parked>,
-        completions: &mut Vec<Completion>,
-        shard: usize,
-        tick: u64,
-        now: Duration,
-        stats: &mut ShardStats,
-    ) {
-        let mut i = 0;
-        while i < parked.len() {
-            let pk = &parked[i];
-            let elapsed = tick - pk.admitted_tick;
-            let elapsed_wall = now.saturating_sub(pk.admitted_wall);
-            let expired = pk.remaining > 0
-                && (pk.deadline.is_some_and(|d| elapsed >= d)
-                    || pk.wall_deadline.is_some_and(|d| elapsed_wall >= d));
-            if expired {
-                let p = parked.swap_remove(i);
-                let cause =
-                    Self::deadline_cause(p.deadline, p.wall_deadline, elapsed, elapsed_wall);
-                stats.failed += 1;
-                stats.shed_tokens += p.remaining as u64;
-                let step = p.suspended.steps();
-                let tokens = p.generated.len() as u32;
-                completions.push(Completion {
-                    id: p.id,
-                    shard,
-                    transfer: p.suspended.transfer_stats()
-                        + p.suspended.swap_stats()
-                        + p.extra_transfer,
-                    cache: p.extra_cache,
-                    sharing: p.suspended.sharing_stats(),
-                    generated: p.generated,
-                    trace: p.trace,
-                    failure: Some(FailureCause { error: cause, injected: false, step }),
-                    retries: p.retries,
-                    priority: p.priority,
-                    ttft_wall: p.ttft_wall,
-                    ttft_ticks: p.ttft_ticks,
-                    tpot_wall: (tokens > 0).then(|| p.decode_wall / tokens),
-                    preemptions: p.preemptions,
-                    recovered: p.recovered,
-                    max_degrade_level: p.max_degrade,
-                });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Fail a dead shard's work over after the joins. Every request the
-    /// shard popped but never completed gets exactly one completion: a
-    /// checkpointed session replays forward on a surviving shard
-    /// (bit-identical to the fault-free run), the rest fail typed with
-    /// [`ServeError::ShardLost`]. Stranded queue items — pushed before the
-    /// dying worker closed its queue, never popped — are drained last.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_dead_shards(
-        model: &Model,
-        cfg: &ServeConfig,
-        budget: &CacheBudget,
-        registry: &Mutex<HashMap<u64, CheckpointEntry>>,
-        inflight: &[Mutex<HashMap<u64, InflightInfo>>],
-        dead: &[usize],
-        queues: &[BoundedQueue<ServeRequest>],
-        shard_stats: &mut [ShardStats],
-        completions: &mut Vec<Completion>,
-    ) {
-        let injected = cfg.faults.as_ref().is_some_and(|p| !p.worker_kills.is_empty());
-        let survivors: Vec<usize> = (0..cfg.shards).filter(|s| !dead.contains(s)).collect();
-        let mut scratch = SessionScratch::new();
-        let mut rr = 0usize;
-        for &shard in dead {
-            let mut lost: Vec<(u64, InflightInfo)> = lock(&inflight[shard]).drain().collect();
-            lost.sort_by_key(|&(id, _)| id);
-            for (id, info) in lost {
-                let Some(entry) = lock(registry).remove(&id) else {
-                    // Popped but never checkpointed: the session is gone.
-                    shard_stats[shard].failed += 1;
-                    shard_stats[shard].shed_tokens += info.decode_steps as u64;
-                    completions.push(Completion {
-                        id,
-                        shard,
-                        generated: Vec::new(),
-                        transfer: TransferStats::default(),
-                        cache: CacheStats::default(),
-                        sharing: SharingStats::default(),
-                        trace: Vec::new(),
-                        failure: Some(FailureCause {
-                            error: ServeError::ShardLost { shard },
-                            injected,
-                            step: 0,
-                        }),
-                        retries: info.retries,
-                        priority: info.priority,
-                        ttft_wall: None,
-                        ttft_ticks: None,
-                        tpot_wall: None,
-                        preemptions: 0,
-                        recovered: false,
-                        max_degrade_level: PressureLevel::Nominal,
-                    });
-                    continue;
-                };
-                // Round-robin the replays over the survivors (the dead
-                // shard itself when none survive — the coordinator does
-                // the work either way, only the metering label differs).
-                let target =
-                    survivors.get(rr % survivors.len().max(1)).copied().unwrap_or(shard);
-                rr += 1;
-                let already = entry.generated.len();
-                let remaining = entry.remaining;
-                let c = Self::replay_from_checkpoint(
-                    model, cfg, budget, id, entry, injected, target, &mut scratch,
-                );
-                let replayed = (c.generated.len() - already) as u64;
-                if c.is_success() {
-                    shard_stats[target].recovered_sessions += 1;
-                    shard_stats[target].recovered_tokens += replayed;
-                } else {
-                    shard_stats[target].failed += 1;
-                    shard_stats[target].shed_tokens += remaining as u64 - replayed;
-                }
-                completions.push(c);
-            }
-        }
-        // Only a per-shard queue strands items behind a single dead worker;
-        // the shared first-free queue goes undrained only when every worker
-        // died.
-        if queues.len() == cfg.shards {
-            for &shard in dead {
-                while let Some(req) = queues[shard].try_pop() {
-                    shard_stats[shard].failed += 1;
-                    shard_stats[shard].shed_tokens += req.decode_steps as u64;
-                    completions.push(Self::shed(
-                        &req,
-                        shard,
-                        ServeError::ShardLost { shard },
-                        injected,
-                        0,
-                    ));
-                }
-            }
-        } else if dead.len() == cfg.shards {
-            let shard = dead[0];
-            while let Some(req) = queues[0].try_pop() {
-                shard_stats[shard].failed += 1;
-                shard_stats[shard].shed_tokens += req.decode_steps as u64;
-                completions.push(Self::shed(
-                    &req,
-                    shard,
-                    ServeError::ShardLost { shard },
-                    injected,
-                    0,
-                ));
-            }
-        }
-    }
-
-    /// Resume a checkpoint on the coordinator thread and decode it to
-    /// completion — the failover replay. Bit-identical to the fault-free
-    /// run by construction: resume is exact and decode is deterministic.
-    /// No fault injection and no deadline reaping apply here (the module
-    /// doc's recovery contract).
-    #[allow(clippy::too_many_arguments)]
-    fn replay_from_checkpoint(
-        model: &Model,
-        cfg: &ServeConfig,
-        budget: &CacheBudget,
-        id: u64,
-        entry: CheckpointEntry,
-        injected: bool,
-        target: usize,
-        scratch: &mut SessionScratch,
-    ) -> Completion {
-        let CheckpointEntry {
-            suspended,
-            mut next,
-            mut remaining,
-            mut generated,
-            mut trace,
-            retries,
-            priority,
-            ttft_wall,
-            ttft_ticks,
-            mut decode_wall,
-            preemptions,
-            // Replay runs at full effort on the coordinator (no controller
-            // there), so the snapshot's high-water mark is final.
-            max_degrade,
-            base_transfer,
-            base_cache,
-        } = entry;
-        // The registry only admits verified snapshots, but verify again at
-        // the use site: the bytes sat in host memory since.
-        if let Err(e) = suspended.verify() {
-            let step = suspended.steps();
-            let tokens = generated.len() as u32;
-            return Completion {
-                id,
-                shard: target,
-                transfer: base_transfer + suspended.swap_stats(),
-                cache: base_cache,
-                sharing: suspended.sharing_stats(),
-                generated,
-                trace,
-                failure: Some(FailureCause { error: e.into(), injected, step }),
-                retries,
-                priority,
-                ttft_wall,
-                ttft_ticks,
-                tpot_wall: (tokens > 0).then(|| decode_wall / tokens),
-                preemptions,
-                recovered: false,
-                max_degrade_level: max_degrade,
-            };
-        }
-        let (mut session, swap_transfer) =
-            suspended.resume(model, Self::fresh_cache(cfg, budget));
-        let mut failure = None;
-        while remaining > 0 {
-            let s0 = Instant::now();
-            let stepped = session.try_step_with_scratch(next, scratch);
-            decode_wall += s0.elapsed();
-            match stepped {
-                Ok(dec) => {
-                    generated.push(next);
-                    if cfg.record_trace {
-                        trace.push(StepTrace {
-                            logits: dec.logits.clone(),
-                            selected: session.selected_snapshot(),
-                        });
-                    }
-                    next = dec.greedy();
-                    remaining -= 1;
-                }
-                Err(StepError::Store(e)) => {
-                    failure = Some(FailureCause {
-                        error: e.into(),
-                        injected: false,
-                        step: generated.len() as u64,
-                    });
-                    break;
-                }
-                Err(StepError::Poisoned { message }) => {
-                    failure = Some(FailureCause {
-                        error: ServeError::SessionPoisoned { message },
-                        injected: false,
-                        step: generated.len() as u64,
-                    });
-                    break;
-                }
-            }
-        }
-        let tokens = generated.len() as u32;
-        Completion {
-            id,
-            shard: target,
-            transfer: session.transfer_stats() + base_transfer + swap_transfer,
-            cache: session.cache_stats() + base_cache,
-            sharing: session.sharing_stats(),
-            generated,
-            trace,
-            failure,
-            retries,
-            priority,
-            ttft_wall,
-            ttft_ticks,
-            tpot_wall: (tokens > 0).then(|| decode_wall / tokens),
-            preemptions,
-            recovered: true,
-            max_degrade_level: max_degrade,
-        }
-    }
-
-    fn retire(active: &mut Vec<Active<'_>>, completions: &mut Vec<Completion>, shard: usize) {
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].remaining == 0 {
-                let a = active.swap_remove(i);
-                completions.push(Self::complete(a, shard, None));
-            } else {
-                i += 1;
-            }
+            wall: self.epoch.elapsed(),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use pqc_llm::LlmConfig;
-    use pqc_policies::PqCachePolicy;
-
-    fn session_cfg() -> SessionConfig {
-        SessionConfig {
-            n_init: 2,
-            n_local: 8,
-            token_ratio: 0.25,
-            comm_fraction: 1.0 / 16.0,
-            obs_window: 8,
-            cache: pqc_core::CacheConfig {
-                capacity_tokens: 64,
-                block_size: 8,
-                lfu: true,
-                k_cache_blocks: 4,
-            },
-            ivf: pqc_core::IvfMode::Exact,
-        }
-    }
-
-    fn prompt(n: usize, seed: u64) -> Vec<u32> {
-        let mut rng = pqc_tensor::Rng64::new(seed);
-        (0..n).map(|_| rng.below(200) as u32).collect()
-    }
-
-    fn requests(n: usize) -> Vec<ServeRequest> {
-        (0..n)
-            .map(|i| {
-                ServeRequest::new(
-                    i as u64,
-                    prompt(48 + 8 * (i % 3), 100 + i as u64),
-                    4 + i % 3,
-                    Box::new(PqCachePolicy::default()),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn serves_all_requests_to_completion() {
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 2,
-            max_active_per_shard: 2,
-            queue_capacity: 3,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let report = ServeEngine::run(&model, &cfg, requests(7)).unwrap();
-        assert_eq!(report.completions.len(), 7);
-        for (i, c) in report.completions.iter().enumerate() {
-            assert_eq!(c.id, i as u64);
-            assert_eq!(c.generated.len(), 4 + i % 3);
-            assert!(c.shard < 2);
-            assert!(c.is_success());
-            assert_eq!(c.retries, 0);
-        }
-        assert!(report.queue_high_water <= 3);
-        let sum: TransferStats = report.completions.iter().map(|c| c.transfer).sum();
-        assert_eq!(report.aggregate_transfer, sum);
-        assert_eq!(report.tokens_decoded(), (0..7).map(|i| 4 + (i % 3) as u64).sum());
-        assert_eq!(report.failures().count(), 0);
-        assert!(!report.budget_underflow);
-        assert_eq!(report.worker_panics, 0);
-        assert_eq!(report.total_shed_tokens(), 0);
-    }
-
-    #[test]
-    fn zero_step_request_completes_without_decoding() {
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 2,
-            queue_capacity: 2,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let reqs =
-            vec![ServeRequest::new(9, prompt(48, 5), 0, Box::new(PqCachePolicy::default()))];
-        let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
-        assert_eq!(report.completions.len(), 1);
-        assert!(report.completions[0].generated.is_empty());
-        // Prefill offload is still metered.
-        assert!(report.completions[0].transfer.d2h_bytes > 0);
-    }
-
-    #[test]
-    fn single_shard_report_is_deterministic() {
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 4,
-            queue_capacity: 8,
-            session: session_cfg(),
-            record_trace: true,
-            ..Default::default()
-        };
-        let a = ServeEngine::run(&model, &cfg, requests(5)).unwrap();
-        let b = ServeEngine::run(&model, &cfg, requests(5)).unwrap();
-        for (ca, cb) in a.completions.iter().zip(b.completions.iter()) {
-            assert_eq!(ca.generated, cb.generated);
-            assert_eq!(ca.trace, cb.trace);
-            assert_eq!(ca.transfer, cb.transfer);
-        }
-    }
-
-    #[test]
-    fn round_robin_places_deterministically() {
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 2,
-            max_active_per_shard: 2,
-            queue_capacity: 4,
-            assignment: ShardAssignment::RoundRobin,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let report = ServeEngine::run(&model, &cfg, requests(6)).unwrap();
-        assert_eq!(report.completions.len(), 6);
-        for c in &report.completions {
-            assert_eq!(c.shard, (c.id % 2) as usize, "request {} misplaced", c.id);
-        }
-        // Balanced placement ⇒ both shards admitted equally.
-        assert!(report.shards.iter().all(|s| s.admitted == 3));
-        // And results match the first-free schedule bit-for-bit.
-        let ff = ServeEngine::run(
-            &model,
-            &ServeConfig { assignment: ShardAssignment::FirstFree, ..cfg },
-            requests(6),
-        )
-        .unwrap();
-        for (a, b) in report.completions.iter().zip(ff.completions.iter()) {
-            assert_eq!(a.generated, b.generated);
-        }
-    }
-
-    #[test]
-    fn ivf_probe_all_cells_serves_bit_identically() {
-        // ServeConfig.session.ivf = Probe(n_list) reaches every admitted
-        // session's policy: the full-probe fleet must reproduce the
-        // exact-mode fleet's traces bit for bit (routing is transparent at
-        // n_probe = n_list), sharing one IVF scratch per shard.
-        let model = Model::new(LlmConfig::tiny());
-        let n_list = pqc_policies::PqCachePolicyConfig::default().ivf_n_list;
-        let run = |ivf| {
-            let cfg = ServeConfig {
-                shards: 2,
-                max_active_per_shard: 2,
-                queue_capacity: 4,
-                session: SessionConfig { ivf, ..session_cfg() },
-                record_trace: true,
-                ..Default::default()
-            };
-            ServeEngine::run(&model, &cfg, requests(5)).unwrap()
-        };
-        let exact = run(pqc_core::IvfMode::Exact);
-        let probe = run(pqc_core::IvfMode::Probe(n_list));
-        assert_eq!(exact.completions.len(), probe.completions.len());
-        for (a, b) in exact.completions.iter().zip(probe.completions.iter()) {
-            assert_eq!(a.generated, b.generated, "request {} tokens diverged", a.id);
-            assert_eq!(a.trace, b.trace, "request {} trace diverged", a.id);
-            assert_eq!(a.transfer, b.transfer, "request {} transfers diverged", a.id);
-        }
-    }
-
-    #[test]
-    fn ivf_narrow_probe_fleet_completes() {
-        // A genuinely sublinear fleet (probe 2 of 16 cells) must run to
-        // completion under continuous batching.
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 2,
-            max_active_per_shard: 2,
-            queue_capacity: 4,
-            session: SessionConfig { ivf: pqc_core::IvfMode::Probe(2), ..session_cfg() },
-            ..Default::default()
-        };
-        let report = ServeEngine::run(&model, &cfg, requests(6)).unwrap();
-        assert_eq!(report.completions.len(), 6);
-        for (i, c) in report.completions.iter().enumerate() {
-            assert_eq!(c.generated.len(), 4 + i % 3);
-        }
-    }
-
-    #[test]
-    fn prefix_cache_shares_pages_across_identical_prompts() {
-        // One shard, sequential admission, four identical prompts: the
-        // first session registers the prefix, the other three adopt it.
-        let model = Model::new(LlmConfig::tiny());
-        let toks = prompt(64, 7);
-        let reqs = || {
-            (0..4)
-                .map(|i| {
-                    ServeRequest::new(
-                        i as u64,
-                        toks.clone(),
-                        5,
-                        Box::new(PqCachePolicy::default()) as _,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 4,
-            queue_capacity: 8,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let shared = ServeEngine::run(&model, &cfg, reqs()).unwrap();
-        assert_eq!(shared.completions.len(), 4);
-        assert_eq!(shared.prefix.lookups, 4);
-        assert_eq!(shared.prefix.full_hits, 3);
-        assert_eq!(shared.prefix.entries, 1);
-        assert_eq!(shared.aggregate_sharing.prefix_hit_tokens, 3 * toks.len() as u64);
-        // Everyone decodes the same continuation...
-        for c in &shared.completions[1..] {
-            assert_eq!(c.generated, shared.completions[0].generated);
-            // ...and adopters skip the offload the cold session paid.
-            assert!(c.sharing.prefix_hit_tokens == toks.len() as u64);
-            assert!(c.transfer.d2h_bytes < shared.completions[0].transfer.d2h_bytes);
-        }
-        // Sharing off: same tokens, four full offloads, bigger host peak.
-        let cold =
-            ServeEngine::run(&model, &ServeConfig { prefix_cache: false, ..cfg }, reqs()).unwrap();
-        assert_eq!(cold.prefix.lookups, 0);
-        assert_eq!(cold.aggregate_sharing, SharingStats::default());
-        for (a, b) in shared.completions.iter().zip(cold.completions.iter()) {
-            assert_eq!(a.generated, b.generated, "prefix sharing changed results");
-        }
-        assert!(
-            shared.peak_host_bytes < cold.peak_host_bytes,
-            "sharing must shrink the host peak: {} vs {}",
-            shared.peak_host_bytes,
-            cold.peak_host_bytes
-        );
-    }
-
-    #[test]
-    fn invalid_config_is_a_typed_error_not_a_panic() {
-        let model = Model::new(LlmConfig::tiny());
-        let bad = ServeConfig { shards: 0, ..Default::default() };
-        let err = bad.validate().unwrap_err();
-        assert_eq!(err.field, "shards");
-        match ServeEngine::run(&model, &bad, Vec::new()) {
-            Err(ServeError::Config(e)) => assert_eq!(e.field, "shards"),
-            other => panic!("expected Config error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        ServeConfig { shards: 0, ..Default::default() }.validate_strict();
-    }
-
-    #[test]
-    #[should_panic(expected = "queue capacity >= shards")]
-    fn round_robin_needs_queue_slots() {
-        ServeConfig {
-            shards: 4,
-            queue_capacity: 2,
-            assignment: ShardAssignment::RoundRobin,
-            ..Default::default()
-        }
-        .validate_strict();
-    }
-
-    #[test]
-    fn injected_panic_fails_one_session_and_spares_the_rest() {
-        let model = Model::new(LlmConfig::tiny());
-        let clean_cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 4,
-            queue_capacity: 8,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let clean = ServeEngine::run(&model, &clean_cfg, requests(5)).unwrap();
-        let cfg = ServeConfig {
-            faults: Some(FaultPlan::seeded(11).with_session_panic(2, 1)),
-            ..clean_cfg
-        };
-        let report = ServeEngine::run(&model, &cfg, requests(5)).unwrap();
-        assert_eq!(report.completions.len(), 5, "every request still completes");
-        let failed = report.completion(2).unwrap();
-        let cause = failed.failure.as_ref().expect("request 2 must fail");
-        assert!(cause.injected);
-        assert_eq!(cause.error.class(), "session_poisoned");
-        assert_eq!(failed.generated.len(), 1, "one step decoded before the injected panic");
-        // Survivors are bit-identical to the fault-free run.
-        for id in [0u64, 1, 3, 4] {
-            let a = clean.completion(id).unwrap();
-            let b = report.completion(id).unwrap();
-            assert!(b.is_success());
-            assert_eq!(a.generated, b.generated, "survivor {id} diverged");
-        }
-        assert_eq!(report.shards[0].failed, 1);
-        assert!(report.total_shed_tokens() > 0);
-    }
-
-    #[test]
-    fn deadline_reaps_slow_session() {
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 2,
-            queue_capacity: 4,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let mut reqs = requests(2);
-        reqs[0].decode_steps = 50;
-        reqs[0].deadline = Some(3);
-        let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
-        let reaped = report.completion(0).unwrap();
-        let cause = reaped.failure.as_ref().expect("deadline must reap request 0");
-        match &cause.error {
-            ServeError::DeadlineExceeded { deadline_ticks, elapsed_ticks } => {
-                assert_eq!(*deadline_ticks, 3);
-                assert!(*elapsed_ticks >= 3);
-            }
-            other => panic!("unexpected cause {other:?}"),
-        }
-        assert!(reaped.generated.len() < 50);
-        assert!(report.completion(1).unwrap().is_success());
-    }
-
-    #[test]
-    fn admission_rejects_retry_then_succeed_or_shed() {
-        let model = Model::new(LlmConfig::tiny());
-        let base = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 2,
-            queue_capacity: 4,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        // Two rejections, default policy allows two retries: admitted on
-        // the third attempt.
-        let cfg = ServeConfig {
-            faults: Some(FaultPlan::seeded(3).with_admission_rejects(1, 2)),
-            ..base.clone()
-        };
-        let report = ServeEngine::run(&model, &cfg, requests(3)).unwrap();
-        let retried = report.completion(1).unwrap();
-        assert!(retried.is_success(), "should admit after retries: {:?}", retried.failure);
-        assert_eq!(retried.retries, 2);
-        assert_eq!(report.shards[0].retries, 2);
-        // Rejections exceeding the retry budget shed the request.
-        let cfg = ServeConfig {
-            faults: Some(FaultPlan::seeded(3).with_admission_rejects(1, 10)),
-            ..base
-        };
-        let report = ServeEngine::run(&model, &cfg, requests(3)).unwrap();
-        let shed = report.completion(1).unwrap();
-        let cause = shed.failure.as_ref().expect("request 1 must be shed");
-        assert!(cause.injected);
-        match cause.error {
-            ServeError::Admission { attempts } => assert_eq!(attempts, 3),
-            ref other => panic!("unexpected cause {other:?}"),
-        }
-        assert!(report.completion(0).unwrap().is_success());
-        assert!(report.completion(2).unwrap().is_success());
-    }
-
-    #[test]
-    fn chunked_prefill_serves_bit_identically_to_monolithic() {
-        // The tentpole invariant: splitting prefill into tick-sized chunks
-        // interleaved with decode must not change a single bit of any
-        // session's output, trace, or transfer accounting.
-        let model = Model::new(LlmConfig::tiny());
-        let base = ServeConfig {
-            shards: 2,
-            max_active_per_shard: 2,
-            queue_capacity: 8,
-            session: session_cfg(),
-            record_trace: true,
-            ..Default::default()
-        };
-        let mono = ServeEngine::run(&model, &base, requests(6)).unwrap();
-        for chunk in [1usize, 7, 64] {
-            let cfg = ServeConfig { prefill_chunk_tokens: Some(chunk), ..base.clone() };
-            let chunked = ServeEngine::run(&model, &cfg, requests(6)).unwrap();
-            assert_eq!(chunked.completions.len(), 6);
-            for (a, b) in mono.completions.iter().zip(chunked.completions.iter()) {
-                assert!(b.is_success());
-                assert_eq!(a.generated, b.generated, "chunk {chunk}: request {} tokens", a.id);
-                assert_eq!(a.trace, b.trace, "chunk {chunk}: request {} trace", a.id);
-                assert_eq!(a.transfer, b.transfer, "chunk {chunk}: request {} transfer", a.id);
-                // Chunked prefill spends >= 1 tick before the first token;
-                // monolithic admission spends 0.
-                assert_eq!(a.ttft_ticks, Some(0));
-                assert!(b.ttft_ticks.unwrap() >= 1);
-            }
-            let chunks: u64 = chunked.shards.iter().map(|s| s.prefill_chunks).sum();
-            assert!(chunks > 0, "chunk {chunk}: prefill chunks must be metered");
-            assert_eq!(mono.shards.iter().map(|s| s.prefill_chunks).sum::<u64>(), 0);
-        }
-    }
-
-    #[test]
-    fn chunk_budget_edge_cases_serve_identically() {
-        // Budget of exactly the prompt length (one chunk), larger than the
-        // prompt, and landing chunk boundaries exactly on page boundaries:
-        // all bit-identical to monolithic.
-        let model = Model::new(LlmConfig::tiny());
-        let base = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 2,
-            queue_capacity: 8,
-            session: session_cfg(),
-            record_trace: true,
-            page_tokens: 8,
-            ..Default::default()
-        };
-        let mono = ServeEngine::run(&model, &base, requests(4)).unwrap();
-        // Prompts are 48..=64 tokens (requests()); 8 rides page boundaries.
-        for chunk in [8usize, 48, 500] {
-            let cfg = ServeConfig { prefill_chunk_tokens: Some(chunk), ..base.clone() };
-            let chunked = ServeEngine::run(&model, &cfg, requests(4)).unwrap();
-            for (a, b) in mono.completions.iter().zip(chunked.completions.iter()) {
-                assert!(b.is_success());
-                assert_eq!(a.generated, b.generated, "chunk {chunk}: request {}", a.id);
-                assert_eq!(a.trace, b.trace, "chunk {chunk}: request {}", a.id);
-            }
-            if chunk >= 64 {
-                // One chunk swallows the whole prompt, but only one prefill
-                // advances per tick: with two slots a prompt waits at most
-                // one tick behind its neighbour's chunk.
-                for c in &chunked.completions {
-                    let t = c.ttft_ticks.unwrap();
-                    assert!((1..=2).contains(&t), "request {}: ttft {t} ticks", c.id);
-                }
-            }
-        }
-        // A zero chunk budget is a config error, not a hang.
-        let bad = ServeConfig { prefill_chunk_tokens: Some(0), ..base };
-        assert_eq!(bad.validate().unwrap_err().field, "prefill_chunk_tokens");
-    }
-
-    #[test]
-    fn high_priority_preempts_victim_and_resumes_it_bit_identically() {
-        // One slot. The low-priority session decodes until the delayed
-        // high-priority request matures, gets preempted through the paged
-        // tier, and resumes after the high request retires — with output
-        // bit-identical to an uncontended run.
-        let model = Model::new(LlmConfig::tiny());
-        let base = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 1,
-            queue_capacity: 4,
-            session: session_cfg(),
-            record_trace: true,
-            ..Default::default()
-        };
-        let mk = |priorities: bool| {
-            let mut reqs = requests(2);
-            reqs[0].decode_steps = 24;
-            reqs[1].decode_steps = 4;
-            if priorities {
-                reqs[0].priority = Priority::Low;
-                reqs[1].priority = Priority::High;
-            }
-            reqs
-        };
-        let reference = ServeEngine::run(&model, &base, mk(false)).unwrap();
-        // Delay the high request one injected rejection so the low session
-        // is mid-decode when it matures — forcing the preemption path
-        // regardless of producer/worker timing.
-        let cfg = ServeConfig {
-            faults: Some(FaultPlan::seeded(21).with_admission_rejects(1, 1)),
-            ..base
-        };
-        let report = ServeEngine::run(&model, &cfg, mk(true)).unwrap();
-        assert_eq!(report.total_preemptions(), 1, "exactly one preemption");
-        let low = report.completion(0).unwrap();
-        let high = report.completion(1).unwrap();
-        assert!(low.is_success() && high.is_success());
-        assert_eq!(low.preemptions, 1);
-        assert_eq!(high.preemptions, 0);
-        assert_eq!(low.priority, Priority::Low);
-        assert_eq!(high.priority, Priority::High);
-        // Preemption never changes results: both sessions match the
-        // uncontended run bit for bit.
-        for id in [0u64, 1] {
-            let a = reference.completion(id).unwrap();
-            let b = report.completion(id).unwrap();
-            assert_eq!(a.generated, b.generated, "request {id} tokens diverged");
-            assert_eq!(a.trace, b.trace, "request {id} trace diverged");
-        }
-        // The suspend/resume swap traffic is accounted: the victim moved
-        // real bytes both ways, and the tier aggregate still equals the sum
-        // of per-completion transfers.
-        assert!(low.transfer.d2h_bytes > reference.completion(0).unwrap().transfer.d2h_bytes);
-        assert!(low.transfer.h2d_bytes > reference.completion(0).unwrap().transfer.h2d_bytes);
-        let sum: TransferStats = report.completions.iter().map(|c| c.transfer).sum();
-        assert_eq!(report.aggregate_transfer, sum, "preemption must not leak transfer accounting");
-    }
-
-    #[test]
-    fn all_normal_priorities_never_preempt() {
-        // Preemption requires a *strictly* higher class: a uniform fleet
-        // under slot pressure keeps plain FIFO continuous batching.
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 1,
-            queue_capacity: 8,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let report = ServeEngine::run(&model, &cfg, requests(5)).unwrap();
-        assert_eq!(report.total_preemptions(), 0);
-        assert!(report.completions.iter().all(|c| c.is_success() && c.preemptions == 0));
-    }
-
-    #[test]
-    fn deadline_reaps_mid_prefill_as_deadline_exceeded() {
-        // Chunk budget 1 on a ~48-token prompt needs ~48 ticks of prefill;
-        // a 5-tick deadline expires long before the first token.
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 2,
-            queue_capacity: 4,
-            session: session_cfg(),
-            prefill_chunk_tokens: Some(1),
-            ..Default::default()
-        };
-        let mut reqs = requests(2);
-        reqs[0].deadline = Some(5);
-        let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
-        let reaped = report.completion(0).unwrap();
-        let cause = reaped.failure.as_ref().expect("request 0 must be reaped mid-prefill");
-        match &cause.error {
-            ServeError::DeadlineExceeded { deadline_ticks, elapsed_ticks } => {
-                assert_eq!(*deadline_ticks, 5);
-                assert!(*elapsed_ticks >= 5);
-            }
-            other => panic!("unexpected cause {other:?}"),
-        }
-        assert_eq!(cause.step, 0, "no session ever existed");
-        assert!(reaped.generated.is_empty());
-        assert_eq!(reaped.ttft_wall, None, "no first token was produced");
-        assert_eq!(reaped.ttft_ticks, None);
-        assert_eq!(reaped.tpot_wall, None);
-        assert!(report.completion(1).unwrap().is_success(), "the other request is untouched");
-    }
-
-    #[test]
-    fn prefix_adoption_still_wins_under_chunked_admission() {
-        // The prefix-cache fast path outranks chunking: an identical
-        // already-served prompt adopts instantly (0-tick TTFT) instead of
-        // re-prefilling chunk by chunk.
-        let model = Model::new(LlmConfig::tiny());
-        let toks = prompt(64, 7);
-        let reqs = || {
-            (0..2)
-                .map(|i| {
-                    ServeRequest::new(i, toks.clone(), 5, Box::new(PqCachePolicy::default()) as _)
-                })
-                .collect::<Vec<_>>()
-        };
-        let cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 1,
-            queue_capacity: 4,
-            session: session_cfg(),
-            prefill_chunk_tokens: Some(8),
-            ..Default::default()
-        };
-        let report = ServeEngine::run(&model, &cfg, reqs()).unwrap();
-        assert_eq!(report.prefix.full_hits, 1);
-        let first = report.completion(0).unwrap();
-        let second = report.completion(1).unwrap();
-        assert_eq!(first.generated, second.generated);
-        assert!(first.ttft_ticks.unwrap() >= 1, "cold prompt prefills chunk by chunk");
-        assert_eq!(second.ttft_ticks, Some(0), "adopter skips prefill entirely");
-    }
-
-    #[test]
-    fn latency_summary_covers_every_completion() {
-        let model = Model::new(LlmConfig::tiny());
-        let base = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 2,
-            queue_capacity: 8,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let mono = ServeEngine::run(&model, &base, requests(5)).unwrap();
-        assert_eq!(mono.latency.ttft_wall.count, 5);
-        assert_eq!(mono.latency.ttft_ticks.count, 5);
-        assert_eq!(mono.latency.tpot_wall.count, 5);
-        assert_eq!(mono.latency.ttft_ticks.max, 0.0, "monolithic prefill is a 0-tick event");
-        assert!(mono.latency.tpot_wall.p50 > 0.0);
-        let cfg = ServeConfig { prefill_chunk_tokens: Some(7), ..base };
-        let chunked = ServeEngine::run(&model, &cfg, requests(5)).unwrap();
-        assert_eq!(chunked.latency.ttft_ticks.count, 5);
-        assert!(chunked.latency.ttft_ticks.p50 >= 1.0, "chunked prefill spends ticks");
-        assert!(chunked.latency.ttft_wall.max >= chunked.latency.ttft_wall.p50);
-    }
-
-    #[test]
-    fn shard_stall_degrades_without_changing_results() {
-        let model = Model::new(LlmConfig::tiny());
-        let base = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 4,
-            queue_capacity: 8,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let clean = ServeEngine::run(&model, &base, requests(4)).unwrap();
-        let cfg =
-            ServeConfig { faults: Some(FaultPlan::seeded(5).with_stall(0, 1, 3)), ..base };
-        let stalled = ServeEngine::run(&model, &cfg, requests(4)).unwrap();
-        assert!(stalled.total_stalled_steps() > 0, "stall must meter stalled steps");
-        assert_eq!(
-            stalled.total_degraded_steps(),
-            0,
-            "no brownout controller, so no degraded steps"
-        );
-        assert_eq!(clean.completions.len(), stalled.completions.len());
-        for (a, b) in clean.completions.iter().zip(stalled.completions.iter()) {
-            assert!(b.is_success());
-            assert_eq!(a.generated, b.generated, "stall changed request {} output", a.id);
-        }
-        // Note: tick totals are NOT compared across the two runs — the
-        // clean run's idle-tick count depends on producer/worker timing.
-        // The degraded-steps meter above is the deterministic evidence.
-    }
-
-    #[test]
-    fn checkpointing_is_transparent_and_metered() {
-        // Snapshotting every resident session every 2 ticks must not
-        // change one bit of any output — checkpoint() forks state, never
-        // touches the live session — while the snapshot traffic is
-        // metered.
-        let model = Model::new(LlmConfig::tiny());
-        let base = ServeConfig {
-            shards: 2,
-            max_active_per_shard: 2,
-            queue_capacity: 8,
-            session: session_cfg(),
-            record_trace: true,
-            ..Default::default()
-        };
-        let off = ServeEngine::run(&model, &base, requests(6)).unwrap();
-        let cfg = ServeConfig { checkpoint_every_ticks: Some(2), ..base };
-        let on = ServeEngine::run(&model, &cfg, requests(6)).unwrap();
-        assert_eq!(on.completions.len(), 6);
-        for (a, b) in off.completions.iter().zip(on.completions.iter()) {
-            assert!(b.is_success());
-            assert!(!b.recovered, "no fault, nothing recovered");
-            assert_eq!(a.generated, b.generated, "request {}: checkpointing changed tokens", a.id);
-            assert_eq!(a.trace, b.trace, "request {}: checkpointing changed the trace", a.id);
-        }
-        assert!(on.total_checkpoints() > 0, "snapshots must be metered");
-        assert!(on.total_checkpoint_bytes() > 0, "snapshot offload must move bytes");
-        assert_eq!(off.total_checkpoints(), 0);
-        assert_eq!(on.total_rollbacks(), 0);
-        assert_eq!(on.total_recovered_sessions(), 0);
-    }
-
-    #[test]
-    fn zero_checkpoint_cadence_rejected() {
-        let bad = ServeConfig { checkpoint_every_ticks: Some(0), ..Default::default() };
-        assert_eq!(bad.validate().unwrap_err().field, "checkpoint_every_ticks");
-    }
-
-    #[test]
-    fn arrival_tick_holds_admission_until_the_clock_matures() {
-        // Time-accurate replay: a request stamped arrival_tick 50 must not
-        // be admitted before the shard's clock reaches 50 — the shard
-        // burns idle ticks to mature it, consuming no retries.
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 2,
-            queue_capacity: 4,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let mut reqs = requests(2);
-        reqs[1].arrival_tick = 50;
-        let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
-        assert_eq!(report.completions.len(), 2);
-        for c in &report.completions {
-            assert!(c.is_success(), "request {} failed: {:?}", c.id, c.failure);
-            assert_eq!(c.retries, 0, "arrival gating must not consume retries");
-        }
-        assert!(
-            report.shards[0].ticks >= 50,
-            "the shard clock must reach the recorded arrival (got {})",
-            report.shards[0].ticks
-        );
-    }
-
-    #[test]
-    fn zero_wall_deadline_is_reaped_as_deadline_exceeded() {
-        // A wall-clock SLO of zero expires at the first reap pass; the
-        // neighbour without one is untouched.
-        let model = Model::new(LlmConfig::tiny());
-        let cfg = ServeConfig {
-            shards: 1,
-            max_active_per_shard: 2,
-            queue_capacity: 4,
-            session: session_cfg(),
-            ..Default::default()
-        };
-        let mut reqs = requests(2);
-        reqs[0].decode_steps = 50;
-        reqs[0].wall_deadline = Some(Duration::ZERO);
-        let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
-        let reaped = report.completion(0).unwrap();
-        let cause = reaped.failure.as_ref().expect("zero wall deadline must reap");
-        assert_eq!(cause.error.class(), "deadline_exceeded");
-        assert!(reaped.generated.len() < 50);
-        assert!(report.completion(1).unwrap().is_success());
-    }
-}
+mod tests;

@@ -187,9 +187,11 @@ impl FaultPlan {
     }
 }
 
-/// The typed payload injected session panics carry, so the engine (and the
-/// chaos battery) can tell an *injected* panic apart from a genuine one and
-/// recover the planned step.
+/// A planned session panic as it fires: the engine fails the request with
+/// [`Self::to_error`] right before the poisoned step instead of running it,
+/// so the chaos battery can tell an *injected* failure apart from a genuine
+/// panic (which `try_step_with_scratch` contains) and recover the planned
+/// step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedPanic {
     /// The poisoned request.

@@ -66,6 +66,7 @@
 //! queue bound.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 mod engine;
 pub mod error;

@@ -260,12 +260,20 @@ impl OverloadConfig {
     }
 }
 
-/// One tick's pressure inputs, computed by the shard worker from its own
-/// deterministic state. Occupancy fields are fractions in `[0, 1]`;
+/// One tick's pressure inputs. Occupancy fields are fractions in `[0, 1]`;
 /// counter fields are *increments since the previous observation*.
+///
+/// The controller is only as replayable as what it is fed: the engine
+/// computes every field from tick-clock state — never from anything that
+/// depends on how far another thread has got, such as the admission queue's
+/// physical length while the producer is still pushing. On a shard that
+/// owns its queue (round-robin placement, or one shard) the whole sample
+/// replays exactly; shards sharing a first-free queue or a capped page pool
+/// see each other's progress in `queue_frac` / `pool_frac`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PressureSample {
-    /// Admission-queue depth over capacity.
+    /// Admission backlog over queue capacity: requests whose arrival tick
+    /// has passed and that no shard has popped yet.
     pub queue_frac: f64,
     /// Resident sessions (active + prefilling) over the slot count.
     pub slot_frac: f64,

@@ -107,7 +107,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Dequeue the highest-`key` item, blocking until one arrives. Returns
-    /// `None` only when the queue is closed *and* drained.
+    /// `None` only when the queue is closed *and* drained — the worker
+    /// shutdown signal.
     pub fn pop_wait_max_by_key<K: Ord>(&self, key: impl Fn(&T) -> K) -> Option<T> {
         let mut st = self.lock();
         loop {
@@ -127,22 +128,6 @@ impl<T> BoundedQueue<T> {
     /// committing to a preemption.
     pub fn max_key<K: Ord>(&self, key: impl Fn(&T) -> K) -> Option<K> {
         self.lock().items.iter().map(key).max()
-    }
-
-    /// Dequeue, blocking until an item arrives. Returns `None` only when
-    /// the queue is closed *and* drained — the worker shutdown signal.
-    pub fn pop_wait(&self) -> Option<T> {
-        let mut st = self.lock();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
     }
 
     /// Close the queue: already-queued items still drain, new pushes fail,
@@ -175,6 +160,12 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Blocking FIFO pop: a constant key degrades the priority pop to
+    /// exact arrival order.
+    fn pop_fifo<T>(q: &BoundedQueue<T>) -> Option<T> {
+        q.pop_wait_max_by_key(|_| ())
+    }
+
     #[test]
     fn fifo_order_preserved() {
         let q = BoundedQueue::new(8);
@@ -193,8 +184,8 @@ mod tests {
         let q = BoundedQueue::new(4);
         q.push(1).unwrap();
         q.close();
-        assert_eq!(q.pop_wait(), Some(1));
-        assert_eq!(q.pop_wait(), None);
+        assert_eq!(pop_fifo(&q), Some(1));
+        assert_eq!(pop_fifo(&q), None);
         assert_eq!(q.push(2), Err(2));
     }
 
@@ -210,7 +201,7 @@ mod tests {
             qp.close();
         });
         let mut got = Vec::new();
-        while let Some(v) = q.pop_wait() {
+        while let Some(v) = pop_fifo(&q) {
             got.push(v);
         }
         producer.join().unwrap();
@@ -248,9 +239,9 @@ mod tests {
         }
         assert_eq!(bounced, 3, "every blocked producer must get its item back");
         // The queued items still drain after close.
-        assert_eq!(q.pop_wait(), Some(100));
-        assert_eq!(q.pop_wait(), Some(101));
-        assert_eq!(q.pop_wait(), None, "drained + closed signals shutdown");
+        assert_eq!(pop_fifo(&q), Some(100));
+        assert_eq!(pop_fifo(&q), Some(101));
+        assert_eq!(pop_fifo(&q), None, "drained + closed signals shutdown");
         assert!(q.is_empty());
     }
 
@@ -269,11 +260,11 @@ mod tests {
         assert!(q.state.is_poisoned(), "test setup: lock must be poisoned");
         q.push(2).unwrap();
         assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.pop_wait(), Some(2));
+        assert_eq!(pop_fifo(&q), Some(2));
         assert_eq!(q.high_water(), 2);
         q.close();
         assert_eq!(q.push(3), Err(3));
-        assert_eq!(q.pop_wait(), None);
+        assert_eq!(pop_fifo(&q), None);
     }
 
     #[test]
@@ -321,7 +312,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(v) = q.pop_wait() {
+                    while let Some(v) = pop_fifo(&q) {
                         got.push(v);
                     }
                     got

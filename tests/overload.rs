@@ -34,12 +34,17 @@ use std::time::Duration;
 
 const WALL_LIMIT: Duration = Duration::from_secs(240);
 
-/// Large offset added to every trace arrival tick: all requests are popped
-/// off the admission queue into the shard's maturity buffer long before
-/// any of them is due, so admission order is a pure function of the tick
-/// clock rather than of the producer/worker pop race. (The race window
-/// still samples queue occupancy — the storm configs keep `queue_capacity`
-/// large enough that its pressure stays below the lowest enter threshold.)
+/// Large offset added to every trace arrival tick: every request is popped
+/// off the admission queue into the shard's maturity buffer before any of
+/// them is due. The engine — not this offset — is what makes admission a
+/// pure function of the tick clock: with queues big enough that the
+/// producer never blocks, a shard with a free slot waits for an arrived
+/// request the producer has yet to deliver instead of ticking past it,
+/// matured requests are picked in a total order (never by the order they
+/// happened to be popped in), and the controller's queue pressure counts
+/// requests that have
+/// *arrived* and not been popped, never the physical queue depth — so it
+/// reads 0 until the storm outruns the slots.
 const ARRIVAL_OFFSET: u64 = 768;
 
 fn session_cfg() -> SessionConfig {
@@ -169,8 +174,9 @@ fn storm_requests() -> Vec<ServeRequest> {
 }
 
 /// Thresholds scaled down so a 4-slot shard saturates the ladder: four
-/// resident sessions score 1.0 ≥ enter[2], and the race-window queue
-/// pressure (≤ 16/128 = 0.125) stays below enter[0].
+/// resident sessions score 1.0 ≥ enter[2]. Every request is popped early
+/// into the maturity buffer, so the arrived-and-unpopped backlog — the
+/// only queue pressure the controller sees — stays 0.
 fn aggressive_overload() -> OverloadConfig {
     OverloadConfig {
         enter: [0.2, 0.4, 0.6],
