@@ -28,10 +28,10 @@
 //! - `causal_attention`: seed two-pass row-wise kernel vs the blocked
 //!   single-pass online-softmax tile (AVX2-dispatched).
 //!
-//! Results are printed as a table and written to `BENCH_kernels.json` at the
-//! workspace root (override with `BENCH_KERNELS_OUT=<path>`). Pass `--quick`
-//! (or set `BENCH_QUICK=1`) for the CI smoke mode: smaller fixtures, fewer
-//! samples, same JSON schema. See EXPERIMENTS.md for the workflow.
+//! Results are printed as a table; in full mode a row below its floor
+//! exits non-zero. Pass `--quick` for the CI smoke mode: smaller fixtures,
+//! fewer samples, floors reported but not enforced. Nothing is written to
+//! disk: perf claims live in `benchmark/` (see EXPERIMENTS.md).
 
 // The baseline kernels below reproduce the seed implementations verbatim,
 // index loops included.
@@ -604,10 +604,8 @@ fn bench_causal_attention(cfg: &Config, rows: &mut Vec<BenchRow>) {
 // Output
 // ---------------------------------------------------------------------------
 
-/// Speedup floors, keyed by result-name prefix — the single source of
-/// truth for the perf gate: enforced in-binary below (non-zero exit in
-/// full mode) and written into the JSON so CI's gate step reads the same
-/// values instead of keeping a copy.
+/// Speedup floors, keyed by result-name prefix: enforced in-binary below
+/// (non-zero exit in full mode).
 const GATE_FLOORS: &[(&str, f64)] = &[
     // PR 2 floors, tightened by PR 4. Split per operating point in PR 5:
     // the current toolchain auto-vectorises the *seed* m=4 token-major scan
@@ -627,63 +625,11 @@ const GATE_FLOORS: &[(&str, f64)] = &[
 ];
 
 /// Recall floors for approximate rows, keyed by result-name prefix —
-/// enforced in-binary in full mode and written into the JSON so the CI gate
-/// reads the same values.
+/// enforced in-binary in full mode.
 const RECALL_FLOORS: &[(&str, f64)] = &[("ivf_select", 0.95)];
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_json(path: &std::path::Path, mode: &str, rows: &[BenchRow]) {
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"suite\": \"kernels\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!("  \"unix_time_s\": {unix_s},\n"));
-    out.push_str("  \"gate_floors\": {");
-    for (i, (prefix, floor)) in GATE_FLOORS.iter().enumerate() {
-        out.push_str(&format!(
-            "\"{prefix}\": {floor:.1}{}",
-            if i + 1 == GATE_FLOORS.len() { "" } else { ", " }
-        ));
-    }
-    out.push_str("},\n");
-    out.push_str("  \"recall_floors\": {");
-    for (i, (prefix, floor)) in RECALL_FLOORS.iter().enumerate() {
-        out.push_str(&format!(
-            "\"{prefix}\": {floor:.2}{}",
-            if i + 1 == RECALL_FLOORS.len() { "" } else { ", " }
-        ));
-    }
-    out.push_str("},\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let recall = r.recall.map_or(String::new(), |v| format!(", \"recall\": {v:.4}"));
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"params\": \"{}\", \"baseline_ns_per_iter\": {:.1}, \
-             \"new_ns_per_iter\": {:.1}, \"speedup\": {:.3}, \"mitems_per_s\": {:.2}{}}}{}\n",
-            json_escape(&r.name),
-            json_escape(&r.params),
-            r.baseline_ns,
-            r.new_ns,
-            r.speedup(),
-            r.mitems_per_s(),
-            recall,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_kernels.json");
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK").map(|v| v == "1").unwrap_or(false);
+    let quick = std::env::args().any(|a| a == "--quick");
     let cfg = Config { quick, samples: if quick { 3 } else { 7 } };
     let mode = if quick { "quick" } else { "full" };
     println!("kernel micro-benchmarks ({mode} mode) — old (seed) vs new kernels\n");
@@ -717,7 +663,7 @@ fn main() {
 
     // Perf-trajectory gates: enforced (non-zero exit) in full mode; in
     // quick mode the tiny fixtures and shared-runner noise make ratios
-    // unstable, so CI only records the JSON and warns.
+    // unstable, so CI only prints the misses.
     let mut gate_failed = false;
     for &(prefix, need) in GATE_FLOORS {
         for r in rows.iter().filter(|r| r.name.starts_with(prefix)) {
@@ -746,12 +692,6 @@ fn main() {
         }
     }
 
-    let path = std::env::var("BENCH_KERNELS_OUT").unwrap_or_else(|_| {
-        format!("{}/../../BENCH_kernels.json", env!("CARGO_MANIFEST_DIR"))
-    });
-    let path = std::path::PathBuf::from(path);
-    write_json(&path, mode, &rows);
-    println!("\nwrote {}", path.display());
     if gate_failed && !quick {
         std::process::exit(1);
     }

@@ -272,12 +272,6 @@ impl BlockCache {
         Self::new(capacity_tokens, 1, policy)
     }
 
-    /// Block id that owns a token.
-    #[inline]
-    pub fn block_of(&self, token: usize) -> usize {
-        token / self.block_size
-    }
-
     /// Configured block size in tokens.
     pub fn block_size(&self) -> usize {
         self.block_size

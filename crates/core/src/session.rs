@@ -492,11 +492,6 @@ impl<'m> SelectiveSession<'m> {
         out
     }
 
-    /// The policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Host transfer statistics (offload + fetch).
     pub fn transfer_stats(&self) -> TransferStats {
         self.store.stats()

@@ -43,16 +43,6 @@ impl ModelShape {
         Self { n_layers: 32, d_model: 4096, n_heads: 32, n_kv_heads: 8, head_dim: 128, ffn_dim: 14336 }
     }
 
-    /// Llama-3.1-70B-like shape (Table 6).
-    pub fn llama3_70b() -> Self {
-        Self { n_layers: 80, d_model: 8192, n_heads: 64, n_kv_heads: 8, head_dim: 128, ffn_dim: 28672 }
-    }
-
-    /// Mistral-7B-like shape (GQA, h_kv = 8).
-    pub fn mistral_7b() -> Self {
-        Self { n_layers: 32, d_model: 4096, n_heads: 32, n_kv_heads: 8, head_dim: 128, ffn_dim: 14336 }
-    }
-
     /// KVCache bytes for `batch` sequences of length `seq_len` at
     /// `bytes_per_elem` precision: `2 (K and V) · L · s · h_kv · d_h · n`.
     pub fn kvcache_bytes(&self, batch: usize, seq_len: usize, bytes_per_elem: usize) -> u64 {
@@ -149,11 +139,6 @@ impl CostModel {
     /// One-layer prefill compute time for sequence length `s`.
     pub fn prefill_layer_time(&self, shape: &ModelShape, s: usize) -> f64 {
         self.gpu_layer_overhead + shape.prefill_layer_flops(s as u64) as f64 / self.gpu_flops
-    }
-
-    /// Full-model prefill compute time.
-    pub fn prefill_time(&self, shape: &ModelShape, s: usize) -> f64 {
-        self.prefill_layer_time(shape, s) * shape.n_layers as f64
     }
 
     /// One-layer decode compute time attending to `k` tokens.

@@ -116,11 +116,6 @@ impl SimEngine {
         event
     }
 
-    /// Current completion horizon of one stream.
-    pub fn stream_free_at(&self, resource: Resource) -> f64 {
-        self.free_at[resource.index()]
-    }
-
     /// Simulated end-to-end time: the latest completion across all streams.
     pub fn makespan(&self) -> f64 {
         self.free_at.iter().copied().fold(0.0, f64::max)

@@ -6,11 +6,11 @@
 //! methods' tokens + transferred data; that compensation is applied by the
 //! engine's budget computation, not here.
 
-use crate::{PolicyContext, PolicyInit, SelectionPolicy};
+use crate::{PolicyContext, PolicyInit, PolicyScratch, SelectionPolicy};
 use pqc_tensor::top_k_indices;
 
 /// Shared machinery: a static per-(layer, head) ranking of middle tokens,
-/// computed once from prefill statistics; `select` takes the best `budget`.
+/// computed once from prefill statistics; selection takes the best `budget`.
 #[derive(Debug, Default)]
 struct StaticRanking {
     /// `[layer][kv_head]` -> middle indices sorted by descending importance.
@@ -71,7 +71,12 @@ impl SelectionPolicy for StreamingLlmPolicy {
 
     fn init(&mut self, _init: &PolicyInit) {}
 
-    fn select_into(&mut self, _ctx: &PolicyContext<'_>, out: &mut Vec<usize>) {
+    fn select_with_scratch(
+        &mut self,
+        _ctx: &PolicyContext<'_>,
+        _scratch: &mut PolicyScratch,
+        out: &mut Vec<usize>,
+    ) {
         out.clear();
     }
 
@@ -104,7 +109,12 @@ impl SelectionPolicy for H2oPolicy {
         self.ranking = StaticRanking::build(scores, 1);
     }
 
-    fn select_into(&mut self, ctx: &PolicyContext<'_>, out: &mut Vec<usize>) {
+    fn select_with_scratch(
+        &mut self,
+        ctx: &PolicyContext<'_>,
+        _scratch: &mut PolicyScratch,
+        out: &mut Vec<usize>,
+    ) {
         self.ranking.select_into(ctx.layer, ctx.kv_head, ctx.budget, ctx.middle_len, out);
     }
 
@@ -151,7 +161,12 @@ impl SelectionPolicy for SnapKvPolicy {
         self.ranking = StaticRanking::build(scores, self.pool_kernel);
     }
 
-    fn select_into(&mut self, ctx: &PolicyContext<'_>, out: &mut Vec<usize>) {
+    fn select_with_scratch(
+        &mut self,
+        ctx: &PolicyContext<'_>,
+        _scratch: &mut PolicyScratch,
+        out: &mut Vec<usize>,
+    ) {
         self.ranking.select_into(ctx.layer, ctx.kv_head, ctx.budget, ctx.middle_len, out);
     }
 
@@ -211,7 +226,12 @@ impl SelectionPolicy for PyramidKvPolicy {
         self.ranking = StaticRanking::build(scores, self.pool_kernel);
     }
 
-    fn select_into(&mut self, ctx: &PolicyContext<'_>, out: &mut Vec<usize>) {
+    fn select_with_scratch(
+        &mut self,
+        ctx: &PolicyContext<'_>,
+        _scratch: &mut PolicyScratch,
+        out: &mut Vec<usize>,
+    ) {
         let scaled = (ctx.budget as f64 * self.layer_multiplier(ctx.layer)).round() as usize;
         self.ranking.select_into(ctx.layer, ctx.kv_head, scaled, ctx.middle_len, out);
     }
@@ -228,7 +248,7 @@ impl SelectionPolicy for PyramidKvPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::synthetic_init;
+    use crate::testutil::{selected, synthetic_init};
     use pqc_tensor::Matrix;
 
     fn ctx(queries: &Matrix, layer: usize, budget: usize, middle_len: usize) -> PolicyContext<'_> {
@@ -241,7 +261,7 @@ mod tests {
         let mut p = StreamingLlmPolicy;
         p.init(&init);
         let q = Matrix::zeros(1, 8);
-        assert!(p.select(&ctx(&q, 0, 10, 30)).is_empty());
+        assert!(selected(&mut p, &ctx(&q, 0, 10, 30)).is_empty());
         assert!(p.is_dropping());
     }
 
@@ -252,7 +272,7 @@ mod tests {
         let mut p = H2oPolicy::default();
         p.init(&init);
         let q = Matrix::zeros(1, 8);
-        let sel = p.select(&ctx(&q, 0, 3, 40));
+        let sel = selected(&mut p, &ctx(&q, 0, 3, 40));
         let mut s = sel.clone();
         s.sort_unstable();
         assert_eq!(s, vec![3, 17, 25]);
@@ -266,7 +286,7 @@ mod tests {
         let q1 = crate::testutil::query_for(&init, 0, 0, 5);
         let q2 = crate::testutil::query_for(&init, 0, 0, 35);
         // Dropping: same set regardless of query — the paper's criticism.
-        assert_eq!(p.select(&ctx(&q1, 0, 2, 40)), p.select(&ctx(&q2, 0, 2, 40)));
+        assert_eq!(selected(&mut p, &ctx(&q1, 0, 2, 40)), selected(&mut p, &ctx(&q2, 0, 2, 40)));
     }
 
     #[test]
@@ -276,7 +296,7 @@ mod tests {
         let mut p = SnapKvPolicy::new(5);
         p.init(&init);
         let q = Matrix::zeros(1, 8);
-        let sel = p.select(&ctx(&q, 0, 5, 50));
+        let sel = selected(&mut p, &ctx(&q, 0, 5, 50));
         // Pooling recruits the hot token's neighbourhood.
         assert!(sel.contains(&20));
         assert!(sel.iter().all(|&i| (18..=22).contains(&i)), "{sel:?}");
@@ -297,8 +317,8 @@ mod tests {
         let mut p = PyramidKvPolicy::default();
         p.init(&init);
         let q = Matrix::zeros(1, 8);
-        let low = p.select(&ctx(&q, 0, 8, 60)).len();
-        let high = p.select(&ctx(&q, 3, 8, 60)).len();
+        let low = selected(&mut p, &ctx(&q, 0, 8, 60)).len();
+        let high = selected(&mut p, &ctx(&q, 3, 8, 60)).len();
         assert!(low > high, "low {low} high {high}");
         // Multipliers average 1.
         let avg: f64 = (0..4).map(|l| p.layer_multiplier(l)).sum::<f64>() / 4.0;
@@ -312,7 +332,7 @@ mod tests {
         p.init(&init);
         let q = Matrix::zeros(1, 8);
         // Pretend middle only has 20 tokens: index 39 must not appear.
-        let sel = p.select(&ctx(&q, 0, 10, 20));
+        let sel = selected(&mut p, &ctx(&q, 0, 10, 20));
         assert!(sel.iter().all(|&i| i < 20));
     }
 

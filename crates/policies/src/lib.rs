@@ -258,33 +258,17 @@ pub trait SelectionPolicy {
     /// them, descending by the policy's notion of relevance, written into
     /// `out` (cleared first).
     ///
-    /// This is the per-step hot path: implementations keep their scoring
-    /// scratch internal so steady-state selection performs no heap
-    /// allocations.
-    fn select_into(&mut self, ctx: &PolicyContext<'_>, out: &mut Vec<usize>);
-
-    /// Allocating convenience wrapper around [`Self::select_into`].
-    fn select(&mut self, ctx: &PolicyContext<'_>) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.select_into(ctx, &mut out);
-        out
-    }
-
-    /// [`Self::select_into`] with caller-owned scratch — the multi-session
-    /// hot path. Policies whose per-step scratch can live outside the
-    /// policy (PQCache's retriever) override this so one scratch serves
-    /// every session on a worker; the default ignores `scratch` and uses
-    /// internal buffers. Must select the exact same indices as
-    /// [`Self::select_into`] for the same context.
+    /// This is the per-step hot path. The retrieval buffers live in the
+    /// caller's `scratch`, so one scratch serves every session on a worker
+    /// and steady-state selection performs no heap allocations; the
+    /// selection never depends on what an earlier call left there.
+    /// Policies with no use for the shared buffers ignore it.
     fn select_with_scratch(
         &mut self,
         ctx: &PolicyContext<'_>,
         scratch: &mut PolicyScratch,
         out: &mut Vec<usize>,
-    ) {
-        let _ = scratch;
-        self.select_into(ctx, out);
-    }
+    );
 
     /// Adopt a runtime effort override for subsequent selections — the
     /// serving layer's brownout path. Unlike `configure_ivf` this may be
@@ -426,6 +410,13 @@ pub(crate) mod testutil {
             accum_scores: Some(accum),
             window_scores: Some(window),
         }
+    }
+
+    /// One selection through a fresh scratch, as a vector.
+    pub fn selected(policy: &mut dyn SelectionPolicy, ctx: &PolicyContext<'_>) -> Vec<usize> {
+        let mut out = Vec::new();
+        policy.select_with_scratch(ctx, &mut PolicyScratch::new(), &mut out);
+        out
     }
 
     /// A query matrix aligned with a specific middle token's key, so that

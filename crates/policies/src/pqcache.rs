@@ -2,10 +2,11 @@
 //!
 //! At `init` (end of prefill), a PQ codebook is trained per (layer, kv-head)
 //! over the middle keys — the paper's Step ❷, with the iteration budget
-//! supplied externally (adaptive controller). At each decode step, `select`
-//! builds the ADC table from the group query and scores every middle token
-//! through its codes (Steps ❸-❹). Tokens evicted from the local window are
-//! assigned codes by nearest centroid (Algorithm 2, line 4).
+//! supplied externally (adaptive controller). At each decode step,
+//! `select_with_scratch` builds the ADC table from the group query and
+//! scores every middle token through its codes (Steps ❸-❹). Tokens evicted
+//! from the local window are assigned codes by nearest centroid (Algorithm
+//! 2, line 4).
 
 use crate::{
     group_query_into, PolicyContext, PolicyInit, PolicyScratch, SelectionEffort, SelectionPolicy,
@@ -65,11 +66,6 @@ pub struct PqCachePolicy {
     /// `[layer][kv_head]` IVF tiers (empty under [`IvfMode::Exact`]; built
     /// alongside the codebooks and grown by `on_evict` otherwise).
     ivf: Vec<Vec<IvfIndex>>,
-    /// Fallback decode-step retrieval scratch (ADC table, fused-scan score
-    /// buffer, top-k heap, group query) used by `select_into`; callers on
-    /// the multi-session hot path hand in a shared [`PolicyScratch`] via
-    /// `select_with_scratch` instead, so N sessions cost one scratch.
-    scratch: PolicyScratch,
     /// Reusable eviction-encoding buffer.
     code_buf: Vec<u16>,
     /// Runtime effort override (brownout knob). Full by default; the
@@ -86,7 +82,6 @@ impl PqCachePolicy {
             books: Vec::new(),
             codes: Vec::new(),
             ivf: Vec::new(),
-            scratch: PolicyScratch::new(),
             code_buf: Vec::new(),
             effort: SelectionEffort::full(),
         }
@@ -118,12 +113,12 @@ impl PqCachePolicy {
             .map_or(0.0, IvfIndex::cell_imbalance)
     }
 
-    /// Capacities of the per-step scratch buffers (retriever table/scores/
-    /// heap, group query, eviction codes) — exposed so tests can assert
-    /// zero-allocation steady state across decode steps.
-    pub fn scratch_capacities(&self) -> (usize, usize, usize, usize, usize) {
-        let (t, s, h, q) = self.scratch.capacities();
-        (t, s, h, q, self.code_buf.capacity())
+    /// Capacity of the one buffer the policy itself reuses across steps
+    /// (eviction codes; the retrieval buffers are the caller's
+    /// [`PolicyScratch`]) — exposed so tests can assert zero-allocation
+    /// steady state across decode steps.
+    pub fn scratch_capacities(&self) -> usize {
+        self.code_buf.capacity()
     }
 
     /// Total construction inertia across all codebooks (diagnostics for the
@@ -214,14 +209,6 @@ impl SelectionPolicy for PqCachePolicy {
 
     fn set_effort(&mut self, effort: SelectionEffort) {
         self.effort = effort;
-    }
-
-    fn select_into(&mut self, ctx: &PolicyContext<'_>, out: &mut Vec<usize>) {
-        // Route through the scratch path with the internal fallback scratch
-        // (taken/restored so the borrow checker sees disjoint state).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.select_with_scratch(ctx, &mut scratch, out);
-        self.scratch = scratch;
     }
 
     fn select_with_scratch(
@@ -344,7 +331,7 @@ impl SelectionPolicy for PqCachePolicy {
     /// pure function of (trained state, query, budget), and `on_evict`
     /// mutates only the copied codes/tiers, so the fork selects
     /// bit-identically to the original forever after — the checkpoint
-    /// contract. Scratch buffers start fresh (they are bit-transparent).
+    /// contract.
     fn fork(&self) -> Option<Box<dyn SelectionPolicy + Send>> {
         // Effort resets to full: it is runtime control state the serving
         // layer re-applies every step, not part of the checkpoint contract
@@ -354,7 +341,6 @@ impl SelectionPolicy for PqCachePolicy {
             books: self.books.clone(),
             codes: self.codes.clone(),
             ivf: self.ivf.clone(),
-            scratch: PolicyScratch::new(),
             code_buf: Vec::new(),
             effort: SelectionEffort::full(),
         }))
@@ -365,7 +351,7 @@ impl SelectionPolicy for PqCachePolicy {
 mod tests {
     use super::*;
     use crate::retrieval::OraclePolicy;
-    use crate::testutil::{query_for, synthetic_init};
+    use crate::testutil::{query_for, selected, synthetic_init};
     use pqc_tensor::{topk_recall, Matrix, Rng64};
 
     fn cfg(m: usize, b: u32, iters: usize) -> PqCachePolicyConfig {
@@ -379,7 +365,7 @@ mod tests {
         p.init(&init);
         let q = query_for(&init, 1, 0, 77);
         let ctx = PolicyContext { layer: 1, kv_head: 0, queries: &q, budget: 5, middle_len: 128 };
-        let sel = p.select(&ctx);
+        let sel = selected(&mut p, &ctx);
         assert!(sel.contains(&77), "{sel:?}");
     }
 
@@ -396,8 +382,8 @@ mod tests {
         for _ in 0..trials {
             let q = Matrix::randn(2, 32, 1.0, &mut rng);
             let mk = |queries| PolicyContext { layer: 0, kv_head: 0, queries, budget: 40, middle_len: 400 };
-            let exact = oracle.select(&mk(&q));
-            recall += topk_recall(&exact, &pq.select(&mk(&q)));
+            let exact = selected(&mut oracle, &mk(&q));
+            recall += topk_recall(&exact, &selected(&mut pq, &mk(&q)));
         }
         recall /= trials as f64;
         assert!(recall > 0.6, "recall {recall}");
@@ -426,7 +412,7 @@ mod tests {
         let mut q = Matrix::zeros(1, 16);
         q.copy_row_from(0, &key);
         let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 3, middle_len: 65 };
-        let sel = p.select(&ctx);
+        let sel = selected(&mut p, &ctx);
         assert!(sel.contains(&64), "{sel:?}");
     }
 
@@ -452,8 +438,8 @@ mod tests {
     #[test]
     fn shared_scratch_selects_identically() {
         // One PolicyScratch shared by two policies (as the serve engine
-        // shares one per worker) must reproduce each policy's internal-
-        // scratch selection exactly.
+        // shares one per worker) must reproduce exactly what each policy
+        // selects through a fresh scratch.
         let init_a = synthetic_init(1, 1, 200, 16, &[], 21);
         let init_b = synthetic_init(1, 1, 170, 16, &[], 22);
         let mut pa = PqCachePolicy::new(cfg(2, 6, 10));
@@ -467,10 +453,10 @@ mod tests {
             for (p, mid) in [(&mut pa, 200usize), (&mut pb, 170)] {
                 let ctx =
                     PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 17, middle_len: mid };
-                let internal = p.select(&ctx);
+                let fresh = selected(p, &ctx);
                 let mut ext = Vec::new();
                 p.select_with_scratch(&ctx, &mut shared, &mut ext);
-                assert_eq!(internal, ext);
+                assert_eq!(fresh, ext);
             }
         }
     }
@@ -509,7 +495,11 @@ mod tests {
                     budget: 24,
                     middle_len: mid,
                 };
-                assert_eq!(exact.select(&ctx), probe.select(&ctx), "step {step} l{layer}h{head}");
+                assert_eq!(
+                    selected(&mut exact, &ctx),
+                    selected(&mut probe, &ctx),
+                    "step {step} l{layer}h{head}"
+                );
             }
         }
     }
@@ -573,8 +563,8 @@ mod tests {
                         middle_len: mid + usize::from(step >= 3 && l == 0 && h == 1),
                     };
                     assert_eq!(
-                        trained.select(&ctx),
-                        adopted.select(&ctx),
+                        selected(&mut trained, &ctx),
+                        selected(&mut adopted, &ctx),
                         "import diverged at step {step} ({ivf:?})"
                     );
                 }
@@ -622,7 +612,11 @@ mod tests {
             let q = Matrix::randn(2, 16, 1.0, &mut rng);
             let ctx =
                 PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 18, middle_len: 141 };
-            assert_eq!(orig.select(&ctx), forked.select(&ctx), "fork diverged at step {step}");
+            assert_eq!(
+                selected(&mut orig, &ctx),
+                selected(forked.as_mut(), &ctx),
+                "fork diverged at step {step}"
+            );
         }
         // Post-fork evictions are independent: mutating the original must
         // not leak into the fork's code table.
@@ -631,8 +625,8 @@ mod tests {
         let mut q = Matrix::zeros(1, 16);
         q.copy_row_from(0, &late.iter().map(|v| v * 3.0).collect::<Vec<_>>());
         let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 3, middle_len: 142 };
-        assert!(orig.select(&ctx).contains(&141));
-        let sel = forked.select(&PolicyContext { middle_len: 141, queries: &q, ..ctx });
+        assert!(selected(&mut orig, &ctx).contains(&141));
+        let sel = selected(forked.as_mut(), &PolicyContext { middle_len: 141, queries: &q, ..ctx });
         assert!(sel.iter().all(|&i| i < 141), "fork must not see post-fork evictions");
     }
 
@@ -643,7 +637,7 @@ mod tests {
         p.init(&init);
         let q = Matrix::zeros(1, 16);
         let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 7, middle_len: 30 };
-        let sel = p.select(&ctx);
+        let sel = selected(&mut p, &ctx);
         assert!(sel.len() <= 7);
         assert!(sel.iter().all(|&i| i < 30));
     }

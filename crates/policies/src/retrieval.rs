@@ -32,7 +32,12 @@ impl SelectionPolicy for FullAttentionPolicy {
         self.middle_len = init.middle_len();
     }
 
-    fn select_into(&mut self, ctx: &PolicyContext<'_>, out: &mut Vec<usize>) {
+    fn select_with_scratch(
+        &mut self,
+        ctx: &PolicyContext<'_>,
+        _scratch: &mut PolicyScratch,
+        out: &mut Vec<usize>,
+    ) {
         out.clear();
         out.extend(0..ctx.middle_len);
     }
@@ -48,35 +53,11 @@ impl SelectionPolicy for FullAttentionPolicy {
     }
 }
 
-/// Exact inner-product scoring + selection over the first `n` middle keys,
-/// through whichever query/score/selector buffers the caller owns — the
-/// single body behind both `OraclePolicy` selection paths (internal buffers
-/// and shared [`PolicyScratch`]), so they cannot drift apart.
-fn oracle_select_via(
-    keys: &Matrix,
-    ctx: &PolicyContext<'_>,
-    q_buf: &mut Vec<f32>,
-    scores: &mut Vec<f32>,
-    topk: &mut TopK,
-    out: &mut Vec<usize>,
-) {
-    group_query_into(ctx.queries, q_buf);
-    let n = keys.rows().min(ctx.middle_len);
-    scores.clear();
-    for i in 0..n {
-        scores.push(dot(q_buf, keys.row(i)));
-    }
-    topk.select_into(scores, ctx.budget, out);
-}
-
 /// Exact top-k selection over middle keys (the paper's "Ora" column).
 #[derive(Debug, Default)]
 pub struct OraclePolicy {
     /// `[layer][kv_head]` middle keys, grown by `on_evict`.
     keys: Vec<Vec<Matrix>>,
-    q_buf: Vec<f32>,
-    scores: Vec<f32>,
-    topk: TopK,
 }
 
 impl SelectionPolicy for OraclePolicy {
@@ -88,15 +69,7 @@ impl SelectionPolicy for OraclePolicy {
         self.keys = init.middle_keys.clone();
     }
 
-    fn select_into(&mut self, ctx: &PolicyContext<'_>, out: &mut Vec<usize>) {
-        let keys = &self.keys[ctx.layer][ctx.kv_head];
-        oracle_select_via(keys, ctx, &mut self.q_buf, &mut self.scores, &mut self.topk, out);
-    }
-
-    /// Exact scoring through the caller's shared buffers — on the serving
-    /// hot path N sessions' Oracle baselines cost one set of score/selector
-    /// scratch instead of N. Identical selections to `select_into` (same
-    /// body, different buffers).
+    /// Exact inner products over the first `n` middle keys.
     fn select_with_scratch(
         &mut self,
         ctx: &PolicyContext<'_>,
@@ -104,14 +77,14 @@ impl SelectionPolicy for OraclePolicy {
         out: &mut Vec<usize>,
     ) {
         let keys = &self.keys[ctx.layer][ctx.kv_head];
-        oracle_select_via(
-            keys,
-            ctx,
-            &mut scratch.q_buf,
-            &mut scratch.scores,
-            &mut scratch.topk,
-            out,
-        );
+        let PolicyScratch { q_buf, scores, topk, .. } = scratch;
+        group_query_into(ctx.queries, q_buf);
+        let n = keys.rows().min(ctx.middle_len);
+        scores.clear();
+        for i in 0..n {
+            scores.push(dot(q_buf, keys.row(i)));
+        }
+        topk.select_into(scores, ctx.budget, out);
     }
 
     fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], _middle_idx: usize) {
@@ -128,43 +101,6 @@ impl SelectionPolicy for OraclePolicy {
     }
 }
 
-/// SPARQ proxy scoring + selection: pick the top-`r` absolute query
-/// dimensions, score the first `n` middle keys over those dimensions only,
-/// select — the single body behind both `SparqPolicy` selection paths
-/// (internal buffers and shared [`PolicyScratch`]), so they cannot drift
-/// apart. `mags`/`dims` stay policy-internal (tiny, d_h-sized); the one
-/// selector is used sequentially for the dimension pick and the final
-/// selection.
-#[allow(clippy::too_many_arguments)]
-fn sparq_select_via(
-    keys: &Matrix,
-    r: usize,
-    mags: &mut Vec<f32>,
-    dims: &mut Vec<usize>,
-    ctx: &PolicyContext<'_>,
-    q_buf: &mut Vec<f32>,
-    scores: &mut Vec<f32>,
-    topk: &mut TopK,
-    out: &mut Vec<usize>,
-) {
-    group_query_into(ctx.queries, q_buf);
-    // Top-r dimensions by |q|.
-    mags.clear();
-    mags.extend(q_buf.iter().map(|v| v.abs()));
-    topk.select_into(mags, r.min(q_buf.len()), dims);
-    let n = keys.rows().min(ctx.middle_len);
-    scores.clear();
-    for i in 0..n {
-        let row = keys.row(i);
-        let mut s = 0.0f32;
-        for &d in dims.iter() {
-            s += q_buf[d] * row[d];
-        }
-        scores.push(s);
-    }
-    topk.select_into(scores, ctx.budget, out);
-}
-
 /// SPARQ attention: score via the top-`r` absolute query dimensions.
 #[derive(Debug)]
 pub struct SparqPolicy {
@@ -172,26 +108,16 @@ pub struct SparqPolicy {
     /// at d_h = 128).
     pub r: usize,
     keys: Vec<Vec<Matrix>>,
-    q_buf: Vec<f32>,
+    /// Per-query dimension pick (tiny, d_h-sized).
     mags: Vec<f32>,
     dims: Vec<usize>,
-    scores: Vec<f32>,
-    topk: TopK,
 }
 
 impl SparqPolicy {
     /// SPARQ with `r` fetched dimensions.
     pub fn new(r: usize) -> Self {
         assert!(r >= 1, "SPARQ needs at least one dimension");
-        Self {
-            r,
-            keys: Vec::new(),
-            q_buf: Vec::new(),
-            mags: Vec::new(),
-            dims: Vec::new(),
-            scores: Vec::new(),
-            topk: TopK::new(),
-        }
+        Self { r, keys: Vec::new(), mags: Vec::new(), dims: Vec::new() }
     }
 
     /// The `r` for a communication fraction `f = r / d_h` (at least 1).
@@ -210,25 +136,9 @@ impl SelectionPolicy for SparqPolicy {
         self.keys = init.middle_keys.clone();
     }
 
-    fn select_into(&mut self, ctx: &PolicyContext<'_>, out: &mut Vec<usize>) {
-        let keys = &self.keys[ctx.layer][ctx.kv_head];
-        sparq_select_via(
-            keys,
-            self.r,
-            &mut self.mags,
-            &mut self.dims,
-            ctx,
-            &mut self.q_buf,
-            &mut self.scores,
-            &mut self.topk,
-            out,
-        );
-    }
-
-    /// Sparse-dimension scoring through the caller's shared query/score/
-    /// selector buffers (the per-query dimension pick keeps its small
-    /// internal scratch). Identical selections to `select_into` (same body,
-    /// different buffers).
+    /// Pick the top-`r` absolute query dimensions, score the first `n`
+    /// middle keys over those dimensions only, select. The one selector is
+    /// used sequentially for the dimension pick and the final selection.
     fn select_with_scratch(
         &mut self,
         ctx: &PolicyContext<'_>,
@@ -236,17 +146,22 @@ impl SelectionPolicy for SparqPolicy {
         out: &mut Vec<usize>,
     ) {
         let keys = &self.keys[ctx.layer][ctx.kv_head];
-        sparq_select_via(
-            keys,
-            self.r,
-            &mut self.mags,
-            &mut self.dims,
-            ctx,
-            &mut scratch.q_buf,
-            &mut scratch.scores,
-            &mut scratch.topk,
-            out,
-        );
+        let PolicyScratch { q_buf, scores, topk, .. } = scratch;
+        group_query_into(ctx.queries, q_buf);
+        self.mags.clear();
+        self.mags.extend(q_buf.iter().map(|v| v.abs()));
+        topk.select_into(&self.mags, self.r.min(q_buf.len()), &mut self.dims);
+        let n = keys.rows().min(ctx.middle_len);
+        scores.clear();
+        for i in 0..n {
+            let row = keys.row(i);
+            let mut s = 0.0f32;
+            for &d in &self.dims {
+                s += q_buf[d] * row[d];
+            }
+            scores.push(s);
+        }
+        topk.select_into(scores, ctx.budget, out);
     }
 
     fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], _middle_idx: usize) {
@@ -342,7 +257,12 @@ impl SelectionPolicy for InfLlmPolicy {
         }
     }
 
-    fn select_into(&mut self, ctx: &PolicyContext<'_>, out: &mut Vec<usize>) {
+    fn select_with_scratch(
+        &mut self,
+        ctx: &PolicyContext<'_>,
+        _scratch: &mut PolicyScratch,
+        out: &mut Vec<usize>,
+    ) {
         out.clear();
         group_query_into(ctx.queries, &mut self.q_buf);
         let q = &self.q_buf;
@@ -414,7 +334,7 @@ impl SelectionPolicy for InfLlmPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{query_for, synthetic_init};
+    use crate::testutil::{query_for, selected, synthetic_init};
     use pqc_tensor::{topk_recall, Rng64};
 
     #[test]
@@ -425,7 +345,7 @@ mod tests {
         for &(l, h, t) in &[(0usize, 0usize, 7usize), (1, 1, 42)] {
             let q = query_for(&init, l, h, t);
             let ctx = PolicyContext { layer: l, kv_head: h, queries: &q, budget: 1, middle_len: 60 };
-            assert_eq!(p.select(&ctx), vec![t]);
+            assert_eq!(selected(&mut p, &ctx), vec![t]);
         }
     }
 
@@ -439,7 +359,7 @@ mod tests {
         let mut q = Matrix::zeros(1, 8);
         q.copy_row_from(0, &new_key);
         let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 1, middle_len: 11 };
-        assert_eq!(p.select(&ctx), vec![10]);
+        assert_eq!(selected(&mut p, &ctx), vec![10]);
     }
 
     #[test]
@@ -459,9 +379,9 @@ mod tests {
         for _ in 0..trials {
             let q = Matrix::randn(1, 32, 1.0, &mut rng);
             let mk = |queries| PolicyContext { layer: 0, kv_head: 0, queries, budget: 30, middle_len: 300 };
-            let exact = oracle.select(&mk(&q));
-            rec_hi += topk_recall(&exact, &sparq_hi.select(&mk(&q)));
-            rec_lo += topk_recall(&exact, &sparq_lo.select(&mk(&q)));
+            let exact = selected(&mut oracle, &mk(&q));
+            rec_hi += topk_recall(&exact, &selected(&mut sparq_hi, &mk(&q)));
+            rec_lo += topk_recall(&exact, &selected(&mut sparq_lo, &mk(&q)));
         }
         rec_hi /= trials as f64;
         rec_lo /= trials as f64;
@@ -492,7 +412,7 @@ mod tests {
         p.init(&init);
         let q = query_for(&init, 0, 0, 20); // token 20 lives in block 2
         let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 8, middle_len: 64 };
-        let sel = p.select(&ctx);
+        let sel = selected(&mut p, &ctx);
         assert_eq!(sel.len(), 8);
         // All from one contiguous block.
         let b0 = sel[0] / 8;
@@ -530,8 +450,8 @@ mod tests {
         let mut q = Matrix::zeros(1, 8);
         q.set(0, 0, 5.0); // aligned with the needle only
         let mk = |queries| PolicyContext { layer: 0, kv_head: 0, queries, budget: 8, middle_len: 64 };
-        assert!(oracle.select(&mk(&q)).contains(&37));
-        assert!(!infllm.select(&mk(&q)).contains(&37), "block reps should hide the needle");
+        assert!(selected(&mut oracle, &mk(&q)).contains(&37));
+        assert!(!selected(&mut infllm, &mk(&q)).contains(&37), "block reps should hide the needle");
     }
 
     #[test]
@@ -549,15 +469,15 @@ mod tests {
         let mut q = Matrix::zeros(1, 8);
         q.copy_row_from(0, &[1.0; 8]);
         let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 3, middle_len: 19 };
-        let sel = p.select(&ctx);
+        let sel = selected(&mut p, &ctx);
         assert!(sel.contains(&18), "{sel:?}");
     }
 
     #[test]
     fn oracle_and_sparq_shared_scratch_select_identically() {
         // The serve engine hands every session one worker-owned scratch;
-        // the raw-key retrieval baselines must select exactly what their
-        // internal-buffer path selects.
+        // through it, interleaved with each other, the raw-key retrieval
+        // baselines must select exactly what a fresh scratch selects.
         let init = synthetic_init(1, 1, 220, 16, &[], 9);
         let mut oracle = OraclePolicy::default();
         let mut sparq = SparqPolicy::new(4);
@@ -575,10 +495,10 @@ mod tests {
                 middle_len: 220,
             };
             for p in [&mut oracle as &mut dyn SelectionPolicy, &mut sparq] {
-                let internal = p.select(&mk(&q));
+                let fresh = selected(p, &mk(&q));
                 let mut ext = Vec::new();
                 p.select_with_scratch(&mk(&q), &mut shared, &mut ext);
-                assert_eq!(internal, ext, "{}", p.name());
+                assert_eq!(fresh, ext, "{}", p.name());
             }
         }
     }
@@ -592,8 +512,8 @@ mod tests {
         i.init(&init);
         let q = Matrix::zeros(1, 8);
         let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 0, middle_len: 32 };
-        assert!(o.select(&ctx).is_empty());
+        assert!(selected(&mut o, &ctx).is_empty());
         let ctx2 = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 0, middle_len: 32 };
-        assert!(i.select(&ctx2).is_empty());
+        assert!(selected(&mut i, &ctx2).is_empty());
     }
 }

@@ -102,16 +102,6 @@ impl AdaptiveIterBudget {
         Self { alpha1, beta1, alpha2, beta2, gamma2, clip_min: clip.0, clip_max: clip.1 }
     }
 
-    /// Predicted clustering time for `(s, T)` (Eq. 1).
-    pub fn predict_cluster_time(&self, seq_len: f64, iters: f64) -> f64 {
-        self.alpha1 + self.beta1 * seq_len * iters
-    }
-
-    /// Predicted single-layer compute time for `s` (Eq. 2).
-    pub fn predict_compute_time(&self, seq_len: f64) -> f64 {
-        self.alpha2 + self.beta2 * seq_len + self.gamma2 * seq_len * seq_len
-    }
-
     /// Eq. 3: largest iteration count whose clustering time fits inside the
     /// compute window, clipped to the configured band.
     pub fn t_max(&self, seq_len: f64) -> usize {

@@ -166,11 +166,6 @@ impl PqCodes {
         self.block_max[j][blk]
     }
 
-    /// Number of [`CODE_BLOCK`]-token blocks currently tracked.
-    pub fn n_blocks(&self) -> usize {
-        self.len.div_ceil(CODE_BLOCK)
-    }
-
     /// Append one token's codes.
     pub fn push(&mut self, token_codes: &[u16]) {
         assert_eq!(token_codes.len(), self.cols.len());
@@ -192,12 +187,6 @@ impl PqCodes {
             }
         }
         self.len += 1;
-    }
-
-    /// Raw storage in *bits* at `b` bits per code (what actually crosses
-    /// PCIe; in-memory we hold u16 for simplicity).
-    pub fn wire_bits(&self, b: u32) -> usize {
-        self.len * self.cols.len() * b as usize
     }
 }
 
@@ -358,12 +347,6 @@ impl PqCodebook {
             out.extend_from_slice(self.centroids[j].row(c as usize));
         }
         out
-    }
-
-    /// Memory footprint of the centroid tables in bytes (FP16 accounting, as
-    /// the paper stores centroids on GPU): `m · k_c · dm · 2`.
-    pub fn centroid_bytes(&self) -> usize {
-        self.centroids.iter().map(|c| c.rows() * c.cols() * 2).sum()
     }
 }
 

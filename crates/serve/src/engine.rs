@@ -118,6 +118,7 @@ use crate::latency::LatencySummary;
 use crate::overload::OverloadSummary;
 use crate::queue::BoundedQueue;
 use pqc_cache::{BlockCache, CacheBudget};
+use pqc_core::ConfigError;
 use pqc_llm::Model;
 use pqc_memhier::KvTier;
 use shard::Shard;
@@ -296,6 +297,22 @@ impl<'a> Fleet<'a> {
     }
 }
 
+/// Why the session layer would refuse `tokens` by panicking, if it would: a
+/// prompt must be long enough to segment (which also rules out an empty
+/// one) and carry only ids the model can embed.
+fn prompt_error(model: &Model, cfg: &ServeConfig, tokens: &[u32]) -> Option<ConfigError> {
+    let floor = cfg.session.n_init + cfg.session.n_local;
+    if tokens.len() <= floor {
+        let message =
+            format!("prompt of {} tokens must exceed n_init + n_local ({floor})", tokens.len());
+        return Some(ConfigError::new("tokens", message));
+    }
+    let vocab = model.config().vocab_size;
+    let stray = tokens.iter().find(|&&t| t as usize >= vocab)?;
+    let message = format!("token id {stray} is outside the vocabulary ({vocab})");
+    Some(ConfigError::new("tokens", message))
+}
+
 /// The sharded multi-session serving engine. Stateless: each [`Self::run`]
 /// call owns its workers, tier, and budget for the duration of the batch.
 pub struct ServeEngine;
@@ -308,16 +325,28 @@ impl ServeEngine {
     /// is safe because results are scheduling-independent.
     ///
     /// `Err` only on a rejected configuration; every per-request fault
-    /// (panic, page exhaustion, deadline, shed) is reported as a failed
-    /// [`Completion`] inside an `Ok` report instead.
+    /// (malformed prompt, panic, page exhaustion, deadline, shed) is
+    /// reported as a failed [`Completion`] inside an `Ok` report instead.
     pub fn run(
         model: &Model,
         cfg: &ServeConfig,
-        requests: Vec<ServeRequest>,
+        mut requests: Vec<ServeRequest>,
     ) -> Result<ServeReport, ServeError> {
         cfg.validate()?;
+        // The door: a malformed prompt fails here, typed, and never reaches
+        // a queue — routing, arrivals and every shard's schedule are those
+        // of the batch without it.
+        let mut turned_away = Vec::new();
+        requests.retain(|r| match prompt_error(model, cfg, &r.tokens) {
+            None => true,
+            Some(e) => {
+                let error = ServeError::Config(e);
+                turned_away.push(Completion::unserved(r.id, r.priority, 0, 0, error, false));
+                false
+            }
+        });
         let fleet = Fleet::new(model, cfg, &requests);
-        let (completions, shards, worker_panics) = std::thread::scope(|scope| {
+        let (mut completions, shards, worker_panics) = std::thread::scope(|scope| {
             let fleet = &fleet;
             let handles: Vec<_> = (0..cfg.shards)
                 .map(|id| scope.spawn(move || Shard::new(fleet, id).run()))
@@ -343,6 +372,7 @@ impl ServeEngine {
             }
             (completions, shards, dead.len() as u64)
         });
+        completions.append(&mut turned_away);
         Ok(fleet.report(completions, shards, worker_panics))
     }
 }

@@ -727,3 +727,106 @@ fn zero_wall_deadline_is_reaped_as_deadline_exceeded() {
     assert!(reaped.generated.len() < 50);
     assert!(report.completion(1).unwrap().is_success());
 }
+
+#[test]
+fn malformed_prompt_fails_alone_at_the_door() {
+    // A prompt the session layer would reject by panicking — too short to
+    // segment, empty, or carrying an id outside the vocabulary — is turned
+    // away before any worker sees it. Only that request fails; its
+    // neighbours on the one shard decode exactly what they decode without
+    // it, monolithic and chunked alike.
+    let model = Model::new(LlmConfig::tiny());
+    let vocab = model.config().vocab_size as u32;
+    let good = |id: u64| {
+        ServeRequest::new(id, prompt(96, 40 + id), 5, Box::new(PqCachePolicy::default()))
+    };
+    let mut out_of_vocab = prompt(96, 7);
+    out_of_vocab[50] = vocab;
+    let malformed = [prompt(3, 7), Vec::new(), out_of_vocab];
+    for chunk in [None, Some(32)] {
+        let cfg = ServeConfig {
+            shards: 1,
+            max_active_per_shard: 2,
+            queue_capacity: 4,
+            session: session_cfg(),
+            record_trace: true,
+            prefill_chunk_tokens: chunk,
+            ..Default::default()
+        };
+        let clean = ServeEngine::run(&model, &cfg, vec![good(0), good(2)]).unwrap();
+        for bad in &malformed {
+            let policy = Box::new(PqCachePolicy::default());
+            let reqs = vec![good(0), ServeRequest::new(1, bad.clone(), 5, policy), good(2)];
+            let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
+            let shape = format!("chunk {chunk:?}, {}-token prompt", bad.len());
+            assert_eq!(report.worker_panics, 0, "{shape}");
+            assert_eq!(report.completions.len(), 3, "{shape}");
+            let failed = report.completion(1).unwrap();
+            let cause = failed.failure.as_ref().expect("the malformed request fails");
+            match &cause.error {
+                ServeError::Config(e) => assert_eq!(e.field, "tokens", "{shape}"),
+                other => panic!("{shape}: expected Config, got {other:?}"),
+            }
+            assert_eq!((cause.step, cause.injected), (0, false), "{shape}");
+            assert!(failed.generated.is_empty() && failed.ttft_ticks.is_none(), "{shape}");
+            for id in [0u64, 2] {
+                let (a, b) = (clean.completion(id).unwrap(), report.completion(id).unwrap());
+                assert!(b.is_success(), "{shape}: request {id} failed: {:?}", b.failure);
+                assert_eq!(a.generated, b.generated, "{shape}: request {id} tokens");
+                assert_eq!(a.trace, b.trace, "{shape}: request {id} trace");
+                assert_eq!(a.transfer, b.transfer, "{shape}: request {id} transfer");
+            }
+            assert_eq!(report.shards[0].admitted, 2, "{shape}");
+        }
+    }
+}
+
+#[test]
+fn high_priority_shorts_reach_first_token_before_a_long_normal_prompt() {
+    // The SLO-tail guarantee without a wall-clock ratio. One shard, two
+    // slots, 64-token chunks: a 1 024-token prompt (16 chunks) is submitted
+    // first, six 64-token prompts behind it. Every first-token stamp is
+    // taken by the one worker thread in tick order, so comparing stamps
+    // compares positions in the schedule, whatever the host's speed.
+    let model = Model::new(LlmConfig::tiny());
+    let cfg = ServeConfig {
+        shards: 1,
+        max_active_per_shard: 2,
+        queue_capacity: 8,
+        session: session_cfg(),
+        prefill_chunk_tokens: Some(64),
+        ..Default::default()
+    };
+    let run = |shorts: Priority| {
+        let mut reqs =
+            vec![ServeRequest::new(0, prompt(1024, 0x510A), 3, Box::new(PqCachePolicy::default()))];
+        for id in 1..=6u64 {
+            let policy = Box::new(PqCachePolicy::default());
+            let short = ServeRequest::new(id, prompt(64, 0x510A + id), 3, policy);
+            reqs.push(short.with_priority(shorts));
+        }
+        let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
+        assert!(report.completions.iter().all(Completion::is_success));
+        report
+    };
+    let ttft = |r: &ServeReport, id: u64| r.completion(id).unwrap().ttft_wall.unwrap();
+    // Shorts at High: the strongest prefilling job advances first, so each
+    // short's one chunk runs ahead of the long prompt's remaining ones.
+    let slo = run(Priority::High);
+    for id in 1..=6 {
+        assert!(
+            ttft(&slo, id) < ttft(&slo, 0),
+            "High short {id} waited for the long prompt: {:?} vs {:?}",
+            ttft(&slo, id),
+            ttft(&slo, 0)
+        );
+    }
+    // One class: ties go to the earlier admission, so the long prompt's 16
+    // chunks all run before request 1's single one.
+    let fair = run(Priority::Normal);
+    assert!(ttft(&fair, 1) > ttft(&fair, 0), "fair share queues request 1 behind the long prompt");
+    // Scheduling never changes results.
+    for (a, b) in slo.completions.iter().zip(&fair.completions) {
+        assert_eq!(a.generated, b.generated, "priorities changed request {} tokens", a.id);
+    }
+}

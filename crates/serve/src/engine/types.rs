@@ -219,7 +219,9 @@ impl ServeConfig {
 pub struct ServeRequest {
     /// Caller-chosen id, echoed in the completion (must be unique).
     pub id: u64,
-    /// Prompt tokens (must satisfy the session's segmentation minimum).
+    /// Prompt tokens: more than `session.n_init + session.n_local` of them,
+    /// every id below the model's vocabulary size. Anything else fails this
+    /// request alone, at the door, with a `Config` cause on field `"tokens"`.
     pub tokens: Vec<u32>,
     /// Greedy decode steps to run after prefill.
     pub decode_steps: usize,
@@ -434,9 +436,7 @@ pub struct ShardStats {
     pub rollbacks: u64,
     /// Wall time spent prefilling + decoding (excludes queue waits).
     /// Caveat: on a host with fewer cores than shards this includes time
-    /// preempted by sibling workers — use a per-shard single-thread run
-    /// (as `benches/serve_throughput.rs` does) to model one-core-per-shard
-    /// occupancy.
+    /// preempted by sibling workers.
     pub busy: Duration,
 }
 
@@ -502,11 +502,6 @@ impl ServeReport {
         self.completions.iter().filter(|c| c.failure.is_some())
     }
 
-    /// Completions that decoded everything they asked for.
-    pub fn successes(&self) -> impl Iterator<Item = &Completion> {
-        self.completions.iter().filter(|c| c.failure.is_none())
-    }
-
     /// Total decode tokens requested but never produced.
     pub fn total_shed_tokens(&self) -> u64 {
         self.shards.iter().map(|s| s.shed_tokens).sum()
@@ -556,12 +551,5 @@ impl ServeReport {
     /// Total corruption rollbacks across shards.
     pub fn total_rollbacks(&self) -> u64 {
         self.shards.iter().map(|s| s.rollbacks).sum()
-    }
-
-    /// The busiest shard's occupied time — the modelled wall-clock of the
-    /// run on a host with one core per shard (shards share nothing on the
-    /// decode path, so their busy intervals overlap there).
-    pub fn max_shard_busy(&self) -> Duration {
-        self.shards.iter().map(|s| s.busy).max().unwrap_or(Duration::ZERO)
     }
 }

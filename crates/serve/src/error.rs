@@ -14,7 +14,8 @@ use pqc_memhier::MemError;
 /// Everything that can go wrong while serving, classified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The engine or session configuration was rejected up front.
+    /// The engine or session configuration was rejected up front (the run
+    /// fails), or one request's prompt was (only that request does).
     Config(ConfigError),
     /// Admission shed the request: the queue or budget stayed exhausted
     /// through every permitted retry.

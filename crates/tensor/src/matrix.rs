@@ -93,11 +93,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {

@@ -3,7 +3,9 @@
 //! fixed-seed fixtures, and the decode-step retrieval path must hold its
 //! scratch buffers steady (zero heap allocations after warm-up).
 
-use pqcache::policies::{PolicyContext, PqCachePolicy, PqCachePolicyConfig, SelectionPolicy};
+use pqcache::policies::{
+    PolicyContext, PolicyScratch, PqCachePolicy, PqCachePolicyConfig, SelectionPolicy,
+};
 use pqcache::pq::{pq_top_k, AdcTable, PqCodebook, PqConfig, PqRetriever};
 use pqcache::tensor::{top_k_indices, Matrix, Rng64};
 
@@ -172,10 +174,11 @@ fn fused_retriever_steady_state_allocates_nothing() {
 
 #[test]
 fn pqcache_policy_select_steady_state_capacities() {
-    // Policy-level variant of the zero-allocation guard: `select_into`
-    // through `PqCachePolicy` (group query, retriever scratch, output
-    // buffer) must hold capacities steady across 100 decode steps, with
-    // evictions interleaved (eviction encoding reuses its buffer too).
+    // Policy-level variant of the zero-allocation guard:
+    // `select_with_scratch` through `PqCachePolicy` (group query, retriever
+    // scratch, output buffer) must hold capacities steady across 100
+    // decode steps, with evictions interleaved (eviction encoding reuses
+    // its buffer too).
     let mut rng = Rng64::new(5);
     let keys = Matrix::randn(256, 16, 1.0, &mut rng);
     let init = pqcache::policies::PolicyInit {
@@ -189,6 +192,7 @@ fn pqcache_policy_select_steady_state_capacities() {
     let mut policy =
         PqCachePolicy::new(PqCachePolicyConfig { m: 2, b: 5, kmeans_iters: 8, seed: 3, ..Default::default() });
     policy.init(&init);
+    let mut scratch = PolicyScratch::new();
     let mut out = Vec::new();
     // Warm-up with the largest middle_len the loop will see so the scan
     // buffer reaches steady state up front.
@@ -198,41 +202,18 @@ fn pqcache_policy_select_steady_state_capacities() {
         policy.on_evict(0, 0, &key, 256);
     }
     let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &warm_q, budget: 32, middle_len: 259 };
-    policy.select_into(&ctx, &mut out);
-    let caps = policy.scratch_capacities();
+    policy.select_with_scratch(&ctx, &mut scratch, &mut out);
+    let caps = (scratch.capacities(), policy.scratch_capacities());
     let out_cap = out.capacity();
     for step in 0..100 {
         let q = Matrix::randn(2, 16, 1.0, &mut rng);
         let ctx =
             PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 32, middle_len: 259 };
-        policy.select_into(&ctx, &mut out);
+        policy.select_with_scratch(&ctx, &mut scratch, &mut out);
         assert_eq!(out.len(), 32, "step {step}");
         assert!(out.iter().all(|&i| i < 259));
-        assert_eq!(policy.scratch_capacities(), caps, "scratch grew at step {step}");
+        let now = (scratch.capacities(), policy.scratch_capacities());
+        assert_eq!(now, caps, "scratch grew at step {step}");
         assert_eq!(out.capacity(), out_cap, "selection buffer grew at step {step}");
     }
-}
-
-#[test]
-fn select_wrapper_matches_select_into() {
-    let mut rng = Rng64::new(13);
-    let keys = Matrix::randn(128, 16, 1.0, &mut rng);
-    let init = pqcache::policies::PolicyInit {
-        n_layers: 1,
-        n_kv_heads: 1,
-        head_dim: 16,
-        middle_keys: vec![vec![keys]],
-        accum_scores: None,
-        window_scores: None,
-    };
-    let mut policy =
-        PqCachePolicy::new(PqCachePolicyConfig { m: 2, b: 4, kmeans_iters: 6, seed: 11, ..Default::default() });
-    policy.init(&init);
-    let q = Matrix::randn(1, 16, 1.0, &mut rng);
-    let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 10, middle_len: 128 };
-    let via_wrapper = policy.select(&ctx);
-    let mut via_into = Vec::new();
-    let ctx2 = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 10, middle_len: 128 };
-    policy.select_into(&ctx2, &mut via_into);
-    assert_eq!(via_wrapper, via_into);
 }
