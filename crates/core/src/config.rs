@@ -7,9 +7,8 @@ use serde::{Deserialize, Serialize};
 /// A rejected configuration: which field was nonsensical and why.
 ///
 /// Validation returns this instead of panicking so serving layers can
-/// refuse a bad request (or refuse to start) with a typed error;
-/// [`SessionConfig::validate_strict`] keeps the old panic behaviour for the
-/// fail-fast session constructors.
+/// refuse a bad request (or refuse to start) with a typed error; the
+/// session builder panics with it (fail-fast on a programming error).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// Name of the offending field.
@@ -168,14 +167,6 @@ impl SessionConfig {
         }
         Ok(())
     }
-
-    /// Panicking [`SessionConfig::validate`] for fail-fast callers; the
-    /// panic message contains the violated constraint.
-    pub fn validate_strict(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{}", e.message);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,19 +196,20 @@ mod tests {
     #[test]
     fn default_is_valid() {
         SessionConfig::default().validate().expect("default config valid");
-        SessionConfig::default().validate_strict();
     }
 
     #[test]
     #[should_panic(expected = "token_ratio")]
     fn zero_ratio_panics() {
-        SessionConfig { token_ratio: 0.0, ..Default::default() }.validate_strict();
+        let cfg = SessionConfig { token_ratio: 0.0, ..Default::default() };
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     #[should_panic(expected = "probe width")]
     fn zero_probe_width_panics() {
-        SessionConfig { ivf: IvfMode::Probe(0), ..Default::default() }.validate_strict();
+        let cfg = SessionConfig { ivf: IvfMode::Probe(0), ..Default::default() };
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

@@ -64,23 +64,19 @@ type LocalWindow = VecDeque<(Vec<f32>, Vec<f32>)>;
 /// Minimum middle length before a lazily-initialised policy is trained.
 const LAZY_INIT_THRESHOLD: usize = 16;
 
-/// A running decode session with selective attention.
-pub struct SelectiveSession<'m> {
-    model: &'m Model,
+/// The session state that survives suspend / checkpoint / resume. A live
+/// [`SelectiveSession`] and a parked [`SuspendedSession`] hold the *same*
+/// record — `suspend` moves it out, `checkpoint` forks it, `resume` moves it
+/// back — so a field added here cannot be forgotten on one of those paths.
+struct SessionRecord {
     cfg: SessionConfig,
     policy: Box<dyn SelectionPolicy + Send>,
     policy_ready: bool,
     /// Middle budget per step (already includes "(C)" compensation for
     /// dropping policies).
     budget_middle: usize,
-    /// GPU-resident initial segment, `[layer][kv_head]`.
-    init_k: Vec<Vec<Matrix>>,
-    init_v: Vec<Vec<Matrix>>,
-    /// GPU-resident local window, `[layer][kv_head]` of (key, value) pairs.
-    local: Vec<Vec<LocalWindow>>,
     /// Host-tier middle store (metered).
     store: HostKvStore,
-    cache: BlockCache,
     /// Next absolute position to decode.
     pos: usize,
     steps: u64,
@@ -89,6 +85,53 @@ pub struct SelectiveSession<'m> {
     /// Selected middle indices (absolute token ids) of the last step,
     /// `[layer][kv_head]` — used by retrieval-accuracy instrumentation.
     last_selected: Vec<Vec<Vec<usize>>>,
+}
+
+/// The GPU-resident rows of one (layer, kv-head): the initial segment and
+/// the local window.
+struct ResidentHead {
+    init_k: Matrix,
+    init_v: Matrix,
+    local: LocalWindow,
+}
+
+impl ResidentHead {
+    /// Split one head's K/V rows: rows `..n_init` are the initial segment,
+    /// rows `local_lo..` the local window (oldest first).
+    fn from_rows(keys: &Matrix, values: &Matrix, n_init: usize, local_lo: usize) -> Self {
+        let mut local = VecDeque::with_capacity(keys.rows() - local_lo + 1);
+        for i in local_lo..keys.rows() {
+            local.push_back((keys.row(i).to_vec(), values.row(i).to_vec()));
+        }
+        Self { init_k: keys.slice_rows(0, n_init), init_v: values.slice_rows(0, n_init), local }
+    }
+
+    /// Inverse of [`ResidentHead::from_rows`] at `local_lo = n_init`: the
+    /// initial rows followed by the local window.
+    fn to_rows(&self) -> (Matrix, Matrix) {
+        let n_init = self.init_k.rows();
+        let mut k = Matrix::zeros(n_init + self.local.len(), self.init_k.cols());
+        let mut v = Matrix::zeros(n_init + self.local.len(), self.init_k.cols());
+        for i in 0..n_init {
+            k.copy_row_from(i, self.init_k.row(i));
+            v.copy_row_from(i, self.init_v.row(i));
+        }
+        for (i, (wk, wv)) in self.local.iter().enumerate() {
+            k.copy_row_from(n_init + i, wk);
+            v.copy_row_from(n_init + i, wv);
+        }
+        (k, v)
+    }
+}
+
+/// A running decode session with selective attention.
+pub struct SelectiveSession<'m> {
+    model: &'m Model,
+    rec: SessionRecord,
+    /// GPU-resident initial segment and local window of every (layer,
+    /// kv-head), at `layer * n_kv_heads + kv_head`.
+    resident: Vec<ResidentHead>,
+    cache: BlockCache,
     /// Reusable selection buffer handed to the policy each step
     /// (taken/restored around the call to satisfy the borrow checker
     /// without reallocating).
@@ -167,11 +210,10 @@ impl<'m> SelectiveSession<'m> {
     /// prompts).
     pub fn start(
         model: &'m Model,
-        mut policy: Box<dyn SelectionPolicy + Send>,
+        policy: Box<dyn SelectionPolicy + Send>,
         cfg: SessionConfig,
         tokens: &[u32],
     ) -> SessionStart<'m> {
-        cfg.validate_strict();
         let s = tokens.len();
         assert!(
             s > cfg.n_init + cfg.n_local,
@@ -179,10 +221,7 @@ impl<'m> SelectiveSession<'m> {
             cfg.n_init + cfg.n_local
         );
         let prefill = model.prefill(tokens, &Self::prefill_options(&cfg, s));
-        let resources = SessionResources::standalone(model, &cfg);
-        Self::from_prefill(model, &mut policy, cfg, &prefill, resources, None)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .into_start(policy, prefill.logits)
+        Self::start_from_prefill(model, policy, cfg, &prefill)
     }
 
     /// The prefill options a session constructed via [`SelectiveSession::start`]
@@ -208,9 +247,8 @@ impl<'m> SelectiveSession<'m> {
     }
 
     /// [`SelectiveSession::start_from_prefill`] with externally owned
-    /// backing storage — the serving-layer entry point: the store is a
-    /// [`pqc_memhier::KvTier`] namespace and the cache draws on a shared
-    /// [`pqc_cache::CacheBudget`].
+    /// backing storage: the store is a [`pqc_memhier::KvTier`] namespace and
+    /// the cache draws on a shared [`pqc_cache::CacheBudget`].
     pub fn start_from_prefill_in(
         model: &'m Model,
         policy: Box<dyn SelectionPolicy + Send>,
@@ -218,37 +256,10 @@ impl<'m> SelectiveSession<'m> {
         prefill: &PrefillOutput,
         resources: SessionResources,
     ) -> SessionStart<'m> {
-        Self::try_start_from_prefill_in(model, policy, cfg, prefill, resources)
-            .unwrap_or_else(|e| panic!("{e}"))
+        Self::start_from_shared_prefix(model, policy, cfg, prefill, resources, None)
     }
 
-    /// Fallible [`SelectiveSession::start_from_prefill_in`]: on a capped
-    /// host tier the prefill offload can exhaust the page pool; the error
-    /// comes back typed (and the partially-written chains are rolled back)
-    /// so the serving layer can shed the session instead of aborting.
-    /// Config validation still panics — the serving layer validates configs
-    /// up front via [`SessionConfig::validate`].
-    pub fn try_start_from_prefill_in(
-        model: &'m Model,
-        mut policy: Box<dyn SelectionPolicy + Send>,
-        cfg: SessionConfig,
-        prefill: &PrefillOutput,
-        resources: SessionResources,
-    ) -> Result<SessionStart<'m>, MemError> {
-        cfg.validate_strict();
-        Ok(Self::from_prefill(model, &mut policy, cfg, prefill, resources, None)?
-            .into_start(policy, prefill.logits.clone()))
-    }
-
-    /// Construct a session over a **shared prompt prefix**: the store may
-    /// arrive pre-populated with the prompt's middle region (a
-    /// [`pqc_memhier::KvTier::new_namespace_with_prefix`] namespace — no
-    /// offload runs or is metered, the pages never left the host), and the
-    /// policy may adopt trained state exported by the prefix's first
-    /// session instead of re-training. Falls back to a normal `init`
-    /// (middle keys come from `prefill` either way) when `shared` is
-    /// `None` or the policy rejects the import. Training is
-    /// deterministically seeded, so either path decodes bit-identically.
+    /// Panicking [`SelectiveSession::try_start_from_shared_prefix`].
     pub fn start_from_shared_prefix(
         model: &'m Model,
         policy: Box<dyn SelectionPolicy + Send>,
@@ -261,8 +272,25 @@ impl<'m> SelectiveSession<'m> {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`SelectiveSession::start_from_shared_prefix`] — same
-    /// contract as [`SelectiveSession::try_start_from_prefill_in`].
+    /// The one session builder, and the serving-layer entry point: construct
+    /// a session from a prefill output inside externally owned `resources`.
+    ///
+    /// The store may arrive pre-populated with the prompt's middle region —
+    /// a **shared prompt prefix**
+    /// ([`pqc_memhier::KvTier::new_namespace_with_prefix`]): no offload runs
+    /// or is metered, the pages never left the host — and the policy may
+    /// adopt trained state exported by the prefix's first session instead
+    /// of re-training. Falls back to a normal `init` (middle keys come from
+    /// `prefill` either way) when `shared` is `None` or the policy rejects
+    /// the import. Training is deterministically seeded, so either path
+    /// decodes bit-identically.
+    ///
+    /// Fallible because on a capped host tier the prefill offload can
+    /// exhaust the page pool; the error comes back typed (and the
+    /// partially-written chains are rolled back) so the serving layer can
+    /// shed the session instead of aborting. An invalid `cfg` still panics —
+    /// the serving layer validates configs up front via
+    /// [`SessionConfig::validate`].
     pub fn try_start_from_shared_prefix(
         model: &'m Model,
         mut policy: Box<dyn SelectionPolicy + Send>,
@@ -271,19 +299,7 @@ impl<'m> SelectiveSession<'m> {
         resources: SessionResources,
         shared: Option<&SharedPolicyState>,
     ) -> Result<SessionStart<'m>, MemError> {
-        cfg.validate_strict();
-        Ok(Self::from_prefill(model, &mut policy, cfg, prefill, resources, shared)?
-            .into_start(policy, prefill.logits.clone()))
-    }
-
-    fn from_prefill(
-        model: &'m Model,
-        policy: &mut Box<dyn SelectionPolicy + Send>,
-        cfg: SessionConfig,
-        prefill: &PrefillOutput,
-        resources: SessionResources,
-        shared: Option<&SharedPolicyState>,
-    ) -> Result<SessionParts<'m>, MemError> {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let mcfg = *model.config();
         let s = prefill.kv[0].len();
         assert!(s > cfg.n_init + cfg.n_local, "prompt too short for segmentation");
@@ -320,43 +336,24 @@ impl<'m> SelectiveSession<'m> {
         // training — seeds are deterministic) and skip building PolicyInit.
         let imported =
             middle_len > 0 && shared.is_some_and(|state| policy.import_shared(state));
-        let need_middle_keys = !imported;
-        let mut init_k = Vec::with_capacity(mcfg.n_layers);
-        let mut init_v = Vec::with_capacity(mcfg.n_layers);
-        let mut local = Vec::with_capacity(mcfg.n_layers);
+        let mut resident = Vec::with_capacity(mcfg.n_layers * mcfg.n_kv_heads);
         let mut middle_keys = Vec::with_capacity(mcfg.n_layers);
 
         for (l, lk) in prefill.kv.iter().enumerate() {
-            let mut ik = Vec::with_capacity(mcfg.n_kv_heads);
-            let mut iv = Vec::with_capacity(mcfg.n_kv_heads);
-            let mut ll = Vec::with_capacity(mcfg.n_kv_heads);
             let mut mk = Vec::with_capacity(mcfg.n_kv_heads);
             for h in 0..mcfg.n_kv_heads {
-                let keys = &lk.keys[h];
-                let values = &lk.values[h];
-                ik.push(keys.slice_rows(0, mid_lo));
-                iv.push(values.slice_rows(0, mid_lo));
-                let mid_k = keys.slice_rows(mid_lo, mid_hi);
-                let mid_v = values.slice_rows(mid_lo, mid_hi);
-                if prefix_resident {
-                    if need_middle_keys {
-                        mk.push(mid_k);
-                    }
-                } else {
-                    if need_middle_keys {
-                        mk.push(mid_k.clone());
-                    }
-                    store.try_offload(l, h, mid_k, mid_v)?; // Step ❶: metered offload
+                let (keys, values) = (&lk.keys[h], &lk.values[h]);
+                if !imported {
+                    mk.push(keys.slice_rows(mid_lo, mid_hi));
                 }
-                let mut dq = VecDeque::with_capacity(cfg.n_local + 1);
-                for i in mid_hi..s {
-                    dq.push_back((keys.row(i).to_vec(), values.row(i).to_vec()));
+                if !prefix_resident {
+                    // Step ❶: metered offload
+                    let (mid_k, mid_v) =
+                        (keys.slice_rows(mid_lo, mid_hi), values.slice_rows(mid_lo, mid_hi));
+                    store.try_offload(l, h, mid_k, mid_v)?;
                 }
-                ll.push(dq);
+                resident.push(ResidentHead::from_rows(keys, values, mid_lo, mid_hi));
             }
-            init_k.push(ik);
-            init_v.push(iv);
-            local.push(ll);
             middle_keys.push(mk);
         }
 
@@ -386,25 +383,42 @@ impl<'m> SelectiveSession<'m> {
             policy.init(&pinit);
         }
 
-        let mut budget = cfg.middle_budget(s);
+        let mut budget_middle = cfg.middle_budget(s);
         if policy.is_dropping() {
-            budget += cfg.compensation_tokens(s);
+            budget_middle += cfg.compensation_tokens(s);
         }
 
-        Ok(SessionParts {
-            model,
+        let rec = SessionRecord {
             cfg,
+            policy,
             policy_ready,
-            budget_middle: budget,
-            init_k,
-            init_v,
-            local,
+            budget_middle,
             store,
-            cache,
             pos: s,
-            n_layers: mcfg.n_layers,
-            n_kv_heads: mcfg.n_kv_heads,
-        })
+            steps: 0,
+            policy_comm_bytes: 0,
+            last_selected: vec![vec![Vec::new(); mcfg.n_kv_heads]; mcfg.n_layers],
+        };
+        let session = Self::assemble(model, rec, resident, cache);
+        Ok(SessionStart { session, logits: prefill.logits.clone() })
+    }
+
+    /// A live session around `rec`: fresh step scratch, no pending fault.
+    fn assemble(
+        model: &'m Model,
+        rec: SessionRecord,
+        resident: Vec<ResidentHead>,
+        cache: BlockCache,
+    ) -> Self {
+        Self {
+            model,
+            rec,
+            resident,
+            cache,
+            sel_scratch: Vec::new(),
+            policy_scratch: PolicyScratch::new(),
+            pending_fault: None,
+        }
     }
 
     /// One decode step: runs the model with this session as the KV source.
@@ -413,9 +427,9 @@ impl<'m> SelectiveSession<'m> {
     /// page that failed its checksum): logits computed from the damaged
     /// state are never returned.
     pub fn decode(&mut self, token: u32) -> DecodeOutput {
-        let pos = self.pos;
-        self.pos += 1;
-        self.steps += 1;
+        let pos = self.rec.pos;
+        self.rec.pos += 1;
+        self.rec.steps += 1;
         let model = self.model;
         let out = model.decode_step(token, pos, self);
         if let Some(e) = self.pending_fault.take() {
@@ -458,9 +472,9 @@ impl<'m> SelectiveSession<'m> {
     ) -> Result<DecodeOutput, StepError> {
         std::mem::swap(&mut self.sel_scratch, &mut scratch.selection);
         std::mem::swap(&mut self.policy_scratch, &mut scratch.policy);
-        let pos = self.pos;
-        self.pos += 1;
-        self.steps += 1;
+        let pos = self.rec.pos;
+        self.rec.pos += 1;
+        self.rec.steps += 1;
         let model = self.model;
         let decode = &mut scratch.decode;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -494,25 +508,25 @@ impl<'m> SelectiveSession<'m> {
 
     /// Host transfer statistics (offload + fetch).
     pub fn transfer_stats(&self) -> TransferStats {
-        self.store.stats()
+        self.rec.store.stats()
     }
 
     /// Sharing statistics of this session's namespace (tokens adopted from
     /// a shared prefix; copy-on-write page copies its appends triggered).
     pub fn sharing_stats(&self) -> SharingStats {
-        self.store.sharing_stats()
+        self.rec.store.sharing_stats()
     }
 
     /// The session's host store — e.g. for registering its prompt as a
     /// shared prefix with the owning [`pqc_memhier::KvTier`].
     pub fn store(&self) -> &HostKvStore {
-        &self.store
+        &self.rec.store
     }
 
     /// Snapshot the policy's trained prefix state for cross-session sharing
     /// (`None` when the policy has nothing shareable).
     pub fn export_policy_state(&self) -> Option<SharedPolicyState> {
-        self.policy.export_shared()
+        self.rec.policy.export_shared()
     }
 
     /// GPU cache statistics.
@@ -522,33 +536,33 @@ impl<'m> SelectiveSession<'m> {
 
     /// Non-overlappable policy communication so far, in bytes.
     pub fn policy_comm_bytes(&self) -> u64 {
-        self.policy_comm_bytes
+        self.rec.policy_comm_bytes
     }
 
     /// Decode steps taken.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.rec.steps
     }
 
     /// Middle tokens currently on the host (layer 0 as representative).
     pub fn middle_len(&self) -> usize {
-        self.store.len(0, 0)
+        self.rec.store.len(0, 0)
     }
 
     /// Absolute token ids selected at the last step for `(layer, kv_head)`.
     pub fn last_selected(&self, layer: usize, kv_head: usize) -> &[usize] {
-        &self.last_selected[layer][kv_head]
+        &self.rec.last_selected[layer][kv_head]
     }
 
     /// A clone of every `(layer, kv_head)`'s last-step selection — used by
     /// the serve engine's equivalence tracing.
     pub fn selected_snapshot(&self) -> Vec<Vec<Vec<usize>>> {
-        self.last_selected.clone()
+        self.rec.last_selected.clone()
     }
 
     /// Current middle-region budget per step.
     pub fn middle_budget(&self) -> usize {
-        self.budget_middle
+        self.rec.budget_middle
     }
 
     /// Adopt a runtime selection-effort override — the serving layer's
@@ -560,7 +574,7 @@ impl<'m> SelectiveSession<'m> {
     /// part of checkpoint or suspend state (a resumed or replayed session
     /// starts at full effort and the caller re-applies per step).
     pub fn set_effort(&mut self, effort: pqc_policies::SelectionEffort) {
-        self.policy.set_effort(effort);
+        self.rec.policy.set_effort(effort);
     }
 
     /// Rebuild the policy's structures from the current middle region —
@@ -568,13 +582,13 @@ impl<'m> SelectiveSession<'m> {
     /// conversations ("periodically reconstruct PQ to update the
     /// information"). Dropping policies ignore it.
     pub fn refresh_policy(&mut self) {
-        let mid = self.store.len(0, 0);
+        let mid = self.rec.store.len(0, 0);
         if mid == 0 {
             return;
         }
         let pinit = self.middle_init(mid);
-        self.policy.refresh(&pinit);
-        self.policy_ready = true;
+        self.rec.policy.refresh(&pinit);
+        self.rec.policy_ready = true;
     }
 
     /// Preempt this session: offload its GPU-resident state (initial segment
@@ -610,30 +624,9 @@ impl<'m> SelectiveSession<'m> {
                 return Err(SuspendError { session: self, error, swap_transfer });
             }
         };
-        let SelectiveSession {
-            cfg,
-            policy,
-            policy_ready,
-            budget_middle,
-            store,
-            pos,
-            steps,
-            policy_comm_bytes,
-            last_selected,
-            ..
-        } = self; // init/local/cache drop here; the cache frees its budget slots
-        Ok(SuspendedSession {
-            cfg,
-            policy,
-            policy_ready,
-            budget_middle,
-            store: PinnedStore::new(store),
-            swap: PinnedStore::new(swap),
-            pos,
-            steps,
-            policy_comm_bytes,
-            last_selected,
-        })
+        // The resident rows and the cache drop here; the cache frees its
+        // budget slots.
+        Ok(SuspendedSession { rec: Pinned::new(self.rec), swap: Pinned::new(swap) })
     }
 
     /// Snapshot this session **without evicting it**: the crash-recovery
@@ -662,25 +655,22 @@ impl<'m> SelectiveSession<'m> {
         if self.pending_fault.is_some() {
             return Ok(None);
         }
-        let Some(policy) = self.policy.fork() else {
+        let Some(policy) = self.rec.policy.fork() else {
             return Ok(None);
         };
         if !self.windows_full() {
             return Ok(None);
         }
         let swap = self.offload_resident(tier).map_err(|(e, _)| e)?;
-        Ok(Some(SuspendedSession {
-            cfg: self.cfg,
+        // Every field of the record without an owned resource is `Copy`, so
+        // the functional update carries all of them, present and future.
+        let rec = SessionRecord {
             policy,
-            policy_ready: self.policy_ready,
-            budget_middle: self.budget_middle,
-            store: PinnedStore::new(tier.fork_namespace(&self.store)),
-            swap: PinnedStore::new(swap),
-            pos: self.pos,
-            steps: self.steps,
-            policy_comm_bytes: self.policy_comm_bytes,
-            last_selected: self.last_selected.clone(),
-        }))
+            store: tier.fork_namespace(&self.rec.store),
+            last_selected: self.rec.last_selected.clone(),
+            ..self.rec
+        };
+        Ok(Some(SuspendedSession { rec: Pinned::new(rec), swap: Pinned::new(swap) }))
     }
 
     /// Deterministic fault injection: flip one bit in the middle store's
@@ -689,7 +679,7 @@ impl<'m> SelectiveSession<'m> {
     /// keep the intact bytes). The next verified fetch of that slot latches
     /// the corruption as a [`StepError::Store`] fault.
     pub fn corrupt_middle_slot(&mut self, layer: usize, head: usize, bit: u64) -> bool {
-        self.store.corrupt_slot(layer, head, bit)
+        self.rec.store.corrupt_slot(layer, head, bit)
     }
 
     /// A [`PolicyInit`] over the current `mid`-token middle region with
@@ -698,7 +688,7 @@ impl<'m> SelectiveSession<'m> {
     fn middle_init(&self, mid: usize) -> PolicyInit {
         let mcfg = self.model.config();
         let middle_keys: Vec<Vec<Matrix>> = (0..mcfg.n_layers)
-            .map(|l| (0..mcfg.n_kv_heads).map(|h| self.store.keys_matrix(l, h)).collect())
+            .map(|l| (0..mcfg.n_kv_heads).map(|h| self.rec.store.keys_matrix(l, h)).collect())
             .collect();
         let zeros = vec![vec![vec![0.0f32; mid]; mcfg.n_kv_heads]; mcfg.n_layers];
         PolicyInit {
@@ -714,7 +704,7 @@ impl<'m> SelectiveSession<'m> {
     /// True between decode steps: every local window holds exactly
     /// `n_local` rows.
     fn windows_full(&self) -> bool {
-        self.local.iter().flatten().all(|w| w.len() == self.cfg.n_local)
+        self.resident.iter().all(|r| r.local.len() == self.rec.cfg.n_local)
     }
 
     /// Offload the GPU-resident state into a fresh swap namespace of
@@ -726,86 +716,28 @@ impl<'m> SelectiveSession<'m> {
         &self,
         tier: &pqc_memhier::KvTier,
     ) -> Result<HostKvStore, (MemError, TransferStats)> {
-        let mcfg = self.model.config();
-        let n_init = self.cfg.n_init;
+        let n_kv_heads = self.model.config().n_kv_heads;
         let mut swap = tier.new_namespace();
-        for l in 0..mcfg.n_layers {
-            for h in 0..mcfg.n_kv_heads {
-                let window = &self.local[l][h];
-                let mut k = Matrix::zeros(n_init + window.len(), mcfg.head_dim);
-                let mut v = Matrix::zeros(n_init + window.len(), mcfg.head_dim);
-                for i in 0..n_init {
-                    k.copy_row_from(i, self.init_k[l][h].row(i));
-                    v.copy_row_from(i, self.init_v[l][h].row(i));
-                }
-                for (i, (wk, wv)) in window.iter().enumerate() {
-                    k.copy_row_from(n_init + i, wk);
-                    v.copy_row_from(n_init + i, wv);
-                }
-                if let Err(e) = swap.try_offload(l, h, k, v) {
-                    return Err((e, swap.stats())); // dropping `swap` releases the partial chains
-                }
+        for (i, head) in self.resident.iter().enumerate() {
+            let (k, v) = head.to_rows();
+            if let Err(e) = swap.try_offload(i / n_kv_heads, i % n_kv_heads, k, v) {
+                return Err((e, swap.stats())); // dropping `swap` releases the partial chains
             }
         }
         Ok(swap)
     }
 
     fn maybe_lazy_init(&mut self) {
-        if self.policy_ready {
+        if self.rec.policy_ready {
             return;
         }
-        let mid = self.store.len(0, 0);
+        let mid = self.rec.store.len(0, 0);
         if mid < LAZY_INIT_THRESHOLD {
             return;
         }
         let pinit = self.middle_init(mid);
-        self.policy.init(&pinit);
-        self.policy_ready = true;
-    }
-}
-
-/// Intermediate construction product (avoids a partially-initialised
-/// `SelectiveSession` while the policy is still borrowed).
-struct SessionParts<'m> {
-    model: &'m Model,
-    cfg: SessionConfig,
-    policy_ready: bool,
-    budget_middle: usize,
-    init_k: Vec<Vec<Matrix>>,
-    init_v: Vec<Vec<Matrix>>,
-    local: Vec<Vec<LocalWindow>>,
-    store: HostKvStore,
-    cache: BlockCache,
-    pos: usize,
-    n_layers: usize,
-    n_kv_heads: usize,
-}
-
-impl<'m> SessionParts<'m> {
-    fn into_start(self, policy: Box<dyn SelectionPolicy + Send>, logits: Vec<f32>) -> SessionStart<'m> {
-        let last_selected = vec![vec![Vec::new(); self.n_kv_heads]; self.n_layers];
-        SessionStart {
-            session: SelectiveSession {
-                model: self.model,
-                cfg: self.cfg,
-                policy,
-                policy_ready: self.policy_ready,
-                budget_middle: self.budget_middle,
-                init_k: self.init_k,
-                init_v: self.init_v,
-                local: self.local,
-                store: self.store,
-                cache: self.cache,
-                pos: self.pos,
-                steps: 0,
-                policy_comm_bytes: 0,
-                last_selected,
-                sel_scratch: Vec::new(),
-                policy_scratch: PolicyScratch::new(),
-                pending_fault: None,
-            },
-            logits,
-        }
+        self.rec.policy.init(&pinit);
+        self.rec.policy_ready = true;
     }
 }
 
@@ -832,33 +764,51 @@ impl std::fmt::Debug for SuspendError<'_> {
     }
 }
 
-/// A host store whose pages are pinned against recycling for as long as
-/// this wrapper lives. Unpins on [`PinnedStore::into_inner`] or drop, so a
-/// parked session that is discarded (e.g. deadline-reaped) never trips the
-/// allocator's pinned-release panic.
-struct PinnedStore(Option<HostKvStore>);
+/// Something whose host pages can be pinned: a bare store, or the session
+/// record that owns one.
+trait HostPages {
+    fn host_store(&self) -> &HostKvStore;
+}
 
-impl PinnedStore {
-    fn new(store: HostKvStore) -> Self {
-        store.pin_pages();
-        Self(Some(store))
-    }
-
-    fn get(&self) -> &HostKvStore {
-        self.0.as_ref().expect("store present until into_inner")
-    }
-
-    fn into_inner(mut self) -> HostKvStore {
-        let store = self.0.take().expect("store present until into_inner");
-        store.unpin_pages();
-        store
+impl HostPages for HostKvStore {
+    fn host_store(&self) -> &HostKvStore {
+        self
     }
 }
 
-impl Drop for PinnedStore {
+impl HostPages for SessionRecord {
+    fn host_store(&self) -> &HostKvStore {
+        &self.store
+    }
+}
+
+/// A value whose host pages are pinned against recycling for as long as
+/// this wrapper lives. Unpins on [`Pinned::into_inner`] or drop, so a
+/// parked session that is discarded (e.g. deadline-reaped) never trips the
+/// allocator's pinned-release panic.
+struct Pinned<T: HostPages>(Option<T>);
+
+impl<T: HostPages> Pinned<T> {
+    fn new(value: T) -> Self {
+        value.host_store().pin_pages();
+        Self(Some(value))
+    }
+
+    fn get(&self) -> &T {
+        self.0.as_ref().expect("value present until into_inner")
+    }
+
+    fn into_inner(mut self) -> T {
+        let value = self.0.take().expect("value present until into_inner");
+        value.host_store().unpin_pages();
+        value
+    }
+}
+
+impl<T: HostPages> Drop for Pinned<T> {
     fn drop(&mut self) {
-        if let Some(store) = self.0.take() {
-            store.unpin_pages();
+        if let Some(value) = self.0.take() {
+            value.host_store().unpin_pages();
         }
     }
 }
@@ -870,26 +820,18 @@ impl Drop for PinnedStore {
 /// [`SuspendedSession::resume`]. Dropping it without resuming unpins and
 /// releases everything cleanly.
 pub struct SuspendedSession {
-    cfg: SessionConfig,
-    policy: Box<dyn SelectionPolicy + Send>,
-    policy_ready: bool,
-    budget_middle: usize,
-    /// The untouched middle-region namespace (pinned).
-    store: PinnedStore,
+    /// The session's persistent state, its middle-region namespace pinned.
+    rec: Pinned<SessionRecord>,
     /// Swap namespace holding, per (layer, head), `n_init` initial rows
     /// followed by `n_local` local-window rows (pinned).
-    swap: PinnedStore,
-    pos: usize,
-    steps: u64,
-    policy_comm_bytes: u64,
-    last_selected: Vec<Vec<Vec<usize>>>,
+    swap: Pinned<HostKvStore>,
 }
 
 impl std::fmt::Debug for SuspendedSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SuspendedSession")
-            .field("pos", &self.pos)
-            .field("steps", &self.steps)
+            .field("pos", &self.pos())
+            .field("steps", &self.steps())
             .field("middle_len", &self.middle_len())
             .finish_non_exhaustive()
     }
@@ -898,30 +840,30 @@ impl std::fmt::Debug for SuspendedSession {
 impl SuspendedSession {
     /// Next absolute position the resumed session will decode.
     pub fn pos(&self) -> usize {
-        self.pos
+        self.rec.get().pos
     }
 
     /// Decode steps taken before suspension.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.rec.get().steps
     }
 
     /// Middle tokens parked on the host (layer 0 as representative).
     pub fn middle_len(&self) -> usize {
-        self.store.get().len(0, 0)
+        self.rec.get().store.len(0, 0)
     }
 
     /// Host transfer of the middle-region namespace — the same stats
     /// [`SelectiveSession::transfer_stats`] would report, available while
     /// parked so a reaped session's completion still carries its traffic.
     pub fn transfer_stats(&self) -> TransferStats {
-        self.store.get().stats()
+        self.rec.get().store.stats()
     }
 
     /// Sharing stats of the middle-region namespace (see
     /// [`SelectiveSession::sharing_stats`]).
     pub fn sharing_stats(&self) -> SharingStats {
-        self.store.get().sharing_stats()
+        self.rec.get().store.sharing_stats()
     }
 
     /// Swap-namespace transfer so far (the suspend-time D2H offload).
@@ -937,7 +879,7 @@ impl SuspendedSession {
     /// integrity gate. A checkpoint that fails here must be discarded, not
     /// resumed.
     pub fn verify(&self) -> Result<(), MemError> {
-        self.store.get().verify()?;
+        self.rec.get().store.verify()?;
         self.swap.get().verify()
     }
 
@@ -952,117 +894,83 @@ impl SuspendedSession {
     pub fn resume(self, model: &Model, cache: BlockCache) -> (SelectiveSession<'_>, TransferStats) {
         let mcfg = model.config();
         assert!(cache.is_empty(), "resume cache must start empty");
-        let n_init = self.cfg.n_init;
-        let n_local = self.cfg.n_local;
-        let ids: Vec<usize> = (0..n_init + n_local).collect();
-        let mut init_k = Vec::with_capacity(mcfg.n_layers);
-        let mut init_v = Vec::with_capacity(mcfg.n_layers);
-        let mut local = Vec::with_capacity(mcfg.n_layers);
+        let cfg = self.rec.get().cfg;
+        let ids: Vec<usize> = (0..cfg.n_init + cfg.n_local).collect();
+        let mut resident = Vec::with_capacity(mcfg.n_layers * mcfg.n_kv_heads);
         for l in 0..mcfg.n_layers {
-            let mut ik = Vec::with_capacity(mcfg.n_kv_heads);
-            let mut iv = Vec::with_capacity(mcfg.n_kv_heads);
-            let mut ll = Vec::with_capacity(mcfg.n_kv_heads);
             for h in 0..mcfg.n_kv_heads {
                 let (k, v) = self.swap.get().fetch(l, h, &ids);
-                ik.push(k.slice_rows(0, n_init));
-                iv.push(v.slice_rows(0, n_init));
-                let mut dq = VecDeque::with_capacity(n_local + 1);
-                for i in n_init..n_init + n_local {
-                    dq.push_back((k.row(i).to_vec(), v.row(i).to_vec()));
-                }
-                ll.push(dq);
+                resident.push(ResidentHead::from_rows(&k, &v, cfg.n_init, cfg.n_init));
             }
-            init_k.push(ik);
-            init_v.push(iv);
-            local.push(ll);
         }
         let swap = self.swap.into_inner(); // unpin BEFORE the chains release
         let swap_transfer = swap.stats();
         drop(swap);
-        let session = SelectiveSession {
-            model,
-            cfg: self.cfg,
-            policy: self.policy,
-            policy_ready: self.policy_ready,
-            budget_middle: self.budget_middle,
-            init_k,
-            init_v,
-            local,
-            store: self.store.into_inner(),
-            cache,
-            pos: self.pos,
-            steps: self.steps,
-            policy_comm_bytes: self.policy_comm_bytes,
-            last_selected: self.last_selected,
-            sel_scratch: Vec::new(),
-            policy_scratch: PolicyScratch::new(),
-            pending_fault: None,
-        };
-        (session, swap_transfer)
+        (SelectiveSession::assemble(model, self.rec.into_inner(), resident, cache), swap_transfer)
     }
 }
 
 impl KvSource for SelectiveSession<'_> {
     fn publish(&mut self, layer: usize, kv_head: usize, key: &[f32], value: &[f32]) {
-        let window = &mut self.local[layer][kv_head];
+        let head = layer * self.model.config().n_kv_heads + kv_head;
+        let window = &mut self.resident[head].local;
         window.push_back((key.to_vec(), value.to_vec()));
-        if window.len() > self.cfg.n_local {
+        if window.len() > self.rec.cfg.n_local {
             let (ek, ev) = window.pop_front().expect("non-empty window");
             // The append's returned offset is namespace-local — correct even
             // when several sessions interleave appends into one KvTier.
             // `KvSource::publish` cannot return errors, so a store fault is
             // latched for the fallible step wrapper to surface; the evicted
             // row is dropped — the session is unrecoverable either way.
-            let middle_idx = match self.store.try_append_token(layer, kv_head, &ek, &ev) {
+            let middle_idx = match self.rec.store.try_append_token(layer, kv_head, &ek, &ev) {
                 Ok(off) => off,
                 Err(e) => {
                     self.pending_fault.get_or_insert(e);
                     return;
                 }
             };
-            if self.policy_ready {
-                self.policy.on_evict(layer, kv_head, &ek, middle_idx);
-            } else if layer == self.init_k.len() - 1 && kv_head == self.init_k[0].len() - 1 {
+            if self.rec.policy_ready {
+                self.rec.policy.on_evict(layer, kv_head, &ek, middle_idx);
+            } else if head == self.resident.len() - 1 {
                 self.maybe_lazy_init();
             }
         }
     }
 
     fn gather(&mut self, layer: usize, kv_head: usize, queries: &Matrix) -> (Matrix, Matrix) {
-        let middle_len = self.store.len(layer, kv_head);
-        let budget = self.budget_middle.min(middle_len);
+        let rec = &mut self.rec;
+        let middle_len = rec.store.len(layer, kv_head);
+        let budget = rec.budget_middle.min(middle_len);
 
         let mut sel_rel = std::mem::take(&mut self.sel_scratch);
         sel_rel.clear();
-        if self.policy_ready && budget > 0 {
+        if rec.policy_ready && budget > 0 {
             let ctx = PolicyContext { layer, kv_head, queries, budget, middle_len };
-            self.policy.select_with_scratch(&ctx, &mut self.policy_scratch, &mut sel_rel);
+            rec.policy.select_with_scratch(&ctx, &mut self.policy_scratch, &mut sel_rel);
             sel_rel.retain(|&i| i < middle_len);
         }
 
         // Account the policy's non-overlappable proxy communication.
-        self.policy_comm_bytes += self.policy.comm_bytes_per_step(middle_len);
+        rec.policy_comm_bytes += rec.policy.comm_bytes_per_step(middle_len);
 
         // Record absolute ids for instrumentation.
-        let abs: Vec<usize> = sel_rel.iter().map(|&i| i + self.cfg.n_init).collect();
-        self.last_selected[layer][kv_head] = abs;
+        let abs: Vec<usize> = sel_rel.iter().map(|&i| i + rec.cfg.n_init).collect();
+        rec.last_selected[layer][kv_head] = abs;
 
         // Assemble middle keys/values: dropping policies conceptually keep
         // their set on GPU (no fetch); retrieval policies go through the
         // cache and host store.
+        let dh = self.model.config().head_dim;
         let (mid_k, mid_v) = if sel_rel.is_empty() {
-            (
-                Matrix::zeros(0, self.model.config().head_dim),
-                Matrix::zeros(0, self.model.config().head_dim),
-            )
-        } else if self.policy.is_dropping() {
-            self.store.gather_host(layer, kv_head, &sel_rel)
+            (Matrix::zeros(0, dh), Matrix::zeros(0, dh))
+        } else if rec.policy.is_dropping() {
+            rec.store.gather_host(layer, kv_head, &sel_rel)
         } else {
             let lookup = self.cache.lookup(&sel_rel);
             self.cache.update(&top_blocks(
                 &sel_rel,
-                self.cfg.cache.block_size,
-                self.cfg.cache.k_cache_blocks,
+                rec.cfg.cache.block_size,
+                rec.cfg.cache.k_cache_blocks,
             ));
             // Hits are GPU-resident (unmetered); misses cross PCIe.
             let mut ordered = lookup.hits.clone();
@@ -1072,23 +980,22 @@ impl KvSource for SelectiveSession<'_> {
                 // The fetch is metered and checksum-verified; a corrupt page
                 // latches a fault the fallible step wrapper surfaces, so the
                 // poisoned logits are never served.
-                if let Err(e) = self.store.try_fetch(layer, kv_head, &lookup.misses) {
+                if let Err(e) = rec.store.try_fetch(layer, kv_head, &lookup.misses) {
                     self.pending_fault.get_or_insert(e);
                 }
             }
-            self.store.gather_host(layer, kv_head, &ordered)
+            rec.store.gather_host(layer, kv_head, &ordered)
         };
 
         // init ∪ middle ∪ local, in absolute token order.
-        let window = &self.local[layer][kv_head];
-        let dh = self.model.config().head_dim;
+        let head = &self.resident[layer * self.model.config().n_kv_heads + kv_head];
         let mut keys = Matrix::zeros(0, dh);
         let mut values = Matrix::zeros(0, dh);
-        keys = keys.vstack(&self.init_k[layer][kv_head]).vstack(&mid_k);
-        values = values.vstack(&self.init_v[layer][kv_head]).vstack(&mid_v);
-        let mut local_k = Matrix::zeros(window.len(), dh);
-        let mut local_v = Matrix::zeros(window.len(), dh);
-        for (i, (k, v)) in window.iter().enumerate() {
+        keys = keys.vstack(&head.init_k).vstack(&mid_k);
+        values = values.vstack(&head.init_v).vstack(&mid_v);
+        let mut local_k = Matrix::zeros(head.local.len(), dh);
+        let mut local_v = Matrix::zeros(head.local.len(), dh);
+        for (i, (k, v)) in head.local.iter().enumerate() {
             local_k.copy_row_from(i, k);
             local_v.copy_row_from(i, v);
         }
@@ -1437,7 +1344,7 @@ mod tests {
         let mcfg = model.config();
         let prefill = model.prefill(&toks, &SelectiveSession::prefill_options(&c, toks.len()));
         let start_in = |tier: &pqc_memhier::KvTier| {
-            SelectiveSession::try_start_from_prefill_in(
+            SelectiveSession::try_start_from_shared_prefix(
                 model,
                 Box::new(PqCachePolicy::default()),
                 c,
@@ -1446,6 +1353,7 @@ mod tests {
                     store: tier.new_namespace(),
                     cache: SessionResources::standalone(model, &c).cache,
                 },
+                None,
             )
         };
         // Find the exact page footprint with an uncapped dry run.
@@ -1532,7 +1440,7 @@ mod tests {
             Some(1),
         );
         let prefill = model.prefill(&toks, &SelectiveSession::prefill_options(&c, toks.len()));
-        let err = SelectiveSession::try_start_from_prefill_in(
+        let err = SelectiveSession::try_start_from_shared_prefix(
             &model,
             Box::new(PqCachePolicy::default()),
             c,
@@ -1541,11 +1449,44 @@ mod tests {
                 store: tier.new_namespace(),
                 cache: SessionResources::standalone(&model, &c).cache,
             },
+            None,
         )
         .map(|_| ())
         .expect_err("one page cannot hold the prefill middle");
         assert_eq!(err, MemError::PageExhausted { max_pages: 1 });
         assert_eq!(tier.allocator().pages_in_use(), 0, "failed start leaks no pages");
+    }
+
+    /// A policy with a non-zero `comm_bytes_per_step` around PQCache (which
+    /// reports zero), so the twin batteries can tell a carried
+    /// `policy_comm_bytes` from a reset one. Everything the twins exercise
+    /// is delegated.
+    struct Metered(Box<dyn SelectionPolicy + Send>);
+
+    impl SelectionPolicy for Metered {
+        fn name(&self) -> &'static str {
+            "Metered"
+        }
+        fn init(&mut self, init: &PolicyInit) {
+            self.0.init(init);
+        }
+        fn select_with_scratch(
+            &mut self,
+            ctx: &PolicyContext<'_>,
+            scratch: &mut PolicyScratch,
+            out: &mut Vec<usize>,
+        ) {
+            self.0.select_with_scratch(ctx, scratch, out);
+        }
+        fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], middle_idx: usize) {
+            self.0.on_evict(layer, kv_head, key, middle_idx);
+        }
+        fn comm_bytes_per_step(&self, middle_len: usize) -> u64 {
+            middle_len as u64
+        }
+        fn fork(&self) -> Option<Box<dyn SelectionPolicy + Send>> {
+            Some(Box::new(Metered(self.0.fork()?)))
+        }
     }
 
     /// Twin-session harness for the suspend/resume battery: both sessions
@@ -1562,7 +1503,7 @@ mod tests {
         let mk = || {
             SelectiveSession::start_from_prefill_in(
                 model,
-                Box::new(PqCachePolicy::default()),
+                Box::new(Metered(Box::new(PqCachePolicy::default()))),
                 c,
                 &prefill,
                 SessionResources {
@@ -1582,6 +1523,16 @@ mod tests {
             next = da.greedy();
         }
         (a, b, next)
+    }
+
+    /// The counters a suspend / checkpoint round trip must carry: after the
+    /// same number of steps the revived session's record equals its
+    /// uninterrupted twin's (a field dropped on the way would reset).
+    fn assert_same_record(twin: &SelectiveSession<'_>, revived: &SelectiveSession<'_>) {
+        assert_eq!(twin.steps(), revived.steps(), "steps");
+        assert!(twin.policy_comm_bytes() > 0, "twins must meter policy comm");
+        assert_eq!(twin.policy_comm_bytes(), revived.policy_comm_bytes(), "policy_comm_bytes");
+        assert_eq!(twin.middle_budget(), revived.middle_budget(), "middle_budget");
     }
 
     #[test]
@@ -1623,6 +1574,7 @@ mod tests {
             next = da.greedy();
         }
         assert_eq!(a.middle_len(), b.middle_len());
+        assert_same_record(&a, &b);
     }
 
     #[test]
@@ -1700,7 +1652,7 @@ mod tests {
         let mcfg = model.config();
         let prefill = model.prefill(&toks, &SelectiveSession::prefill_options(&c, toks.len()));
         let mk = |tier: &pqc_memhier::KvTier| {
-            SelectiveSession::try_start_from_prefill_in(
+            SelectiveSession::try_start_from_shared_prefix(
                 &model,
                 Box::new(PqCachePolicy::default()),
                 c,
@@ -1709,6 +1661,7 @@ mod tests {
                     store: tier.new_namespace(),
                     cache: SessionResources::standalone(&model, &c).cache,
                 },
+                None,
             )
         };
         let dry_tier =
@@ -1781,6 +1734,8 @@ mod tests {
             assert_eq!(&d.logits, expect, "replayed step {step} diverged");
             rnext = d.greedy();
         }
+        assert_same_record(&a, &revived);
+        assert_same_record(&a, &b);
         drop(b);
         assert_eq!(tier.allocator().pinned_pages(), 0);
     }

@@ -10,8 +10,9 @@
 //! with no full-length logits buffer and no second softmax pass. Dense
 //! prefill additionally tiles 4 query rows at a time so each key/value row
 //! is loaded once per tile instead of once per row. Score capture needs the
-//! materialised probability rows, so capturing callers take the legacy
-//! two-pass path.
+//! materialised probability rows, so capturing callers — and partial prefill
+//! chunks, which must match them bit for bit — take the per-row two-pass
+//! sweep, [`causal_attention_rows`].
 
 use pqc_tensor::{axpy, dot, softmax_inplace, Matrix};
 
@@ -137,11 +138,10 @@ impl ScoreCapture {
     /// (in ascending key order) and concatenated samples.
     ///
     /// This is how per-(kv-head, query-in-group) captures combine into the
-    /// per-kv-head capture the policies consume. Both the monolithic and the
-    /// chunked prefill record one capture per group member and merge them in
-    /// ascending group order, so the floating-point accumulation order —
-    /// and therefore every capture bit — is independent of how prefill was
-    /// chunked.
+    /// per-kv-head capture the policies consume. Prefill records one capture
+    /// per group member, row by row, and merges them in ascending group
+    /// order, so the floating-point accumulation order — and therefore every
+    /// capture bit — is independent of how prefill was chunked.
     pub fn merge(&mut self, other: &ScoreCapture) {
         assert_eq!(self.accum.len(), other.accum.len(), "capture length mismatch");
         assert_eq!(self.window, other.window, "capture window mismatch");
@@ -284,7 +284,8 @@ fn allowed_segments(pattern: PrefillPattern, i: usize) -> ((usize, usize), (usiz
 ///
 /// Capturing callers (H2O/SnapKV statistics, Fig. 6 sampling) need the full
 /// probability rows, which the online path never materialises, so they take
-/// the legacy two-pass sweep. Consequently capture is **not bit-transparent**:
+/// the two-pass sweep of [`causal_attention_rows`] (at `row_offset = 0`).
+/// Consequently capture is **not bit-transparent**:
 /// capturing and non-capturing prefills of the same prompt agree to float
 /// tolerance, not to the bit (normalise-then-accumulate vs the online
 /// accumulate-then-normalise). Comparisons that require bit-identity must
@@ -300,13 +301,11 @@ pub fn causal_attention(
     let (s, dh) = q.shape();
     assert_eq!(k.shape(), (s, dh));
     assert_eq!(v.shape(), (s, dh));
+    if capture.is_some() {
+        return causal_attention_rows(q, k, v, 0, s, pattern, capture);
+    }
     let scale = 1.0 / (dh as f32).sqrt();
     let mut out = Matrix::zeros(s, dh);
-
-    if let Some(cap) = capture {
-        causal_attention_capture(q, k, v, pattern, cap, &mut out, scale);
-        return out;
-    }
 
     if matches!(pattern, PrefillPattern::Dense) && s >= TILE_MIN_S {
         if use_avx2() {
@@ -536,57 +535,18 @@ unsafe fn dense_tiled_avx2(q: &Matrix, k: &Matrix, v: &Matrix, out: &mut Matrix,
     dense_tiled_body(q, k, v, out, scale);
 }
 
-/// Legacy two-pass sweep for capturing callers: materialises each row's
-/// probability vector (which the capture consumes) exactly as before.
-#[inline(never)]
-fn causal_attention_capture(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    pattern: PrefillPattern,
-    cap: &mut ScoreCapture,
-    out: &mut Matrix,
-    scale: f32,
-) {
-    let s = q.rows();
-    let mut scores: Vec<f32> = Vec::with_capacity(s);
-    let mut allowed: Vec<usize> = Vec::with_capacity(s);
-    cap.prepare();
-
-    for i in 0..s {
-        scores.clear();
-        allowed.clear();
-        let qi = q.row(i);
-        for j in 0..=i {
-            if pattern.allows(i, j) {
-                allowed.push(j);
-                scores.push(dot(qi, k.row(j)) * scale);
-            }
-        }
-        softmax_inplace(&mut scores);
-        let orow = out.row_mut(i);
-        for (&j, &p) in allowed.iter().zip(scores.iter()) {
-            axpy(orow, v.row(j), p);
-        }
-        if allowed.len() == i + 1 {
-            cap.record(i, &scores, s);
-        } else {
-            cap.record_sparse(i, &allowed, &scores, s);
-        }
-    }
-}
-
 /// Causal prefill attention for one **chunk** of query rows against the
 /// full key prefix: query row `r` of `q` sits at absolute position
 /// `row_offset + r` and attends keys `0..=row_offset + r` of `k`/`v`
 /// (whose rows `0..row_offset + q.rows()` must already be populated).
 ///
-/// This is the chunked-prefill kernel. It runs the *same* per-row two-pass
-/// sweep as the capturing monolithic path (`causal_attention_capture`) —
-/// per-row scaled dots over the allowed keys, `softmax`, per-key `axpy` —
-/// so a prefill split into chunks at any boundaries produces bit-identical
-/// outputs and bit-identical capture statistics to the unchunked capturing
-/// prefill: every per-row operation touches only that row, and the capture
+/// This is the chunked-prefill kernel and the only two-pass sweep: per-row
+/// scaled dots over the allowed keys, `softmax`, per-key `axpy`, each row's
+/// materialised probabilities handed to the capture. A capturing
+/// [`causal_attention`] is this routine over all rows, so a prefill split
+/// into chunks at any boundaries produces bit-identical outputs and
+/// bit-identical capture statistics to the unchunked capturing prefill:
+/// every per-row operation touches only that row, and the capture
 /// accumulates rows in ascending order regardless of chunk boundaries.
 /// `s_total` is the full prompt length (it anchors the capture's
 /// observation window, which must not depend on chunking).

@@ -1,13 +1,24 @@
 //! The decoder-only transformer: prefill and decode forward passes.
 //!
-//! The decode pass is parameterised over a [`KvSource`] — the hook through
+//! There is one layer body. Its dense half — RMSNorm → Q/K/V projections,
+//! and output projection → residual → RMSNorm → FFN → residual — is written
+//! once (`Model::project_qkv`, `Model::finish_layer`) and is row-local,
+//! so a prompt chunk and a single decode row run the same operations bit for
+//! bit. Only the attention operand differs: prefill rows attend causally
+//! over the prompt's own keys ([`PrefillJob::advance`], which
+//! [`Model::prefill`] drives in one whole-prompt chunk), a decode row
+//! attends over whatever its [`KvSource`] gathers.
+//!
+//! The decode pass is parameterised over that [`KvSource`] — the hook through
 //! which PQCache (and every baseline policy) injects *which* key-value pairs
 //! each layer/kv-head attends to. A [`FullKvSource`] reference implementation
 //! reproduces exact full attention; the invariant "selective attention with
 //! an everything-budget equals full attention bit-for-bit" is tested against
 //! it.
 
-use crate::attention::{attend_selected_into, causal_attention, PrefillPattern, ScoreCapture};
+use crate::attention::{
+    attend_selected_into, causal_attention, causal_attention_rows, PrefillPattern, ScoreCapture,
+};
 use crate::config::LlmConfig;
 use crate::rope::{apply_rope, apply_rope_rows};
 use crate::weights::{rms_norm, rms_norm_rows, ModelWeights};
@@ -191,123 +202,32 @@ impl Model {
     }
 
     /// Full prefill over `tokens`. Computes every layer's KVCache, the last
-    /// token's hidden state and logits, and optional attention captures.
+    /// token's hidden state and logits, and optional attention captures —
+    /// a [`PrefillJob`] advanced by one whole-prompt chunk.
     pub fn prefill(&self, tokens: &[u32], opts: &PrefillOptions) -> PrefillOutput {
-        assert!(!tokens.is_empty(), "prefill needs at least one token");
-        let cfg = &self.cfg;
-        let s = tokens.len();
-        let dh = cfg.head_dim;
-        let group = cfg.group_size();
-        let mut x = self.embed(tokens);
-        let mut kv_out: Vec<LayerKv> = Vec::with_capacity(cfg.n_layers);
-        let mut captures: Option<Vec<Vec<ScoreCapture>>> =
-            opts.capture_window.map(|_| Vec::with_capacity(cfg.n_layers));
+        let mut job = self.begin_prefill(tokens, opts);
+        job.advance(tokens.len());
+        job.finish()
+    }
 
-        for l in 0..cfg.n_layers {
-            let w = &self.weights.layers[l];
-            let xn = rms_norm_rows(&x);
-            let q_all = xn.matmul(&w.wq); // (s, h*dh)
-            let k_all = xn.matmul(&w.wk); // (s, hkv*dh)
-            let v_all = xn.matmul(&w.wv);
+    /// First dense half of layer `l` over the rows of `x`: RMSNorm, then the
+    /// fused query/key/value projections `(rows, h·d_h)`, `(rows, h_kv·d_h)`
+    /// ×2. Row-local, so a prompt chunk and a decode row share it bit for bit.
+    fn project_qkv(&self, l: usize, x: &Matrix) -> (Matrix, Matrix, Matrix) {
+        let w = &self.weights.layers[l];
+        let xn = rms_norm_rows(x);
+        (xn.matmul(&w.wq), xn.matmul(&w.wk), xn.matmul(&w.wv))
+    }
 
-            // Split per head, apply RoPE.
-            let mut q_heads: Vec<Matrix> = (0..cfg.n_heads)
-                .map(|h| slice_head(&q_all, h, dh))
-                .collect();
-            let mut k_heads: Vec<Matrix> = (0..cfg.n_kv_heads)
-                .map(|h| slice_head(&k_all, h, dh))
-                .collect();
-            let v_heads: Vec<Matrix> = (0..cfg.n_kv_heads)
-                .map(|h| slice_head(&v_all, h, dh))
-                .collect();
-            for q in q_heads.iter_mut() {
-                apply_rope_rows(q, 0, cfg.rope_theta);
-            }
-            for k in k_heads.iter_mut() {
-                apply_rope_rows(k, 0, cfg.rope_theta);
-            }
-
-            // Attention per kv head (each serves `group` query heads).
-            // Each group member records into its **own** capture; the
-            // per-kv-head capture the policies consume is the ascending-g
-            // merge of those. Chunked prefill ([`PrefillJob`]) builds the
-            // identical per-(kvh, g) captures row by row and merges them in
-            // the same order, which is what makes capture bits independent
-            // of chunking.
-            let jobs: Vec<usize> = (0..cfg.n_kv_heads).collect();
-            let run_head = |kvh: usize| -> (Vec<Matrix>, Option<ScoreCapture>) {
-                let mut cap: Option<ScoreCapture> = None;
-                let mut outs = Vec::with_capacity(group);
-                for g in 0..group {
-                    let qh = &q_heads[kvh * group + g];
-                    let mut gcap = opts.capture_window.map(|win| {
-                        let mut c = ScoreCapture::new(s, win.min(s));
-                        c.sample_rows = opts.sample_rows.clone();
-                        c
-                    });
-                    outs.push(causal_attention(
-                        qh,
-                        &k_heads[kvh],
-                        &v_heads[kvh],
-                        opts.pattern,
-                        gcap.as_mut(),
-                    ));
-                    if let Some(gc) = gcap {
-                        match cap.as_mut() {
-                            Some(c) => c.merge(&gc),
-                            None => cap = Some(gc),
-                        }
-                    }
-                }
-                (outs, cap)
-            };
-
-            let results: Vec<(Vec<Matrix>, Option<ScoreCapture>)> = if opts.parallel
-                && cfg.n_kv_heads > 1
-            {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs
-                        .iter()
-                        .map(|&kvh| scope.spawn(move || run_head(kvh)))
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("head worker")).collect()
-                })
-            } else {
-                jobs.iter().map(|&kvh| run_head(kvh)).collect()
-            };
-
-            // Concatenate head outputs and project.
-            let mut concat = Matrix::zeros(s, cfg.n_heads * dh);
-            let mut layer_caps = Vec::with_capacity(cfg.n_kv_heads);
-            for (kvh, (outs, cap)) in results.into_iter().enumerate() {
-                for (g, o) in outs.into_iter().enumerate() {
-                    let h = kvh * group + g;
-                    write_head(&mut concat, &o, h, dh);
-                }
-                if let Some(c) = cap {
-                    layer_caps.push(c);
-                }
-            }
-            if let Some(caps) = captures.as_mut() {
-                caps.push(layer_caps);
-            }
-
-            let attn_proj = concat.matmul(&w.wo);
-            x.add_assign(&attn_proj);
-
-            // FFN with residual.
-            let xn2 = rms_norm_rows(&x);
-            let mut inner = xn2.matmul(&w.w1);
-            inner.map_inplace(|v| if v > 0.0 { v } else { 0.0 });
-            let ffn = inner.matmul(&w.w2);
-            x.add_assign(&ffn);
-
-            kv_out.push(LayerKv { keys: k_heads, values: v_heads });
-        }
-
-        let last_hidden = x.row(s - 1).to_vec();
-        let logits = self.logits(&last_hidden);
-        PrefillOutput { kv: kv_out, last_hidden, logits, captures }
+    /// Second dense half of layer `l`: project the concatenated head outputs
+    /// `attn` through `wo` into the residual stream `x`, then the ReLU FFN
+    /// with its own RMSNorm and residual. Row-local like [`Self::project_qkv`].
+    fn finish_layer(&self, l: usize, x: &mut Matrix, attn: &Matrix) {
+        let w = &self.weights.layers[l];
+        x.add_assign(&attn.matmul(&w.wo));
+        let mut inner = rms_norm_rows(x).matmul(&w.w1);
+        inner.map_inplace(|v| if v > 0.0 { v } else { 0.0 });
+        x.add_assign(&inner.matmul(&w.w2));
     }
 
     /// One decode step for `token` at absolute position `pos`, attending
@@ -332,75 +252,63 @@ impl Model {
         let cfg = &self.cfg;
         let dh = cfg.head_dim;
         let group = cfg.group_size();
-        assert!((token as usize) < cfg.vocab_size, "token {token} out of vocab");
-        let mut x: Vec<f32> = self.weights.embedding.row(token as usize).to_vec();
+        let mut x = self.embed(&[token]);
         // Attention scratch shared across layers/heads within this step (and
         // across sessions, when the caller reuses `scratch`).
         let DecodeScratch { attn_scores, attn_out } = scratch;
 
         for l in 0..cfg.n_layers {
-            let w = &self.weights.layers[l];
-            let xn = Matrix::from_vec(1, cfg.d_model, rms_norm(&x));
-            let q_all = xn.matmul(&w.wq);
-            let k_all = xn.matmul(&w.wk);
-            let v_all = xn.matmul(&w.wv);
+            // The new token's queries and keys, every head roped at `pos`.
+            let (mut q_all, mut k_all, v_all) = self.project_qkv(l, &x);
+            for head in q_all.row_mut(0).chunks_exact_mut(dh) {
+                apply_rope(head, pos, cfg.rope_theta);
+            }
+            for head in k_all.row_mut(0).chunks_exact_mut(dh) {
+                apply_rope(head, pos, cfg.rope_theta);
+            }
 
-            let mut concat = vec![0.0f32; cfg.n_heads * dh];
+            let mut concat = Matrix::zeros(1, cfg.n_heads * dh);
             for kvh in 0..cfg.n_kv_heads {
-                // New token's key/value for this head; key roped at `pos`.
-                let mut k_new = k_all.row(0)[kvh * dh..(kvh + 1) * dh].to_vec();
-                apply_rope(&mut k_new, pos, cfg.rope_theta);
-                let v_new = &v_all.row(0)[kvh * dh..(kvh + 1) * dh];
-                source.publish(l, kvh, &k_new, v_new);
+                let kv_cols = kvh * dh..(kvh + 1) * dh;
+                source.publish(l, kvh, &k_all.row(0)[kv_cols.clone()], &v_all.row(0)[kv_cols]);
 
-                // Group queries, roped at `pos`.
-                let mut queries = Matrix::zeros(group, dh);
-                for g in 0..group {
-                    let h = kvh * group + g;
-                    let mut q = q_all.row(0)[h * dh..(h + 1) * dh].to_vec();
-                    apply_rope(&mut q, pos, cfg.rope_theta);
-                    queries.copy_row_from(g, &q);
-                }
-
+                // The kv head's GQA group of query heads is contiguous.
+                let q_cols = kvh * group * dh..(kvh + 1) * group * dh;
+                let queries = Matrix::from_vec(group, dh, q_all.row(0)[q_cols.clone()].to_vec());
                 let (keys, values) = source.gather(l, kvh, &queries);
-                for g in 0..group {
-                    let h = kvh * group + g;
+                for (g, out) in concat.row_mut(0)[q_cols].chunks_exact_mut(dh).enumerate() {
                     attend_selected_into(queries.row(g), &keys, &values, attn_scores, attn_out);
-                    concat[h * dh..(h + 1) * dh].copy_from_slice(attn_out);
+                    out.copy_from_slice(attn_out);
                 }
             }
-
-            let attn_proj = Matrix::from_vec(1, cfg.n_heads * dh, concat).matmul(&w.wo);
-            for (a, b) in x.iter_mut().zip(attn_proj.row(0).iter()) {
-                *a += b;
-            }
-
-            let xn2 = Matrix::from_vec(1, cfg.d_model, rms_norm(&x));
-            let mut inner = xn2.matmul(&w.w1);
-            inner.map_inplace(|v| if v > 0.0 { v } else { 0.0 });
-            let ffn = inner.matmul(&w.w2);
-            for (a, b) in x.iter_mut().zip(ffn.row(0).iter()) {
-                *a += b;
-            }
+            self.finish_layer(l, &mut x, &concat);
         }
 
-        let logits = self.logits(&x);
-        DecodeOutput { logits, hidden: x }
+        let hidden = x.row(0).to_vec();
+        let logits = self.logits(&hidden);
+        DecodeOutput { logits, hidden }
     }
 
     /// Begin an incremental (chunked) prefill over `tokens`. The returned
     /// [`PrefillJob`] processes the prompt in caller-budgeted chunks via
-    /// [`PrefillJob::advance`]; once done, [`PrefillJob::finish`] yields a
-    /// [`PrefillOutput`] **bit-identical** to the capturing monolithic
-    /// [`Model::prefill`] (same logits, same KV rows, same capture
-    /// statistics) for every chunk schedule — the property the SLO
-    /// scheduler's chunked-prefill interleaving rests on.
+    /// [`PrefillJob::advance`]; once done, [`PrefillJob::finish`] yields the
+    /// [`PrefillOutput`]. With `opts.capture_window` set — every session
+    /// prefill — the output is **bit-identical** (same logits, same KV rows,
+    /// same capture statistics) for every chunk schedule, one whole-prompt
+    /// chunk ([`Model::prefill`]) included: the property the SLO scheduler's
+    /// chunked-prefill interleaving rests on.
     ///
-    /// Note the qualifier *capturing*: the job always takes the per-row
-    /// two-pass attention sweep (the one capture requires), so it matches
-    /// `prefill` whenever `opts.capture_window` is set — which the session
-    /// layer's prefills always do. A non-capturing monolithic prefill uses
-    /// the tiled online kernel and agrees only to float tolerance.
+    /// Which attention kernel a pass takes is read off the chunk, never
+    /// configured. A chunk that is the whole prompt goes through
+    /// [`causal_attention`]: the tiled online-softmax kernels when nothing
+    /// is captured, the per-row two-pass sweep when captures need each row's
+    /// materialised probabilities. A partial chunk always takes the two-pass
+    /// sweep ([`causal_attention_rows`]) against the keys stored so far. The
+    /// online kernels accumulate-then-normalise where the two-pass sweep
+    /// normalises-then-accumulates, so capture is **not bit-transparent**:
+    /// without captures, a whole-prompt pass agrees with a chunked one (and
+    /// with any capturing pass) only to float tolerance, while chunked
+    /// schedules still agree with each other bit for bit.
     pub fn begin_prefill(&self, tokens: &[u32], opts: &PrefillOptions) -> PrefillJob<'_> {
         assert!(!tokens.is_empty(), "prefill needs at least one token");
         let cfg = &self.cfg;
@@ -462,9 +370,9 @@ impl Model {
 /// embeddings, RMSNorm, the QKV/output/FFN matmuls, and residual adds all
 /// operate per row, RoPE depends only on a row's absolute position, and
 /// causal attention for row `i` reads keys `0..=i` — which this job keeps
-/// materialised across chunks. Each [`PrefillJob::advance`] therefore
-/// reproduces exactly the operations the monolithic capturing prefill would
-/// have run for those rows, in the same order, on the same inputs.
+/// materialised across chunks. Each [`PrefillJob::advance`] therefore runs
+/// exactly the operations a whole-prompt pass would have run for those
+/// rows, in the same order, on the same inputs.
 #[derive(Debug)]
 pub struct PrefillJob<'m> {
     model: &'m Model,
@@ -503,21 +411,17 @@ impl PrefillJob<'_> {
         if self.is_done() {
             return 0;
         }
-        let cfg = &self.model.cfg;
+        let model = self.model;
+        let cfg = &model.cfg;
         let dh = cfg.head_dim;
         let group = cfg.group_size();
         let s = self.tokens.len();
         let c0 = self.pos;
-        let c1 = (c0 + budget).min(s);
+        let c1 = c0.saturating_add(budget).min(s);
 
-        let mut x = self.model.embed(&self.tokens[c0..c1]);
+        let mut x = model.embed(&self.tokens[c0..c1]);
         for l in 0..cfg.n_layers {
-            let w = &self.model.weights.layers[l];
-            let xn = rms_norm_rows(&x);
-            let q_all = xn.matmul(&w.wq);
-            let k_all = xn.matmul(&w.wk);
-            let v_all = xn.matmul(&w.wv);
-
+            let (q_all, k_all, v_all) = model.project_qkv(l, &x);
             let mut q_heads: Vec<Matrix> =
                 (0..cfg.n_heads).map(|h| slice_head(&q_all, h, dh)).collect();
             for q in q_heads.iter_mut() {
@@ -525,7 +429,7 @@ impl PrefillJob<'_> {
             }
             // Write the chunk's roped K and V rows into the stored KV at
             // their absolute offsets; attention then reads keys `0..=i`
-            // from the store, exactly like the monolithic pass.
+            // from the store whatever the chunk boundaries were.
             for kvh in 0..cfg.n_kv_heads {
                 let mut k_chunk = slice_head(&k_all, kvh, dh);
                 apply_rope_rows(&mut k_chunk, c0, cfg.rope_theta);
@@ -537,59 +441,49 @@ impl PrefillJob<'_> {
                 }
             }
 
+            // Attention per kv head (each serves `group` query heads, and
+            // each group member records into its own capture, merged at
+            // `finish`). A whole-prompt chunk lets `causal_attention` pick
+            // its kernel; a partial chunk takes the row sweep against the
+            // stored prefix.
             let layer_kv = &self.kv[l];
             let pattern = self.opts.pattern;
-            let run_head = |kvh: usize, caps: Option<&mut Vec<ScoreCapture>>| -> Vec<Matrix> {
-                let mut caps = caps;
-                let mut outs = Vec::with_capacity(group);
-                for g in 0..group {
-                    outs.push(crate::attention::causal_attention_rows(
-                        &q_heads[kvh * group + g],
-                        &layer_kv.keys[kvh],
-                        &layer_kv.values[kvh],
-                        c0,
-                        s,
-                        pattern,
-                        caps.as_deref_mut().map(|v| &mut v[g]),
-                    ));
-                }
-                outs
+            let run_head = |kvh: usize, mut caps: Option<&mut Vec<ScoreCapture>>| -> Vec<Matrix> {
+                (0..group)
+                    .map(|g| {
+                        let q = &q_heads[kvh * group + g];
+                        let (k, v) = (&layer_kv.keys[kvh], &layer_kv.values[kvh]);
+                        let cap = caps.as_deref_mut().map(|c| &mut c[g]);
+                        if c1 - c0 == s {
+                            causal_attention(q, k, v, pattern, cap)
+                        } else {
+                            causal_attention_rows(q, k, v, c0, s, pattern, cap)
+                        }
+                    })
+                    .collect()
             };
 
             // Per-kv-head capture refs, splittable across worker threads.
-            let mut cap_refs: Vec<Option<&mut Vec<ScoreCapture>>> = match self.captures.as_mut()
-            {
+            let cap_refs: Vec<Option<&mut Vec<ScoreCapture>>> = match self.captures.as_mut() {
                 Some(c) => c[l].iter_mut().map(Some).collect(),
                 None => (0..cfg.n_kv_heads).map(|_| None).collect(),
             };
+            let heads = cap_refs.into_iter().enumerate();
             let results: Vec<Vec<Matrix>> = if self.opts.parallel && cfg.n_kv_heads > 1 {
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = cap_refs
-                        .drain(..)
-                        .enumerate()
-                        .map(|(kvh, caps)| scope.spawn(move || run_head(kvh, caps)))
-                        .collect();
+                    let handles: Vec<_> =
+                        heads.map(|(kvh, caps)| scope.spawn(move || run_head(kvh, caps))).collect();
                     handles.into_iter().map(|h| h.join().expect("head worker")).collect()
                 })
             } else {
-                cap_refs.drain(..).enumerate().map(|(kvh, caps)| run_head(kvh, caps)).collect()
+                heads.map(|(kvh, caps)| run_head(kvh, caps)).collect()
             };
 
             let mut concat = Matrix::zeros(c1 - c0, cfg.n_heads * dh);
-            for (kvh, outs) in results.into_iter().enumerate() {
-                for (g, o) in outs.into_iter().enumerate() {
-                    write_head(&mut concat, &o, kvh * group + g, dh);
-                }
+            for (h, o) in results.iter().flatten().enumerate() {
+                write_head(&mut concat, o, h, dh);
             }
-
-            let attn_proj = concat.matmul(&w.wo);
-            x.add_assign(&attn_proj);
-
-            let xn2 = rms_norm_rows(&x);
-            let mut inner = xn2.matmul(&w.w1);
-            inner.map_inplace(|v| if v > 0.0 { v } else { 0.0 });
-            let ffn = inner.matmul(&w.w2);
-            x.add_assign(&ffn);
+            model.finish_layer(l, &mut x, &concat);
         }
 
         self.pos = c1;
@@ -603,8 +497,9 @@ impl PrefillJob<'_> {
     /// every row was processed ([`PrefillJob::is_done`]).
     pub fn finish(self) -> PrefillOutput {
         assert!(self.is_done(), "finish() before the prompt was fully prefilled");
-        // Merge each kv head's per-group captures in ascending group order —
-        // the same merge the monolithic path performs, so the bits agree.
+        // Each group member recorded into its own capture; the per-kv-head
+        // capture the policies consume is their merge in ascending group
+        // order, so capture bits do not depend on how prefill was chunked.
         let captures = self.captures.map(|layers| {
             layers
                 .into_iter()
@@ -811,15 +706,82 @@ mod tests {
         assert!((total - 2.0 * 10.0).abs() < 1e-3, "total {total}");
     }
 
-    /// Drive a PrefillJob to completion with a fixed chunk budget.
-    fn run_chunked(model: &Model, t: &[u32], opts: &PrefillOptions, chunk: usize) -> PrefillOutput {
+    /// The independent reference every chunked-prefill comparison runs
+    /// against: a straight-line, single-threaded, whole-prompt prefill that
+    /// shares no layer code with [`PrefillJob`] — each op spelled out, one
+    /// `causal_attention` call per query head over freshly built K/V.
+    fn reference_prefill(model: &Model, tokens: &[u32], opts: &PrefillOptions) -> PrefillOutput {
+        let cfg = &model.cfg;
+        let (s, dh, group) = (tokens.len(), cfg.head_dim, cfg.group_size());
+        let mut x = model.embed(tokens);
+        let mut kv = Vec::new();
+        let mut captures = opts.capture_window.map(|_| Vec::new());
+        for w in &model.weights.layers {
+            let xn = rms_norm_rows(&x);
+            let (q_all, k_all, v_all) = (xn.matmul(&w.wq), xn.matmul(&w.wk), xn.matmul(&w.wv));
+            let mut keys = Vec::new();
+            let mut values = Vec::new();
+            let mut layer_caps = Vec::new();
+            let mut concat = Matrix::zeros(s, cfg.n_heads * dh);
+            for kvh in 0..cfg.n_kv_heads {
+                let mut k = slice_head(&k_all, kvh, dh);
+                apply_rope_rows(&mut k, 0, cfg.rope_theta);
+                let v = slice_head(&v_all, kvh, dh);
+                // One capture per group member, merged in ascending order.
+                let mut cap: Option<ScoreCapture> = None;
+                for h in kvh * group..(kvh + 1) * group {
+                    let mut q = slice_head(&q_all, h, dh);
+                    apply_rope_rows(&mut q, 0, cfg.rope_theta);
+                    let mut gcap = opts.capture_window.map(|win| {
+                        let mut c = ScoreCapture::new(s, win.min(s));
+                        c.sample_rows = opts.sample_rows.clone();
+                        c
+                    });
+                    let out = causal_attention(&q, &k, &v, opts.pattern, gcap.as_mut());
+                    write_head(&mut concat, &out, h, dh);
+                    if let Some(gc) = gcap {
+                        match cap.as_mut() {
+                            Some(c) => c.merge(&gc),
+                            None => cap = Some(gc),
+                        }
+                    }
+                }
+                layer_caps.extend(cap);
+                keys.push(k);
+                values.push(v);
+            }
+            if let Some(caps) = captures.as_mut() {
+                caps.push(layer_caps);
+            }
+            x.add_assign(&concat.matmul(&w.wo));
+            let mut inner = rms_norm_rows(&x).matmul(&w.w1);
+            inner.map_inplace(|v| if v > 0.0 { v } else { 0.0 });
+            x.add_assign(&inner.matmul(&w.w2));
+            kv.push(LayerKv { keys, values });
+        }
+        let last_hidden = x.row(s - 1).to_vec();
+        let logits = model.logits(&last_hidden);
+        PrefillOutput { kv, last_hidden, logits, captures }
+    }
+
+    /// Drive a PrefillJob to completion: call `i` advances by `budgets[i]`,
+    /// the last budget repeating.
+    fn run_chunked(
+        model: &Model,
+        t: &[u32],
+        opts: &PrefillOptions,
+        budgets: &[usize],
+    ) -> PrefillOutput {
         let mut job = model.begin_prefill(t, opts);
         assert_eq!(job.total_tokens(), t.len());
+        let mut budgets = budgets.iter().copied();
+        let mut chunk = budgets.next().expect("at least one budget");
         while !job.is_done() {
             let before = job.pos();
             let n = job.advance(chunk);
             assert_eq!(job.pos(), before + n);
             assert!(n > 0);
+            chunk = budgets.next().unwrap_or(chunk);
         }
         assert_eq!(job.advance(chunk), 0, "advance after done is a no-op");
         job.finish()
@@ -848,9 +810,10 @@ mod tests {
     #[test]
     fn chunked_prefill_is_bit_identical_to_monolithic_capture_prefill() {
         // The chunked-prefill contract: for every chunk budget — including 1
-        // token, a budget larger than the prompt, and uneven tails — the
-        // job's logits, KV rows, and capture statistics equal the capturing
-        // monolithic prefill's bit for bit.
+        // token, a budget larger than the prompt, uneven tails, and a
+        // `usize::MAX` budget after a partial chunk — the job's logits, KV
+        // rows, and capture statistics equal the capturing reference
+        // prefill's bit for bit.
         let model = Model::new(LlmConfig::tiny());
         for s in [1usize, 5, 16, 33] {
             let t = toks(s, 0x11 + s as u64);
@@ -860,32 +823,52 @@ mod tests {
                 parallel: false,
                 ..Default::default()
             };
-            let mono = model.prefill(&t, &opts);
-            for chunk in [1usize, 3, 7, s, s + 10] {
-                let chunked = run_chunked(&model, &t, &opts, chunk);
-                assert_prefill_bits_equal(&mono, &chunked, &format!("s={s} chunk={chunk}"));
+            let mono = reference_prefill(&model, &t, &opts);
+            assert_prefill_bits_equal(&mono, &model.prefill(&t, &opts), &format!("s={s} prefill"));
+            for budgets in [&[1usize][..], &[3], &[7], &[s], &[s + 10], &[3, usize::MAX]] {
+                let chunked = run_chunked(&model, &t, &opts, budgets);
+                assert_prefill_bits_equal(&mono, &chunked, &format!("s={s} budgets={budgets:?}"));
             }
         }
     }
 
     #[test]
-    fn chunked_prefill_parallel_matches_serial() {
+    fn non_capturing_prefill_pins_both_kernels_to_the_reference() {
+        // Without captures the kernel is read off the chunk: a whole-prompt
+        // chunk takes `causal_attention`'s online kernels (tiled at s >= 64)
+        // and equals the non-capturing reference; partial chunks take the
+        // two-pass row sweep and equal the *capturing* reference's logits
+        // and KV, captures absent.
+        let model = Model::new(LlmConfig::tiny());
+        for s in [33usize, 80] {
+            let t = toks(s, 0x33 + s as u64);
+            let off = PrefillOptions { capture_window: None, parallel: false, ..Default::default() };
+            let on = PrefillOptions { capture_window: Some(8), ..off.clone() };
+            let whole = reference_prefill(&model, &t, &off);
+            let rows = PrefillOutput { captures: None, ..reference_prefill(&model, &t, &on) };
+            assert_prefill_bits_equal(&whole, &model.prefill(&t, &off), &format!("s={s} prefill"));
+            for budgets in [&[s][..], &[s + 10]] {
+                let got = run_chunked(&model, &t, &off, budgets);
+                assert_prefill_bits_equal(&whole, &got, &format!("s={s} whole {budgets:?}"));
+            }
+            let got = run_chunked(&model, &t, &off, &[7]);
+            assert_prefill_bits_equal(&rows, &got, &format!("s={s} chunk=7"));
+        }
+    }
+
+    #[test]
+    fn chunked_prefill_head_parallel_matches_serial() {
         // Head-parallel chunk execution must not change bits: each (kv head,
         // group member) owns its outputs and captures.
         let model = Model::new(LlmConfig::tiny());
         let t = toks(24, 0x77);
         let base =
             PrefillOptions { capture_window: Some(6), parallel: false, ..Default::default() };
-        let serial = run_chunked(&model, &t, &base, 5);
-        let par = run_chunked(
-            &model,
-            &t,
-            &PrefillOptions { parallel: true, ..base.clone() },
-            5,
-        );
+        let serial = run_chunked(&model, &t, &base, &[5]);
+        let par = run_chunked(&model, &t, &PrefillOptions { parallel: true, ..base.clone() }, &[5]);
         assert_prefill_bits_equal(&serial, &par, "parallel vs serial chunked");
-        // And both still equal the monolithic capture prefill.
-        let mono = model.prefill(&t, &base);
+        // And both still equal the reference capture prefill.
+        let mono = reference_prefill(&model, &t, &base);
         assert_prefill_bits_equal(&mono, &par, "mono vs parallel chunked");
     }
 
@@ -899,9 +882,9 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let mono = model.prefill(&t, &opts);
-        for chunk in [1usize, 4, 6] {
-            let chunked = run_chunked(&model, &t, &opts, chunk);
+        let mono = reference_prefill(&model, &t, &opts);
+        for chunk in [1usize, 4, 6, 20] {
+            let chunked = run_chunked(&model, &t, &opts, &[chunk]);
             assert_prefill_bits_equal(&mono, &chunked, &format!("ashape chunk={chunk}"));
         }
     }

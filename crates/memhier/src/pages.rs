@@ -262,6 +262,28 @@ impl Pool {
         p.rows - 1
     }
 
+    /// Copy-on-write: give the caller a private copy of shared page `tail`
+    /// — contents and checksums carried forward as they are — in exchange
+    /// for its reference to the original, which the other referents keep
+    /// frozen. The allocation comes first, so on pool exhaustion nothing
+    /// has changed.
+    fn cow_copy(&mut self, tail: u32) -> Result<u32, MemError> {
+        let id = self.try_alloc()?;
+        let (k, v, rows, ck, cv) = {
+            let p = self.page(tail);
+            (p.k.clone(), p.v.clone(), p.rows, p.ck, p.cv)
+        };
+        let np = &mut self.pages[id as usize];
+        np.k = k;
+        np.v = v;
+        np.rows = rows;
+        np.ck = ck;
+        np.cv = cv;
+        self.release(tail);
+        self.cow_copies += 1;
+        Ok(id)
+    }
+
     /// Recompute the page's checksums from its contents and compare against
     /// the incrementally-maintained ones.
     fn verify(&self, id: u32) -> Result<(), MemError> {
@@ -520,21 +542,7 @@ impl PageAllocator {
                 } else if rc > 1 {
                     // Shared, partially-filled tail: copy-on-write. The
                     // other referents keep the frozen original.
-                    let id = pool.try_alloc()?;
-                    let (k, v, rows, ck, cv) = {
-                        let p = pool.page(tail);
-                        (p.k.clone(), p.v.clone(), p.rows, p.ck, p.cv)
-                    };
-                    {
-                        let np = &mut pool.pages[id as usize];
-                        np.k = k;
-                        np.v = v;
-                        np.rows = rows;
-                        np.ck = ck;
-                        np.cv = cv;
-                    }
-                    pool.release(tail);
-                    pool.cow_copies += 1;
+                    let id = pool.cow_copy(tail)?;
                     pool.push_row(id, key, value);
                     *chain.last_mut().expect("tail exists") = id;
                     cow = true;
@@ -576,21 +584,7 @@ impl PageAllocator {
             return false;
         }
         let id = if rc > 1 {
-            let Ok(id) = pool.try_alloc() else { return false };
-            let (k, v, rows, ck, cv) = {
-                let p = pool.page(tail);
-                (p.k.clone(), p.v.clone(), p.rows, p.ck, p.cv)
-            };
-            {
-                let np = &mut pool.pages[id as usize];
-                np.k = k;
-                np.v = v;
-                np.rows = rows;
-                np.ck = ck;
-                np.cv = cv;
-            }
-            pool.release(tail);
-            pool.cow_copies += 1;
+            let Ok(id) = pool.cow_copy(tail) else { return false };
             *chain.last_mut().expect("tail exists") = id;
             id
         } else {

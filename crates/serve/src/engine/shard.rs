@@ -383,9 +383,10 @@ impl<'a> Shard<'a> {
     }
 
     fn prefill_options(&self, prompt_len: usize) -> PrefillOptions {
-        let mut opts = SelectiveSession::prefill_options(&self.fleet.cfg.session, prompt_len);
-        opts.parallel = self.fleet.cfg.prefill_parallel;
-        opts
+        // Head threads stay off: shard workers are the parallelism axis, and
+        // nesting head threads under every worker oversubscribes the host.
+        let opts = SelectiveSession::prefill_options(&self.fleet.cfg.session, prompt_len);
+        PrefillOptions { parallel: false, ..opts }
     }
 
     /// Seat a screened request in a free slot: bind a session to a fresh
@@ -457,12 +458,13 @@ impl<'a> Shard<'a> {
         let fleet = self.fleet;
         let resources =
             SessionResources { store: fleet.tier.new_namespace(), cache: fleet.fresh_cache() };
-        let start = SelectiveSession::try_start_from_prefill_in(
+        let start = SelectiveSession::try_start_from_shared_prefix(
             fleet.model,
             policy,
             fleet.cfg.session,
             &prefill,
             resources,
+            None,
         )?;
         if fleet.cfg.prefix_cache {
             let payload =

@@ -79,10 +79,6 @@ pub struct ServeConfig {
     /// Record per-step logits and selected-token sets in each completion
     /// (the equivalence battery's evidence; costs memory).
     pub record_trace: bool,
-    /// Parallelise prefill across kv heads inside a worker. Off by default:
-    /// shard workers are the parallelism axis, and nesting head threads
-    /// under every worker oversubscribes the host.
-    pub prefill_parallel: bool,
     /// Share host KV pages and trained PQ/IVF state across sessions whose
     /// prompts are identical (vLLM-style prefix caching on the paged tier).
     /// On by default — sharing is exact, so results are bit-identical to a
@@ -135,7 +131,6 @@ impl Default for ServeConfig {
             session: SessionConfig::default(),
             cache_budget_sessions: None,
             record_trace: false,
-            prefill_parallel: false,
             prefix_cache: true,
             page_tokens: DEFAULT_PAGE_TOKENS,
             prefill_chunk_tokens: None,

@@ -104,44 +104,10 @@ impl TenantTrace {
     }
 }
 
-/// Generate a Poisson-arrival, mixed-length, churn-heavy request stream.
+/// Generate a Poisson-arrival, mixed-length, churn-heavy request stream:
+/// an [`overload_storm_trace`] whose storm never rises above the base rate.
 pub fn multi_tenant_trace(cfg: &TraceConfig) -> TenantTrace {
-    assert!(cfg.sessions > 0, "need at least one session");
-    assert!(cfg.arrival_rate > 0.0, "arrival rate must be positive");
-    assert!(cfg.decode_steps.0 <= cfg.decode_steps.1, "decode range inverted");
-    assert!(cfg.prompt_mix.iter().sum::<f64>() > 0.0, "mixture weights all zero");
-    assert!(cfg.priority_mix.iter().sum::<f64>() > 0.0, "priority weights all zero");
-    let mut rng = Rng64::new(cfg.seed);
-    // Priorities draw from their own stream so the prompt/arrival/decode
-    // content of a trace is invariant under priority_mix changes — an SLO
-    // battery can compare mixes on bit-identical traffic.
-    let mut prio_rng = Rng64::new(cfg.seed ^ 0x5710_11E5);
-    let prio_mix: Vec<f64> = cfg.priority_mix.to_vec();
-    let mix: Vec<f64> = cfg.prompt_mix.to_vec();
-    let mut tick = 0u64;
-    let mut requests = Vec::with_capacity(cfg.sessions);
-    for id in 0..cfg.sessions as u64 {
-        // Exponential inter-arrival gap: -ln(1-u)/λ, rounded to whole
-        // ticks (gaps under half a tick coalesce into a burst).
-        let u = rng.uniform();
-        let gap = (-(1.0 - u).ln() / cfg.arrival_rate).round() as u64;
-        tick += gap;
-        let tier = rng.weighted(&mix);
-        let s = cfg.prompt_lens[tier];
-        // Rotate task families so one trace exercises needle retrieval,
-        // QA-style probing, and aggregation pressure concurrently.
-        let wseed = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(id);
-        let workload = match id % 3 {
-            0 => needle(s.max(64), 0.25 + 0.5 * rng.uniform(), &cfg.layout, wseed),
-            1 => qa(s.max(64), 2, QuestionPosition::End, &cfg.layout, wseed),
-            _ => aggregation(s.max(64), 4, &cfg.layout, wseed),
-        };
-        let (lo, hi) = cfg.decode_steps;
-        let decode_steps = lo + rng.below(hi - lo + 1);
-        let priority = prio_rng.weighted(&prio_mix) as u8;
-        requests.push(TraceRequest { id, arrival_tick: tick, workload, decode_steps, priority });
-    }
-    TenantTrace { requests }
+    poisson_trace(cfg, 0, 1.0, None)
 }
 
 /// Generate an overload storm: a three-phase arrival profile that drives a
@@ -155,43 +121,8 @@ pub fn multi_tenant_trace(cfg: &TraceConfig) -> TenantTrace {
 /// [`multi_tenant_trace`], and the generator is purely deterministic in
 /// the seed, so storm batteries replay bit-identically.
 pub fn overload_storm_trace(cfg: &TraceConfig, overload: f64) -> TenantTrace {
-    assert!(cfg.sessions > 0, "need at least one session");
-    assert!(cfg.arrival_rate > 0.0, "arrival rate must be positive");
     assert!(overload >= 1.0, "an overload factor below 1 is not a storm");
-    assert!(cfg.decode_steps.0 <= cfg.decode_steps.1, "decode range inverted");
-    assert!(cfg.prompt_mix.iter().sum::<f64>() > 0.0, "mixture weights all zero");
-    assert!(cfg.priority_mix.iter().sum::<f64>() > 0.0, "priority weights all zero");
-    let mut rng = Rng64::new(cfg.seed);
-    let mut prio_rng = Rng64::new(cfg.seed ^ 0x5710_11E5);
-    let prio_mix: Vec<f64> = cfg.priority_mix.to_vec();
-    let mix: Vec<f64> = cfg.prompt_mix.to_vec();
-    let warmup_end = cfg.sessions / 4;
-    let storm_end = cfg.sessions - cfg.sessions / 4;
-    let mut tick = 0u64;
-    let mut requests = Vec::with_capacity(cfg.sessions);
-    for id in 0..cfg.sessions as u64 {
-        let rate = if (id as usize) >= warmup_end && (id as usize) < storm_end {
-            cfg.arrival_rate * overload
-        } else {
-            cfg.arrival_rate
-        };
-        let u = rng.uniform();
-        let gap = (-(1.0 - u).ln() / rate).round() as u64;
-        tick += gap;
-        let tier = rng.weighted(&mix);
-        let s = cfg.prompt_lens[tier];
-        let wseed = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(id);
-        let workload = match id % 3 {
-            0 => needle(s.max(64), 0.25 + 0.5 * rng.uniform(), &cfg.layout, wseed),
-            1 => qa(s.max(64), 2, QuestionPosition::End, &cfg.layout, wseed),
-            _ => aggregation(s.max(64), 4, &cfg.layout, wseed),
-        };
-        let (lo, hi) = cfg.decode_steps;
-        let decode_steps = lo + rng.below(hi - lo + 1);
-        let priority = prio_rng.weighted(&prio_mix) as u8;
-        requests.push(TraceRequest { id, arrival_tick: tick, workload, decode_steps, priority });
-    }
-    TenantTrace { requests }
+    poisson_trace(cfg, 0, overload, None)
 }
 
 /// Generate a shared-prefix fleet: `cfg.sessions` requests partitioned into
@@ -208,37 +139,66 @@ pub fn overload_storm_trace(cfg: &TraceConfig, overload: f64) -> TenantTrace {
 pub fn shared_prefix_trace(cfg: &TraceConfig, groups: usize) -> TenantTrace {
     assert!(groups > 0, "need at least one prompt group");
     assert!(groups <= cfg.sessions, "more prompt groups than sessions");
+    poisson_trace(cfg, 0x5AA5_F00D, 1.0, Some(groups))
+}
+
+/// The `n`-th workload of a rotation over the task families — so one trace
+/// exercises needle retrieval, QA-style probing, and aggregation pressure
+/// concurrently — at a prompt length sampled from the configured tiers.
+fn rotated_workload(cfg: &TraceConfig, n: u64, rng: &mut Rng64) -> Workload {
+    let s = cfg.prompt_lens[rng.weighted(&cfg.prompt_mix)].max(64);
+    let wseed = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(n);
+    match n % 3 {
+        0 => needle(s, 0.25 + 0.5 * rng.uniform(), &cfg.layout, wseed),
+        1 => qa(s, 2, QuestionPosition::End, &cfg.layout, wseed),
+        _ => aggregation(s, 4, &cfg.layout, wseed),
+    }
+}
+
+/// The one request loop behind every trace generator: Poisson arrival gaps
+/// (at `overload`× the base rate for the middle half of the requests),
+/// a uniform decode length, and a priority per request. The content RNG is
+/// seeded `cfg.seed ^ stream`. With `groups` set, one canonical workload per
+/// group is drawn up front and requests round-robin over them; otherwise
+/// each request draws its own.
+fn poisson_trace(
+    cfg: &TraceConfig,
+    stream: u64,
+    overload: f64,
+    groups: Option<usize>,
+) -> TenantTrace {
+    assert!(cfg.sessions > 0, "need at least one session");
     assert!(cfg.arrival_rate > 0.0, "arrival rate must be positive");
     assert!(cfg.decode_steps.0 <= cfg.decode_steps.1, "decode range inverted");
     assert!(cfg.prompt_mix.iter().sum::<f64>() > 0.0, "mixture weights all zero");
     assert!(cfg.priority_mix.iter().sum::<f64>() > 0.0, "priority weights all zero");
-    let mut rng = Rng64::new(cfg.seed ^ 0x5AA5_F00D);
+    let mut rng = Rng64::new(cfg.seed ^ stream);
+    // Priorities draw from their own stream so the prompt/arrival/decode
+    // content of a trace is invariant under priority_mix changes — an SLO
+    // battery can compare mixes on bit-identical traffic.
     let mut prio_rng = Rng64::new(cfg.seed ^ 0x5710_11E5);
-    let prio_mix: Vec<f64> = cfg.priority_mix.to_vec();
-    let mix: Vec<f64> = cfg.prompt_mix.to_vec();
-    // One canonical workload per group, rotated over the task families.
-    let canon: Vec<Workload> = (0..groups as u64)
-        .map(|g| {
-            let tier = rng.weighted(&mix);
-            let s = cfg.prompt_lens[tier].max(64);
-            let wseed = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(g);
-            match g % 3 {
-                0 => needle(s, 0.25 + 0.5 * rng.uniform(), &cfg.layout, wseed),
-                1 => qa(s, 2, QuestionPosition::End, &cfg.layout, wseed),
-                _ => aggregation(s, 4, &cfg.layout, wseed),
-            }
-        })
-        .collect();
+    let canon: Vec<Workload> =
+        (0..groups.unwrap_or(0) as u64).map(|g| rotated_workload(cfg, g, &mut rng)).collect();
+    let storm = cfg.sessions / 4..cfg.sessions - cfg.sessions / 4;
+    let (lo, hi) = cfg.decode_steps;
     let mut tick = 0u64;
     let mut requests = Vec::with_capacity(cfg.sessions);
     for id in 0..cfg.sessions as u64 {
+        let rate = if storm.contains(&(id as usize)) {
+            cfg.arrival_rate * overload
+        } else {
+            cfg.arrival_rate
+        };
+        // Exponential inter-arrival gap: -ln(1-u)/λ, rounded to whole
+        // ticks (gaps under half a tick coalesce into a burst).
         let u = rng.uniform();
-        let gap = (-(1.0 - u).ln() / cfg.arrival_rate).round() as u64;
-        tick += gap;
-        let workload = canon[(id as usize) % groups].clone();
-        let (lo, hi) = cfg.decode_steps;
+        tick += (-(1.0 - u).ln() / rate).round() as u64;
+        let workload = match canon.len() {
+            0 => rotated_workload(cfg, id, &mut rng),
+            n => canon[id as usize % n].clone(),
+        };
         let decode_steps = lo + rng.below(hi - lo + 1);
-        let priority = prio_rng.weighted(&prio_mix) as u8;
+        let priority = prio_rng.weighted(&cfg.priority_mix) as u8;
         requests.push(TraceRequest { id, arrival_tick: tick, workload, decode_steps, priority });
     }
     TenantTrace { requests }
