@@ -1,16 +1,22 @@
 //! # pqc-bench
 //!
-//! Shared fixtures for the benchmark harness. One bench target per paper
-//! table/figure lives in `benches/`; this library holds the simulated
+//! The paper reproduction. [`repro`] holds one entry per paper figure/table
+//! (Figs. 1–12, Tables 2–6, Appendix A): it prints the artifact's rows and
+//! returns its shape claims as named checks with recorded verdicts. The
+//! `repro` bench target runs them (`cargo bench --bench repro [-- <id>…]`),
+//! `tests/paper_shapes.rs` runs the cheap ones in tier-1, and `kernels` is
+//! the separate kernel micro-benchmark. This module holds the simulated
 //! benchmark-suite definitions (the LongBench / InfiniteBench stand-ins) and
-//! common printing helpers so every bench emits the same row format.
+//! the quality-evaluation settings they share.
 //!
-//! Scale note: quality benches run the `small()` simulation model with
+//! Scale note: quality artifacts run the `small()` simulation model with
 //! contexts of 512-2048 tokens (the "128K" of this substrate — see
-//! EXPERIMENTS.md for the mapping); latency benches run the analytical cost
+//! EXPERIMENTS.md for the mapping); latency artifacts run the analytical cost
 //! model at the paper's true scale (Llama-3-8B, RTX 4090, PCIe 1.0 x16).
 
 #![warn(missing_docs)]
+
+pub mod repro;
 
 use pqc_core::{CacheConfig, SessionConfig};
 use pqc_workloads::{
@@ -101,17 +107,6 @@ pub fn question_first_sim(vocab: usize) -> Vec<Workload> {
 fn named(mut w: Workload, name: &'static str) -> Workload {
     w.name = name;
     w
-}
-
-/// Standard section header for bench output.
-pub fn header(title: &str, source: &str) {
-    println!("\n=== {title} ===");
-    println!("(reproduces {source}; simulation scale — see EXPERIMENTS.md)");
-}
-
-/// Format seconds as milliseconds with 2 decimals.
-pub fn ms(t: f64) -> String {
-    format!("{:.2}ms", t * 1e3)
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Library code lines, one counting rule for every PR: for each .rs file
-# under crates/*/src (except crates/serve/src/engine/tests.rs, which is all
-# tests), the lines before the first `#[cfg(test)]` that are neither blank
-# nor `//` comments. Prints per crate and the total; `-v` adds per file.
+# under crates/*/src and crates/*/benches (except
+# crates/serve/src/engine/tests.rs, which is all tests), the lines before the
+# first `#[cfg(test)]` that are neither blank nor `//` comments. Bench
+# targets count like library code, so moving code between benches/ and src/
+# is neutral. Prints per crate and the total; `-v` adds per file.
 cd "$(dirname "$0")/.." || exit 1
-find crates/*/src -name '*.rs' ! -path crates/serve/src/engine/tests.rs | sort |
+find crates/*/src crates/*/benches -name '*.rs' ! -path crates/serve/src/engine/tests.rs | sort |
     xargs awk -v per_file="${1:-}" '
         FNR == 1 { in_tests = 0 }
         /#\[cfg\(test\)\]/ { in_tests = 1 }
