@@ -10,6 +10,13 @@
 //! 3. selected tokens are served from the GPU block cache where resident,
 //!    fetched (and metered) from the host otherwise;
 //! 4. attention runs over initial ∪ selected-middle ∪ local tokens.
+//!
+//! Steps 3 and 4 are one pass per (layer, kv-head): the attention operand
+//! is a reused `(keys, values)` buffer pair filled as `init | middle |
+//! local`, and the middle rows come from **one** host read,
+//! [`HostKvStore::read_into`], which meters the cache misses and verifies
+//! the slot exactly when it meters. Cache hits and a dropping policy's
+//! rows count as GPU-resident: unmetered and unverified.
 
 use crate::config::SessionConfig;
 use pqc_cache::{top_blocks, BlockCache};
@@ -109,18 +116,17 @@ impl ResidentHead {
     /// Inverse of [`ResidentHead::from_rows`] at `local_lo = n_init`: the
     /// initial rows followed by the local window.
     fn to_rows(&self) -> (Matrix, Matrix) {
-        let n_init = self.init_k.rows();
-        let mut k = Matrix::zeros(n_init + self.local.len(), self.init_k.cols());
-        let mut v = Matrix::zeros(n_init + self.local.len(), self.init_k.cols());
-        for i in 0..n_init {
-            k.copy_row_from(i, self.init_k.row(i));
-            v.copy_row_from(i, self.init_v.row(i));
-        }
-        for (i, (wk, wv)) in self.local.iter().enumerate() {
-            k.copy_row_from(n_init + i, wk);
-            v.copy_row_from(n_init + i, wv);
-        }
+        let (mut k, mut v) = (self.init_k.clone(), self.init_v.clone());
+        self.push_local(&mut k, &mut v);
         (k, v)
+    }
+
+    /// Append the local window, oldest first, to `keys` / `values`.
+    fn push_local(&self, keys: &mut Matrix, values: &mut Matrix) {
+        for (k, v) in &self.local {
+            keys.push_row(k);
+            values.push_row(v);
+        }
     }
 }
 
@@ -140,22 +146,29 @@ pub struct SelectiveSession<'m> {
     /// for a worker-owned scratch by [`SelectiveSession::step_with_scratch`]
     /// so concurrent sessions on one shard share a single set of buffers.
     policy_scratch: PolicyScratch,
+    /// Reusable attention operand `(keys, values)`, refilled by every
+    /// `gather` and swapped for the worker's like the buffers above.
+    operand: (Matrix, Matrix),
     /// A store fault recorded mid-step (`publish` cannot return errors
     /// through the `KvSource` trait); drained by the fallible step wrapper.
     pending_fault: Option<MemError>,
 }
 
 /// Per-worker scratch reused across every session a shard steps: the policy
-/// retrieval buffers, the selection index buffer, and the model's attention
-/// buffers. Splitting these out of the session is what lets the serving
-/// layer run N sessions with one set of hot-path buffers; every field is
-/// fully overwritten per step, so sharing never changes results.
+/// retrieval buffers, the selection index buffer, the attention operand,
+/// and the model's attention buffers. Splitting these out of the session is
+/// what lets the serving layer run N sessions with one set of hot-path
+/// buffers; every field is fully overwritten per step, so sharing never
+/// changes results.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
     /// Policy-side retrieval scratch (ADC table, scores, heap, group query).
     pub policy: PolicyScratch,
     /// Selected-index buffer.
     pub selection: Vec<usize>,
+    /// Attention operand `(keys, values)`: `init | middle | local` rows of
+    /// the (layer, kv-head) being attended.
+    pub operand: (Matrix, Matrix),
     /// Model attention buffers.
     pub decode: DecodeScratch,
 }
@@ -417,6 +430,7 @@ impl<'m> SelectiveSession<'m> {
             cache,
             sel_scratch: Vec::new(),
             policy_scratch: PolicyScratch::new(),
+            operand: Default::default(),
             pending_fault: None,
         }
     }
@@ -441,9 +455,10 @@ impl<'m> SelectiveSession<'m> {
     /// One decode step through worker-owned scratch — the serving hot path.
     ///
     /// The shard's [`SessionScratch`] is swapped into the session for the
-    /// duration of the step (policy retrieval buffers, selection buffer)
-    /// and the model runs with the shared attention buffers, so N
-    /// concurrent sessions reuse one set of hot-path allocations.
+    /// duration of the step (policy retrieval buffers, selection buffer,
+    /// attention operand) and the model runs with the shared attention
+    /// buffers, so N concurrent sessions reuse one set of hot-path
+    /// allocations.
     /// Bit-identical to [`SelectiveSession::decode`], and panics on the
     /// same faults [`SelectiveSession::try_step_with_scratch`] returns.
     pub fn step_with_scratch(&mut self, token: u32, scratch: &mut SessionScratch) -> DecodeOutput {
@@ -470,8 +485,7 @@ impl<'m> SelectiveSession<'m> {
         token: u32,
         scratch: &mut SessionScratch,
     ) -> Result<DecodeOutput, StepError> {
-        std::mem::swap(&mut self.sel_scratch, &mut scratch.selection);
-        std::mem::swap(&mut self.policy_scratch, &mut scratch.policy);
+        self.swap_scratch(scratch);
         let pos = self.rec.pos;
         self.rec.pos += 1;
         self.rec.steps += 1;
@@ -480,8 +494,7 @@ impl<'m> SelectiveSession<'m> {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             model.decode_step_with_scratch(token, pos, self, decode)
         }));
-        std::mem::swap(&mut self.sel_scratch, &mut scratch.selection);
-        std::mem::swap(&mut self.policy_scratch, &mut scratch.policy);
+        self.swap_scratch(scratch);
         // A latched store fault outranks the panic it may have caused
         // downstream: the injected/root cause is the useful report.
         if let Some(e) = self.pending_fault.take() {
@@ -491,6 +504,13 @@ impl<'m> SelectiveSession<'m> {
             Ok(out) => Ok(out),
             Err(payload) => Err(StepError::Poisoned { message: panic_message(payload.as_ref()) }),
         }
+    }
+
+    /// Exchange the session's step buffers with the worker's `scratch`.
+    fn swap_scratch(&mut self, scratch: &mut SessionScratch) {
+        std::mem::swap(&mut self.sel_scratch, &mut scratch.selection);
+        std::mem::swap(&mut self.policy_scratch, &mut scratch.policy);
+        std::mem::swap(&mut self.operand, &mut scratch.operand);
     }
 
     /// Greedy generation: feeds the argmax of `first_logits`, then each
@@ -687,8 +707,16 @@ impl<'m> SelectiveSession<'m> {
     /// entered the middle during decode.
     fn middle_init(&self, mid: usize) -> PolicyInit {
         let mcfg = self.model.config();
+        let ids: Vec<usize> = (0..mid).collect();
+        let dh = mcfg.head_dim;
+        // Host-side PQ construction: the rows never cross the link.
+        let read_keys = |l, h| {
+            let (mut keys, mut values) = (Matrix::zeros(0, dh), Matrix::zeros(0, dh));
+            self.rec.store.read_into(l, h, &ids, 0, &mut keys, &mut values).expect("middle rows");
+            keys
+        };
         let middle_keys: Vec<Vec<Matrix>> = (0..mcfg.n_layers)
-            .map(|l| (0..mcfg.n_kv_heads).map(|h| self.rec.store.keys_matrix(l, h)).collect())
+            .map(|l| (0..mcfg.n_kv_heads).map(|h| read_keys(l, h)).collect())
             .collect();
         let zeros = vec![vec![vec![0.0f32; mid]; mcfg.n_kv_heads]; mcfg.n_layers];
         PolicyInit {
@@ -899,7 +927,7 @@ impl SuspendedSession {
         let mut resident = Vec::with_capacity(mcfg.n_layers * mcfg.n_kv_heads);
         for l in 0..mcfg.n_layers {
             for h in 0..mcfg.n_kv_heads {
-                let (k, v) = self.swap.get().fetch(l, h, &ids);
+                let (k, v) = self.swap.get().try_fetch(l, h, &ids).expect("swap holds the rows");
                 resident.push(ResidentHead::from_rows(&k, &v, cfg.n_init, cfg.n_init));
             }
         }
@@ -937,70 +965,53 @@ impl KvSource for SelectiveSession<'_> {
         }
     }
 
-    fn gather(&mut self, layer: usize, kv_head: usize, queries: &Matrix) -> (Matrix, Matrix) {
+    fn gather(&mut self, layer: usize, kv_head: usize, queries: &Matrix) -> (&Matrix, &Matrix) {
         let rec = &mut self.rec;
         let middle_len = rec.store.len(layer, kv_head);
         let budget = rec.budget_middle.min(middle_len);
 
-        let mut sel_rel = std::mem::take(&mut self.sel_scratch);
-        sel_rel.clear();
+        // 1. Select (middle-relative ids, the policy's order).
+        let sel = &mut self.sel_scratch;
+        sel.clear();
         if rec.policy_ready && budget > 0 {
             let ctx = PolicyContext { layer, kv_head, queries, budget, middle_len };
-            rec.policy.select_with_scratch(&ctx, &mut self.policy_scratch, &mut sel_rel);
-            sel_rel.retain(|&i| i < middle_len);
+            rec.policy.select_with_scratch(&ctx, &mut self.policy_scratch, sel);
+            sel.retain(|&i| i < middle_len);
         }
-
         // Account the policy's non-overlappable proxy communication.
         rec.policy_comm_bytes += rec.policy.comm_bytes_per_step(middle_len);
 
-        // Record absolute ids for instrumentation.
-        let abs: Vec<usize> = sel_rel.iter().map(|&i| i + rec.cfg.n_init).collect();
-        rec.last_selected[layer][kv_head] = abs;
+        // 2. Record absolute ids for instrumentation, in selection order.
+        let abs = &mut rec.last_selected[layer][kv_head];
+        abs.clear();
+        abs.extend(sel.iter().map(|&i| i + rec.cfg.n_init));
 
-        // Assemble middle keys/values: dropping policies conceptually keep
-        // their set on GPU (no fetch); retrieval policies go through the
-        // cache and host store.
-        let dh = self.model.config().head_dim;
-        let (mid_k, mid_v) = if sel_rel.is_empty() {
-            (Matrix::zeros(0, dh), Matrix::zeros(0, dh))
-        } else if rec.policy.is_dropping() {
-            rec.store.gather_host(layer, kv_head, &sel_rel)
+        // 3. Dropping policies keep their set on GPU, in selection order:
+        // nothing crosses the link. Retrieval policies go through the block
+        // cache; hits are GPU-resident and only the misses cross, and the
+        // middle rows are sorted(hits ∪ misses) = sorted(selection).
+        let link_rows = if sel.is_empty() || rec.policy.is_dropping() {
+            0
         } else {
-            let lookup = self.cache.lookup(&sel_rel);
-            self.cache.update(&top_blocks(
-                &sel_rel,
-                rec.cfg.cache.block_size,
-                rec.cfg.cache.k_cache_blocks,
-            ));
-            // Hits are GPU-resident (unmetered); misses cross PCIe.
-            let mut ordered = lookup.hits.clone();
-            ordered.extend_from_slice(&lookup.misses);
-            ordered.sort_unstable();
-            if !lookup.misses.is_empty() {
-                // The fetch is metered and checksum-verified; a corrupt page
-                // latches a fault the fallible step wrapper surfaces, so the
-                // poisoned logits are never served.
-                if let Err(e) = rec.store.try_fetch(layer, kv_head, &lookup.misses) {
-                    self.pending_fault.get_or_insert(e);
-                }
-            }
-            rec.store.gather_host(layer, kv_head, &ordered)
+            let lookup = self.cache.lookup(sel);
+            let (block, k_cache) = (rec.cfg.cache.block_size, rec.cfg.cache.k_cache_blocks);
+            self.cache.update(&top_blocks(sel, block, k_cache));
+            sel.sort_unstable();
+            lookup.misses.len()
         };
 
-        // init ∪ middle ∪ local, in absolute token order.
+        // 4. init | middle | local, in absolute token order, with one read.
+        // A corrupt page latches a fault the fallible step wrapper surfaces
+        // and leaves the middle out, so poisoned logits are never served.
         let head = &self.resident[layer * self.model.config().n_kv_heads + kv_head];
-        let mut keys = Matrix::zeros(0, dh);
-        let mut values = Matrix::zeros(0, dh);
-        keys = keys.vstack(&head.init_k).vstack(&mid_k);
-        values = values.vstack(&head.init_v).vstack(&mid_v);
-        let mut local_k = Matrix::zeros(head.local.len(), dh);
-        let mut local_v = Matrix::zeros(head.local.len(), dh);
-        for (i, (k, v)) in head.local.iter().enumerate() {
-            local_k.copy_row_from(i, k);
-            local_v.copy_row_from(i, v);
+        let (keys, values) = &mut self.operand;
+        keys.copy_from(&head.init_k);
+        values.copy_from(&head.init_v);
+        if let Err(e) = rec.store.read_into(layer, kv_head, sel, link_rows, keys, values) {
+            self.pending_fault.get_or_insert(e);
         }
-        self.sel_scratch = sel_rel;
-        (keys.vstack(&local_k), values.vstack(&local_v))
+        head.push_local(keys, values);
+        (&self.operand.0, &self.operand.1)
     }
 }
 
@@ -1175,6 +1186,31 @@ mod tests {
         for i in 0..2 {
             assert_eq!(plain[i].transfer_stats(), shared[i].transfer_stats());
         }
+    }
+
+    #[test]
+    fn operand_buffers_reach_steady_state_under_one_scratch() {
+        // 100 steps through one worker scratch: every step evicts into the
+        // middle and mixes cache hits with misses, yet once the operand
+        // has warmed up it is refilled in place, never reallocated.
+        let model = Model::new(LlmConfig::tiny());
+        let toks = prompt(80, 34);
+        let start = SelectiveSession::start(&model, Box::new(PqCachePolicy::default()), cfg(), &toks);
+        let mut session = start.session;
+        let mut scratch = SessionScratch::new();
+        let caps = |s: &SessionScratch| (s.operand.0.capacity(), s.operand.1.capacity());
+        let first = pqc_tensor::argmax(&start.logits) as u32;
+        let mut next = session.step_with_scratch(first, &mut scratch).greedy();
+        let warm = caps(&scratch);
+        assert!(warm.0 > 0 && warm.1 > 0);
+        let middle = session.middle_len();
+        for step in 0..100 {
+            next = session.step_with_scratch(next, &mut scratch).greedy();
+            assert_eq!(caps(&scratch), warm, "operand grew at step {step}");
+        }
+        assert_eq!(session.middle_len(), middle + 100, "every step evicts one token");
+        let cache = session.cache_stats();
+        assert!(cache.token_hits > 0 && cache.token_misses > 0, "{cache:?}");
     }
 
     #[test]

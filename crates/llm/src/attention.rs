@@ -601,17 +601,10 @@ pub fn causal_attention_rows(
 }
 
 /// Decode-time attention of a single query vector over an arbitrary set of
-/// gathered keys/values (the selective-attention kernel, Step ❻).
-pub fn attend_selected(query: &[f32], keys: &Matrix, values: &Matrix) -> Vec<f32> {
-    let mut scores = Vec::new();
-    let mut out = Vec::new();
-    attend_selected_into(query, keys, values, &mut scores, &mut out);
-    out
-}
-
-/// [`attend_selected`] with caller-owned score and output buffers (both
-/// cleared first) — the decode loop runs one of these per query head per
-/// layer per step, so buffer reuse removes its steady-state allocations.
+/// gathered keys/values (the selective-attention kernel, Step ❻), into
+/// caller-owned score and output buffers (both cleared first) — the decode
+/// loop runs one of these per query head per layer per step, so buffer
+/// reuse removes its steady-state allocations.
 ///
 /// Single-pass blocked online softmax: `scores` now only ever holds one
 /// [`KEY_BLOCK`]-wide logit block (it no longer scales with the gathered
@@ -700,13 +693,6 @@ unsafe fn attend_selected_avx2(
     attend_selected_body(query, keys, values, n, scale, scores, out);
 }
 
-/// Exact attention scores (pre-softmax logits) of a query against all keys —
-/// the Oracle's scoring primitive.
-pub fn exact_logits(query: &[f32], keys: &Matrix) -> Vec<f32> {
-    let scale = 1.0 / (query.len() as f32).sqrt();
-    (0..keys.rows()).map(|j| dot(query, keys.row(j)) * scale).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,7 +721,8 @@ mod tests {
     fn attend_selected_full_set_matches_last_prefill_row() {
         let (q, k, v) = rand_mats(12, 8, 2);
         let out = causal_attention(&q, &k, &v, PrefillPattern::Dense, None);
-        let dec = attend_selected(q.row(11), &k, &v);
+        let (mut scores, mut dec) = (Vec::new(), Vec::new());
+        attend_selected_into(q.row(11), &k, &v, &mut scores, &mut dec);
         for (a, b) in out.row(11).iter().zip(dec.iter()) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -823,15 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_logits_scaled_dots() {
-        let (q, k, _) = rand_mats(4, 16, 7);
-        let logits = exact_logits(q.row(2), &k);
-        assert_eq!(logits.len(), 4);
-        let expect = dot(q.row(2), k.row(1)) / 4.0;
-        assert!((logits[1] - expect).abs() < 1e-6);
-    }
-
-    #[test]
     fn chunked_rows_match_monolithic_capture_bits() {
         // Any chunking of the query rows must reproduce the capturing
         // monolithic sweep exactly: outputs, accumulators, and samples.
@@ -897,6 +875,6 @@ mod tests {
     fn attend_selected_empty_panics() {
         let k = Matrix::zeros(0, 4);
         let v = Matrix::zeros(0, 4);
-        let _ = attend_selected(&[0.0; 4], &k, &v);
+        attend_selected_into(&[0.0; 4], &k, &v, &mut Vec::new(), &mut Vec::new());
     }
 }

@@ -20,8 +20,7 @@ pub mod rope;
 pub mod weights;
 
 pub use attention::{
-    attend_selected, attend_selected_into, causal_attention, causal_attention_rows, exact_logits,
-    PrefillPattern, ScoreCapture,
+    attend_selected_into, causal_attention, causal_attention_rows, PrefillPattern, ScoreCapture,
 };
 pub use config::LlmConfig;
 pub use model::{

@@ -93,9 +93,11 @@ pub trait KvSource {
     /// Record the new token's key/value for `(layer, kv_head)`.
     fn publish(&mut self, layer: usize, kv_head: usize, key: &[f32], value: &[f32]);
 
-    /// Return the `(keys, values)` the group of queries should attend over.
-    /// `queries` has one row per query head in the kv head's GQA group.
-    fn gather(&mut self, layer: usize, kv_head: usize, queries: &Matrix) -> (Matrix, Matrix);
+    /// Return the `(keys, values)` the group of queries should attend over,
+    /// borrowed from the source: the full KV it holds, or an operand buffer
+    /// it refills each call. `queries` has one row per query head in the kv
+    /// head's GQA group.
+    fn gather(&mut self, layer: usize, kv_head: usize, queries: &Matrix) -> (&Matrix, &Matrix);
 }
 
 /// Output of one decode step.
@@ -277,7 +279,7 @@ impl Model {
                 let queries = Matrix::from_vec(group, dh, q_all.row(0)[q_cols.clone()].to_vec());
                 let (keys, values) = source.gather(l, kvh, &queries);
                 for (g, out) in concat.row_mut(0)[q_cols].chunks_exact_mut(dh).enumerate() {
-                    attend_selected_into(queries.row(g), &keys, &values, attn_scores, attn_out);
+                    attend_selected_into(queries.row(g), keys, values, attn_scores, attn_out);
                     out.copy_from_slice(attn_out);
                 }
             }
@@ -571,14 +573,12 @@ impl FullKvSource {
 impl KvSource for FullKvSource {
     fn publish(&mut self, layer: usize, kv_head: usize, key: &[f32], value: &[f32]) {
         let lk = &mut self.kv[layer];
-        let k1 = Matrix::from_vec(1, key.len(), key.to_vec());
-        let v1 = Matrix::from_vec(1, value.len(), value.to_vec());
-        lk.keys[kv_head] = lk.keys[kv_head].vstack(&k1);
-        lk.values[kv_head] = lk.values[kv_head].vstack(&v1);
+        lk.keys[kv_head].push_row(key);
+        lk.values[kv_head].push_row(value);
     }
 
-    fn gather(&mut self, layer: usize, kv_head: usize, _queries: &Matrix) -> (Matrix, Matrix) {
-        (self.kv[layer].keys[kv_head].clone(), self.kv[layer].values[kv_head].clone())
+    fn gather(&mut self, layer: usize, kv_head: usize, _queries: &Matrix) -> (&Matrix, &Matrix) {
+        (&self.kv[layer].keys[kv_head], &self.kv[layer].values[kv_head])
     }
 }
 

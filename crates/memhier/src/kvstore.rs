@@ -11,6 +11,13 @@
 //! and amortized O(head_dim), and pages are refcounted so namespaces can
 //! share them copy-on-write.
 //!
+//! There is **one read**, [`HostKvStore::read_into`]: it appends the rows
+//! of an id list to caller-owned K/V buffers, meters the rows that crossed
+//! the link, and verifies the slot's chain exactly when it meters (the
+//! trust rule, stated on the method). The decode step, session resume and
+//! host-side PQ construction all call it; [`HostKvStore::try_fetch`] is
+//! the same read into fresh matrices with every row metered.
+//!
 //! For multi-session serving, a [`KvTier`] vends per-session **namespaces**:
 //! each namespace is a [`HostKvStore`] with its own token-offset space (two
 //! sessions interleaving appends never perturb each other's middle indices)
@@ -80,12 +87,18 @@ pub struct NamespaceId(pub u64);
 /// prefix of a token stream is computable in one left-to-right pass — the
 /// property the tier's prefix registry keys on.
 pub fn token_chain_hash(tokens: &[u32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &t in tokens {
-        h = (h ^ t as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= h >> 29;
-    }
-    h
+    tokens.iter().fold(CHAIN_SEED, |h, &t| chain_step(h, t))
+}
+
+/// The chain hash of the empty token stream (the FNV-1a offset basis).
+const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold one more token into a chain hash — the single definition both
+/// [`token_chain_hash`] and [`KvTier::lookup_prefix`]'s incremental scan
+/// use, so registration and lookup can never disagree.
+fn chain_step(h: u64, t: u32) -> u64 {
+    let h = (h ^ t as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    h ^ (h >> 29)
 }
 
 /// Snapshot of the tier prefix-cache counters.
@@ -347,11 +360,10 @@ impl KvTier {
     pub fn lookup_prefix(&self, tokens: &[u32]) -> Option<PrefixHit> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let reg = self.registry.lock();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = CHAIN_SEED;
         let mut best: Option<&PrefixEntry> = None;
         for (i, &t) in tokens.iter().enumerate() {
-            h = (h ^ t as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            h ^= h >> 29;
+            h = chain_step(h, t);
             if let Some(entry) = reg.map.get(&(h, i + 1)) {
                 if entry.tokens == tokens[..i + 1] {
                     best = Some(entry);
@@ -653,59 +665,62 @@ impl HostKvStore {
         Ok(offset)
     }
 
-    /// Fetch the K/V rows of the given token indices: Step ❺. Meters H2D
-    /// traffic for exactly the rows moved; a zero-row fetch moves nothing
-    /// and meters nothing (no phantom `h2d_ops`). Panics when the slot was
-    /// never offloaded — use [`HostKvStore::try_fetch`] to get a typed
-    /// error instead.
-    pub fn fetch(&self, layer: usize, head: usize, token_ids: &[usize]) -> (Matrix, Matrix) {
-        self.try_fetch(layer, head, token_ids).unwrap_or_else(|e| panic!("{e}"))
+    /// The one host read (Step ❺): append the K/V rows of `token_ids`
+    /// (namespace-local offsets, in the order given) to `keys` / `values`.
+    /// `link_rows` of those rows crossed the simulated PCIe link; the rest
+    /// are GPU-resident (block-cache hits, a dropping policy's kept set, a
+    /// host-side read for PQ construction).
+    ///
+    /// The trust rule: the read verifies the slot's whole chain **if and
+    /// only if** it meters rows (`link_rows > 0`). Rows that cross the link
+    /// are checksum-checked, and on a failed check the read returns
+    /// [`MemError::PageCorrupt`], meters nothing and appends nothing.
+    /// GPU-resident rows are trusted unverified, although the simulation
+    /// still copies them out of the host pool. A metered read counts
+    /// `link_rows` rows of H2D bytes and one `h2d_op`; an empty id list
+    /// touches nothing, not even the slot. Returns
+    /// [`MemError::EmptySlot`] when the (layer, head) slot holds no data.
+    pub fn read_into(
+        &self,
+        layer: usize,
+        head: usize,
+        token_ids: &[usize],
+        link_rows: usize,
+        keys: &mut Matrix,
+        values: &mut Matrix,
+    ) -> Result<(), MemError> {
+        debug_assert!(link_rows <= token_ids.len(), "more link rows than rows read");
+        if token_ids.is_empty() {
+            return Ok(());
+        }
+        let idx = self.slot_index(layer, head);
+        let slot = self.slots[idx].as_ref().ok_or(MemError::EmptySlot { layer, head })?;
+        self.alloc.read_rows(&slot.pages, slot.rows, token_ids, link_rows > 0, keys, values)?;
+        if link_rows > 0 {
+            let bytes = (2 * link_rows * self.head_dim * WIRE_BYTES_PER_ELEM) as u64;
+            self.meter(|st| {
+                st.h2d_bytes += bytes;
+                st.h2d_ops += 1;
+            });
+        }
+        Ok(())
     }
 
-    /// Fallible [`HostKvStore::fetch`]: returns [`MemError::EmptySlot`]
-    /// when the (layer, head) slot holds no data.
+    /// Fetch the K/V rows of the given token indices into fresh matrices,
+    /// every row crossing the link: [`HostKvStore::read_into`] with
+    /// `link_rows = token_ids.len()`. A zero-row fetch moves and meters
+    /// nothing (no phantom `h2d_ops`), even on an empty slot.
     pub fn try_fetch(
         &self,
         layer: usize,
         head: usize,
         token_ids: &[usize],
     ) -> Result<(Matrix, Matrix), MemError> {
-        if token_ids.is_empty() {
-            return Ok((Matrix::zeros(0, self.head_dim), Matrix::zeros(0, self.head_dim)));
-        }
-        let idx = self.slot_index(layer, head);
-        let slot = self.slots[idx].as_ref().ok_or(MemError::EmptySlot { layer, head })?;
-        self.alloc.verify_chain(&slot.pages)?;
-        let (keys, values) = self.alloc.gather(&slot.pages, slot.rows, token_ids);
-        let bytes = (2 * token_ids.len() * self.head_dim * WIRE_BYTES_PER_ELEM) as u64;
-        self.meter(|st| {
-            st.h2d_bytes += bytes;
-            st.h2d_ops += 1;
-        });
+        let dh = self.head_dim;
+        let empty = || Matrix::from_vec(0, dh, Vec::with_capacity(token_ids.len() * dh));
+        let (mut keys, mut values) = (empty(), empty());
+        self.read_into(layer, head, token_ids, token_ids.len(), &mut keys, &mut values)?;
         Ok((keys, values))
-    }
-
-    /// Gather rows *without* metering transfer — host-side access for data
-    /// that never crosses the link (e.g. assembling already-fetched rows).
-    pub fn gather_host(&self, layer: usize, head: usize, token_ids: &[usize]) -> (Matrix, Matrix) {
-        let idx = self.slot_index(layer, head);
-        let slot = self.slots[idx].as_ref().expect("empty slot");
-        self.alloc.gather(&slot.pages, slot.rows, token_ids)
-    }
-
-    /// Materialize a slot's keys without metering — used by host-side PQ
-    /// construction, which happens on CPU where the data already lives.
-    pub fn keys_matrix(&self, layer: usize, head: usize) -> Matrix {
-        let idx = self.slot_index(layer, head);
-        let slot = self.slots[idx].as_ref().expect("empty slot");
-        self.alloc.materialize(&slot.pages, slot.rows).0
-    }
-
-    /// Materialize a slot's values host-side without metering.
-    pub fn values_matrix(&self, layer: usize, head: usize) -> Matrix {
-        let idx = self.slot_index(layer, head);
-        let slot = self.slots[idx].as_ref().expect("empty slot");
-        self.alloc.materialize(&slot.pages, slot.rows).1
     }
 
     /// Stored token count for a slot (0 if never offloaded).
@@ -803,11 +818,18 @@ mod tests {
         (store, k, v)
     }
 
+    /// An unmetered (GPU-resident) read of `ids` from slot (0, 0).
+    fn resident_rows(store: &HostKvStore, ids: &[usize]) -> (Matrix, Matrix) {
+        let (mut k, mut v) = (Matrix::zeros(0, store.head_dim), Matrix::zeros(0, store.head_dim));
+        store.read_into(0, 0, ids, 0, &mut k, &mut v).unwrap();
+        (k, v)
+    }
+
     #[test]
     fn offload_then_fetch_roundtrip() {
         let (store, k, v) = store_with_data(50, 8);
         let ids = [3usize, 10, 49];
-        let (fk, fv) = store.fetch(0, 0, &ids);
+        let (fk, fv) = store.try_fetch(0, 0, &ids).unwrap();
         for (row, &id) in ids.iter().enumerate() {
             assert_eq!(fk.row(row), k.row(id));
             assert_eq!(fv.row(row), v.row(id));
@@ -820,7 +842,7 @@ mod tests {
         // offload: 2 (K+V) * 100 * 16 * 2 bytes
         assert_eq!(store.stats().d2h_bytes, 2 * 100 * 16 * 2);
         assert_eq!(store.stats().d2h_ops, 1);
-        let _ = store.fetch(0, 0, &[1, 2, 3]);
+        let _ = store.try_fetch(0, 0, &[1, 2, 3]).unwrap();
         assert_eq!(store.stats().h2d_bytes, 2 * 3 * 16 * 2);
         assert_eq!(store.stats().h2d_ops, 1);
     }
@@ -831,14 +853,14 @@ mod tests {
         // bytes, skewing ops-based efficiency comparisons.
         let (store, _, _) = store_with_data(10, 4);
         let before = store.stats();
-        let (k, v) = store.fetch(0, 0, &[]);
+        let (k, v) = store.try_fetch(0, 0, &[]).unwrap();
         assert_eq!(k.rows(), 0);
         assert_eq!(v.rows(), 0);
         assert_eq!(k.cols(), 4);
         assert_eq!(store.stats(), before, "empty fetch must not meter");
         // Even on a slot that was never offloaded.
         let empty = HostKvStore::new(1, 1, 4);
-        let _ = empty.fetch(0, 0, &[]);
+        let _ = empty.try_fetch(0, 0, &[]).unwrap();
         assert_eq!(empty.stats(), TransferStats::default());
     }
 
@@ -850,7 +872,7 @@ mod tests {
         let off = store.append_token(0, 0, &key, &val);
         assert_eq!(off, 10);
         assert_eq!(store.len(0, 0), 11);
-        let (fk, fv) = store.fetch(0, 0, &[10]);
+        let (fk, fv) = store.try_fetch(0, 0, &[10]).unwrap();
         assert_eq!(fk.row(0), &key);
         assert_eq!(fv.row(0), &val);
     }
@@ -879,7 +901,7 @@ mod tests {
         }
         assert_eq!(store.len(0, 0), 28);
         let ids: Vec<usize> = (5..28).collect();
-        let (fk, _) = store.fetch(0, 0, &ids);
+        let (fk, _) = store.try_fetch(0, 0, &ids).unwrap();
         for (row, k) in expect_k.iter().enumerate() {
             assert_eq!(fk.row(row), k, "append row {row} corrupted");
         }
@@ -901,7 +923,7 @@ mod tests {
         }
         let elapsed = start.elapsed();
         assert_eq!(store.len(0, 0), s);
-        let (fk, _) = store.fetch(0, 0, &[0, s / 2, s - 1]);
+        let (fk, _) = store.try_fetch(0, 0, &[0, s / 2, s - 1]).unwrap();
         assert_eq!(fk.row(0), &[0.0; 8]);
         assert_eq!(fk.row(1), &[(s / 2) as f32; 8]);
         assert_eq!(fk.row(2), &[(s - 1) as f32; 8]);
@@ -926,7 +948,7 @@ mod tests {
         let mut c = a.clone();
         assert_eq!(c.stats(), TransferStats::default(), "clone must start unmetered");
         c.append_token(0, 0, &[9.0; 4], &[9.0; 4]);
-        let _ = c.fetch(0, 0, &[0, 3]);
+        let _ = c.try_fetch(0, 0, &[0, 3]).unwrap();
         assert_eq!(a.stats(), a_stats, "clone traffic leaked into source stats");
         assert_eq!(tier.aggregate_stats(), agg, "clone traffic leaked into tier aggregate");
         assert!(c.stats().d2h_ops == 1 && c.stats().h2d_ops == 1);
@@ -935,8 +957,8 @@ mod tests {
         assert_eq!(a.len(0, 0), 3);
         assert_eq!(c.len(0, 0), 4);
         a.append_token(0, 0, &[-1.0; 4], &[-1.0; 4]);
-        let (ka, _) = a.fetch(0, 0, &[3]);
-        let (kc, _) = c.fetch(0, 0, &[3]);
+        let (ka, _) = a.try_fetch(0, 0, &[3]).unwrap();
+        let (kc, _) = c.try_fetch(0, 0, &[3]).unwrap();
         assert_eq!(ka.row(0), &[-1.0; 4]);
         assert_eq!(kc.row(0), &[9.0; 4]);
     }
@@ -961,8 +983,8 @@ mod tests {
         }
         assert_eq!(a.len(0, 0), 6);
         assert_eq!(b.len(0, 0), 6);
-        let (ka, _) = a.fetch(0, 0, &[3]);
-        let (kb, _) = b.fetch(0, 0, &[3]);
+        let (ka, _) = a.try_fetch(0, 0, &[3]).unwrap();
+        let (kb, _) = b.try_fetch(0, 0, &[3]).unwrap();
         assert_eq!(ka.row(0), &[3.0; 4]);
         assert_eq!(kb.row(0), &[-4.0; 4]);
     }
@@ -976,7 +998,7 @@ mod tests {
             let rows = 4 + i;
             st.offload(0, 0, Matrix::randn(rows, 4, 1.0, &mut rng), Matrix::randn(rows, 4, 1.0, &mut rng));
             st.append_token(1, 0, &[0.0; 4], &[0.0; 4]);
-            let _ = st.fetch(0, 0, &[0, 1]);
+            let _ = st.try_fetch(0, 0, &[0, 1]).unwrap();
         }
         let sum: TransferStats = stores.iter().map(|s| s.stats()).sum();
         assert_eq!(tier.aggregate_stats(), sum);
@@ -1025,11 +1047,38 @@ mod tests {
     fn host_reads_do_not_meter() {
         let (store, k, v) = store_with_data(20, 8);
         let before = store.stats();
-        assert_eq!(store.keys_matrix(0, 0).row(5), k.row(5));
-        assert_eq!(store.values_matrix(0, 0).row(7), v.row(7));
-        let (gk, _) = store.gather_host(0, 0, &[2, 19]);
+        let all: Vec<usize> = (0..20).collect();
+        assert_eq!(resident_rows(&store, &all), (k.clone(), v));
+        let (gk, _) = resident_rows(&store, &[2, 19]);
         assert_eq!(gk.row(1), k.row(19));
         assert_eq!(store.stats(), before);
+    }
+
+    #[test]
+    fn read_meters_and_verifies_exactly_the_rows_that_cross_the_link() {
+        let (mut store, k, v) = store_with_data(40, 4);
+        store.reset_stats();
+        let (mut gk, mut gv) = (Matrix::zeros(0, 4), Matrix::zeros(0, 4));
+        // Three rows, one of them a miss: one row's bytes and one op.
+        store.read_into(0, 0, &[2, 39, 17], 1, &mut gk, &mut gv).unwrap();
+        let one_miss = TransferStats { h2d_bytes: 2 * 4 * 2, h2d_ops: 1, ..Default::default() };
+        assert_eq!(store.stats(), one_miss);
+        for (row, &id) in [2usize, 39, 17].iter().enumerate() {
+            assert_eq!((gk.row(row), gv.row(row)), (k.row(id), v.row(id)));
+        }
+        // All hits: appended after the earlier rows, nothing metered.
+        store.read_into(0, 0, &[5], 0, &mut gk, &mut gv).unwrap();
+        assert_eq!((gk.rows(), gk.row(3)), (4, k.row(5)));
+        assert_eq!(store.stats(), one_miss);
+
+        // On a corrupt chain an unmetered read neither verifies nor meters…
+        assert!(store.corrupt_slot(0, 0, 3));
+        store.read_into(0, 0, &[0], 0, &mut gk, &mut gv).expect("hits are not verified");
+        assert_eq!((gk.rows(), store.stats()), (5, one_miss));
+        // …and a read with a miss fails typed, meters nothing, appends nothing.
+        let err = store.read_into(0, 0, &[0, 1], 1, &mut gk, &mut gv).expect_err("corrupt");
+        assert!(matches!(err, MemError::PageCorrupt { .. }));
+        assert_eq!((gk.rows(), gv.rows(), store.stats()), (5, 5, one_miss));
     }
 
     #[test]
@@ -1061,8 +1110,7 @@ mod tests {
         store.unpin_pages();
         assert_eq!(tier.allocator().pinned_pages(), 0);
         // Data survives the pin/unpin round trip bit-for-bit.
-        assert_eq!(store.keys_matrix(0, 0), k);
-        assert_eq!(store.values_matrix(0, 0), v);
+        assert_eq!(resident_rows(&store, &(0..20).collect::<Vec<_>>()), (k, v));
         drop(store);
         assert_eq!(tier.allocator().pages_in_use(), 0);
     }
@@ -1078,7 +1126,7 @@ mod tests {
     #[should_panic(expected = "empty slot")]
     fn fetch_empty_panics() {
         let store = HostKvStore::new(1, 1, 4);
-        let _ = store.fetch(0, 0, &[0]);
+        let _ = store.try_fetch(0, 0, &[0]).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -1094,7 +1142,7 @@ mod tests {
         assert_eq!(a.len(0, 0), 2, "failed append consumes no offset");
         assert_eq!(a.stats(), before, "failed append meters nothing");
         // Stored data still reads back fine.
-        let (k, _) = a.fetch(0, 0, &[0, 1]);
+        let (k, _) = a.try_fetch(0, 0, &[0, 1]).unwrap();
         assert_eq!(k.row(1), &[1.0; 4]);
         // Retiring the namespace frees its pages; a new session fits again.
         drop(a);
@@ -1133,7 +1181,7 @@ mod tests {
         assert_eq!(err, MemError::PageExhausted { max_pages: 3 });
         // …and the original rows survive untouched.
         assert_eq!(ns.len(0, 0), 3);
-        let (fk, _) = ns.fetch(0, 0, &[0, 2]);
+        let (fk, _) = ns.try_fetch(0, 0, &[0, 2]).unwrap();
         assert_eq!(fk.row(0), k.row(0));
         assert_eq!(fk.row(1), k.row(2));
     }
@@ -1183,14 +1231,14 @@ mod tests {
 
         // Fork traffic *does* land in the tier aggregate (unlike clone()).
         let agg = tier.aggregate_stats();
-        let _ = f.fetch(0, 0, &[0]);
+        let _ = f.try_fetch(0, 0, &[0]).unwrap();
         assert_eq!(tier.aggregate_stats(), agg + f.stats());
 
         // CoW isolation: the source keeps appending without disturbing the
         // fork's frozen rows.
         a.append_token(0, 0, &[9.0; 4], &[9.0; 4]);
         assert_eq!(f.len(0, 0), 6, "fork is a point-in-time snapshot");
-        let (fk, _) = f.gather_host(0, 0, &[5]);
+        let (fk, _) = resident_rows(&f, &[5]);
         assert_eq!(fk.row(0), k.row(5));
 
         drop(a);
@@ -1211,7 +1259,7 @@ mod tests {
         assert!(live.corrupt_slot(0, 0, 7));
         assert!(live.verify().is_err(), "live namespace sees the corruption");
         ckpt.verify().expect("checkpoint keeps the intact original");
-        let (ck, _) = ckpt.gather_host(0, 0, &[4]);
+        let (ck, _) = resident_rows(&ckpt, &[4]);
         assert_eq!(ck.row(0), k.row(4));
     }
 
@@ -1246,7 +1294,7 @@ mod tests {
         assert_eq!(adopted.len(0, 0), 10);
         assert_eq!(adopted.stats(), TransferStats::default(), "adoption is not a transfer");
         assert_eq!(adopted.sharing_stats().prefix_hit_tokens, 12);
-        let (ak, av) = adopted.gather_host(0, 0, &(0..10).collect::<Vec<_>>());
+        let (ak, av) = resident_rows(&adopted, &(0..10).collect::<Vec<_>>());
         for r in 0..10 {
             assert_eq!(ak.row(r), k.row(r));
             assert_eq!(av.row(r), v.row(r));
@@ -1287,7 +1335,7 @@ mod tests {
             ad.append_token(0, 0, &[i as f32; 2], &[i as f32; 2]);
         }
         for (i, ad) in adopters.iter().enumerate() {
-            let (k, _) = ad.gather_host(0, 0, &[9, 10]);
+            let (k, _) = resident_rows(ad, &[9, 10]);
             assert_eq!(k.row(0), &[0.0; 2], "shared row corrupted");
             assert_eq!(k.row(1), &[i as f32; 2], "private row corrupted");
         }

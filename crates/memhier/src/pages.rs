@@ -284,12 +284,15 @@ impl Pool {
         Ok(id)
     }
 
-    /// Recompute the page's checksums from its contents and compare against
-    /// the incrementally-maintained ones.
-    fn verify(&self, id: u32) -> Result<(), MemError> {
-        let p = self.page(id);
-        if fnv_fold(FNV_OFFSET, &p.k) != p.ck || fnv_fold(FNV_OFFSET, &p.v) != p.cv {
-            return Err(MemError::PageCorrupt { page: id });
+    /// Recompute every page's checksums from its contents and compare
+    /// against the incrementally-maintained ones; the first mismatch names
+    /// its page.
+    fn verify_chain(&self, chain: &[u32]) -> Result<(), MemError> {
+        for &id in chain {
+            let p = self.page(id);
+            if fnv_fold(FNV_OFFSET, &p.k) != p.ck || fnv_fold(FNV_OFFSET, &p.v) != p.cv {
+                return Err(MemError::PageCorrupt { page: id });
+            }
         }
         Ok(())
     }
@@ -556,13 +559,9 @@ impl PageAllocator {
 
     /// Verify every page in `chain` against its stored checksum. The first
     /// mismatch returns [`MemError::PageCorrupt`] with the offending page
-    /// id; corrupt data is never gathered by the fallible read paths.
+    /// id; a verified read of the chain copies nothing when this fails.
     pub fn verify_chain(&self, chain: &[u32]) -> Result<(), MemError> {
-        let pool = self.pool.lock();
-        for &id in chain {
-            pool.verify(id)?;
-        }
-        Ok(())
+        self.pool.lock().verify_chain(chain)
     }
 
     /// Deterministic corruption primitive for fault injection: flip one bit
@@ -597,38 +596,32 @@ impl PageAllocator {
         true
     }
 
-    /// Gather `ids` (logical offsets into a chain of `rows` rows) into
-    /// dense K/V matrices.
-    pub(crate) fn gather(&self, chain: &[u32], rows: usize, ids: &[usize]) -> (Matrix, Matrix) {
+    /// The pool's one row-copy loop: append the K/V rows at `ids` (logical
+    /// offsets into a chain of `rows` rows, in the order given) to `keys` /
+    /// `values`. With `verify`, the whole chain is checked first under the
+    /// same lock, and a corrupt page appends nothing.
+    pub(crate) fn read_rows(
+        &self,
+        chain: &[u32],
+        rows: usize,
+        ids: &[usize],
+        verify: bool,
+        keys: &mut Matrix,
+        values: &mut Matrix,
+    ) -> Result<(), MemError> {
         let pool = self.pool.lock();
-        let dh = pool.head_dim;
-        let pt = pool.page_tokens;
-        let mut k = Matrix::zeros(ids.len(), dh);
-        let mut v = Matrix::zeros(ids.len(), dh);
-        for (out, &t) in ids.iter().enumerate() {
+        if verify {
+            pool.verify_chain(chain)?;
+        }
+        let (dh, pt) = (pool.head_dim, pool.page_tokens);
+        for &t in ids {
             assert!(t < rows, "token id {t} out of range (rows {rows})");
             let p = pool.page(chain[t / pt]);
             let lo = (t % pt) * dh;
-            k.row_mut(out).copy_from_slice(&p.k[lo..lo + dh]);
-            v.row_mut(out).copy_from_slice(&p.v[lo..lo + dh]);
+            keys.push_row(&p.k[lo..lo + dh]);
+            values.push_row(&p.v[lo..lo + dh]);
         }
-        (k, v)
-    }
-
-    /// Materialize a whole chain as dense K/V matrices (host-side read).
-    pub(crate) fn materialize(&self, chain: &[u32], rows: usize) -> (Matrix, Matrix) {
-        let pool = self.pool.lock();
-        let dh = pool.head_dim;
-        let pt = pool.page_tokens;
-        let mut k = Matrix::zeros(rows, dh);
-        let mut v = Matrix::zeros(rows, dh);
-        for t in 0..rows {
-            let p = pool.page(chain[t / pt]);
-            let lo = (t % pt) * dh;
-            k.row_mut(t).copy_from_slice(&p.k[lo..lo + dh]);
-            v.row_mut(t).copy_from_slice(&p.v[lo..lo + dh]);
-        }
-        (k, v)
+        Ok(())
     }
 }
 
@@ -642,6 +635,13 @@ mod tests {
 
     fn append_row(alloc: &PageAllocator, chain: &mut Vec<u32>, k: &[f32], v: &[f32]) -> bool {
         alloc.try_append_row(chain, k, v).expect("append_row in uncapped test pool")
+    }
+
+    fn gather(alloc: &PageAllocator, chain: &[u32], rows: usize, ids: &[usize]) -> (Matrix, Matrix) {
+        let dh = alloc.head_dim();
+        let (mut k, mut v) = (Matrix::zeros(0, dh), Matrix::zeros(0, dh));
+        alloc.read_rows(chain, rows, ids, false, &mut k, &mut v).expect("unverified read");
+        (k, v)
     }
 
     #[test]
@@ -675,8 +675,8 @@ mod tests {
         assert!(append_row(&alloc, &mut a, &[3.0], &[13.0]));
         assert_eq!(alloc.cow_copies(), 1);
         assert_ne!(a[0], b[0], "writer must have a private tail page");
-        let (ka, _) = alloc.gather(&a, 4, &[0, 1, 2, 3]);
-        let (kb, _) = alloc.gather(&b, 3, &[0, 1, 2]);
+        let (ka, _) = gather(&alloc, &a, 4, &[0, 1, 2, 3]);
+        let (kb, _) = gather(&alloc, &b, 3, &[0, 1, 2]);
         assert_eq!(ka.row(3), &[3.0]);
         for i in 0..3 {
             assert_eq!(ka.row(i), &[i as f32]);
@@ -789,7 +789,7 @@ mod tests {
         assert_eq!(err, MemError::PageExhausted { max_pages: 1 });
         assert_eq!(a, b, "reader and writer still share the frozen tail");
         assert_eq!(alloc.cow_copies(), 0);
-        let (kb, _) = alloc.gather(&b, 1, &[0]);
+        let (kb, _) = gather(&alloc, &b, 1, &[0]);
         assert_eq!(kb.row(0), &[0.0], "shared data intact after failed CoW");
         alloc.release_chain(&a);
         alloc.release_chain(&b);
@@ -895,7 +895,7 @@ mod tests {
         assert_eq!(alloc.cow_copies(), 1);
         alloc.verify_chain(&a).expect_err("writer sees the corruption");
         alloc.verify_chain(&b).expect("sharer keeps the intact original");
-        let (kb, _) = alloc.gather(&b, 3, &[0, 1, 2]);
+        let (kb, _) = gather(&alloc, &b, 3, &[0, 1, 2]);
         for i in 0..3 {
             assert_eq!(kb.row(i), &[i as f32]);
         }

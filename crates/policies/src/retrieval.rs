@@ -88,9 +88,7 @@ impl SelectionPolicy for OraclePolicy {
     }
 
     fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], _middle_idx: usize) {
-        let k1 = Matrix::from_vec(1, key.len(), key.to_vec());
-        let m = &mut self.keys[layer][kv_head];
-        *m = m.vstack(&k1);
+        self.keys[layer][kv_head].push_row(key);
     }
 
     /// The oracle is not implementable without moving all keys; we account
@@ -165,9 +163,7 @@ impl SelectionPolicy for SparqPolicy {
     }
 
     fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], _middle_idx: usize) {
-        let k1 = Matrix::from_vec(1, key.len(), key.to_vec());
-        let m = &mut self.keys[layer][kv_head];
-        *m = m.vstack(&k1);
+        self.keys[layer][kv_head].push_row(key);
     }
 
     /// `r` FP16 values per middle key, every step, and it *cannot* be
@@ -299,15 +295,12 @@ impl SelectionPolicy for InfLlmPolicy {
     }
 
     fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], _middle_idx: usize) {
-        let k1 = Matrix::from_vec(1, key.len(), key.to_vec());
-        let grown = self.keys[layer][kv_head].vstack(&k1);
-        self.keys[layer][kv_head] = grown;
+        let keys = &mut self.keys[layer][kv_head];
+        keys.push_row(key);
         // Only the last block's representatives can change.
-        let s = self.keys[layer][kv_head].rows();
+        let s = keys.rows();
         let last = (s - 1) / self.block_size;
-        let lo = last * self.block_size;
-        let hi = s;
-        let reps = Self::block_reps(&self.keys[layer][kv_head], lo, hi, self.reps_per_block);
+        let reps = Self::block_reps(keys, last * self.block_size, s, self.reps_per_block);
         let rv = &mut self.reps[layer][kv_head];
         if rv.len() <= last {
             rv.push(reps);

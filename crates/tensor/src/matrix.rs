@@ -9,7 +9,7 @@
 use crate::rng::Rng64;
 
 /// A dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -140,6 +140,30 @@ impl Matrix {
         Matrix::from_vec(hi - lo, self.cols, self.data[lo * self.cols..hi * self.cols].to_vec())
     }
 
+    /// Become a copy of `src`, keeping this matrix's allocation — a reused
+    /// buffer refills with this and [`Matrix::push_row`] without
+    /// reallocating once it has grown to its working size.
+    pub fn copy_from(&mut self, src: &Matrix) {
+        (self.rows, self.cols) = (src.rows, src.cols);
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+    }
+
+    /// Append one row, amortised O(cols): the buffer grows geometrically,
+    /// so `s` appends cost O(s·cols) in total, never a whole-matrix copy
+    /// per row.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.cols, "push_row width mismatch");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// Elements the buffer holds without reallocating — exposed so tests can
+    /// assert that reused buffers reach a steady state.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Vertically stack two matrices with equal column counts.
     pub fn vstack(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "vstack column mismatch");
@@ -219,13 +243,6 @@ impl Matrix {
         assert_eq!(self.shape(), other.shape());
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b;
-        }
-    }
-
-    /// Elementwise in-place scale.
-    pub fn scale(&mut self, s: f32) {
-        for v in self.data.iter_mut() {
-            *v *= s;
         }
     }
 
@@ -393,6 +410,24 @@ mod tests {
         let top = a.slice_rows(0, 2);
         let bottom = a.slice_rows(2, 6);
         assert_eq!(top.vstack(&bottom), a);
+    }
+
+    #[test]
+    fn push_row_matches_vstack_and_copy_from_keeps_capacity() {
+        let mut rng = Rng64::new(6);
+        let a = Matrix::randn(5, 3, 1.0, &mut rng);
+        let mut grown = Matrix::default();
+        grown.copy_from(&a.slice_rows(0, 1));
+        for r in 1..a.rows() {
+            grown.push_row(a.row(r));
+        }
+        assert_eq!(grown, a.slice_rows(0, 2).vstack(&a.slice_rows(2, 5)));
+        let cap = grown.capacity();
+        grown.copy_from(&a.slice_rows(4, 4));
+        assert_eq!(grown.shape(), (0, 3));
+        grown.push_row(a.row(4));
+        assert_eq!(grown.capacity(), cap, "copy_from must keep the allocation");
+        assert_eq!(grown.row(0), a.row(4));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use pqcache::cache::{top_blocks, BlockCache, CacheBudget, EvictionPolicy};
-use pqcache::llm::{attend_selected, causal_attention, PrefillPattern};
+use pqcache::llm::{attend_selected_into, causal_attention, PrefillPattern};
 use pqcache::pq::{
     kmeans, AdcTable, IvfConfig, IvfIndex, KMeansConfig, PqCodebook, PqConfig, PqRetriever,
 };
@@ -334,7 +334,8 @@ proptest! {
         // The output of attention lies inside the convex hull of the values:
         // each coordinate is bounded by the min/max of the value column.
         let values = keys.clone();
-        let out = attend_selected(&q, &keys, &values);
+        let (mut scores, mut out) = (Vec::new(), Vec::new());
+        attend_selected_into(&q, &keys, &values, &mut scores, &mut out);
         for c in 0..8 {
             let lo = (0..values.rows()).map(|r| values.get(r, c)).fold(f32::INFINITY, f32::min);
             let hi = (0..values.rows()).map(|r| values.get(r, c)).fold(f32::NEG_INFINITY, f32::max);
@@ -392,6 +393,7 @@ proptest! {
         init_rows in 1usize..7,
         ops in proptest::collection::vec(page_op_strategy(), 1..40),
         data_seed in 0u64..(1 << 62),
+        ids_seed in 0u64..(1 << 62),
     ) {
         use pqcache::memhier::{HostKvStore, KvTier};
         const DIM: usize = 4;
@@ -411,6 +413,7 @@ proptest! {
         let flat = |rows: &[Vec<f32>]| Matrix::from_vec(rows.len(), DIM, rows.concat());
         stores[0].offload(0, 0, flat(&init_k), flat(&init_v));
         let mut mirrors: Vec<Mirror> = vec![(init_k.clone(), init_v.clone())];
+        let mut ids_rng = Rng64::new(ids_seed);
 
         for op in &ops {
             match *op {
@@ -435,17 +438,21 @@ proptest! {
                 }
                 PageOp::Drop { .. } => {}
             }
-            // Every surviving namespace still materialises exactly its own
-            // history — CoW must have isolated all shared tails.
+            // Every surviving namespace still reads back exactly its own
+            // history — CoW must have isolated all shared tails — whether
+            // read whole or as a random id list (repeats, any order, across
+            // page boundaries) appended after rows already in the buffers.
             for (s, m) in stores.iter().zip(mirrors.iter()) {
-                prop_assert_eq!(s.len(0, 0), m.0.len());
-                let keys = s.keys_matrix(0, 0);
-                let values = s.values_matrix(0, 0);
-                for (r, (mk, mv)) in m.0.iter().zip(m.1.iter()).enumerate() {
-                    for c in 0..DIM {
-                        prop_assert_eq!(keys.get(r, c), mk[c], "key corrupted at ({}, {})", r, c);
-                        prop_assert_eq!(values.get(r, c), mv[c], "value corrupted at ({}, {})", r, c);
-                    }
+                let n = m.0.len();
+                prop_assert_eq!(s.len(0, 0), n);
+                let mut ids: Vec<usize> = (0..n).collect();
+                ids.extend((0..ids_rng.below(3 * n + 1)).map(|_| ids_rng.below(n)));
+                let (mut keys, mut values) = (flat(&m.0[..1]), flat(&m.1[..1]));
+                s.read_into(0, 0, &ids, 0, &mut keys, &mut values).expect("intact store");
+                prop_assert_eq!(keys.rows(), 1 + ids.len());
+                for (r, &id) in ids.iter().enumerate() {
+                    prop_assert_eq!(keys.row(1 + r), &m.0[id][..], "key corrupted at row {}", id);
+                    prop_assert_eq!(values.row(1 + r), &m.1[id][..], "value corrupted at row {}", id);
                 }
             }
         }
