@@ -4,10 +4,11 @@
 //! (Figs. 1–12, Tables 2–6, Appendix A): it prints the artifact's rows and
 //! returns its shape claims as named checks with recorded verdicts. The
 //! `repro` bench target runs them (`cargo bench --bench repro [-- <id>…]`),
-//! `tests/paper_shapes.rs` runs the cheap ones in tier-1, and `kernels` is
-//! the separate kernel micro-benchmark. This module holds the simulated
-//! benchmark-suite definitions (the LongBench / InfiniteBench stand-ins) and
-//! the quality-evaluation settings they share.
+//! and `tests/paper_shapes.rs` runs the cheap ones in tier-1. Kernel
+//! performance is measured end to end, per layer, by the repo benchmark
+//! (`benchmark/`), at the shapes the system serves. This module holds the
+//! simulated benchmark-suite definitions (the LongBench / InfiniteBench
+//! stand-ins) and the quality-evaluation settings they share.
 //!
 //! Scale note: quality artifacts run the `small()` simulation model with
 //! contexts of 512-2048 tokens (the "128K" of this substrate — see

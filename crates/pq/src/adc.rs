@@ -8,7 +8,7 @@
 
 use crate::codebook::{PqCodebook, PqCodes, CODE_BLOCK};
 use crate::ivf::IvfIndex;
-use pqc_tensor::{dot, top_k_indices, Matrix, TopK};
+use pqc_tensor::{dot, TopK};
 
 /// Pre-computed per-query lookup table: `table[j][c]` is the inner product of
 /// query sub-vector `j` with centroid `c` of sub-space `j`.
@@ -94,27 +94,6 @@ impl AdcTable {
         s
     }
 
-    /// Fused ADC scan: approximate inner products for all encoded tokens,
-    /// written into `out` (cleared first).
-    ///
-    /// Walks one contiguous SoA code column per sub-space, accumulating into
-    /// `out` — the 2^b-entry LUT row stays in L1 for the whole column and no
-    /// per-token slice is materialised. Accumulation order per token matches
-    /// [`Self::score_token`] (sub-space 0 first), so results are
-    /// bit-identical to the scalar path.
-    pub fn scores_into(&self, codes: &PqCodes, out: &mut Vec<f32>) {
-        self.scores_prefix_into(codes, codes.len(), out);
-    }
-
-    /// [`Self::scores_into`] limited to the first `n` encoded tokens — the
-    /// engine bounds retrieval by the live middle length, so the scan never
-    /// touches the excess tail.
-    pub fn scores_prefix_into(&self, codes: &PqCodes, n: usize, out: &mut Vec<f32>) {
-        let n = n.min(codes.len());
-        self.assert_codes_bounded(codes);
-        self.score_range_into(codes, 0, n, out);
-    }
-
     /// One bounds proof per column: every code in column `j` is
     /// ≤ max_code(j), so the per-element LUT lookups in the scans below
     /// cannot go out of bounds and can skip the per-access check.
@@ -189,11 +168,18 @@ impl AdcTable {
         }
     }
 
-    /// Approximate inner products for all encoded tokens (allocating
-    /// convenience wrapper around [`Self::scores_into`]).
+    /// Approximate inner products for all encoded tokens, in token order:
+    /// the unfused reference the fused selection is tested against.
+    ///
+    /// Walks one contiguous SoA code column per sub-space — the 2^b-entry
+    /// LUT row stays in L1 for the whole column and no per-token slice is
+    /// materialised. Accumulation order per token matches
+    /// [`Self::score_token`] (sub-space 0 first), so results are
+    /// bit-identical to the scalar path.
     pub fn score_all(&self, codes: &PqCodes) -> Vec<f32> {
+        self.assert_codes_bounded(codes);
         let mut out = Vec::with_capacity(codes.len());
-        self.scores_into(codes, &mut out);
+        self.score_range_into(codes, 0, codes.len(), &mut out);
         out
     }
 
@@ -205,8 +191,8 @@ impl AdcTable {
     /// in `out` (descending score, ties toward the smaller index).
     ///
     /// Returns the number of pruned blocks. The selected set is
-    /// **bit-identical** to the unfused `scores_prefix_into` +
-    /// `TopK::select_into` pipeline: block scoring preserves the scan's
+    /// **bit-identical** to the unfused `top_k_indices` over the first `n`
+    /// of [`Self::score_all`]'s scores: block scoring preserves the scan's
     /// per-token accumulation order, pruning only discards tokens that
     /// provably lose to the current k-th best (strictly on score, or on the
     /// ascending-index tie-break), and every selection path shares the same
@@ -343,37 +329,12 @@ impl AdcTable {
         topk.stream_finish_into(out);
         stats
     }
-
-    /// ADC scores of an arbitrary candidate subset (`ids` index into
-    /// `codes`), written into `out` (cleared first) in `ids` order — still
-    /// sub-space-major so each LUT row stays hot. The IVF hot path no
-    /// longer goes through here (it scans per-cell columns via
-    /// [`Self::score_and_select_ivf_into`]); this stays as the general
-    /// scatter-scoring API and the equivalence tests' reference.
-    pub fn score_subset_into(&self, codes: &PqCodes, ids: &[usize], out: &mut Vec<f32>) {
-        assert_eq!(codes.m(), self.m, "sub-space count mismatch");
-        out.clear();
-        out.resize(ids.len(), 0.0);
-        for j in 0..self.m {
-            let row = &self.table[j * self.k_c..(j + 1) * self.k_c];
-            let col = codes.column(j);
-            assert!(
-                ids.is_empty() || (codes.max_code(j) as usize) < self.k_c,
-                "code column {j} exceeds table width {}",
-                self.k_c
-            );
-            for (s, &i) in out.iter_mut().zip(ids.iter()) {
-                // SAFETY: `col[i] <= max_code(j) < k_c`, checked above
-                // (`col[i]` itself stays bounds-checked: `ids` is arbitrary).
-                *s += unsafe { *row.get_unchecked(col[i] as usize) };
-            }
-        }
-    }
 }
 
-/// Per-step counters from the IVF-routed fused scan — what the benches use
-/// to demonstrate sublinear selection cost (scanned tokens ≪ context) and
-/// that block pruning still composes with routing.
+/// Per-step counters from the IVF-routed fused scan — what the benchmark
+/// (`pq.ivf_scan_frac`) and the tests read to show sublinear selection
+/// cost (scanned tokens ≪ context) and that block pruning still composes
+/// with routing.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IvfSelectStats {
     /// Coarse cells actually probed.
@@ -405,9 +366,9 @@ impl IvfScratch {
 }
 
 /// Reusable decode-step retrieval state: ADC table, score buffer, top-k
-/// heap, and IVF routing scratch. After the first call every step of
-/// `pq_top_k`-equivalent work — table build, fused scan, selection — runs
-/// with zero heap allocations.
+/// selector, and IVF routing scratch. After the first call every
+/// decode-step retrieval — table build, fused scan, selection — runs with
+/// zero heap allocations.
 #[derive(Debug, Default, Clone)]
 pub struct PqRetriever {
     table: AdcTable,
@@ -422,45 +383,16 @@ impl PqRetriever {
         Self::default()
     }
 
-    /// Approximate top-k: builds the ADC table for `query`, runs the fused
-    /// scan over `codes`, and writes the indices of the `k` best scores
-    /// (descending) into `out`. Identical results to [`pq_top_k`].
-    pub fn top_k_into(
-        &mut self,
-        book: &PqCodebook,
-        codes: &PqCodes,
-        query: &[f32],
-        k: usize,
-        out: &mut Vec<usize>,
-    ) {
-        self.table.rebuild(book, query);
-        self.table.scores_into(codes, &mut self.scores);
-        self.topk.select_into(&self.scores, k, out);
-    }
-
-    /// Like [`Self::top_k_into`] but scanning only the first `n` tokens of
-    /// `codes` — the engine bounds selection by the live middle length.
-    pub fn top_k_prefix_into(
-        &mut self,
-        book: &PqCodebook,
-        codes: &PqCodes,
-        query: &[f32],
-        n: usize,
-        k: usize,
-        out: &mut Vec<usize>,
-    ) {
-        self.table.rebuild(book, query);
-        self.table.scores_prefix_into(codes, n, &mut self.scores);
-        self.topk.select_into(&self.scores, k, out);
-    }
-
     /// Fused decode-step retrieval (the serving hot path): rebuild the ADC
     /// table for `query`, then run [`AdcTable::score_and_select_into`] —
     /// the blocked scan streams straight into the selector, pruning blocks
     /// against the running k-th-best threshold, and the full score vector
     /// is never materialised (the score scratch holds one
-    /// [`CODE_BLOCK`]-token block). Returns the number of pruned blocks.
-    /// Bit-identical selected set to [`Self::top_k_prefix_into`].
+    /// [`CODE_BLOCK`]-token block). Writes the indices of the `k` best of
+    /// the first `n` tokens (descending score, ties toward the smaller
+    /// index) into `out` and returns the number of pruned blocks. The
+    /// engine bounds `n` by the live middle length, so the scan never
+    /// touches the excess tail.
     pub fn score_and_select_into(
         &mut self,
         book: &PqCodebook,
@@ -518,29 +450,29 @@ impl PqRetriever {
     }
 }
 
-/// Approximate top-k retrieval: score every encoded token with ADC and return
-/// the indices of the `k` best, descending. Allocating convenience wrapper
-/// around [`PqRetriever`]; steady-state callers should hold a retriever.
-pub fn pq_top_k(book: &PqCodebook, codes: &PqCodes, query: &[f32], k: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    PqRetriever::new().top_k_into(book, codes, query, k, &mut out);
-    out
-}
-
-/// Exact top-k over raw keys, for Oracle comparisons and recall measurement.
-pub fn exact_top_k(keys: &Matrix, query: &[f32], k: usize) -> Vec<usize> {
+/// Exact top-k over raw keys: the recall reference for this crate's tests.
+#[cfg(test)]
+pub(crate) fn exact_top_k(keys: &pqc_tensor::Matrix, query: &[f32], k: usize) -> Vec<usize> {
     let mut scores = Vec::with_capacity(keys.rows());
     for i in 0..keys.rows() {
         scores.push(dot(query, keys.row(i)));
     }
-    top_k_indices(&scores, k)
+    pqc_tensor::top_k_indices(&scores, k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codebook::PqConfig;
-    use pqc_tensor::{topk_recall, Rng64};
+    use pqc_tensor::{top_k_indices, topk_recall, Matrix, Rng64};
+
+    /// The production selection path over every token: fused
+    /// score-and-select through a fresh retriever.
+    fn fused_top_k(book: &PqCodebook, codes: &PqCodes, q: &[f32], k: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        let _ = PqRetriever::new().score_and_select_into(book, codes, q, codes.len(), k, &mut out);
+        out
+    }
 
     fn setup(s: usize, dh: usize, m: usize, b: u32, seed: u64) -> (Matrix, PqCodebook, PqCodes) {
         let mut rng = Rng64::new(seed);
@@ -612,7 +544,7 @@ mod tests {
         for b in [2u32, 4, 6, 8] {
             let (book, codes) =
                 PqCodebook::train(&keys, PqConfig { m: 4, b, max_iters: 20, seed: 5 });
-            let approx = pq_top_k(&book, &codes, &q, 50);
+            let approx = fused_top_k(&book, &codes, &q, 50);
             recalls.push(topk_recall(&exact, &approx));
         }
         // Not necessarily strictly monotone, but the trend must be clear.
@@ -627,7 +559,7 @@ mod tests {
         let mut rng = Rng64::new(7);
         let q: Vec<f32> = (0..8).map(|_| rng.normal_f32(0.0, 1.0)).collect();
         let exact = exact_top_k(&keys, &q, 5);
-        let approx = pq_top_k(&book, &codes, &q, 5);
+        let approx = fused_top_k(&book, &codes, &q, 5);
         let recall = topk_recall(&exact, &approx);
         assert!(recall > 0.99, "recall {recall}");
     }
@@ -654,7 +586,7 @@ mod tests {
     fn top_k_deterministic() {
         let (_, book, codes) = setup(256, 32, 4, 6, 61);
         let q = vec![0.1f32; 32];
-        assert_eq!(pq_top_k(&book, &codes, &q, 10), pq_top_k(&book, &codes, &q, 10));
+        assert_eq!(fused_top_k(&book, &codes, &q, 10), fused_top_k(&book, &codes, &q, 10));
     }
 
     #[test]
@@ -667,6 +599,7 @@ mod tests {
         let mut retriever = PqRetriever::new();
         for trial in 0..8 {
             let q: Vec<f32> = (0..16).map(|_| rng.normal_f32(0.0, 1.0)).collect();
+            let scores = AdcTable::build(&book, &q).score_all(&codes);
             for &(n, k) in &[
                 (codes.len(), 16usize),
                 (codes.len(), 0),
@@ -675,8 +608,7 @@ mod tests {
                 (3, 8),
                 (0, 4),
             ] {
-                let mut unfused = Vec::new();
-                retriever.top_k_prefix_into(&book, &codes, &q, n, k, &mut unfused);
+                let unfused = top_k_indices(&scores[..n], k);
                 let mut fused = Vec::new();
                 let _ = retriever.score_and_select_into(&book, &codes, &q, n, k, &mut fused);
                 assert_eq!(unfused, fused, "trial {trial}, n={n}, k={k}");
@@ -709,8 +641,6 @@ mod tests {
         let pruned = table.score_and_select_into(&codes, s, 4, &mut topk, &mut buf, &mut fused);
         assert_eq!(pruned, 2, "both cold blocks should be skipped");
         // And pruning must not have changed the answer.
-        let mut scores = Vec::new();
-        table.scores_into(&codes, &mut scores);
-        assert_eq!(fused, top_k_indices(&scores, 4));
+        assert_eq!(fused, top_k_indices(&table.score_all(&codes), 4));
     }
 }

@@ -59,7 +59,7 @@ pub const CODE_BLOCK: usize = 512;
 /// PQ codes for a sequence of tokens, stored **subspace-major** (SoA): one
 /// contiguous column of `u16` codes per sub-space.
 ///
-/// The ADC scan ([`crate::adc::AdcTable::scores_into`]) walks each column
+/// The ADC scan ([`crate::adc::AdcTable::score_and_select_into`]) walks each column
 /// sequentially while its 2^b-entry LUT row stays in L1 — the layout is what
 /// makes the fused scan fast. `u16` accommodates every configuration the
 /// paper sweeps (`m·b ≤ 16`, so `b ≤ 16`).

@@ -17,12 +17,9 @@
 //! See `score_and_select_ivf_into` in [`crate::adc`] and the "IVF-routed
 //! selection" section of EXPERIMENTS.md.
 
-use crate::adc::AdcTable;
-use crate::codebook::{PqCodebook, PqCodes};
+use crate::codebook::PqCodes;
 use crate::kmeans::{kmeans, KMeansConfig};
-use pqc_tensor::{
-    dot, nearest_centroid_cached, row_sq_norms_into, AssignScratch, Matrix, TopK,
-};
+use pqc_tensor::{dot, nearest_centroid_cached, row_sq_norms_into, AssignScratch, Matrix};
 
 /// How the decode-step selector routes retrieval.
 ///
@@ -60,8 +57,8 @@ impl IvfMode {
 pub struct IvfConfig {
     /// Number of coarse cells.
     pub n_list: usize,
-    /// Cells probed per query (the default for [`IvfIndex::probe`] /
-    /// [`IvfIndex::search`]; the fused path takes `n_probe` explicitly).
+    /// Cells probed per query, as recorded with the index; the fused scan
+    /// takes its `n_probe` explicitly.
     pub n_probe: usize,
     /// Coarse K-Means iterations.
     pub max_iters: usize,
@@ -122,7 +119,7 @@ impl IvfCell {
 /// An inverted-file index over token keys, layered on top of PQ codes.
 ///
 /// ```
-/// use pqc_pq::{IvfConfig, IvfIndex, PqCodebook, PqConfig};
+/// use pqc_pq::{IvfConfig, IvfIndex, PqCodebook, PqConfig, PqRetriever};
 /// use pqc_tensor::{Matrix, Rng64};
 ///
 /// let mut rng = Rng64::new(2);
@@ -130,10 +127,12 @@ impl IvfCell {
 /// let (book, codes) = PqCodebook::train(&keys, PqConfig { m: 2, b: 5, max_iters: 8, seed: 2 });
 /// let ivf = IvfIndex::build(&keys, &codes, IvfConfig { n_list: 16, n_probe: 4, max_iters: 8, seed: 3 });
 /// let q: Vec<f32> = keys.row(42).to_vec();
-/// let top = ivf.search(&book, &q, 10);
+/// let mut top = Vec::new();
+/// let stats = PqRetriever::new()
+///     .score_and_select_ivf_into(&book, &ivf, &q, ivf.len(), 10, 4, &mut top);
 /// assert!(top.len() <= 10);
 /// // Only ~n_probe/n_list of tokens were ADC-scored.
-/// assert!(ivf.scan_fraction(&q, 512) < 0.8);
+/// assert!((stats.scanned_tokens as f64) < 0.8 * 512.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
@@ -419,63 +418,15 @@ impl IvfIndex {
             }
         }
     }
-
-    /// The token ids inside the `n_probe` cells nearest to `query` (by
-    /// inner product, matching the attention-scoring geometry), in
-    /// cell-rank order. Allocating convenience; the decode path streams
-    /// cells directly through the fused scan instead.
-    pub fn probe(&self, query: &[f32]) -> Vec<usize> {
-        let mut scores = Vec::new();
-        self.score_cells_into(query, &mut scores);
-        let mut cells = Vec::new();
-        // The shared O(n) selector (not the legacy heap) picks the cells.
-        TopK::new().select_into(&scores, self.cfg.n_probe.min(self.cells.len()), &mut cells);
-        let mut out = Vec::new();
-        for c in cells {
-            out.extend(self.cells[c].ids.iter().map(|&i| i as usize));
-        }
-        out
-    }
-
-    /// IVF-PQ top-k: ADC-score only the probed candidates, through the
-    /// fused routed scan (threshold pruning included). Allocating
-    /// convenience wrapper; hot paths hold a `PqRetriever` and call
-    /// [`crate::PqRetriever::score_and_select_ivf_into`].
-    pub fn search(&self, book: &PqCodebook, query: &[f32], k: usize) -> Vec<usize> {
-        let table = AdcTable::build(book, query);
-        let mut topk = TopK::new();
-        let mut scratch = crate::adc::IvfScratch::default();
-        let mut block_scores = Vec::new();
-        let mut out = Vec::new();
-        table.score_and_select_ivf_into(
-            self,
-            query,
-            self.len,
-            k,
-            self.cfg.n_probe,
-            &mut topk,
-            &mut scratch,
-            &mut block_scores,
-            &mut out,
-        );
-        out
-    }
-
-    /// Fraction of tokens scored per query (the ADC-work saving).
-    pub fn scan_fraction(&self, query: &[f32], total: usize) -> f64 {
-        if total == 0 {
-            return 0.0;
-        }
-        self.probe(query).len() as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codebook::PqConfig;
-    use crate::exact_top_k;
-    use pqc_tensor::{topk_recall, Rng64};
+    use crate::adc::exact_top_k;
+    use crate::codebook::{PqCodebook, PqConfig};
+    use crate::PqRetriever;
+    use pqc_tensor::{top_k_indices, topk_recall, Rng64};
 
     fn setup(s: usize, dh: usize, seed: u64) -> (Matrix, PqCodebook, PqCodes) {
         let mut rng = Rng64::new(seed);
@@ -483,6 +434,18 @@ mod tests {
         let (book, codes) =
             PqCodebook::train(&keys, PqConfig { m: 4, b: 6, max_iters: 15, seed });
         (keys, book, codes)
+    }
+
+    /// Token ids inside the `n_probe` cells whose coarse centroids score
+    /// highest against `query`, in cell-rank order: the routing step of the
+    /// fused IVF scan, without the scan.
+    fn routed_ids(ivf: &IvfIndex, query: &[f32], n_probe: usize) -> Vec<usize> {
+        let mut scores = Vec::new();
+        ivf.score_cells_into(query, &mut scores);
+        top_k_indices(&scores, n_probe)
+            .into_iter()
+            .flat_map(|c| ivf.cell(c).0.iter().map(|&i| i as usize))
+            .collect()
     }
 
     fn partitioned_ids(ivf: &IvfIndex) -> Vec<usize> {
@@ -521,7 +484,7 @@ mod tests {
         );
         let mut rng = Rng64::new(9);
         let q: Vec<f32> = (0..16).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-        let frac = ivf.scan_fraction(&q, 400);
+        let frac = routed_ids(&ivf, &q, 4).len() as f64 / 400.0;
         assert!(frac < 0.7, "scan fraction {frac}");
         assert!(frac > 0.0);
     }
@@ -531,6 +494,8 @@ mod tests {
         // More probes => more scan => better recall against exact search.
         let (keys, book, codes) = setup(600, 16, 3);
         let mut rng = Rng64::new(10);
+        let mut retriever = PqRetriever::new();
+        let mut got = Vec::new();
         let mut prev_recall = 0.0;
         for n_probe in [1usize, 4, 16] {
             let ivf = IvfIndex::build(
@@ -544,7 +509,8 @@ mod tests {
             for _ in 0..trials {
                 let q: Vec<f32> = (0..16).map(|_| rq.normal_f32(0.0, 1.0)).collect();
                 let exact = exact_top_k(&keys, &q, 30);
-                let got = ivf.search(&book, &q, 30);
+                let _ = retriever
+                    .score_and_select_ivf_into(&book, &ivf, &q, ivf.len(), 30, n_probe, &mut got);
                 recall += topk_recall(&exact, &got);
             }
             recall /= trials as f64;
@@ -568,7 +534,7 @@ mod tests {
         assert_eq!(ivf.appended(), 1);
         // The appended token is findable with a query aligned to its key.
         let q: Vec<f32> = keys.row(0).iter().map(|v| v * 2.0).collect();
-        assert!(ivf.probe(&q).contains(&100));
+        assert!(routed_ids(&ivf, &q, ivf.config().n_probe).contains(&100));
     }
 
     #[test]
@@ -633,7 +599,7 @@ mod tests {
         }
         // And probing the appended cluster finds appended tokens.
         let q: Vec<f32> = vec![1.5; dh];
-        let probed = ivf.probe(&q);
+        let probed = routed_ids(&ivf, &q, ivf.config().n_probe);
         assert!(probed.iter().any(|&i| i >= n_seed), "appended cluster unreachable");
     }
 
@@ -662,20 +628,5 @@ mod tests {
         // sample collapses them (imbalance ≈ 5).
         let imb = ivf.cell_imbalance();
         assert!(imb < 1.5, "coarse sample missed stream phases: imbalance {imb:.2}");
-    }
-
-    #[test]
-    fn search_matches_flat_pq_when_probing_everything() {
-        let (keys, book, codes) = setup(500, 16, 6);
-        let ivf = IvfIndex::build(
-            &keys,
-            &codes,
-            IvfConfig { n_list: 8, n_probe: 8, max_iters: 10, seed: 7 },
-        );
-        let mut rng = Rng64::new(21);
-        for _ in 0..6 {
-            let q: Vec<f32> = (0..16).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-            assert_eq!(ivf.search(&book, &q, 25), crate::pq_top_k(&book, &codes, &q, 25));
-        }
     }
 }

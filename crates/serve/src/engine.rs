@@ -297,10 +297,12 @@ impl<'a> Fleet<'a> {
     }
 }
 
-/// Why the session layer would refuse `tokens` by panicking, if it would: a
-/// prompt must be long enough to segment (which also rules out an empty
-/// one) and carry only ids the model can embed.
-fn prompt_error(model: &Model, cfg: &ServeConfig, tokens: &[u32]) -> Option<ConfigError> {
+/// Why a shard worker would panic on `req`, if it would: a prompt must be
+/// long enough to segment (which also rules out an empty one) and carry
+/// only ids the model can embed, and every retry's backoff (below
+/// `backoff_ticks · 2^(min(max_retries, 16) + 1)`) must fit in a u64.
+fn request_error(model: &Model, cfg: &ServeConfig, req: &ServeRequest) -> Option<ConfigError> {
+    let tokens = &req.tokens;
     let floor = cfg.session.n_init + cfg.session.n_local;
     if tokens.len() <= floor {
         let message =
@@ -308,9 +310,19 @@ fn prompt_error(model: &Model, cfg: &ServeConfig, tokens: &[u32]) -> Option<Conf
         return Some(ConfigError::new("tokens", message));
     }
     let vocab = model.config().vocab_size;
-    let stray = tokens.iter().find(|&&t| t as usize >= vocab)?;
-    let message = format!("token id {stray} is outside the vocabulary ({vocab})");
-    Some(ConfigError::new("tokens", message))
+    if let Some(stray) = tokens.iter().find(|&&t| t as usize >= vocab) {
+        let message = format!("token id {stray} is outside the vocabulary ({vocab})");
+        return Some(ConfigError::new("tokens", message));
+    }
+    let retry = req.retry;
+    if retry.backoff_ticks.checked_mul(1 << (retry.max_retries.min(16) + 1)).is_none() {
+        let message = format!(
+            "backoff of {} ticks overflows within {} retries",
+            retry.backoff_ticks, retry.max_retries
+        );
+        return Some(ConfigError::new("retry", message));
+    }
+    None
 }
 
 /// The sharded multi-session serving engine. Stateless: each [`Self::run`]
@@ -333,11 +345,11 @@ impl ServeEngine {
         mut requests: Vec<ServeRequest>,
     ) -> Result<ServeReport, ServeError> {
         cfg.validate()?;
-        // The door: a malformed prompt fails here, typed, and never reaches
-        // a queue — routing, arrivals and every shard's schedule are those
-        // of the batch without it.
+        // The door: a malformed prompt or retry policy fails here, typed,
+        // and never reaches a queue — routing, arrivals and every shard's
+        // schedule are those of the batch without it.
         let mut turned_away = Vec::new();
-        requests.retain(|r| match prompt_error(model, cfg, &r.tokens) {
+        requests.retain(|r| match request_error(model, cfg, r) {
             None => true,
             Some(e) => {
                 let error = ServeError::Config(e);

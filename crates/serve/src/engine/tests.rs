@@ -1,4 +1,5 @@
 use super::*;
+use crate::RetryPolicy;
 use pqc_core::SessionConfig;
 use pqc_llm::LlmConfig;
 use pqc_memhier::{SharingStats, TransferStats};
@@ -730,9 +731,10 @@ fn zero_wall_deadline_is_reaped_as_deadline_exceeded() {
 
 #[test]
 fn malformed_prompt_fails_alone_at_the_door() {
-    // A prompt the session layer would reject by panicking — too short to
-    // segment, empty, or carrying an id outside the vocabulary — is turned
-    // away before any worker sees it. Only that request fails; its
+    // A request a shard worker would panic on — a prompt too short to
+    // segment, empty, or carrying an id outside the vocabulary, or a retry
+    // policy whose backoff overflows once its planned rejection fires — is
+    // turned away before any worker sees it. Only that request fails; its
     // neighbours on the one shard decode exactly what they decode without
     // it, monolithic and chunked alike.
     let model = Model::new(LlmConfig::tiny());
@@ -742,7 +744,14 @@ fn malformed_prompt_fails_alone_at_the_door() {
     };
     let mut out_of_vocab = prompt(96, 7);
     out_of_vocab[50] = vocab;
-    let malformed = [prompt(3, 7), Vec::new(), out_of_vocab];
+    let sane = RetryPolicy::default();
+    let overflowing = RetryPolicy { max_retries: 2, backoff_ticks: u64::MAX };
+    let malformed = [
+        (prompt(3, 7), sane, "tokens"),
+        (Vec::new(), sane, "tokens"),
+        (out_of_vocab, sane, "tokens"),
+        (prompt(96, 41), overflowing, "retry"),
+    ];
     for chunk in [None, Some(32)] {
         let cfg = ServeConfig {
             shards: 1,
@@ -751,23 +760,25 @@ fn malformed_prompt_fails_alone_at_the_door() {
             session: session_cfg(),
             record_trace: true,
             prefill_chunk_tokens: chunk,
+            faults: Some(FaultPlan::seeded(3).with_admission_rejects(1, 1)),
             ..Default::default()
         };
         let clean = ServeEngine::run(&model, &cfg, vec![good(0), good(2)]).unwrap();
-        for bad in &malformed {
+        for (bad, retry, field) in &malformed {
             let policy = Box::new(PqCachePolicy::default());
-            let reqs = vec![good(0), ServeRequest::new(1, bad.clone(), 5, policy), good(2)];
+            let bad_req = ServeRequest::new(1, bad.clone(), 5, policy).with_retry(*retry);
+            let reqs = vec![good(0), bad_req, good(2)];
             let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
-            let shape = format!("chunk {chunk:?}, {}-token prompt", bad.len());
+            let shape = format!("chunk {chunk:?}, {}-token prompt, {retry:?}", bad.len());
             assert_eq!(report.worker_panics, 0, "{shape}");
             assert_eq!(report.completions.len(), 3, "{shape}");
             let failed = report.completion(1).unwrap();
             let cause = failed.failure.as_ref().expect("the malformed request fails");
             match &cause.error {
-                ServeError::Config(e) => assert_eq!(e.field, "tokens", "{shape}"),
+                ServeError::Config(e) => assert_eq!(e.field, *field, "{shape}"),
                 other => panic!("{shape}: expected Config, got {other:?}"),
             }
-            assert_eq!((cause.step, cause.injected), (0, false), "{shape}");
+            assert_eq!((cause.step, cause.injected, failed.shard), (0, false, 0), "{shape}");
             assert!(failed.generated.is_empty() && failed.ttft_ticks.is_none(), "{shape}");
             for id in [0u64, 2] {
                 let (a, b) = (clean.completion(id).unwrap(), report.completion(id).unwrap());

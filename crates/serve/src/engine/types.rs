@@ -242,7 +242,10 @@ pub struct ServeRequest {
     /// (each shard's clock is its own); under first-free placement the
     /// serving shard, and so the gating clock, depends on OS scheduling.
     pub arrival_tick: u64,
-    /// Bounded-retry policy applied when admission rejects the request.
+    /// Bounded-retry policy applied when admission rejects the request. A
+    /// policy whose backoff could overflow a u64 (see
+    /// [`RetryPolicy::backoff`]) fails this request alone, at the door,
+    /// with a `Config` cause on field `"retry"`.
     pub retry: RetryPolicy,
     /// Scheduling class. `Normal` (the default) keeps exact FIFO among
     /// itself; `High` is admitted first and may preempt a strictly
@@ -320,7 +323,8 @@ pub struct StepTrace {
 pub struct Completion {
     /// The request id.
     pub id: u64,
-    /// Shard (worker) that served the session.
+    /// Shard (worker) that served the session; 0 for a request turned away
+    /// at the door (malformed prompt or retry policy), which no shard saw.
     pub shard: usize,
     /// Greedy-decoded tokens: `decode_steps` of them on success, however
     /// many the session managed before failing otherwise.

@@ -162,6 +162,10 @@ impl RetryPolicy {
 
     /// Ticks to wait before retry number `attempt` (1-based), jittered
     /// deterministically from `seed` (exponential backoff, full jitter).
+    ///
+    /// Precondition: `backoff_ticks · 2^(min(attempt, 16) + 1)` fits in a
+    /// u64, which bounds the result. `ServeEngine::run` fails any request
+    /// whose policy breaks it for some `attempt <= max_retries` at the door.
     pub fn backoff(&self, seed: u64, attempt: u32) -> u64 {
         let base = self.backoff_ticks << attempt.min(16);
         if base == 0 {

@@ -144,6 +144,7 @@ pub struct OverloadConfig {
     pub defer_ticks: u64,
     /// Max seeded jitter added to a deferral (0 = none); spreads matured
     /// re-admissions so a deferred cohort does not stampede one tick.
+    /// `defer_ticks + defer_jitter` must fit in a u64.
     pub defer_jitter: u64,
     /// Checkpoint-cadence multiplier at `Saturated` and above. ≥ 1.
     pub checkpoint_stretch: u64,
@@ -249,6 +250,14 @@ impl OverloadConfig {
         }
         if self.defer_ticks == 0 {
             return Err(ConfigError::new("overload.defer_ticks", "deferral must be >= 1 tick"));
+        }
+        // `defer_delay` draws from `defer_jitter + 1` outcomes and adds the
+        // draw to `defer_ticks`: both must fit in a u64.
+        if self.defer_ticks.checked_add(self.defer_jitter).is_none() {
+            return Err(ConfigError::new(
+                "overload.defer_jitter",
+                "defer_ticks + defer_jitter must fit in a u64",
+            ));
         }
         if self.checkpoint_stretch == 0 {
             return Err(ConfigError::new(
@@ -712,6 +721,10 @@ mod tests {
         assert_eq!(growing.validate().unwrap_err().field, "overload.effort");
         let no_stretch = OverloadConfig { checkpoint_stretch: 0, ..Default::default() };
         assert_eq!(no_stretch.validate().unwrap_err().field, "overload.checkpoint_stretch");
+        // `defer_delay` would overflow drawing from `defer_jitter + 1`
+        // outcomes, inside the shard worker.
+        let wide_jitter = OverloadConfig { defer_jitter: u64::MAX, ..Default::default() };
+        assert_eq!(wide_jitter.validate().unwrap_err().field, "overload.defer_jitter");
     }
 
     #[test]

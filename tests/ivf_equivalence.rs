@@ -23,9 +23,9 @@ fn fixture(s: usize, dh: usize, m: usize, b: u32, seed: u64) -> (Matrix, PqCodeb
     (keys, book, codes)
 }
 
-/// Clustered keys (`Matrix::clustered`, the same generator the ivf bench
-/// rows use): the regime where IVF recall is meaningful — on isotropic
-/// noise coarse cells carry no signal.
+/// Clustered keys (`Matrix::clustered`, the same generator the benchmark's
+/// `deep_*` workloads use): the regime where IVF recall is meaningful — on
+/// isotropic noise coarse cells carry no signal.
 fn clustered_keys(s: usize, dh: usize, centers: usize, spread: f32, seed: u64) -> Matrix {
     Matrix::clustered(s, dh, centers, spread, &mut Rng64::new(seed))
 }
@@ -45,14 +45,11 @@ fn probe_all_scores_bit_identical_to_flat_scan() {
         let mut rng = Rng64::new(seed ^ 0xF00D);
         let q: Vec<f32> = (0..32).map(|_| rng.normal_f32(0.0, 1.0)).collect();
         let table = AdcTable::build(&book, &q);
-        let mut flat = Vec::new();
-        table.scores_into(&codes, &mut flat);
+        let flat = table.score_all(&codes);
         let mut scattered = vec![0.0f32; codes.len()];
-        let mut cell_scores = Vec::new();
         for c in 0..ivf.n_list() {
             let (ids, cell_codes) = ivf.cell(c);
-            cell_scores.clear();
-            table.scores_into(cell_codes, &mut cell_scores);
+            let cell_scores = table.score_all(cell_codes);
             for (&id, &s) in ids.iter().zip(cell_scores.iter()) {
                 scattered[id as usize] = s;
             }
@@ -191,8 +188,8 @@ fn full_decode_probe_equals_exact_logits_selections() {
 fn recall_at_k_regression_floor() {
     // The probe trade-off pinned down: on a clustered fixture (64 centers,
     // mild spread) with token-aligned queries, probing 8 of 64 cells must
-    // keep recall@64 >= 0.95 against the flat fused selection — the same
-    // floor the ivf_select bench row gates at s = 262144.
+    // keep recall@64 >= 0.95 against the flat fused selection — the recall
+    // floor the retired `ivf_select` kernel bench row gated at s = 262144.
     let (s, dh, k) = (8192, 32, 64);
     let keys = clustered_keys(s, dh, 64, 0.35, 801);
     let (book, codes) = PqCodebook::train(&keys, PqConfig { m: 2, b: 6, max_iters: 8, seed: 801 });

@@ -6,7 +6,7 @@
 use pqcache::policies::{
     PolicyContext, PolicyScratch, PqCachePolicy, PqCachePolicyConfig, SelectionPolicy,
 };
-use pqcache::pq::{pq_top_k, AdcTable, PqCodebook, PqConfig, PqRetriever};
+use pqcache::pq::{AdcTable, PqCodebook, PqConfig, PqRetriever};
 use pqcache::tensor::{top_k_indices, Matrix, Rng64};
 
 fn fixture(s: usize, dh: usize, m: usize, b: u32, seed: u64) -> (PqCodebook, pqcache::pq::PqCodes, Vec<f32>) {
@@ -34,12 +34,11 @@ fn pq_top_k_bit_identical_to_scalar_path() {
         for (i, (a, bscore)) in scalar_scores.iter().zip(fused_scores.iter()).enumerate() {
             assert_eq!(a.to_bits(), bscore.to_bits(), "score {i} diverged (m={m}, b={b})");
         }
+        let mut retriever = PqRetriever::new();
+        let mut fused = Vec::new();
         for k in [1usize, 7, 50, 600] {
-            assert_eq!(
-                pq_top_k(&book, &codes, &q, k),
-                top_k_indices(&scalar_scores, k),
-                "top-{k} diverged (m={m}, b={b})"
-            );
+            let _ = retriever.score_and_select_into(&book, &codes, &q, codes.len(), k, &mut fused);
+            assert_eq!(fused, top_k_indices(&scalar_scores, k), "top-{k} diverged (m={m}, b={b})");
         }
     }
 }
@@ -54,10 +53,10 @@ fn fused_score_and_select_bit_identical_on_paper_fixtures() {
     for &(m, b, seed) in &[(2usize, 6u32, 303u64), (4, 8, 404)] {
         let (book, codes, q) = fixture(pqcache::pq::CODE_BLOCK * 2 + 300, 32, m, b, seed);
         let mut retriever = PqRetriever::new();
+        let scores = AdcTable::build(&book, &q).score_all(&codes);
         for n in [codes.len(), pqcache::pq::CODE_BLOCK + 17, 5] {
             for k in [1usize, 16, 128, n] {
-                let mut unfused = Vec::new();
-                retriever.top_k_prefix_into(&book, &codes, &q, n, k, &mut unfused);
+                let unfused = top_k_indices(&scores[..n], k);
                 let mut fused = Vec::new();
                 let _ = retriever.score_and_select_into(&book, &codes, &q, n, k, &mut fused);
                 assert_eq!(unfused, fused, "m={m}, b={b}, n={n}, k={k}");
@@ -104,42 +103,6 @@ fn online_attention_logits_match_two_pass_reference() {
 }
 
 #[test]
-fn subset_scores_match_full_scan() {
-    let (book, codes, q) = fixture(300, 16, 2, 5, 7);
-    let table = AdcTable::build(&book, &q);
-    let full = table.score_all(&codes);
-    let ids: Vec<usize> = (0..300).step_by(7).collect();
-    let mut sub = Vec::new();
-    table.score_subset_into(&codes, &ids, &mut sub);
-    for (slot, &i) in sub.iter().zip(ids.iter()) {
-        assert_eq!(slot.to_bits(), full[i].to_bits(), "subset score {i}");
-    }
-}
-
-#[test]
-fn retriever_steady_state_allocates_nothing() {
-    // Acceptance guard: decode-step retrieval (ADC table rebuild + fused
-    // scan + top-k) through the reusable API must not grow any scratch
-    // buffer across 100 steps once warm.
-    let (book, codes, _) = fixture(512, 32, 2, 6, 31);
-    let mut retriever = PqRetriever::new();
-    let mut out = Vec::new();
-    let mut rng = Rng64::new(77);
-    // Warm-up step.
-    let q: Vec<f32> = (0..32).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-    retriever.top_k_into(&book, &codes, &q, 64, &mut out);
-    let caps = retriever.scratch_capacities();
-    let out_cap = out.capacity();
-    for step in 0..100 {
-        let q: Vec<f32> = (0..32).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-        retriever.top_k_into(&book, &codes, &q, 64, &mut out);
-        assert_eq!(out.len(), 64, "step {step}");
-        assert_eq!(retriever.scratch_capacities(), caps, "scratch grew at step {step}");
-        assert_eq!(out.capacity(), out_cap, "output buffer grew at step {step}");
-    }
-}
-
-#[test]
 fn fused_retriever_steady_state_allocates_nothing() {
     // Zero-alloc audit for the fused path: 100 decode-step retrievals
     // through `score_and_select_into` (table rebuild + blocked pruned scan
@@ -147,9 +110,7 @@ fn fused_retriever_steady_state_allocates_nothing() {
     // warm-up, and keep agreeing with the unfused pipeline.
     let (book, codes, _) = fixture(pqcache::pq::CODE_BLOCK + 200, 32, 2, 6, 41);
     let mut fused_retriever = PqRetriever::new();
-    let mut unfused_retriever = PqRetriever::new();
     let mut out = Vec::new();
-    let mut check = Vec::new();
     let mut rng = Rng64::new(78);
     // Warm-up step.
     let q: Vec<f32> = (0..32).map(|_| rng.normal_f32(0.0, 1.0)).collect();
@@ -167,7 +128,7 @@ fn fused_retriever_steady_state_allocates_nothing() {
             "fused scratch grew at step {step}"
         );
         assert_eq!(out.capacity(), out_cap, "output buffer grew at step {step}");
-        unfused_retriever.top_k_prefix_into(&book, &codes, &q, codes.len(), 64, &mut check);
+        let check = top_k_indices(&AdcTable::build(&book, &q).score_all(&codes), 64);
         assert_eq!(out, check, "fused selection diverged at step {step}");
     }
 }

@@ -216,11 +216,9 @@ proptest! {
         // must select exactly what the unfused scan + batch select selects.
         let (book, codes) =
             PqCodebook::train(&keys, PqConfig { m: 2, b: 3, max_iters: 3, seed: 5 });
-        let mut retriever = PqRetriever::new();
-        let mut unfused = Vec::new();
+        let unfused = top_k_indices(&AdcTable::build(&book, &q).score_all(&codes), k);
         let mut fused = Vec::new();
-        retriever.top_k_prefix_into(&book, &codes, &q, codes.len(), k, &mut unfused);
-        let _ = retriever.score_and_select_into(&book, &codes, &q, codes.len(), k, &mut fused);
+        let _ = PqRetriever::new().score_and_select_into(&book, &codes, &q, codes.len(), k, &mut fused);
         prop_assert_eq!(unfused, fused);
     }
 
