@@ -19,9 +19,7 @@ pub mod model;
 pub mod rope;
 pub mod weights;
 
-pub use attention::{
-    attend_selected_into, causal_attention, causal_attention_rows, PrefillPattern, ScoreCapture,
-};
+pub use attention::{attend_selected_into, causal_attention, PrefillPattern, ScoreCapture};
 pub use config::LlmConfig;
 pub use model::{
     slice_head, DecodeOutput, DecodeScratch, FullKvSource, KvSource, LayerKv, Model,

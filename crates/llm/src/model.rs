@@ -16,9 +16,7 @@
 //! an everything-budget equals full attention bit-for-bit" is tested against
 //! it.
 
-use crate::attention::{
-    attend_selected_into, causal_attention, causal_attention_rows, PrefillPattern, ScoreCapture,
-};
+use crate::attention::{attend_selected_into, causal_attention, PrefillPattern, ScoreCapture};
 use crate::config::LlmConfig;
 use crate::rope::{apply_rope, apply_rope_rows};
 use crate::weights::{rms_norm, rms_norm_rows, ModelWeights};
@@ -294,23 +292,13 @@ impl Model {
     /// Begin an incremental (chunked) prefill over `tokens`. The returned
     /// [`PrefillJob`] processes the prompt in caller-budgeted chunks via
     /// [`PrefillJob::advance`]; once done, [`PrefillJob::finish`] yields the
-    /// [`PrefillOutput`]. With `opts.capture_window` set — every session
-    /// prefill — the output is **bit-identical** (same logits, same KV rows,
+    /// [`PrefillOutput`]. Every chunk runs the one prefill kernel,
+    /// [`causal_attention`]'s per-row two-pass sweep, against the keys stored
+    /// so far, so the output is **bit-identical** (same logits, same KV rows,
     /// same capture statistics) for every chunk schedule, one whole-prompt
-    /// chunk ([`Model::prefill`]) included: the property the SLO scheduler's
-    /// chunked-prefill interleaving rests on.
-    ///
-    /// Which attention kernel a pass takes is read off the chunk, never
-    /// configured. A chunk that is the whole prompt goes through
-    /// [`causal_attention`]: the tiled online-softmax kernels when nothing
-    /// is captured, the per-row two-pass sweep when captures need each row's
-    /// materialised probabilities. A partial chunk always takes the two-pass
-    /// sweep ([`causal_attention_rows`]) against the keys stored so far. The
-    /// online kernels accumulate-then-normalise where the two-pass sweep
-    /// normalises-then-accumulates, so capture is **not bit-transparent**:
-    /// without captures, a whole-prompt pass agrees with a chunked one (and
-    /// with any capturing pass) only to float tolerance, while chunked
-    /// schedules still agree with each other bit for bit.
+    /// chunk ([`Model::prefill`]) included — the property the SLO scheduler's
+    /// chunked-prefill interleaving rests on — and capture is bit-transparent:
+    /// `opts.capture_window` adds the statistics and changes no other bit.
     pub fn begin_prefill(&self, tokens: &[u32], opts: &PrefillOptions) -> PrefillJob<'_> {
         assert!(!tokens.is_empty(), "prefill needs at least one token");
         let cfg = &self.cfg;
@@ -443,11 +431,9 @@ impl PrefillJob<'_> {
                 }
             }
 
-            // Attention per kv head (each serves `group` query heads, and
-            // each group member records into its own capture, merged at
-            // `finish`). A whole-prompt chunk lets `causal_attention` pick
-            // its kernel; a partial chunk takes the row sweep against the
-            // stored prefix.
+            // Attention per kv head against the stored prefix (each serves
+            // `group` query heads, and each group member records into its
+            // own capture, merged at `finish`).
             let layer_kv = &self.kv[l];
             let pattern = self.opts.pattern;
             let run_head = |kvh: usize, mut caps: Option<&mut Vec<ScoreCapture>>| -> Vec<Matrix> {
@@ -456,11 +442,7 @@ impl PrefillJob<'_> {
                         let q = &q_heads[kvh * group + g];
                         let (k, v) = (&layer_kv.keys[kvh], &layer_kv.values[kvh]);
                         let cap = caps.as_deref_mut().map(|c| &mut c[g]);
-                        if c1 - c0 == s {
-                            causal_attention(q, k, v, pattern, cap)
-                        } else {
-                            causal_attention_rows(q, k, v, c0, s, pattern, cap)
-                        }
+                        causal_attention(q, k, v, c0, s, pattern, cap)
                     })
                     .collect()
             };
@@ -737,7 +719,7 @@ mod tests {
                         c.sample_rows = opts.sample_rows.clone();
                         c
                     });
-                    let out = causal_attention(&q, &k, &v, opts.pattern, gcap.as_mut());
+                    let out = causal_attention(&q, &k, &v, 0, s, opts.pattern, gcap.as_mut());
                     write_head(&mut concat, &out, h, dh);
                     if let Some(gc) = gcap {
                         match cap.as_mut() {
@@ -833,26 +815,31 @@ mod tests {
     }
 
     #[test]
-    fn non_capturing_prefill_pins_both_kernels_to_the_reference() {
-        // Without captures the kernel is read off the chunk: a whole-prompt
-        // chunk takes `causal_attention`'s online kernels (tiled at s >= 64)
-        // and equals the non-capturing reference; partial chunks take the
-        // two-pass row sweep and equal the *capturing* reference's logits
-        // and KV, captures absent.
+    fn capturing_and_non_capturing_prefills_are_bit_identical() {
+        // Capture is bit-transparent: with and without `capture_window`, a
+        // whole-prompt prefill and chunked ones give the same logits,
+        // `last_hidden` and KV, bit for bit, for dense and Λ-shaped
+        // patterns and at lengths on both sides of one 64-key block.
         let model = Model::new(LlmConfig::tiny());
-        for s in [33usize, 80] {
+        for s in [1usize, 33, 64, 80, 130] {
             let t = toks(s, 0x33 + s as u64);
-            let off = PrefillOptions { capture_window: None, parallel: false, ..Default::default() };
-            let on = PrefillOptions { capture_window: Some(8), ..off.clone() };
-            let whole = reference_prefill(&model, &t, &off);
-            let rows = PrefillOutput { captures: None, ..reference_prefill(&model, &t, &on) };
-            assert_prefill_bits_equal(&whole, &model.prefill(&t, &off), &format!("s={s} prefill"));
-            for budgets in [&[s][..], &[s + 10]] {
-                let got = run_chunked(&model, &t, &off, budgets);
-                assert_prefill_bits_equal(&whole, &got, &format!("s={s} whole {budgets:?}"));
+            // `None` is one whole-prompt chunk through `Model::prefill`.
+            let run = |opts: &PrefillOptions, budget: Option<usize>| match budget {
+                None => model.prefill(&t, opts),
+                Some(b) => run_chunked(&model, &t, opts, &[b]),
+            };
+            for pattern in [PrefillPattern::Dense, PrefillPattern::AShape { init: 4, local: 8 }] {
+                let off = PrefillOptions { pattern, parallel: false, ..Default::default() };
+                let on = PrefillOptions { capture_window: Some(8), ..off.clone() };
+                for budget in [None, Some(7), Some(s + 10)] {
+                    let plain = run(&off, budget);
+                    let captured = run(&on, budget);
+                    assert!(plain.captures.is_none() && captured.captures.is_some());
+                    let captured = PrefillOutput { captures: None, ..captured };
+                    let tag = format!("s={s} {pattern:?} budget={budget:?}");
+                    assert_prefill_bits_equal(&plain, &captured, &tag);
+                }
             }
-            let got = run_chunked(&model, &t, &off, &[7]);
-            assert_prefill_bits_equal(&rows, &got, &format!("s={s} chunk=7"));
         }
     }
 

@@ -23,16 +23,6 @@ pub struct PqConfig {
 }
 
 impl PqConfig {
-    /// The paper's default LongBench configuration (m=2, b=6).
-    pub fn longbench_default() -> Self {
-        Self { m: 2, b: 6, max_iters: 25, seed: 0 }
-    }
-
-    /// The paper's InfiniteBench configuration (m=4, b=8).
-    pub fn infinitebench_default() -> Self {
-        Self { m: 4, b: 8, max_iters: 25, seed: 0 }
-    }
-
     /// Number of centroids per sub-space.
     pub fn centroids_per_subspace(&self) -> usize {
         1usize << self.b

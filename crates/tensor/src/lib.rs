@@ -3,8 +3,8 @@
 //! Minimal dense linear-algebra, RNG, and statistics substrate shared by the
 //! PQCache reproduction. No external math dependencies: everything the
 //! transformer substrate, Product Quantization, and the benchmark harness
-//! need — GEMM, softmax (naive + streaming), top-k selection, least-squares
-//! fitting — is implemented here in plain Rust and unit/property tested.
+//! need — GEMM, softmax, top-k selection, least-squares fitting — is
+//! implemented here in plain Rust and unit/property tested.
 
 #![warn(missing_docs)]
 // Index-based loops are kept where they mirror the mathematical notation
@@ -20,6 +20,6 @@ pub mod topk;
 
 pub use batch::{nearest_centroid_cached, AssignScratch};
 pub use matrix::{axpy, dot, row_sq_norms_into, squared_l2, Matrix};
-pub use ops::{argmax, cosine, l2_norm, log_sum_exp, softmax_inplace, StreamingSoftmax};
+pub use ops::{argmax, cosine, l2_norm, softmax_inplace};
 pub use rng::Rng64;
 pub use topk::{argsort_desc, top_k_indices, topk_recall, TopK};

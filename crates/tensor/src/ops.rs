@@ -1,9 +1,4 @@
-//! Row-wise numeric kernels: softmax (naive and streaming), norms, cosine.
-//!
-//! The streaming ("online") softmax is the same recurrence FlashAttention
-//! tiles over; we implement it so the substrate's attention can honestly
-//! claim O(s) memory during prefill, and so we can property-test that it is
-//! numerically equivalent to the naive two-pass softmax.
+//! Row-wise numeric kernels: softmax, norms, cosine, argmax.
 
 use crate::matrix::dot;
 
@@ -21,69 +16,6 @@ pub fn softmax_inplace(xs: &mut [f32]) {
     let inv = 1.0 / sum;
     for v in xs.iter_mut() {
         *v *= inv;
-    }
-}
-
-/// Streaming softmax-weighted sum accumulator.
-///
-/// Consumes `(score, value-row)` pairs one tile at a time and maintains the
-/// running maximum `m`, running normaliser `l`, and the unnormalised output
-/// `acc`, exactly as in FlashAttention's online softmax:
-///
-/// ```text
-/// m' = max(m, s)
-/// l' = l * exp(m - m') + exp(s - m')
-/// acc' = acc * exp(m - m') + exp(s - m') * v
-/// ```
-#[derive(Debug, Clone)]
-pub struct StreamingSoftmax {
-    m: f32,
-    l: f32,
-    acc: Vec<f32>,
-}
-
-impl StreamingSoftmax {
-    /// A fresh accumulator producing vectors of dimension `dim`.
-    pub fn new(dim: usize) -> Self {
-        Self { m: f32::NEG_INFINITY, l: 0.0, acc: vec![0.0; dim] }
-    }
-
-    /// Fold in one `(score, value)` pair.
-    pub fn push(&mut self, score: f32, value: &[f32]) {
-        debug_assert_eq!(value.len(), self.acc.len());
-        let m_new = self.m.max(score);
-        let scale_old = if self.l > 0.0 { (self.m - m_new).exp() } else { 0.0 };
-        let w = (score - m_new).exp();
-        self.l = self.l * scale_old + w;
-        for (a, v) in self.acc.iter_mut().zip(value.iter()) {
-            *a = *a * scale_old + w * v;
-        }
-        self.m = m_new;
-    }
-
-    /// Number of (score, value) pairs absorbed so far is not tracked;
-    /// `is_empty` reports whether anything has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.l == 0.0
-    }
-
-    /// Finalise into the softmax-weighted average of the pushed values.
-    pub fn finish(self) -> Vec<f32> {
-        if self.l == 0.0 {
-            return self.acc; // all zeros: no inputs
-        }
-        let inv = 1.0 / self.l;
-        self.acc.into_iter().map(|a| a * inv).collect()
-    }
-
-    /// The log of the normaliser (`m + ln l`), i.e. log-sum-exp of the
-    /// scores pushed so far. Useful for attention-mass diagnostics.
-    pub fn log_normalizer(&self) -> f32 {
-        if self.l == 0.0 {
-            f32::NEG_INFINITY
-        } else {
-            self.m + self.l.ln()
-        }
     }
 }
 
@@ -116,23 +48,9 @@ pub fn argmax(xs: &[f32]) -> usize {
     best
 }
 
-/// Log-sum-exp of a slice (stable).
-pub fn log_sum_exp(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        return f32::NEG_INFINITY;
-    }
-    let m = xs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    if m.is_infinite() {
-        return m;
-    }
-    let s: f32 = xs.iter().map(|v| (v - m).exp()).sum();
-    m + s.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Rng64;
 
     #[test]
     fn softmax_sums_to_one() {
@@ -163,53 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_naive() {
-        let mut rng = Rng64::new(10);
-        for n in [1usize, 2, 7, 64] {
-            let dim = 5;
-            let scores: Vec<f32> = (0..n).map(|_| rng.normal_f32(0.0, 3.0)).collect();
-            let values: Vec<Vec<f32>> = (0..n)
-                .map(|_| (0..dim).map(|_| rng.normal_f32(0.0, 1.0)).collect())
-                .collect();
-
-            let mut naive_scores = scores.clone();
-            softmax_inplace(&mut naive_scores);
-            let mut naive = vec![0.0f32; dim];
-            for (w, v) in naive_scores.iter().zip(values.iter()) {
-                for (o, x) in naive.iter_mut().zip(v.iter()) {
-                    *o += w * x;
-                }
-            }
-
-            let mut st = StreamingSoftmax::new(dim);
-            for (s, v) in scores.iter().zip(values.iter()) {
-                st.push(*s, v);
-            }
-            let got = st.finish();
-            for (a, b) in naive.iter().zip(got.iter()) {
-                assert!((a - b).abs() < 1e-5, "n={n}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_log_normalizer_is_lse() {
-        let scores = [0.5f32, -1.0, 2.0, 0.0];
-        let mut st = StreamingSoftmax::new(1);
-        for &s in &scores {
-            st.push(s, &[0.0]);
-        }
-        assert!((st.log_normalizer() - log_sum_exp(&scores)).abs() < 1e-5);
-    }
-
-    #[test]
-    fn streaming_empty_finishes_zero() {
-        let st = StreamingSoftmax::new(3);
-        assert!(st.is_empty());
-        assert_eq!(st.finish(), vec![0.0; 3]);
-    }
-
-    #[test]
     fn cosine_bounds_and_identity() {
         let a = [1.0f32, 2.0, 3.0];
         assert!((cosine(&a, &a) - 1.0).abs() < 1e-6);
@@ -221,11 +92,5 @@ mod tests {
     #[test]
     fn argmax_first_max_on_tie() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), 1);
-    }
-
-    #[test]
-    fn lse_known_value() {
-        let v = log_sum_exp(&[0.0, 0.0]);
-        assert!((v - std::f32::consts::LN_2).abs() < 1e-6);
     }
 }

@@ -2,8 +2,8 @@
 //! generated tokens, exercised through the public umbrella API.
 
 use pqcache::core::{CacheConfig, SelectiveSession, SessionConfig};
-use pqcache::llm::{FullKvSource, LlmConfig, Model};
-use pqcache::tensor::Rng64;
+use pqcache::llm::{FullKvSource, LlmConfig, Model, PrefillOptions};
+use pqcache::tensor::{argmax, Rng64};
 use pqcache::workloads::{
     evaluate_method, needle, qa, reference, EvalConfig, MethodSpec, QuestionPosition, VocabLayout,
 };
@@ -28,18 +28,33 @@ fn prompt(n: usize, seed: u64) -> Vec<u32> {
 #[test]
 fn full_budget_selective_session_is_exact() {
     // End-to-end invariant: a selective session with an everything-budget
-    // reproduces the reference generation bit-for-bit, across model configs.
+    // reproduces exact full attention bit-for-bit — its capturing prefill's
+    // logits equal a plain prefill's, and every decode step's logits equal
+    // `decode_step` over a `FullKvSource`, so the greedy tokens equal the
+    // reference generation's.
     {
         let cfg = LlmConfig::tiny();
         let model = Model::new(cfg);
         let toks = prompt(64, 1);
         let reference_tokens = model.generate_full(&toks, 12);
+        let prefill = model.prefill(&toks, &PrefillOptions::default());
+        let mut full = FullKvSource::from_prefill(&prefill);
         let mut scfg = session_cfg();
         scfg.token_ratio = 1.0;
         let policy = MethodSpec::Full.build(model.config().head_dim, scfg.comm_fraction);
         let start = SelectiveSession::start(&model, policy, scfg, &toks);
+        assert_eq!(start.logits, prefill.logits, "prefill logits");
         let mut session = start.session;
-        assert_eq!(session.generate(&start.logits, 12), reference_tokens);
+        let mut tokens = Vec::new();
+        let mut next = argmax(&start.logits) as u32;
+        for (step, pos) in (toks.len()..toks.len() + 12).enumerate() {
+            tokens.push(next);
+            let want = model.decode_step(next, pos, &mut full);
+            let got = session.decode(next);
+            assert_eq!(got.logits, want.logits, "step {step} logits");
+            next = got.greedy();
+        }
+        assert_eq!(tokens, reference_tokens);
     }
 }
 

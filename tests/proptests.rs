@@ -11,7 +11,6 @@ use pqcache::pq::{
 };
 use pqcache::tensor::{
     argsort_desc, dot, softmax_inplace, squared_l2, top_k_indices, AssignScratch, Matrix, Rng64,
-    StreamingSoftmax,
 };
 
 fn matrix_strategy(max_rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -34,27 +33,30 @@ proptest! {
     }
 
     #[test]
-    fn streaming_softmax_equals_naive(
-        scores in proptest::collection::vec(-20.0f32..20.0, 1..32),
-        dim in 1usize..6,
+    fn attend_selected_equals_naive_two_pass(
+        n in 1usize..200,
+        dh in 1usize..9,
+        seed in 0u64..(1 << 62),
     ) {
-        let mut rng = Rng64::new(1);
-        let values: Vec<Vec<f32>> = (0..scores.len())
-            .map(|_| (0..dim).map(|_| rng.normal_f32(0.0, 1.0)).collect())
-            .collect();
-        let mut naive_w = scores.clone();
-        softmax_inplace(&mut naive_w);
-        let mut naive = vec![0.0f32; dim];
-        for (w, v) in naive_w.iter().zip(values.iter()) {
-            for (o, x) in naive.iter_mut().zip(v.iter()) {
+        // The decode kernel's blocked online softmax (64-key blocks, so
+        // up to four blocks here) against scaled dots, then a two-pass
+        // softmax, then the weighted value sum. Query entries with σ = 8
+        // give scaled scores q·k/√d_h with σ = 8, spanning roughly ±20.
+        let mut rng = Rng64::new(seed);
+        let keys = Matrix::randn(n, dh, 1.0, &mut rng);
+        let values = Matrix::randn(n, dh, 1.0, &mut rng);
+        let query: Vec<f32> = (0..dh).map(|_| rng.normal_f32(0.0, 8.0)).collect();
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut weights: Vec<f32> = (0..n).map(|j| dot(&query, keys.row(j)) * scale).collect();
+        softmax_inplace(&mut weights);
+        let mut naive = vec![0.0f32; dh];
+        for (j, &w) in weights.iter().enumerate() {
+            for (o, &x) in naive.iter_mut().zip(values.row(j)) {
                 *o += w * x;
             }
         }
-        let mut st = StreamingSoftmax::new(dim);
-        for (s, v) in scores.iter().zip(values.iter()) {
-            st.push(*s, v);
-        }
-        let got = st.finish();
+        let (mut scores, mut got) = (Vec::new(), Vec::new());
+        attend_selected_into(&query, &keys, &values, &mut scores, &mut got);
         for (a, b) in naive.iter().zip(got.iter()) {
             prop_assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -348,9 +350,9 @@ proptest! {
         let s = q.rows();
         let k = q.clone();
         let v = q.clone();
-        let dense = causal_attention(&q, &k, &v, PrefillPattern::Dense, None);
+        let dense = causal_attention(&q, &k, &v, 0, s, PrefillPattern::Dense, None);
         let covered = causal_attention(
-            &q, &k, &v,
+            &q, &k, &v, 0, s,
             PrefillPattern::AShape { init: s, local: 1 },
             None,
         );
