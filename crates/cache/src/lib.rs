@@ -267,11 +267,6 @@ impl BlockCache {
         self.budget.as_ref()
     }
 
-    /// Token-level variant (block size 1) used by the Fig. 11c ablation.
-    pub fn token_level(capacity_tokens: usize, policy: EvictionPolicy) -> Self {
-        Self::new(capacity_tokens, 1, policy)
-    }
-
     /// Configured block size in tokens.
     pub fn block_size(&self) -> usize {
         self.block_size
@@ -522,7 +517,7 @@ mod tests {
 
     #[test]
     fn token_level_cache_works() {
-        let mut c = BlockCache::token_level(4, EvictionPolicy::Lru);
+        let mut c = BlockCache::new(4, 1, EvictionPolicy::Lru);
         assert_eq!(c.block_size(), 1);
         c.update(&[7, 8, 9, 10]);
         let r = c.lookup(&[7, 11]);
@@ -534,7 +529,7 @@ mod tests {
     fn token_level_more_management_ops_than_block_level() {
         let tokens: Vec<usize> = (0..512).collect();
         let mut block = BlockCache::new(512, 128, EvictionPolicy::Lru);
-        let mut tok = BlockCache::token_level(512, EvictionPolicy::Lru);
+        let mut tok = BlockCache::new(512, 1, EvictionPolicy::Lru);
         block.update(&top_blocks(&tokens, 128, 4));
         tok.update(&tokens);
         assert!(tok.stats().management_ops > block.stats().management_ops * 10);

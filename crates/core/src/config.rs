@@ -142,6 +142,9 @@ impl SessionConfig {
         if !(self.comm_fraction >= 0.0 && self.comm_fraction <= 1.0) {
             return Err(ConfigError::new("comm_fraction", "comm_fraction must be in [0, 1]"));
         }
+        if self.cache.block_size == 0 {
+            return Err(ConfigError::new("cache.block_size", "cache block size must be positive"));
+        }
         if let IvfMode::Probe(n_probe) = self.ivf {
             if n_probe < 1 {
                 return Err(ConfigError::new("ivf", "ivf probe width must be at least one cell"));
@@ -231,6 +234,11 @@ mod tests {
             .validate()
             .expect_err("zero probe");
         assert_eq!(e.field, "ivf");
+        let cache = CacheConfig { block_size: 0, ..CacheConfig::sim_default() };
+        let e = SessionConfig { cache, ..Default::default() }
+            .validate()
+            .expect_err("zero cache block size");
+        assert_eq!(e.field, "cache.block_size");
     }
 
     #[test]

@@ -597,20 +597,6 @@ impl<'m> SelectiveSession<'m> {
         self.rec.policy.set_effort(effort);
     }
 
-    /// Rebuild the policy's structures from the current middle region —
-    /// the paper's §5 recommendation for long outputs and multi-turn
-    /// conversations ("periodically reconstruct PQ to update the
-    /// information"). Dropping policies ignore it.
-    pub fn refresh_policy(&mut self) {
-        let mid = self.rec.store.len(0, 0);
-        if mid == 0 {
-            return;
-        }
-        let pinit = self.middle_init(mid);
-        self.rec.policy.refresh(&pinit);
-        self.rec.policy_ready = true;
-    }
-
     /// Preempt this session: offload its GPU-resident state (initial segment
     /// plus local window) into a fresh namespace of `tier` — the metered D2H
     /// path — pin every host page it owns against recycling, and release its
@@ -1130,28 +1116,6 @@ mod tests {
         let model = Model::new(LlmConfig::tiny());
         let toks = prompt(8, 6);
         let _ = SelectiveSession::start(&model, Box::new(StreamingLlmPolicy), cfg(), &toks);
-    }
-
-    #[test]
-    fn refresh_policy_keeps_session_consistent() {
-        // Long-output scenario (§5): generate, refresh (codebooks retrain
-        // over prefill + generated middle tokens), keep generating; the
-        // refreshed policy must retrieve a token that was *generated*, which
-        // the stale codebook only covers via nearest-centroid assignment.
-        let model = Model::new(LlmConfig::tiny());
-        let toks = prompt(72, 11);
-        let start =
-            SelectiveSession::start(&model, Box::new(PqCachePolicy::default()), cfg(), &toks);
-        let mut session = start.session;
-        let _ = session.generate(&start.logits, 12);
-        let mid_before = session.middle_len();
-        session.refresh_policy();
-        let out = session.generate(&[0.0; 256], 6);
-        assert_eq!(out.len(), 6);
-        assert_eq!(session.middle_len(), mid_before + 6);
-        // Selections remain within bounds after the refresh.
-        let sel = session.last_selected(0, 0);
-        assert!(sel.iter().all(|&i| i >= 2));
     }
 
     #[test]

@@ -238,7 +238,7 @@ fn use_avx2() -> bool {
 /// reuse removes its steady-state allocations.
 ///
 /// Single-pass blocked online softmax: `scores` only ever holds one
-/// [`KEY_BLOCK`]-wide logit block, and the softmax + weighted sum complete
+/// `KEY_BLOCK`-wide logit block, and the softmax + weighted sum complete
 /// in the same sweep as the score computation.
 pub fn attend_selected_into(
     query: &[f32],

@@ -379,11 +379,6 @@ pub struct PrefillJob<'m> {
 }
 
 impl PrefillJob<'_> {
-    /// Total prompt length.
-    pub fn total_tokens(&self) -> usize {
-        self.tokens.len()
-    }
-
     /// Prompt rows completed so far.
     pub fn pos(&self) -> usize {
         self.pos
@@ -755,7 +750,6 @@ mod tests {
         budgets: &[usize],
     ) -> PrefillOutput {
         let mut job = model.begin_prefill(t, opts);
-        assert_eq!(job.total_tokens(), t.len());
         let mut budgets = budgets.iter().copied();
         let mut chunk = budgets.next().expect("at least one budget");
         while !job.is_done() {

@@ -433,11 +433,6 @@ impl KvTier {
         }
     }
 
-    /// Namespaces created so far.
-    pub fn namespaces_created(&self) -> u64 {
-        self.next_ns.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of the tier-wide aggregate transfer statistics (the sum of
     /// every namespace's stats, including namespaces already dropped).
     pub fn aggregate_stats(&self) -> TransferStats {
@@ -447,12 +442,6 @@ impl KvTier {
     /// Snapshot of the tier-wide sharing statistics (sum over namespaces).
     pub fn aggregate_sharing(&self) -> SharingStats {
         *self.sharing_aggregate.lock()
-    }
-
-    /// Zero the aggregate counters (per-namespace stats are unaffected).
-    pub fn reset_aggregate_stats(&self) {
-        *self.aggregate.lock() = TransferStats::default();
-        *self.sharing_aggregate.lock() = SharingStats::default();
     }
 
     /// Unique host-resident bytes across the tier: every page counted once,
@@ -1003,7 +992,6 @@ mod tests {
         let sum: TransferStats = stores.iter().map(|s| s.stats()).sum();
         assert_eq!(tier.aggregate_stats(), sum);
         assert!(sum.d2h_bytes > 0 && sum.h2d_bytes > 0);
-        assert_eq!(tier.namespaces_created(), 3);
     }
 
     #[test]
@@ -1014,12 +1002,6 @@ mod tests {
         let before = tier.aggregate_stats();
         drop(a);
         assert_eq!(tier.aggregate_stats(), before);
-        // Per-namespace reset leaves the aggregate alone; aggregate reset
-        // leaves namespaces alone.
-        let b = tier.new_namespace();
-        tier.reset_aggregate_stats();
-        assert_eq!(tier.aggregate_stats(), TransferStats::default());
-        assert_eq!(b.stats(), TransferStats::default());
     }
 
     #[test]

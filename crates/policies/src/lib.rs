@@ -305,14 +305,6 @@ pub trait SelectionPolicy {
         false
     }
 
-    /// Rebuild internal structures from the *current* middle region (paper
-    /// §5, "Longer Output Sequences": periodically reconstruct PQ so
-    /// structures built from the input also cover generated tokens).
-    /// Default: no-op; PQCache retrains its codebooks.
-    fn refresh(&mut self, init: &PolicyInit) {
-        let _ = init;
-    }
-
     /// Snapshot the trained prefix state for cross-session sharing (called
     /// after `init`). Policies without shareable state return `None`.
     fn export_shared(&self) -> Option<SharedPolicyState> {
@@ -333,8 +325,8 @@ pub trait SelectionPolicy {
     /// Deep-copy this policy's *entire* trained and per-token state into an
     /// independent instance — the checkpoint path. Unlike
     /// [`Self::export_shared`] (prefix-time snapshot only), a fork must
-    /// capture mid-decode state (per-token codes appended by `on_evict`,
-    /// refreshed codebooks) such that the fork selects bit-identically to
+    /// capture mid-decode state (per-token codes and IVF routes appended by
+    /// `on_evict`) such that the fork selects bit-identically to
     /// the original from this point on. Policies that cannot guarantee that
     /// return `None` (the default), and the serving layer simply skips
     /// checkpointing sessions running them.

@@ -102,46 +102,12 @@ impl PqCachePolicy {
         }
     }
 
-    /// Cell-length imbalance of the `(layer, kv_head)` IVF tier (0.0 under
-    /// [`IvfMode::Exact`]) — the drift meter for appended tokens routed
-    /// against build-time coarse centroids; `refresh` (periodic
-    /// reconstruction, §5) rebuilds the tiers from scratch.
-    pub fn ivf_imbalance(&self, layer: usize, kv_head: usize) -> f64 {
-        self.ivf
-            .get(layer)
-            .and_then(|l| l.get(kv_head))
-            .map_or(0.0, IvfIndex::cell_imbalance)
-    }
-
     /// Capacity of the one buffer the policy itself reuses across steps
     /// (eviction codes; the retrieval buffers are the caller's
     /// [`PolicyScratch`]) — exposed so tests can assert zero-allocation
     /// steady state across decode steps.
     pub fn scratch_capacities(&self) -> usize {
         self.code_buf.capacity()
-    }
-
-    /// Total construction inertia across all codebooks (diagnostics for the
-    /// Fig. 12c iteration sweep).
-    pub fn total_inertia(&self) -> f64 {
-        self.books.iter().flatten().map(|b| b.inertia()).sum()
-    }
-
-    /// K-Means iterations actually run, averaged over codebooks/sub-spaces.
-    pub fn mean_iters_run(&self) -> f64 {
-        let mut total = 0usize;
-        let mut n = 0usize;
-        for b in self.books.iter().flatten() {
-            for &it in b.iters_run() {
-                total += it;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total as f64 / n as f64
-        }
     }
 
     /// The PQ configuration in use.
@@ -279,12 +245,6 @@ impl SelectionPolicy for PqCachePolicy {
         0
     }
 
-    /// Periodic reconstruction (paper §5): retrain codebooks over the
-    /// current middle keys, folding generated tokens into the centroids.
-    fn refresh(&mut self, init: &PolicyInit) {
-        self.init(init);
-    }
-
     fn prefetch_bytes_per_step(&self, middle_len: usize) -> u64 {
         // m·b bits per token, plus the (tiny, s-independent) centroids are
         // GPU-resident after the first step, so codes dominate.
@@ -390,19 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn more_iterations_not_worse() {
-        // Fig. 12c: more clustering iterations generally help (inertia
-        // strictly non-increasing; recall statistically better).
-        let init = synthetic_init(1, 1, 300, 16, &[], 3);
-        let mut p0 = PqCachePolicy::new(cfg(2, 6, 0));
-        let mut p25 = PqCachePolicy::new(cfg(2, 6, 25));
-        p0.init(&init);
-        p25.init(&init);
-        assert!(p25.total_inertia() <= p0.total_inertia() + 1e-6);
-        assert!(p25.mean_iters_run() > p0.mean_iters_run());
-    }
-
-    #[test]
     fn evicted_token_becomes_retrievable() {
         let init = synthetic_init(1, 1, 64, 16, &[], 4);
         let mut p = PqCachePolicy::new(cfg(2, 5, 15));
@@ -502,32 +449,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn probe_mode_tracks_imbalance() {
-        // The drift meter must actually *move*: evicting a stream of
-        // identical keys routes them all into one cell, so the reported
-        // max/mean imbalance strictly grows with the appends.
-        let init = synthetic_init(1, 1, 120, 16, &[], 35);
-        let mut p = PqCachePolicy::new(PqCachePolicyConfig {
-            ivf: IvfMode::Probe(2),
-            ivf_n_list: 4,
-            ..cfg(2, 5, 8)
-        });
-        assert_eq!(p.ivf_imbalance(0, 0), 0.0, "no tier before init");
-        p.init(&init);
-        let built = p.ivf_imbalance(0, 0);
-        assert!(built >= 1.0, "built tier reports imbalance");
-        let skew_key = vec![3.0f32; 16];
-        for i in 0..120 {
-            p.on_evict(0, 0, &skew_key, 120 + i);
-        }
-        let skewed = p.ivf_imbalance(0, 0);
-        assert!(
-            skewed > built + 0.3,
-            "skewed appends must raise the meter: {built:.2} -> {skewed:.2}"
-        );
     }
 
     #[test]

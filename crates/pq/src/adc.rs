@@ -186,7 +186,7 @@ impl AdcTable {
     /// Fused score-and-select over the first `n` tokens: stream the paired-
     /// column ADC scan in [`CODE_BLOCK`]-token blocks straight into a
     /// [`TopK`] stream, and once a running k-th-best threshold exists, skip
-    /// whole blocks whose upper bound ([`Self::block_score_bound`]) cannot
+    /// whole blocks whose upper bound (`Self::block_score_bound`) cannot
     /// beat it — their scores are never materialised. Selected indices land
     /// in `out` (descending score, ties toward the smaller index).
     ///
@@ -252,7 +252,7 @@ impl AdcTable {
     /// O(n_list·dh + s·m·n_probe/n_list) instead of O(s·m).
     ///
     /// Pruning composes with routing: inside a probed cell, whole
-    /// [`CODE_BLOCK`]-blocks whose upper bound ([`Self::block_score_bound`]
+    /// [`CODE_BLOCK`]-blocks whose upper bound (`Self::block_score_bound`
     /// over the cell's own block-max codes) cannot beat the running
     /// k-th-best threshold are skipped, exactly as in the flat
     /// [`Self::score_and_select_into`]. Only tokens with id `< n` are

@@ -11,11 +11,16 @@
 //! [`PqCodes`] holding its members' codes in the same subspace-major layout
 //! the fused scan wants, plus an ascending token-id list), so probing a cell
 //! is the same L1-resident sequential column walk as the flat scan — and the
-//! per-[`CODE_BLOCK`]-block max-code bound composes with routing: inside a
+//! per-`CODE_BLOCK`-block max-code bound composes with routing: inside a
 //! probed cell, blocks that cannot beat the running k-th-best threshold are
 //! skipped exactly as in [`crate::adc::AdcTable::score_and_select_into`].
 //! See `score_and_select_ivf_into` in [`crate::adc`] and the "IVF-routed
 //! selection" section of EXPERIMENTS.md.
+//!
+//! The index is built once, over the prefill keys; decode-time tokens join
+//! through [`IvfIndex::append_token`], routed against the build-time coarse
+//! centroids (as FAISS's `IndexIVF::add` routes against fixed centroids).
+//! Nothing re-trains or re-balances the cells afterwards.
 
 use crate::codebook::PqCodes;
 use crate::kmeans::{kmeans, KMeansConfig};
@@ -101,10 +106,6 @@ impl IvfCell {
         Self { ids: Vec::new(), codes: PqCodes::new(m) }
     }
 
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
     fn codes(&self) -> &PqCodes {
         &self.codes
     }
@@ -146,16 +147,13 @@ pub struct IvfIndex {
     cells: Vec<IvfCell>,
     /// Total tokens indexed (cells partition `0..len`).
     len: usize,
-    /// Tokens appended since build/rebalance — the drift meter behind
-    /// [`IvfIndex::cell_imbalance`]-driven maintenance.
-    appended: usize,
 }
 
 impl IvfIndex {
     /// Build the index from raw keys and their PQ codes (one code row per
     /// key row, same order).
     ///
-    /// Coarse centroids are trained on at most [`COARSE_TRAIN_CAP`] strided
+    /// Coarse centroids are trained on at most `COARSE_TRAIN_CAP` strided
     /// sample rows; the full key set is then routed with one blocked
     /// assignment pass, so build cost stays near-linear in `s`.
     pub fn build(keys: &Matrix, codes: &PqCodes, cfg: IvfConfig) -> Self {
@@ -193,7 +191,7 @@ impl IvfIndex {
         }
         let mut coarse_norms = Vec::new();
         row_sq_norms_into(&centroids, &mut coarse_norms);
-        Self { cfg, coarse: centroids, coarse_norms, cells, len: s, appended: 0 }
+        Self { cfg, coarse: centroids, coarse_norms, cells, len: s }
     }
 
     /// Number of coarse cells actually built.
@@ -229,23 +227,15 @@ impl IvfIndex {
         (&cell.ids, cell.codes())
     }
 
-    /// Tokens appended since build (or the last rebalance) — appended tokens
-    /// are routed against the build-time coarse centroids, so this is the
-    /// drift meter that should trigger [`IvfIndex::cell_imbalance`] checks.
-    pub fn appended(&self) -> usize {
-        self.appended
-    }
-
-    /// Append one token: routed to its nearest coarse cell (cached-norm
-    /// batched argmin — no allocation beyond amortised list growth). The
-    /// token id must exceed every id already present (decode appends are
-    /// monotone), keeping every cell's id list ascending.
+    /// Append one token: routed to its nearest build-time coarse cell
+    /// (cached-norm batched argmin — no allocation beyond amortised list
+    /// growth). The token id must exceed every id already present (decode
+    /// appends are monotone), keeping every cell's id list ascending.
     pub fn append_token(&mut self, token_id: usize, key: &[f32], token_codes: &[u16]) {
         assert!(token_id >= self.len, "append ids must be monotone (got {token_id}, len {})", self.len);
         let (best, _) = nearest_centroid_cached(key, &self.coarse, &self.coarse_norms);
         self.cells[best].push(token_id as u32, token_codes);
         self.len = token_id + 1;
-        self.appended += 1;
     }
 
     /// Inner-product scores of the query against every coarse centroid,
@@ -255,167 +245,6 @@ impl IvfIndex {
         out.reserve(self.cells.len());
         for c in 0..self.coarse.rows() {
             out.push(dot(query, self.coarse.row(c)));
-        }
-    }
-
-    /// Cell-length imbalance: `max / mean` list length (1.0 is perfectly
-    /// balanced, 0.0 when empty). Appended tokens routed against stale
-    /// centroids show up here — the cheap signal for when a
-    /// [`IvfIndex::rebalance`] pays off.
-    pub fn cell_imbalance(&self) -> f64 {
-        if self.len == 0 || self.cells.is_empty() {
-            return 0.0;
-        }
-        let max = self.cells.iter().map(IvfCell::len).max().unwrap_or(0);
-        let mean = self.len as f64 / self.cells.len() as f64;
-        max as f64 / mean
-    }
-
-    /// Bounded re-balance: up to `max_cells` rounds of "split the fullest
-    /// cell, recycle the emptiest". Each round (a) re-routes the emptiest
-    /// cell's members to their next-nearest centroid, (b) 2-means-splits the
-    /// fullest cell's members (keys supplied by the caller, row = token id),
-    /// and (c) installs the two split centroids over the two freed slots.
-    /// Only the two chosen cells' members *move*; the dominant cost per
-    /// round is O((max + min cell) · dh) for the split and re-routing,
-    /// plus the destination-cell merges for the (few, small-cell) evicted
-    /// members — appends when their ids exceed the destination's tail
-    /// (the common case for decode-appended tokens), a rebuild of that
-    /// destination otherwise. This is maintenance-path code: it may
-    /// allocate, unlike the per-step scan.
-    ///
-    /// Returns the number of tokens that changed cell. Cells always
-    /// partition `0..len` and keep ascending id lists, so routed retrieval
-    /// stays exact at `n_probe = n_list` across rebalances. Rounds stop
-    /// early once `max/mean < 1.5` (nothing worth fixing).
-    pub fn rebalance(&mut self, keys: &Matrix, max_cells: usize) -> usize {
-        assert!(keys.rows() >= self.len, "need one key row per indexed token");
-        let mut moved = 0usize;
-        if self.cells.len() < 2 || self.len == 0 {
-            return 0;
-        }
-        for round in 0..max_cells {
-            let mean = self.len as f64 / self.cells.len() as f64;
-            let big = (0..self.cells.len()).max_by_key(|&c| self.cells[c].len()).expect("cells");
-            let small = (0..self.cells.len()).min_by_key(|&c| self.cells[c].len()).expect("cells");
-            if big == small
-                || self.cells[big].len() < 2
-                || (self.cells[big].len() as f64) < 1.5 * mean
-            {
-                break;
-            }
-            moved += self.split_round(keys, big, small, round);
-        }
-        self.appended = 0;
-        moved
-    }
-
-    /// One rebalance round: drain `small` into next-nearest cells, 2-means
-    /// `big`'s members, split them over the `big`/`small` slots.
-    fn split_round(&mut self, keys: &Matrix, big: usize, small: usize, round: usize) -> usize {
-        let m = self.m();
-        let mut moved = 0usize;
-        // (a) Evict the emptiest cell's members to their next-nearest cell
-        // (excluding `small` itself, whose centroid is being recycled).
-        let evicted = std::mem::replace(&mut self.cells[small], IvfCell::new(m));
-        let evicted_codes = evicted.codes();
-        let mut pending: Vec<(usize, u32, Vec<u16>)> = Vec::with_capacity(evicted.len());
-        for (r, &id) in evicted.ids.iter().enumerate() {
-            let key = keys.row(id as usize);
-            let mut best = usize::MAX;
-            let mut best_d = f32::INFINITY;
-            for c in 0..self.coarse.rows() {
-                if c == small {
-                    continue;
-                }
-                let d = self.coarse_norms[c] - 2.0 * dot(key, self.coarse.row(c));
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            pending.push((best, id, (0..m).map(|j| evicted_codes.code(r, j)).collect()));
-            moved += 1;
-        }
-        // (b) 2-means over the fullest cell's members.
-        let donor = std::mem::replace(&mut self.cells[big], IvfCell::new(m));
-        let donor_keys: Vec<usize> = donor.ids.iter().map(|&i| i as usize).collect();
-        let sub = keys.gather_rows(&donor_keys);
-        let split = kmeans(
-            &sub,
-            &KMeansConfig {
-                k: 2,
-                max_iters: self.cfg.max_iters.max(4),
-                tol: 1e-4,
-                seed: self.cfg.seed.wrapping_add(0xBA1A).wrapping_add(round as u64),
-            },
-        );
-        // (c) Install the split centroids over the freed slots and deal
-        // the donor members to whichever half claimed them (ids stay
-        // ascending: the donor list was ascending and we filter in order).
-        let halves = [big, small];
-        for (h, &slot) in halves.iter().enumerate() {
-            let row = if split.centroids.rows() > h { h } else { 0 };
-            self.coarse.copy_row_from(slot, split.centroids.row(row));
-            self.coarse_norms[slot] = dot(split.centroids.row(row), split.centroids.row(row));
-        }
-        let donor_codes = donor.codes();
-        let mut buf = Vec::new();
-        for (r, &id) in donor.ids.iter().enumerate() {
-            let half = *split.assignments.get(r).unwrap_or(&0) as usize;
-            let slot = halves[half.min(1)];
-            donor_codes.token_into(r, &mut buf);
-            self.cells[slot].push(id, &buf);
-            if slot != big {
-                moved += 1;
-            }
-        }
-        // Merge the evicted members into their destinations (sorted insert:
-        // group by destination, then merge the ascending run).
-        pending.sort_by_key(|&(dest, id, _)| (dest, id));
-        let mut i = 0usize;
-        while i < pending.len() {
-            let dest = pending[i].0;
-            let mut j = i;
-            while j < pending.len() && pending[j].0 == dest {
-                j += 1;
-            }
-            self.merge_into_cell(dest, &pending[i..j]);
-            i = j;
-        }
-        moved
-    }
-
-    /// Merge an ascending run of `(dest, id, codes)` members into cell
-    /// `dest`, keeping the id list ascending. When every incoming id
-    /// exceeds the destination's tail (decode-appended tokens carry the
-    /// largest ids, so this is the common case) the merge is a plain
-    /// append; only genuine interleavings pay the full rebuild.
-    fn merge_into_cell(&mut self, dest: usize, incoming: &[(usize, u32, Vec<u16>)]) {
-        let append_only =
-            self.cells[dest].ids.last().is_none_or(|&tail| tail < incoming[0].1);
-        if append_only {
-            for (_, id, codes) in incoming {
-                self.cells[dest].push(*id, codes);
-            }
-            return;
-        }
-        let m = self.m();
-        let old = std::mem::replace(&mut self.cells[dest], IvfCell::new(m));
-        let old_codes = old.codes();
-        let mut buf = Vec::new();
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < old.ids.len() || b < incoming.len() {
-            let take_old =
-                b >= incoming.len() || (a < old.ids.len() && old.ids[a] < incoming[b].1);
-            if take_old {
-                old_codes.token_into(a, &mut buf);
-                self.cells[dest].push(old.ids[a], &buf);
-                a += 1;
-            } else {
-                self.cells[dest].push(incoming[b].1, &incoming[b].2);
-                b += 1;
-            }
         }
     }
 }
@@ -531,19 +360,17 @@ mod tests {
         let after: usize = (0..ivf.n_list()).map(|c| ivf.cell(c).0.len()).sum();
         assert_eq!(after, before + 1);
         assert_eq!(ivf.len(), 101);
-        assert_eq!(ivf.appended(), 1);
         // The appended token is findable with a query aligned to its key.
         let q: Vec<f32> = keys.row(0).iter().map(|v| v * 2.0).collect();
         assert!(routed_ids(&ivf, &q, ivf.config().n_probe).contains(&100));
     }
 
     #[test]
-    fn skewed_appends_trigger_rebalance() {
+    fn skewed_appends_stay_partitioned_and_reachable() {
         // Build over two well-separated clusters, then append a third,
-        // denser cluster: every appended token routes to its nearest *stale*
-        // centroid, inflating one cell. The imbalance meter must flag it,
-        // and one bounded rebalance round (split fullest / recycle emptiest)
-        // must cut the skew while keeping the partition exact.
+        // denser cluster: every appended token routes to its nearest
+        // build-time centroid, inflating one cell. The partition must stay
+        // exact and the appended cluster reachable by routing.
         let dh = 8;
         let mut rng = Rng64::new(44);
         let mut rows: Vec<f32> = Vec::new();
@@ -581,15 +408,6 @@ mod tests {
             book.assign_into(all_keys.row(t), &mut buf);
             ivf.append_token(t, all_keys.row(t), &buf);
         }
-        assert_eq!(ivf.appended(), n_app);
-        let before = ivf.cell_imbalance();
-        assert!(before > 1.8, "drift must show as imbalance, got {before}");
-
-        let moved = ivf.rebalance(&all_keys, 1);
-        assert!(moved > 0, "rebalance must move tokens");
-        assert_eq!(ivf.appended(), 0, "rebalance resets the drift meter");
-        let after = ivf.cell_imbalance();
-        assert!(after < before, "imbalance must drop: {before} -> {after}");
         // The partition invariant holds: every token in exactly one cell,
         // ids ascending.
         assert_eq!(partitioned_ids(&ivf), (0..n_seed + n_app).collect::<Vec<_>>());
@@ -626,7 +444,8 @@ mod tests {
         // Five tight, well-separated clusters of 4096 tokens each: a
         // phase-covering sample yields near-balanced cells; a single-phase
         // sample collapses them (imbalance ≈ 5).
-        let imb = ivf.cell_imbalance();
+        let max = (0..ivf.n_list()).map(|c| ivf.cell(c).0.len()).max().unwrap_or(0);
+        let imb = max as f64 / (ivf.len() as f64 / ivf.n_list() as f64);
         assert!(imb < 1.5, "coarse sample missed stream phases: imbalance {imb:.2}");
     }
 }

@@ -251,6 +251,14 @@ fn invalid_config_is_a_typed_error_not_a_panic() {
         Err(ServeError::Config(e)) => assert_eq!(e.field, "shards"),
         other => panic!("expected Config error, got {other:?}"),
     }
+    // A zero cache block size is rejected up front, not a panic in the
+    // cache constructor on the caller's thread.
+    let mut bad = ServeConfig { session: session_cfg(), ..Default::default() };
+    bad.session.cache.block_size = 0;
+    match ServeEngine::run(&model, &bad, requests(2)) {
+        Err(ServeError::Config(e)) => assert_eq!(e.field, "cache.block_size"),
+        other => panic!("expected Config error, got {other:?}"),
+    }
 }
 
 #[test]

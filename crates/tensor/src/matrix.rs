@@ -253,11 +253,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Maximum absolute elementwise difference between two matrices.
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!(self.shape(), other.shape());
@@ -445,12 +440,6 @@ mod tests {
     fn squared_l2_zero_for_identical() {
         let a = [1.0f32, -2.0, 3.5];
         assert_eq!(squared_l2(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn frobenius_known() {
-        let a = m(1, 2, &[3.0, 4.0]);
-        assert!((a.frobenius() - 5.0).abs() < 1e-6);
     }
 
     #[test]

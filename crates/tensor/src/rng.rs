@@ -127,18 +127,6 @@ impl Rng64 {
         }
     }
 
-    /// Sample `k` distinct indices from `0..n` (partial Fisher-Yates).
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} distinct items from {n}");
-        let mut p: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.below(n - i);
-            p.swap(i, j);
-        }
-        p.truncate(k);
-        p
-    }
-
     /// Sample an index from an (unnormalised, non-negative) weight vector.
     pub fn weighted(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
@@ -227,18 +215,6 @@ mod tests {
         let mut p = r.permutation(100);
         p.sort_unstable();
         assert_eq!(p, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut r = Rng64::new(6);
-        let s = r.sample_indices(50, 20);
-        assert_eq!(s.len(), 20);
-        let mut t = s.clone();
-        t.sort_unstable();
-        t.dedup();
-        assert_eq!(t.len(), 20);
-        assert!(t.iter().all(|&i| i < 50));
     }
 
     #[test]

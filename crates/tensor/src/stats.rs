@@ -23,11 +23,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Linear-interpolated percentile, `p` in `[0, 100]`. Panics on empty input.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty slice");
@@ -167,7 +162,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
         assert!((variance(&xs) - 4.0).abs() < 1e-12);
-        assert!((stddev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]

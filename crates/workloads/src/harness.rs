@@ -19,7 +19,7 @@
 use crate::gen::Workload;
 use crate::methods::MethodSpec;
 use pqc_core::{SelectiveSession, SessionConfig};
-use pqc_llm::{FullKvSource, Model, PrefillOptions, PrefillOutput};
+use pqc_llm::{FullKvSource, Model, PrefillOutput};
 use pqc_tensor::{cosine, top_k_indices, Rng64};
 
 /// Size of the next-token candidate set compared between a method and the
@@ -97,13 +97,8 @@ pub struct Reference {
 /// Compute the reference trajectory for a workload (one prefill + teacher-
 /// forced full-attention decode).
 pub fn reference(model: &Model, w: &Workload, cfg: &EvalConfig) -> Reference {
-    let prefill = model.prefill(
-        &w.tokens,
-        &PrefillOptions {
-            capture_window: Some(cfg.session.obs_window.min(w.tokens.len())),
-            ..Default::default()
-        },
-    );
+    let prefill =
+        model.prefill(&w.tokens, &SelectiveSession::prefill_options(&cfg.session, w.tokens.len()));
     let driver = driver_tokens(w, model.config().vocab_size, cfg.steps, cfg.driver_seed);
     let mut src = FullKvSource::from_prefill(&prefill);
     let mut top_tokens = Vec::with_capacity(cfg.steps);

@@ -107,31 +107,6 @@ fn probe_all_selection_bit_identical_on_paper_fixtures() {
 }
 
 #[test]
-fn probe_all_stays_exact_across_rebalance() {
-    // rebalance() moves tokens between cells; the partition invariant must
-    // keep full-probe selection bit-identical afterwards.
-    let (keys, book, codes) = fixture(900, 16, 2, 6, 701);
-    let n_list = 8;
-    let mut ivf = IvfIndex::build(
-        &keys,
-        &codes,
-        IvfConfig { n_list, n_probe: n_list, max_iters: 6, seed: 701 },
-    );
-    let mut retriever = PqRetriever::new();
-    let mut rng = Rng64::new(703);
-    for round in 0..3 {
-        let moved = ivf.rebalance(&keys, 1 + round);
-        let q: Vec<f32> = (0..16).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-        let mut flat = Vec::new();
-        let _ = retriever.score_and_select_into(&book, &codes, &q, codes.len(), 40, &mut flat);
-        let mut routed = Vec::new();
-        let _ = retriever
-            .score_and_select_ivf_into(&book, &ivf, &q, codes.len(), 40, n_list, &mut routed);
-        assert_eq!(flat, routed, "round {round} (moved {moved})");
-    }
-}
-
-#[test]
 fn full_decode_probe_equals_exact_logits_selections() {
     // The whole-stack assertion: a session decoding under
     // SessionConfig::ivf = Probe(n_list) produces the same logits and the
