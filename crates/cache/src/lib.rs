@@ -13,92 +13,6 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// A capacity budget shared by several shard-local [`BlockCache`]s.
-///
-/// The serving layer gives every session its own cache (so block ids from
-/// different sessions never collide) but all caches draw resident-block
-/// slots from one engine-wide budget: total GPU memory spent on cached KV
-/// blocks is bounded globally, while lookups and evictions stay lock-free
-/// on each shard (one atomic per insertion/eviction).
-///
-/// Invariants (property-tested in `tests/proptests.rs`):
-/// - `used_blocks() == Σ cache.len()` over all attached caches, and
-/// - `used_blocks() <= max_blocks()` at every point in any interleaving.
-#[derive(Debug, Clone)]
-pub struct CacheBudget {
-    max_blocks: usize,
-    used: Arc<AtomicUsize>,
-    underflow: Arc<AtomicBool>,
-}
-
-impl CacheBudget {
-    /// A budget of `max_blocks` resident blocks across all attached caches.
-    pub fn new(max_blocks: usize) -> Self {
-        Self {
-            max_blocks,
-            used: Arc::new(AtomicUsize::new(0)),
-            underflow: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// A budget expressed in tokens, like [`BlockCache::new`]'s capacity.
-    pub fn for_tokens(capacity_tokens: usize, block_size: usize) -> Self {
-        assert!(block_size > 0, "block_size must be positive");
-        Self::new(capacity_tokens / block_size)
-    }
-
-    /// Global capacity in blocks.
-    pub fn max_blocks(&self) -> usize {
-        self.max_blocks
-    }
-
-    /// Blocks currently resident across all attached caches.
-    pub fn used_blocks(&self) -> usize {
-        self.used.load(Ordering::SeqCst)
-    }
-
-    /// Try to claim one resident slot. Public so other tiers can draw on
-    /// the same accounting: the host KV tier's page allocator counts pages
-    /// against a `CacheBudget` the same way [`BlockCache`] counts blocks.
-    pub fn try_acquire(&self) -> bool {
-        self.used
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |u| {
-                (u < self.max_blocks).then_some(u + 1)
-            })
-            .is_ok()
-    }
-
-    /// Return `n` resident slots claimed with [`CacheBudget::try_acquire`].
-    ///
-    /// Releasing more than was acquired is a caller bug, but a *recoverable*
-    /// one: instead of wrapping the counter (which would silently disable
-    /// the budget for the rest of the run), the count saturates at zero and
-    /// the mismatch is latched in [`CacheBudget::underflow_detected`] so the
-    /// serving layer can surface it in its report.
-    pub fn release(&self, n: usize) {
-        let prev = self
-            .used
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |u| Some(u.saturating_sub(n)))
-            .expect("fetch_update with Some never fails");
-        if prev < n {
-            self.underflow.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// Whether a release ever exceeded the acquired count (accounting bug
-    /// detected and absorbed; the counter saturated instead of wrapping).
-    pub fn underflow_detected(&self) -> bool {
-        self.underflow.load(Ordering::SeqCst)
-    }
-
-    /// Blocks still available under the budget.
-    pub fn free_blocks(&self) -> usize {
-        self.max_blocks.saturating_sub(self.used_blocks())
-    }
-}
 
 /// Cache eviction policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,7 +103,7 @@ pub struct CacheLookup {
 /// let r2 = cache.lookup(&selected);
 /// assert!(r2.misses.is_empty()); // all blocks resident now
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BlockCache {
     block_size: usize,
     capacity_blocks: usize,
@@ -197,35 +111,6 @@ pub struct BlockCache {
     resident: HashMap<usize, BlockEntry>,
     clock: u64,
     stats: CacheStats,
-    /// Shared global budget, when this cache is one shard of a fleet.
-    budget: Option<CacheBudget>,
-}
-
-impl Clone for BlockCache {
-    /// Clones contents and statistics but **detaches the budget**: a clone's
-    /// resident blocks were never acquired from the shared counter, so
-    /// keeping the handle would double-release on drop.
-    fn clone(&self) -> Self {
-        Self {
-            block_size: self.block_size,
-            capacity_blocks: self.capacity_blocks,
-            policy: self.policy,
-            resident: self.resident.clone(),
-            clock: self.clock,
-            stats: self.stats,
-            budget: None,
-        }
-    }
-}
-
-impl Drop for BlockCache {
-    /// A budgeted cache returns its resident-block slots when it goes away
-    /// (session completion frees GPU cache memory for newly admitted ones).
-    fn drop(&mut self) {
-        if let Some(b) = &self.budget {
-            b.release(self.resident.len());
-        }
-    }
 }
 
 impl BlockCache {
@@ -242,39 +127,12 @@ impl BlockCache {
             resident: HashMap::new(),
             clock: 0,
             stats: CacheStats::default(),
-            budget: None,
         }
-    }
-
-    /// Like [`BlockCache::new`], but drawing resident-block slots from a
-    /// shared [`CacheBudget`]. When the global budget is exhausted the cache
-    /// evicts one of its own blocks to make room; if it has none to give,
-    /// the insertion is skipped (a shard cannot evict another shard's
-    /// blocks — residency checks would race the data movement).
-    pub fn with_budget(
-        capacity_tokens: usize,
-        block_size: usize,
-        policy: EvictionPolicy,
-        budget: CacheBudget,
-    ) -> Self {
-        let mut cache = Self::new(capacity_tokens, block_size, policy);
-        cache.budget = Some(budget);
-        cache
-    }
-
-    /// The shared budget, when attached via [`BlockCache::with_budget`].
-    pub fn budget(&self) -> Option<&CacheBudget> {
-        self.budget.as_ref()
     }
 
     /// Configured block size in tokens.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// Capacity in blocks.
-    pub fn capacity_blocks(&self) -> usize {
-        self.capacity_blocks
     }
 
     /// Currently resident block count.
@@ -332,24 +190,7 @@ impl BlockCache {
                 e.last_used = self.clock;
                 continue;
             }
-            let at_capacity = self.resident.len() >= self.capacity_blocks;
-            if let Some(budget) = self.budget.clone() {
-                if at_capacity {
-                    // Trade one of our own blocks for the new one, keeping
-                    // the budget slot: no release/re-acquire window another
-                    // shard could steal.
-                    self.evict_victim();
-                } else if !budget.try_acquire() {
-                    // Global pressure: trade locally too. With nothing to
-                    // evict, other shards own the whole budget — skip
-                    // rather than evict remotely (residency checks would
-                    // race the data movement).
-                    if self.resident.is_empty() {
-                        continue;
-                    }
-                    self.evict_victim();
-                }
-            } else if at_capacity {
+            if self.resident.len() >= self.capacity_blocks {
                 self.evict_victim();
             }
             self.resident.insert(b, BlockEntry { freq: 1, last_used: self.clock });
@@ -357,8 +198,7 @@ impl BlockCache {
         }
     }
 
-    /// Evict one block per policy, *retaining* any budget slot it held (the
-    /// caller either re-fills the slot immediately or has no budget).
+    /// Evict one block per policy.
     fn evict_victim(&mut self) {
         let victim = match self.policy {
             EvictionPolicy::Lru => self
@@ -382,11 +222,6 @@ impl BlockCache {
     /// Cumulative statistics snapshot.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Zero the statistics, keeping residency.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 
@@ -562,96 +397,15 @@ mod tests {
     }
 
     #[test]
-    fn shared_budget_bounds_total_residency() {
-        // Two shard caches, each locally able to hold 4 blocks, sharing a
-        // global budget of 4: together they can never exceed 4.
-        let budget = CacheBudget::new(4);
-        let mut a = BlockCache::with_budget(4 * 128, 128, EvictionPolicy::Lru, budget.clone());
-        let mut b = BlockCache::with_budget(4 * 128, 128, EvictionPolicy::Lru, budget.clone());
-        a.update(&[0, 1, 2]);
-        b.update(&[0, 1, 2]);
-        assert_eq!(budget.used_blocks(), a.len() + b.len());
-        assert!(budget.used_blocks() <= 4);
-        // `b` got at least one block in by trading its own slots.
-        assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn budget_released_on_drop() {
-        let budget = CacheBudget::new(8);
-        {
-            let mut c = BlockCache::with_budget(8 * 64, 64, EvictionPolicy::Lfu, budget.clone());
-            c.update(&[1, 2, 3]);
-            assert_eq!(budget.used_blocks(), 3);
-        }
-        assert_eq!(budget.used_blocks(), 0);
-    }
-
-    #[test]
-    fn budget_starved_cache_skips_instead_of_stealing() {
-        let budget = CacheBudget::new(2);
-        let mut a = BlockCache::with_budget(4 * 32, 32, EvictionPolicy::Lru, budget.clone());
-        let mut b = BlockCache::with_budget(4 * 32, 32, EvictionPolicy::Lru, budget.clone());
-        a.update(&[0, 1]); // budget exhausted by a
-        b.update(&[5]); // b holds nothing: cannot evict a's blocks, skips
-        assert_eq!(b.len(), 0);
-        assert_eq!(a.len(), 2);
-        assert_eq!(budget.used_blocks(), 2);
-        let r = b.lookup(&[5 * 32]);
-        assert!(r.hits.is_empty());
-    }
-
-    #[test]
-    fn budgetless_behaviour_unchanged_and_clone_detaches() {
-        let budget = CacheBudget::new(4);
-        let mut c = BlockCache::with_budget(4 * 128, 128, EvictionPolicy::Lru, budget.clone());
+    fn clone_is_an_independent_copy() {
+        let mut c = BlockCache::new(4 * 128, 128, EvictionPolicy::Lru);
         c.update(&[0, 1]);
-        let clone = c.clone();
-        assert!(clone.budget().is_none());
+        let mut clone = c.clone();
         assert_eq!(clone.len(), 2);
-        drop(clone); // must not release the original's slots
-        assert_eq!(budget.used_blocks(), 2);
-        drop(c);
-        assert_eq!(budget.used_blocks(), 0);
-    }
-
-    #[test]
-    fn release_underflow_saturates_and_latches() {
-        // Regression: over-releasing used to wrap the atomic in release
-        // builds (debug_assert only), silently granting the budget
-        // usize::MAX free slots. It must saturate at zero and latch a flag.
-        let b = CacheBudget::new(4);
-        assert!(b.try_acquire());
-        assert!(!b.underflow_detected());
-        b.release(3); // one held, three released
-        assert!(b.underflow_detected(), "underflow must be latched");
-        assert_eq!(b.used_blocks(), 0, "counter must saturate, not wrap");
-        assert_eq!(b.free_blocks(), 4);
-        // The budget keeps functioning after the bug is absorbed.
-        assert!(b.try_acquire());
-        assert_eq!(b.used_blocks(), 1);
-        b.release(1);
-        assert_eq!(b.used_blocks(), 0);
-        assert!(b.underflow_detected(), "flag stays latched");
-    }
-
-    #[test]
-    fn balanced_release_never_flags() {
-        let b = CacheBudget::new(2);
-        assert!(b.try_acquire());
-        assert!(b.try_acquire());
-        assert!(!b.try_acquire());
-        assert_eq!(b.free_blocks(), 0);
-        b.release(2);
-        assert!(!b.underflow_detected());
-        assert_eq!(b.free_blocks(), 2);
-    }
-
-    #[test]
-    fn for_tokens_matches_block_capacity() {
-        let b = CacheBudget::for_tokens(512, 128);
-        assert_eq!(b.max_blocks(), 4);
-        assert_eq!(b.used_blocks(), 0);
+        clone.update(&[2, 3]);
+        assert_eq!(clone.len(), 4);
+        assert_eq!(c.len(), 2);
+        assert!(!c.contains_block(2) && !c.contains_block(3));
     }
 
     #[test]

@@ -194,8 +194,8 @@ pub struct SessionStart<'m> {
 ///
 /// Single-session callers never see this (construction builds private
 /// defaults); the serving layer vends one per admitted session — a fresh
-/// [`pqc_memhier::KvTier`] namespace plus a [`BlockCache`] drawing on the
-/// engine-wide [`pqc_cache::CacheBudget`].
+/// [`pqc_memhier::KvTier`] namespace plus a fresh [`BlockCache`] of the
+/// session's own capacity.
 #[derive(Debug)]
 pub struct SessionResources {
     /// Host-tier middle store (one namespace; must be empty).
@@ -261,7 +261,7 @@ impl<'m> SelectiveSession<'m> {
 
     /// [`SelectiveSession::start_from_prefill`] with externally owned
     /// backing storage: the store is a [`pqc_memhier::KvTier`] namespace and
-    /// the cache draws on a shared [`pqc_cache::CacheBudget`].
+    /// the cache is the caller's.
     pub fn start_from_prefill_in(
         model: &'m Model,
         policy: Box<dyn SelectionPolicy + Send>,
@@ -599,8 +599,8 @@ impl<'m> SelectiveSession<'m> {
 
     /// Preempt this session: offload its GPU-resident state (initial segment
     /// plus local window) into a fresh namespace of `tier` — the metered D2H
-    /// path — pin every host page it owns against recycling, and release its
-    /// GPU block cache (freeing the budget slots for whoever preempted it).
+    /// path — pin every host page it owns against recycling, and drop its
+    /// GPU block cache.
     ///
     /// The returned [`SuspendedSession`] holds no model borrow and can be
     /// parked indefinitely; [`SuspendedSession::resume`] restores a session
@@ -630,8 +630,7 @@ impl<'m> SelectiveSession<'m> {
                 return Err(SuspendError { session: self, error, swap_transfer });
             }
         };
-        // The resident rows and the cache drop here; the cache frees its
-        // budget slots.
+        // The resident rows and the cache drop here.
         Ok(SuspendedSession { rec: Pinned::new(self.rec), swap: Pinned::new(swap) })
     }
 
@@ -1179,7 +1178,7 @@ mod tests {
 
     #[test]
     fn session_in_external_resources_matches_standalone() {
-        // A session backed by a KvTier namespace + budgeted cache decodes
+        // A session backed by a KvTier namespace + external cache decodes
         // identically to a standalone one.
         let model = Model::new(LlmConfig::tiny());
         let toks = prompt(72, 33);
@@ -1190,15 +1189,9 @@ mod tests {
 
         let mcfg = model.config();
         let tier = pqc_memhier::KvTier::new(mcfg.n_layers, mcfg.n_kv_heads, mcfg.head_dim);
-        let budget = pqc_cache::CacheBudget::for_tokens(c.cache.capacity_tokens, c.cache.block_size);
         let resources = SessionResources {
             store: tier.new_namespace(),
-            cache: pqc_cache::BlockCache::with_budget(
-                c.cache.capacity_tokens,
-                c.cache.block_size,
-                c.cache.policy(),
-                budget,
-            ),
+            cache: BlockCache::new(c.cache.capacity_tokens, c.cache.block_size, c.cache.policy()),
         };
         let prefill = model.prefill(&toks, &SelectiveSession::prefill_options(&c, toks.len()));
         let start = SelectiveSession::start_from_prefill_in(
@@ -1362,12 +1355,11 @@ mod tests {
         let footprint = dry.allocator().pages_in_use();
         drop(start);
 
-        let tier = pqc_memhier::KvTier::with_page_limit(
+        let tier = pqc_memhier::KvTier::with_pages(
             mcfg.n_layers,
             mcfg.n_kv_heads,
             mcfg.head_dim,
             4,
-            None,
             Some(footprint),
         );
         let start = start_in(&tier).expect("prefill exactly fits the cap");
@@ -1431,12 +1423,11 @@ mod tests {
         let toks = prompt(72, 63);
         let c = cfg();
         let mcfg = model.config();
-        let tier = pqc_memhier::KvTier::with_page_limit(
+        let tier = pqc_memhier::KvTier::with_pages(
             mcfg.n_layers,
             mcfg.n_kv_heads,
             mcfg.head_dim,
             4,
-            None,
             Some(1),
         );
         let prefill = model.prefill(&toks, &SelectiveSession::prefill_options(&c, toks.len()));
@@ -1672,12 +1663,11 @@ mod tests {
         next = twin.decode(next).greedy();
         let footprint = dry_tier.allocator().pages_in_use();
 
-        let capped = pqc_memhier::KvTier::with_page_limit(
+        let capped = pqc_memhier::KvTier::with_pages(
             mcfg.n_layers,
             mcfg.n_kv_heads,
             mcfg.head_dim,
             8,
-            None,
             Some(footprint),
         );
         let start = mk(&capped).expect("prefill fits the cap");

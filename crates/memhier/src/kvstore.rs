@@ -31,7 +31,6 @@
 
 use crate::pages::{MemError, PageAllocator, SharingStats, DEFAULT_PAGE_TOKENS};
 use parking_lot::Mutex;
-use pqc_cache::CacheBudget;
 use pqc_tensor::Matrix;
 use std::any::Any;
 use std::collections::HashMap;
@@ -82,23 +81,14 @@ impl std::iter::Sum for TransferStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NamespaceId(pub u64);
 
-/// Fold `tokens` into a chained content hash (FNV-1a with an avalanche
-/// step). The fold is positional and incremental, so the hash of every
-/// prefix of a token stream is computable in one left-to-right pass — the
-/// property the tier's prefix registry keys on.
+/// Fold `tokens` into a positional content hash (FNV-1a with an avalanche
+/// step per token) — the key the tier's prefix registry stores prompts
+/// under, together with their length.
 pub fn token_chain_hash(tokens: &[u32]) -> u64 {
-    tokens.iter().fold(CHAIN_SEED, |h, &t| chain_step(h, t))
-}
-
-/// The chain hash of the empty token stream (the FNV-1a offset basis).
-const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold one more token into a chain hash — the single definition both
-/// [`token_chain_hash`] and [`KvTier::lookup_prefix`]'s incremental scan
-/// use, so registration and lookup can never disagree.
-fn chain_step(h: u64, t: u32) -> u64 {
-    let h = (h ^ t as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    h ^ (h >> 29)
+    tokens.iter().fold(0xcbf2_9ce4_8422_2325, |h, &t| {
+        let h = (h ^ t as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        h ^ (h >> 29)
+    })
 }
 
 /// Snapshot of the tier prefix-cache counters.
@@ -108,8 +98,6 @@ pub struct PrefixCacheStats {
     pub lookups: u64,
     /// Lookups that matched the *entire* queried token stream.
     pub full_hits: u64,
-    /// Lookups that matched only a proper prefix of the query.
-    pub partial_hits: u64,
     /// Prefixes currently registered.
     pub entries: usize,
 }
@@ -228,7 +216,6 @@ pub struct KvTier {
     registry: Arc<Mutex<PrefixRegistry>>,
     lookups: Arc<AtomicU64>,
     full_hits: Arc<AtomicU64>,
-    partial_hits: Arc<AtomicU64>,
 }
 
 impl KvTier {
@@ -238,43 +225,29 @@ impl KvTier {
         Self::with_pages(n_layers, n_kv_heads, head_dim, DEFAULT_PAGE_TOKENS, None)
     }
 
-    /// A tier with an explicit page size (in tokens) and an optional shared
-    /// page budget.
+    /// A tier with an explicit page size (in tokens), optionally capping
+    /// its pool at `max_pages` live pages. At the cap, the fallible store
+    /// paths ([`HostKvStore::try_offload`], [`HostKvStore::try_append_token`])
+    /// return [`MemError::PageExhausted`] instead of growing, letting the
+    /// serving layer shed the session rather than the process.
     pub fn with_pages(
         n_layers: usize,
         n_kv_heads: usize,
         head_dim: usize,
         page_tokens: usize,
-        budget: Option<CacheBudget>,
-    ) -> Self {
-        Self::with_page_limit(n_layers, n_kv_heads, head_dim, page_tokens, budget, None)
-    }
-
-    /// Like [`KvTier::with_pages`], additionally capping the tier's pool at
-    /// `max_pages` live pages. At the cap, the fallible store paths
-    /// ([`HostKvStore::try_offload`], [`HostKvStore::try_append_token`])
-    /// return [`MemError::PageExhausted`] instead of growing, letting the
-    /// serving layer shed the session rather than the process.
-    pub fn with_page_limit(
-        n_layers: usize,
-        n_kv_heads: usize,
-        head_dim: usize,
-        page_tokens: usize,
-        budget: Option<CacheBudget>,
         max_pages: Option<usize>,
     ) -> Self {
         Self {
             n_layers,
             n_kv_heads,
             head_dim,
-            alloc: PageAllocator::with_limit(page_tokens, head_dim, budget, max_pages),
+            alloc: PageAllocator::with_limit(page_tokens, head_dim, max_pages),
             aggregate: Arc::new(Mutex::new(TransferStats::default())),
             sharing_aggregate: Arc::new(Mutex::new(SharingStats::default())),
             next_ns: Arc::new(AtomicU64::new(0)),
             registry: Arc::new(Mutex::new(PrefixRegistry::default())),
             lookups: Arc::new(AtomicU64::new(0)),
             full_hits: Arc::new(AtomicU64::new(0)),
-            partial_hits: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -354,28 +327,17 @@ impl KvTier {
         true
     }
 
-    /// Look up the longest registered prefix of `tokens` (token content is
-    /// verified, not just hashes). The returned [`PrefixHit`] pins the
-    /// matched pages until dropped.
+    /// Look up `tokens` as a whole registered prompt (token content is
+    /// verified, not just the hash). Only whole-prompt matches hit: a
+    /// partial hit would need a partial prefill the dense model cannot
+    /// resume. The returned [`PrefixHit`] pins the matched pages until
+    /// dropped.
     pub fn lookup_prefix(&self, tokens: &[u32]) -> Option<PrefixHit> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
+        let key = (token_chain_hash(tokens), tokens.len());
         let reg = self.registry.lock();
-        let mut h = CHAIN_SEED;
-        let mut best: Option<&PrefixEntry> = None;
-        for (i, &t) in tokens.iter().enumerate() {
-            h = chain_step(h, t);
-            if let Some(entry) = reg.map.get(&(h, i + 1)) {
-                if entry.tokens == tokens[..i + 1] {
-                    best = Some(entry);
-                }
-            }
-        }
-        let entry = best?;
-        if entry.tokens.len() == tokens.len() {
-            self.full_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.partial_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        let entry = reg.map.get(&key).filter(|e| e.tokens == tokens)?;
+        self.full_hits.fetch_add(1, Ordering::Relaxed);
         let slots = entry.slots.clone();
         for slot in slots.iter().flatten() {
             self.alloc.retain_chain(&slot.pages);
@@ -428,7 +390,6 @@ impl KvTier {
         PrefixCacheStats {
             lookups: self.lookups.load(Ordering::Relaxed),
             full_hits: self.full_hits.load(Ordering::Relaxed),
-            partial_hits: self.partial_hits.load(Ordering::Relaxed),
             entries: self.registry.lock().map.len(),
         }
     }
@@ -1114,7 +1075,7 @@ mod tests {
     #[test]
     fn capped_tier_append_fails_then_recovers() {
         // 1 page of 2 tokens: the third append needs a second page.
-        let tier = KvTier::with_page_limit(1, 1, 4, 2, None, Some(1));
+        let tier = KvTier::with_pages(1, 1, 4, 2, Some(1));
         let mut a = tier.new_namespace();
         assert_eq!(a.try_append_token(0, 0, &[0.0; 4], &[0.0; 4]), Ok(0));
         assert_eq!(a.try_append_token(0, 0, &[1.0; 4], &[1.0; 4]), Ok(1));
@@ -1134,7 +1095,7 @@ mod tests {
 
     #[test]
     fn capped_tier_offload_fails_without_metering() {
-        let tier = KvTier::with_page_limit(1, 1, 4, 2, None, Some(2));
+        let tier = KvTier::with_pages(1, 1, 4, 2, Some(2));
         let mut ns = tier.new_namespace();
         // 6 rows need 3 pages; cap is 2.
         let err = ns
@@ -1151,7 +1112,7 @@ mod tests {
 
     #[test]
     fn failed_overwrite_keeps_old_slot_contents() {
-        let tier = KvTier::with_page_limit(1, 1, 4, 2, None, Some(3));
+        let tier = KvTier::with_pages(1, 1, 4, 2, Some(3));
         let mut ns = tier.new_namespace();
         let mut rng = Rng64::new(5);
         let k = Matrix::randn(3, 4, 1.0, &mut rng);
@@ -1282,14 +1243,14 @@ mod tests {
             assert_eq!(av.row(r), v.row(r));
         }
 
-        // Longest-prefix lookup on an extended stream is a partial hit.
+        // Only whole prompts hit: a longer stream whose prefix is
+        // registered misses.
         let longer: Vec<u32> = (0..20).collect();
-        let partial = tier.lookup_prefix(&longer).expect("prefix of query registered");
-        assert_eq!(partial.len(), 12);
+        assert!(tier.lookup_prefix(&longer).is_none());
         // Unrelated stream misses.
         assert!(tier.lookup_prefix(&[99, 98]).is_none());
         let st = tier.prefix_stats();
-        assert_eq!((st.lookups, st.full_hits, st.partial_hits, st.entries), (3, 1, 1, 1));
+        assert_eq!((st.lookups, st.full_hits, st.entries), (3, 1, 1));
         assert!((st.full_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 

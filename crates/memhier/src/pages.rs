@@ -14,14 +14,8 @@
 //! the shared original stays frozen. Appends are therefore page-local —
 //! amortized O(head_dim) per token — which structurally removes the old
 //! whole-slot-`vstack` quadratic append.
-//!
-//! The allocator can draw page accounting from a [`pqc_cache::CacheBudget`]
-//! (the same budget type the GPU block cache uses). The host tier must
-//! never refuse data, so an exhausted budget does not fail the allocation;
-//! it increments an over-budget counter the serving layer can watch.
 
 use parking_lot::Mutex;
-use pqc_cache::CacheBudget;
 use pqc_tensor::Matrix;
 use std::sync::Arc;
 
@@ -136,8 +130,6 @@ struct Page {
     /// Pin count: a pinned page must stay resident — releasing its last
     /// reference while pinned is a refcounting bug and panics.
     pinned: u32,
-    /// Whether this page successfully claimed a budget slot.
-    budgeted: bool,
     /// Incrementally-maintained FNV-1a checksum of the K buffer.
     ck: u64,
     /// Incrementally-maintained FNV-1a checksum of the V buffer.
@@ -153,8 +145,6 @@ struct Pool {
     in_use: usize,
     peak_in_use: usize,
     cow_copies: u64,
-    over_budget: u64,
-    budget: Option<CacheBudget>,
     /// Hard cap on concurrently-live pages; `None` grows unboundedly.
     max_pages: Option<usize>,
 }
@@ -167,23 +157,11 @@ impl Pool {
     }
 
     fn try_alloc(&mut self) -> Result<u32, MemError> {
-        // Capacity gate first, before the budget draw: a failed allocation
-        // must not leak a budget slot.
         if let Some(max) = self.max_pages {
             if self.in_use >= max {
                 return Err(MemError::PageExhausted { max_pages: max });
             }
         }
-        let budgeted = match &self.budget {
-            Some(b) => {
-                let ok = b.try_acquire();
-                if !ok {
-                    self.over_budget += 1;
-                }
-                ok
-            }
-            None => false,
-        };
         let cap = self.page_tokens * self.head_dim;
         let id = match self.free.pop() {
             Some(id) => id,
@@ -202,7 +180,6 @@ impl Pool {
         p.rc = 1;
         debug_assert!(p.pinned == 0, "recycled page {id} still pinned");
         p.pinned = 0;
-        p.budgeted = budgeted;
         p.ck = FNV_OFFSET;
         p.cv = FNV_OFFSET;
         self.in_use += 1;
@@ -234,18 +211,11 @@ impl Pool {
         p.rc -= 1;
         if p.rc == 0 {
             assert!(p.pinned == 0, "release of pinned page {id} to refcount zero");
-            let budgeted = p.budgeted;
             p.k = Vec::new();
             p.v = Vec::new();
             p.rows = 0;
-            p.budgeted = false;
             self.free.push(id);
             self.in_use -= 1;
-            if budgeted {
-                if let Some(b) = &self.budget {
-                    b.release(1);
-                }
-            }
         }
     }
 
@@ -298,7 +268,7 @@ impl Pool {
     }
 }
 
-/// Tier-global allocator of refcounted KV pages (free list + budget hook).
+/// Tier-global allocator of refcounted KV pages (free list + optional page cap).
 ///
 /// Cloning the allocator clones a *handle*: all clones share one pool, so a
 /// [`crate::KvTier`] and every namespace it vends allocate from the same
@@ -311,25 +281,14 @@ pub struct PageAllocator {
 impl PageAllocator {
     /// A pool of `page_tokens`-row pages for rows of width `head_dim`.
     pub fn new(page_tokens: usize, head_dim: usize) -> Self {
-        Self::with_budget(page_tokens, head_dim, None)
+        Self::with_limit(page_tokens, head_dim, None)
     }
 
-    /// Like [`PageAllocator::new`], optionally drawing page accounting from
-    /// a shared [`CacheBudget`] (one budget slot per allocated page).
-    pub fn with_budget(page_tokens: usize, head_dim: usize, budget: Option<CacheBudget>) -> Self {
-        Self::with_limit(page_tokens, head_dim, budget, None)
-    }
-
-    /// Like [`PageAllocator::with_budget`], additionally capping the pool at
+    /// Like [`PageAllocator::new`], optionally capping the pool at
     /// `max_pages` concurrently-live pages. Once the cap is reached,
     /// [`PageAllocator::try_alloc`] (and every fallible path built on it)
     /// returns [`MemError::PageExhausted`] until a page is freed.
-    pub fn with_limit(
-        page_tokens: usize,
-        head_dim: usize,
-        budget: Option<CacheBudget>,
-        max_pages: Option<usize>,
-    ) -> Self {
+    pub fn with_limit(page_tokens: usize, head_dim: usize, max_pages: Option<usize>) -> Self {
         assert!(page_tokens > 0, "page_tokens must be positive");
         assert!(head_dim > 0, "head_dim must be positive");
         assert!(max_pages != Some(0), "max_pages cap must be positive");
@@ -342,8 +301,6 @@ impl PageAllocator {
                 in_use: 0,
                 peak_in_use: 0,
                 cow_copies: 0,
-                over_budget: 0,
-                budget,
                 max_pages,
             })),
         }
@@ -399,12 +356,6 @@ impl PageAllocator {
     /// Copy-on-write page copies performed since construction.
     pub fn cow_copies(&self) -> u64 {
         self.pool.lock().cow_copies
-    }
-
-    /// Allocations that found the budget exhausted (allocation proceeded —
-    /// the host tier never drops data — but the budget was over-committed).
-    pub fn over_budget_allocs(&self) -> u64 {
-        self.pool.lock().over_budget
     }
 
     /// Wire-accounted capacity of one page: K+V, `page_tokens` rows, FP16.
@@ -704,26 +655,8 @@ mod tests {
     }
 
     #[test]
-    fn budget_counts_pages_and_releases_on_free() {
-        let budget = CacheBudget::new(2);
-        let alloc = PageAllocator::with_budget(2, 1, Some(budget.clone()));
-        let chain = write_rows(&alloc, &Matrix::zeros(4, 1), &Matrix::zeros(4, 1));
-        assert_eq!(budget.used_blocks(), 2);
-        assert_eq!(alloc.over_budget_allocs(), 0);
-        // Third page exceeds the budget: allocation still succeeds (host
-        // tier never drops data) but the overflow is counted.
-        let extra = write_rows(&alloc, &Matrix::zeros(1, 1), &Matrix::zeros(1, 1));
-        assert_eq!(alloc.pages_in_use(), 3);
-        assert_eq!(budget.used_blocks(), 2);
-        assert_eq!(alloc.over_budget_allocs(), 1);
-        alloc.release_chain(&chain);
-        alloc.release_chain(&extra);
-        assert_eq!(budget.used_blocks(), 0, "budget slots returned on free");
-    }
-
-    #[test]
     fn try_alloc_errors_at_cap_and_recovers_after_free() {
-        let alloc = PageAllocator::with_limit(4, 2, None, Some(2));
+        let alloc = PageAllocator::with_limit(4, 2, Some(2));
         assert_eq!(alloc.max_pages(), Some(2));
         let a = alloc.try_alloc().expect("first page fits");
         let b = alloc.try_alloc().expect("second page fits");
@@ -742,16 +675,14 @@ mod tests {
 
     #[test]
     fn failed_bulk_write_rolls_back_partial_chain() {
-        let budget = CacheBudget::new(8);
-        let alloc = PageAllocator::with_limit(2, 1, Some(budget.clone()), Some(2));
+        let alloc = PageAllocator::with_limit(2, 1, Some(2));
         // 6 rows need 3 pages but the cap is 2: the write must fail and
-        // release the 2 pages (and budget slots) it had already claimed.
+        // release the 2 pages it had already claimed.
         let err = alloc
             .try_write_rows(&Matrix::zeros(6, 1), &Matrix::zeros(6, 1))
             .expect_err("over-cap bulk write must fail");
         assert_eq!(err, MemError::PageExhausted { max_pages: 2 });
         assert_eq!(alloc.pages_in_use(), 0, "partial chain rolled back");
-        assert_eq!(budget.used_blocks(), 0, "budget slots returned on rollback");
         // The pool is still usable afterwards.
         let chain = alloc
             .try_write_rows(&Matrix::zeros(4, 1), &Matrix::zeros(4, 1))
@@ -761,7 +692,7 @@ mod tests {
 
     #[test]
     fn failed_append_leaves_chain_untouched() {
-        let alloc = PageAllocator::with_limit(2, 1, None, Some(1));
+        let alloc = PageAllocator::with_limit(2, 1, Some(1));
         let mut chain = Vec::new();
         alloc.try_append_row(&mut chain, &[0.0], &[0.0]).expect("fits");
         alloc.try_append_row(&mut chain, &[1.0], &[1.0]).expect("fits");
@@ -779,7 +710,7 @@ mod tests {
 
     #[test]
     fn capped_cow_fails_cleanly_on_shared_tail() {
-        let alloc = PageAllocator::with_limit(4, 1, None, Some(1));
+        let alloc = PageAllocator::with_limit(4, 1, Some(1));
         let mut a = Vec::new();
         alloc.try_append_row(&mut a, &[0.0], &[0.0]).expect("fits");
         let b = a.clone();

@@ -1,8 +1,7 @@
 //! The sharded serve engine: continuous batching over `SelectiveSession`s.
 //!
-//! [`ServeEngine::run`] builds one `Fleet` (model, paged [`KvTier`], shared
-//! [`CacheBudget`], bounded admission queues, and the cross-shard recovery
-//! state), spawns one worker thread per shard, feeds the queues from the
+//! [`ServeEngine::run`] builds one `Fleet` (model, paged [`KvTier`], bounded
+//! admission queues, and the cross-shard recovery state), spawns one worker thread per shard, feeds the queues from the
 //! caller's thread (bounded pushes are the back-pressure), joins, fails dead
 //! shards over (`recover.rs`), and assembles the [`ServeReport`].
 //!
@@ -117,7 +116,7 @@ use crate::faults::FaultPlan;
 use crate::latency::LatencySummary;
 use crate::overload::OverloadSummary;
 use crate::queue::BoundedQueue;
-use pqc_cache::{BlockCache, CacheBudget};
+use pqc_cache::BlockCache;
 use pqc_core::ConfigError;
 use pqc_llm::Model;
 use pqc_memhier::KvTier;
@@ -193,7 +192,6 @@ struct Fleet<'a> {
     cfg: &'a ServeConfig,
     plan: FaultPlan,
     tier: KvTier,
-    budget: CacheBudget,
     /// FirstFree: one shared queue. RoundRobin: one per shard.
     inboxes: Vec<Inbox>,
     /// True when every queue can hold everything routed to it: the
@@ -210,18 +208,12 @@ impl<'a> Fleet<'a> {
     fn new(model: &'a Model, cfg: &'a ServeConfig, requests: &[ServeRequest]) -> Self {
         let plan = cfg.faults.clone().unwrap_or_default();
         let mcfg = model.config();
-        let tier = KvTier::with_page_limit(
+        let tier = KvTier::with_pages(
             mcfg.n_layers,
             mcfg.n_kv_heads,
             mcfg.head_dim,
             cfg.page_tokens,
-            None,
             plan.page_limit,
-        );
-        let budget_sessions = cfg.cache_budget_sessions.unwrap_or_else(|| cfg.peak_sessions());
-        let budget = CacheBudget::for_tokens(
-            cfg.session.cache.capacity_tokens * budget_sessions,
-            cfg.session.cache.block_size,
         );
         // Round-robin splits the global bound exactly: the first
         // `remainder` shards get the extra slot, so per-shard capacities
@@ -244,7 +236,6 @@ impl<'a> Fleet<'a> {
             cfg,
             plan,
             tier,
-            budget,
             unthrottled: inboxes.iter().all(|i| i.arrivals.len() <= i.queue.capacity()),
             inboxes,
             epoch: Instant::now(),
@@ -259,10 +250,10 @@ impl<'a> Fleet<'a> {
         &self.inboxes[shard % self.inboxes.len()]
     }
 
-    /// A fresh cache drawing on the engine-wide budget.
+    /// A fresh, empty cache for one session, bounded by its own capacity.
     fn fresh_cache(&self) -> BlockCache {
         let c = &self.cfg.session.cache;
-        BlockCache::with_budget(c.capacity_tokens, c.block_size, c.policy(), self.budget.clone())
+        BlockCache::new(c.capacity_tokens, c.block_size, c.policy())
     }
 
     /// True when the fault plan kills workers — marks shard-loss causes as
@@ -326,7 +317,7 @@ fn request_error(model: &Model, cfg: &ServeConfig, req: &ServeRequest) -> Option
 }
 
 /// The sharded multi-session serving engine. Stateless: each [`Self::run`]
-/// call owns its workers, tier, and budget for the duration of the batch.
+/// call owns its workers and tier for the duration of the batch.
 pub struct ServeEngine;
 
 impl ServeEngine {
@@ -431,7 +422,6 @@ impl Fleet<'_> {
             // occupancy, itself bounded by the configured capacity.
             queue_high_water: self.inboxes.iter().map(|i| i.queue.high_water()).sum(),
             shards,
-            budget_underflow: self.budget.underflow_detected(),
             worker_panics,
             wall: self.epoch.elapsed(),
         }

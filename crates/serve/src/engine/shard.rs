@@ -390,7 +390,7 @@ impl<'a> Shard<'a> {
     }
 
     /// Seat a screened request in a free slot: bind a session to a fresh
-    /// tier namespace and a budget-backed cache, adopting a shared prefix
+    /// tier namespace and a fresh cache, adopting a shared prefix
     /// or prefilling. Under chunked admission a cold prompt enters
     /// `prefilling` instead — its prefill runs one budgeted chunk per tick,
     /// so decode on this shard never stalls behind a long prompt.
@@ -434,14 +434,12 @@ impl<'a> Shard<'a> {
 
     /// Prefix-cache fast path: an identical prompt already served means
     /// the pages, prefill output, and trained policy state are all in the
-    /// tier. Only a full-prompt hit qualifies; a partial hit would still
-    /// need a partial prefill, which the dense model cannot resume
-    /// mid-prompt.
+    /// tier.
     fn full_prefix_hit(&self, tokens: &[u32]) -> Option<(PrefixHit, Arc<SharedPrefix>)> {
         if !self.fleet.cfg.prefix_cache {
             return None;
         }
-        let hit = self.fleet.tier.lookup_prefix(tokens).filter(|h| h.len() == tokens.len())?;
+        let hit = self.fleet.tier.lookup_prefix(tokens)?;
         let shared = Arc::clone(hit.payload()).downcast::<SharedPrefix>().ok()?;
         Some((hit, shared))
     }
@@ -558,7 +556,7 @@ impl<'a> Shard<'a> {
     }
 
     /// Suspend `active[vi]` through the paged host tier into `parked`,
-    /// freeing its slot and cache budget. `false` when the host pool is
+    /// freeing its slot and dropping its cache. `false` when the host pool is
     /// exhausted: the victim returns to `active` intact, with the orphaned
     /// partial-swap metering folded into its ticket.
     fn park(&mut self, vi: usize) -> bool {

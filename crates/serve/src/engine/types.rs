@@ -71,11 +71,6 @@ pub struct ServeConfig {
     pub assignment: ShardAssignment,
     /// Per-session engine configuration (segmentation, budgets, cache).
     pub session: SessionConfig,
-    /// Sessions' worth of GPU cache backing the global [`pqc_cache::CacheBudget`];
-    /// `None` sizes it for the peak concurrency (`shards ×
-    /// max_active_per_shard`), which reproduces standalone cache behaviour
-    /// exactly. Smaller values exercise cross-session cache pressure.
-    pub cache_budget_sessions: Option<usize>,
     /// Record per-step logits and selected-token sets in each completion
     /// (the equivalence battery's evidence; costs memory).
     pub record_trace: bool,
@@ -129,7 +124,6 @@ impl Default for ServeConfig {
             queue_capacity: 16,
             assignment: ShardAssignment::FirstFree,
             session: SessionConfig::default(),
-            cache_budget_sessions: None,
             record_trace: false,
             prefix_cache: true,
             page_tokens: DEFAULT_PAGE_TOKENS,
@@ -202,11 +196,6 @@ impl ServeConfig {
             }
         }
         self.session.validate()
-    }
-
-    /// Peak concurrent sessions the engine will run.
-    pub fn peak_sessions(&self) -> usize {
-        self.shards * self.max_active_per_shard
     }
 }
 
@@ -450,7 +439,7 @@ pub struct ServeReport {
     pub aggregate_transfer: TransferStats,
     /// Highest queue occupancy observed (≤ the configured bound).
     pub queue_high_water: usize,
-    /// Prefix-cache registry counters (lookups, full/partial hits, entries).
+    /// Prefix-cache registry counters (lookups, full hits, entries).
     pub prefix: PrefixCacheStats,
     /// Tier-wide sharing aggregate (equals the sum of per-completion
     /// [`Completion::sharing`]).
@@ -462,10 +451,6 @@ pub struct ServeReport {
     pub peak_host_bytes: u64,
     /// Per-shard scheduling stats.
     pub shards: Vec<ShardStats>,
-    /// True if the shared cache budget ever observed a release/acquire
-    /// imbalance (saturated instead of underflowing — a bug latch, not an
-    /// abort).
-    pub budget_underflow: bool,
     /// Worker threads that aborted outright instead of returning (always 0
     /// unless something escapes the per-session isolation; the engine
     /// absorbs the loss and still reports).

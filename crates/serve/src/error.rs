@@ -17,15 +17,12 @@ pub enum ServeError {
     /// The engine or session configuration was rejected up front (the run
     /// fails), or one request's prompt was (only that request does).
     Config(ConfigError),
-    /// Admission shed the request: the queue or budget stayed exhausted
-    /// through every permitted retry.
+    /// Admission shed the request: it was rejected on every permitted
+    /// retry.
     Admission {
         /// Admission attempts consumed (initial attempt + retries).
         attempts: u32,
     },
-    /// The shared cache budget was exhausted and the session was shed
-    /// rather than letting it starve the fleet.
-    BudgetExhausted,
     /// The host-tier page pool hit its cap mid-session.
     PageExhausted {
         /// The pool cap that was hit.
@@ -66,7 +63,6 @@ impl ServeError {
         match self {
             ServeError::Config(_) => "config",
             ServeError::Admission { .. } => "admission",
-            ServeError::BudgetExhausted => "budget_exhausted",
             ServeError::PageExhausted { .. } => "page_exhausted",
             ServeError::DeadlineExceeded { .. } => "deadline_exceeded",
             ServeError::SessionPoisoned { .. } => "session_poisoned",
@@ -83,7 +79,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Admission { attempts } => {
                 write!(f, "request shed at admission after {attempts} attempt(s)")
             }
-            ServeError::BudgetExhausted => write!(f, "cache budget exhausted"),
             ServeError::PageExhausted { max_pages } => {
                 write!(f, "host page pool exhausted (max_pages {max_pages})")
             }
@@ -190,7 +185,6 @@ mod tests {
                 "shards",
             ),
             (ServeError::Admission { attempts: 3 }, "admission", "3 attempt"),
-            (ServeError::BudgetExhausted, "budget_exhausted", "budget"),
             (ServeError::PageExhausted { max_pages: 8 }, "page_exhausted", "max_pages 8"),
             (
                 ServeError::DeadlineExceeded { deadline_ticks: 5, elapsed_ticks: 9 },

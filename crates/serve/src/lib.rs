@@ -4,12 +4,12 @@
 //!
 //! The paper's decode loop (Algorithm 2, `pqc_core::SelectiveSession`) is
 //! per-request; production traffic is many concurrent sessions sharing the
-//! host KV tier, the GPU cache budget, and the CPU cores. [`ServeEngine`]
-//! closes that gap with **sharding** (one worker thread per shard of the
-//! session pool) and **continuous batching** (each scheduler tick drives
-//! one decode step per ready session, admitting queued requests as slots
-//! free), while reusing one set of hot-path buffers per shard
-//! (`SessionScratch`) instead of per session.
+//! host KV tier and the CPU cores. [`ServeEngine`] closes that gap with
+//! **sharding** (one worker thread per shard of the session pool) and
+//! **continuous batching** (each scheduler tick drives one decode step per
+//! ready session, admitting queued requests as slots free), while reusing
+//! one set of hot-path buffers per shard (`SessionScratch`) instead of per
+//! session.
 //!
 //! Shared resources are explicitly multi-tenant:
 //! - the host KV tier is a paged [`pqc_memhier::KvTier`]: one namespace per
@@ -19,9 +19,10 @@
 //!   tier's prefix registry ([`ServeConfig::prefix_cache`], on by default):
 //!   the first session to serve a prompt donates its page tables, prefill
 //!   output, and policy snapshot; later sessions adopt them copy-on-write
-//!   and skip prefill, offload, and clustering — bit-identically;
-//! - GPU cache capacity is a [`pqc_cache::CacheBudget`] shared by every
-//!   session's shard-local [`pqc_cache::BlockCache`].
+//!   and skip prefill, offload, and clustering — bit-identically.
+//!
+//! Each session owns its GPU [`pqc_cache::BlockCache`], bounded by the
+//! session's cache capacity.
 //!
 //! Scheduling is SLO-aware without ever changing results:
 //! - **chunked prefill** ([`ServeConfig::prefill_chunk_tokens`]) splits a

@@ -112,13 +112,6 @@ impl Rng64 {
         }
     }
 
-    /// A random permutation of `0..n` (Fisher-Yates).
-    pub fn permutation(&mut self, n: usize) -> Vec<usize> {
-        let mut p: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut p);
-        p
-    }
-
     /// In-place Fisher-Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -210,9 +203,10 @@ mod tests {
     }
 
     #[test]
-    fn permutation_is_permutation() {
+    fn shuffle_is_a_permutation() {
         let mut r = Rng64::new(5);
-        let mut p = r.permutation(100);
+        let mut p: Vec<usize> = (0..100).collect();
+        r.shuffle(&mut p);
         p.sort_unstable();
         assert_eq!(p, (0..100).collect::<Vec<_>>());
     }

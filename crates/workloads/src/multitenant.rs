@@ -88,11 +88,6 @@ pub struct TenantTrace {
 }
 
 impl TenantTrace {
-    /// Total decode steps over the whole trace.
-    pub fn total_decode_steps(&self) -> usize {
-        self.requests.iter().map(|r| r.decode_steps).sum()
-    }
-
     /// Mean inter-arrival gap in ticks (0 for traces shorter than 2).
     pub fn mean_interarrival(&self) -> f64 {
         if self.requests.len() < 2 {
@@ -338,10 +333,6 @@ mod tests {
         let max = t.requests.iter().map(|r| r.decode_steps).max().unwrap();
         assert!(min >= 4 && max <= 24);
         assert!(max >= min + 10, "decode lengths too uniform for churn: {min}..{max}");
-        assert_eq!(
-            t.total_decode_steps(),
-            t.requests.iter().map(|r| r.decode_steps).sum::<usize>()
-        );
     }
 
     #[test]

@@ -374,7 +374,6 @@ fn chaos_storm_never_aborts_and_replays_identically() {
     // (a) Never aborts: the run returned, no worker died, accounting clean.
     assert_eq!(report.completions.len(), STORM_SESSIONS, "requests lost in the storm");
     assert_eq!(report.worker_panics, 0);
-    assert!(!report.budget_underflow);
     assert!(report.total_stalled_steps() > 0, "stalls must be metered");
 
     // (b) Every victim fails with exactly its planned, injected cause;
@@ -498,7 +497,6 @@ fn preemption_storm_replays_identically() {
     // Never aborts, and the storm really preempts.
     assert_eq!(report.completions.len(), PREEMPT_SESSIONS + 1);
     assert_eq!(report.worker_panics, 0);
-    assert!(!report.budget_underflow);
     assert!(report.total_stalled_steps() > 0, "stalls must be metered");
     assert!(report.total_preemptions() >= 1, "the storm never exercised preemption");
 

@@ -4,7 +4,7 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 
 use proptest::prelude::*;
-use pqcache::cache::{top_blocks, BlockCache, CacheBudget, EvictionPolicy};
+use pqcache::cache::{top_blocks, BlockCache, EvictionPolicy};
 use pqcache::llm::{attend_selected_into, causal_attention, PrefillPattern};
 use pqcache::pq::{
     kmeans, AdcTable, IvfConfig, IvfIndex, KMeansConfig, PqCodebook, PqConfig, PqRetriever,
@@ -282,51 +282,6 @@ proptest! {
     }
 
     #[test]
-    fn shared_budget_invariants_under_interleaving(
-        // Arbitrary interleaving of per-shard operations: (shard, tokens,
-        // op) where op ∈ {lookup+update, update-only, churn (replace the
-        // shard's cache — releases its slots like a finished session)}.
-        ops in proptest::collection::vec(
-            (0usize..4, proptest::collection::vec(0usize..4096, 1..16), 0u8..8),
-            1..60,
-        ),
-        global_blocks in 1usize..10,
-        local_blocks in 1usize..8,
-    ) {
-        let budget = CacheBudget::new(global_blocks);
-        let mut shards: Vec<BlockCache> = (0..4)
-            .map(|_| BlockCache::with_budget(local_blocks * 64, 64, EvictionPolicy::Lfu, budget.clone()))
-            .collect();
-        for (shard, tokens, op) in &ops {
-            match op {
-                0 => {
-                    // Session churn on this shard: dropping the cache must
-                    // release exactly its resident slots.
-                    shards[*shard] =
-                        BlockCache::with_budget(local_blocks * 64, 64, EvictionPolicy::Lfu, budget.clone());
-                }
-                1..=5 => {
-                    let r = shards[*shard].lookup(tokens);
-                    prop_assert_eq!(r.hits.len() + r.misses.len(), tokens.len());
-                    shards[*shard].update(&top_blocks(tokens, 64, 4));
-                }
-                _ => shards[*shard].update(&top_blocks(tokens, 64, 2)),
-            }
-            // The two budget invariants, checked after *every* operation:
-            // total residency never exceeds the global capacity, and the
-            // per-shard accounting sums exactly to the global counter.
-            let total: usize = shards.iter().map(BlockCache::len).sum();
-            prop_assert!(total <= global_blocks, "residency {total} > budget {global_blocks}");
-            prop_assert_eq!(budget.used_blocks(), total, "per-shard sum diverged from counter");
-            for c in &shards {
-                prop_assert!(c.len() <= local_blocks);
-            }
-        }
-        drop(shards);
-        prop_assert_eq!(budget.used_blocks(), 0, "slots leaked at shutdown");
-    }
-
-    #[test]
     fn attend_selected_is_convex_combination(
         keys in matrix_strategy(32, 8),
         q in proptest::collection::vec(-2.0f32..2.0, 8),
@@ -536,7 +491,7 @@ proptest! {
     ) {
         use pqcache::memhier::{MemError, PageAllocator};
         use std::collections::BTreeMap;
-        let alloc = PageAllocator::with_limit(2, 4, None, Some(cap));
+        let alloc = PageAllocator::with_limit(2, 4, Some(cap));
         // Mirror model: live page id → refcount.
         let mut refs: BTreeMap<u32, u32> = BTreeMap::new();
 
