@@ -11,7 +11,6 @@ pub mod latency;
 pub mod session;
 
 pub use config::{CacheConfig, ConfigError, IvfMode, SessionConfig};
-pub use pqc_policies::SelectionEffort;
 pub use latency::{KmeansIters, LatencyMethod, LatencyModel, PhaseReport};
 pub use session::{
     panic_message, SelectiveSession, SessionResources, SessionScratch, SessionStart, StepError,

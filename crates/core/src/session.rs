@@ -585,18 +585,6 @@ impl<'m> SelectiveSession<'m> {
         self.rec.budget_middle
     }
 
-    /// Adopt a runtime selection-effort override — the serving layer's
-    /// brownout knob. Forwards to the policy (see
-    /// [`pqc_policies::SelectionEffort`]): degraded effort shrinks the
-    /// per-step selection budget and IVF probe width within their floors;
-    /// [`pqc_policies::SelectionEffort::full`] restores construction-time
-    /// behaviour bit-identically. Safe to call between any two steps; not
-    /// part of checkpoint or suspend state (a resumed or replayed session
-    /// starts at full effort and the caller re-applies per step).
-    pub fn set_effort(&mut self, effort: pqc_policies::SelectionEffort) {
-        self.rec.policy.set_effort(effort);
-    }
-
     /// Preempt this session: offload its GPU-resident state (initial segment
     /// plus local window) into a fresh namespace of `tier` — the metered D2H
     /// path — pin every host page it owns against recycling, and drop its

@@ -306,11 +306,6 @@ impl PageAllocator {
         }
     }
 
-    /// The live-page cap, if one was configured.
-    pub fn max_pages(&self) -> Option<usize> {
-        self.pool.lock().max_pages
-    }
-
     /// Allocate one empty page (refcount 1), failing — not panicking — when
     /// the pool is at its configured cap. Pair with
     /// [`PageAllocator::release_page`].
@@ -657,7 +652,6 @@ mod tests {
     #[test]
     fn try_alloc_errors_at_cap_and_recovers_after_free() {
         let alloc = PageAllocator::with_limit(4, 2, Some(2));
-        assert_eq!(alloc.max_pages(), Some(2));
         let a = alloc.try_alloc().expect("first page fits");
         let b = alloc.try_alloc().expect("second page fits");
         assert_eq!(

@@ -34,72 +34,6 @@ pub use pqc_pq::IvfMode;
 pub use pqcache::{PqCachePolicy, PqCachePolicyConfig};
 pub use retrieval::{FullAttentionPolicy, InfLlmPolicy, OraclePolicy, SparqPolicy};
 
-/// A runtime effort override for retrieval-based selection — the serving
-/// layer's brownout knob.
-///
-/// The paper's quality/compute tradeoff (IVF `n_probe` and selection
-/// budget `k` trade recall for scan work) is normally fixed at
-/// construction time. `SelectionEffort` makes it a *per-step* control
-/// surface: an overload controller dials effort down on low-priority
-/// sessions while pressure lasts and restores it when pressure clears,
-/// without touching trained state.
-///
-/// Semantics:
-/// - `k_frac` scales the selection budget `k` (the number of middle
-///   tokens fetched per step). `1.0` = full budget. Degraded budgets are
-///   floored at 1 so selection never collapses to nothing.
-/// - `max_n_probe` caps IVF coarse-cell probes (`None` = the policy's
-///   configured probe width). Exact-mode policies ignore it.
-///
-/// [`SelectionEffort::full`] is the identity: policies must behave
-/// **bit-identically** to a build without effort plumbing when effort is
-/// full — the degraded code paths are skipped entirely, not evaluated at
-/// a neutral setting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SelectionEffort {
-    /// Budget multiplier in `(0, 1]`; `1.0` = full effort.
-    pub k_frac: f64,
-    /// Cap on IVF probe width; `None` = the configured `n_probe`.
-    pub max_n_probe: Option<usize>,
-}
-
-impl SelectionEffort {
-    /// Full effort: the identity override.
-    pub const fn full() -> Self {
-        Self { k_frac: 1.0, max_n_probe: None }
-    }
-
-    /// Whether this override changes nothing.
-    pub fn is_full(&self) -> bool {
-        self.k_frac >= 1.0 && self.max_n_probe.is_none()
-    }
-
-    /// Effective selection budget for a nominal `k`. Full effort returns
-    /// `k` untouched (no float math on the identity path); degraded
-    /// effort floors at 1 whenever `k > 0`.
-    pub fn effective_k(&self, k: usize) -> usize {
-        if self.k_frac >= 1.0 || k == 0 {
-            return k;
-        }
-        (((k as f64) * self.k_frac).floor() as usize).clamp(1, k)
-    }
-
-    /// Effective probe width for a nominal `n_probe`. Full effort returns
-    /// it untouched; a cap floors at 1.
-    pub fn effective_n_probe(&self, n_probe: usize) -> usize {
-        match self.max_n_probe {
-            Some(cap) => n_probe.min(cap).max(1),
-            None => n_probe,
-        }
-    }
-}
-
-impl Default for SelectionEffort {
-    fn default() -> Self {
-        Self::full()
-    }
-}
-
 /// An opaque, cheaply-cloneable snapshot of a policy's trained prefix
 /// state, shareable across sessions with the same prompt prefix.
 ///
@@ -270,17 +204,6 @@ pub trait SelectionPolicy {
         out: &mut Vec<usize>,
     );
 
-    /// Adopt a runtime effort override for subsequent selections — the
-    /// serving layer's brownout path. Unlike `configure_ivf` this may be
-    /// called at any time, any number of times, mid-decode; it must only
-    /// change *how hard* the next selection works, never trained state.
-    /// With [`SelectionEffort::full`] the policy must select bit-identically
-    /// to one that never saw an effort call. Policies without a tunable
-    /// scan (dropping baselines, exact oracles) ignore it.
-    fn set_effort(&mut self, effort: SelectionEffort) {
-        let _ = effort;
-    }
-
     /// A token evicted from the local window becomes middle token
     /// `middle_idx`; policies holding per-token state must integrate it.
     fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], middle_idx: usize) {
@@ -438,41 +361,5 @@ mod tests {
         assert_eq!(init.middle_keys.len(), 2);
         assert_eq!(init.middle_keys[0].len(), 3);
         assert_eq!(init.accum_scores.as_ref().unwrap()[1][2].len(), 40);
-    }
-
-    #[test]
-    fn full_effort_is_the_identity() {
-        let full = SelectionEffort::full();
-        assert!(full.is_full());
-        assert_eq!(full, SelectionEffort::default());
-        for k in [0, 1, 7, 64, 4096] {
-            assert_eq!(full.effective_k(k), k);
-            assert_eq!(full.effective_n_probe(k), k);
-        }
-    }
-
-    #[test]
-    fn degraded_effort_scales_and_floors() {
-        let half = SelectionEffort { k_frac: 0.5, max_n_probe: Some(4) };
-        assert!(!half.is_full());
-        assert_eq!(half.effective_k(64), 32);
-        assert_eq!(half.effective_k(7), 3);
-        // k > 0 always yields at least one selected token …
-        assert_eq!(SelectionEffort { k_frac: 0.01, max_n_probe: None }.effective_k(8), 1);
-        // … while k == 0 stays 0 (nothing to select from).
-        assert_eq!(half.effective_k(0), 0);
-        // The probe cap only narrows, never widens, and floors at 1.
-        assert_eq!(half.effective_n_probe(16), 4);
-        assert_eq!(half.effective_n_probe(2), 2);
-        assert_eq!(SelectionEffort { k_frac: 1.0, max_n_probe: Some(0) }.effective_n_probe(16), 1);
-    }
-
-    #[test]
-    fn overshooting_effort_never_exceeds_nominal() {
-        // k_frac is documented as (0, 1]; values above 1 must still be the
-        // identity, not an amplifier.
-        let over = SelectionEffort { k_frac: 1.5, max_n_probe: None };
-        assert_eq!(over.effective_k(64), 64);
-        assert!(over.is_full());
     }
 }

@@ -9,8 +9,7 @@
 //! 2, line 4).
 
 use crate::{
-    group_query_into, PolicyContext, PolicyInit, PolicyScratch, SelectionEffort, SelectionPolicy,
-    SharedPolicyState,
+    group_query_into, PolicyContext, PolicyInit, PolicyScratch, SelectionPolicy, SharedPolicyState,
 };
 use pqc_pq::{IvfConfig, IvfIndex, IvfMode, PqCodebook, PqCodes, PqConfig};
 use std::sync::Arc;
@@ -68,10 +67,6 @@ pub struct PqCachePolicy {
     ivf: Vec<Vec<IvfIndex>>,
     /// Reusable eviction-encoding buffer.
     code_buf: Vec<u16>,
-    /// Runtime effort override (brownout knob). Full by default; the
-    /// serving layer's overload controller dials it per step. Never part
-    /// of trained state — `export_shared`/`import_shared` ignore it.
-    effort: SelectionEffort,
 }
 
 impl PqCachePolicy {
@@ -83,7 +78,6 @@ impl PqCachePolicy {
             codes: Vec::new(),
             ivf: Vec::new(),
             code_buf: Vec::new(),
-            effort: SelectionEffort::full(),
         }
     }
 
@@ -173,10 +167,6 @@ impl SelectionPolicy for PqCachePolicy {
         self.cfg.ivf = mode;
     }
 
-    fn set_effort(&mut self, effort: SelectionEffort) {
-        self.effort = effort;
-    }
-
     fn select_with_scratch(
         &mut self,
         ctx: &PolicyContext<'_>,
@@ -187,11 +177,7 @@ impl SelectionPolicy for PqCachePolicy {
         let book = &self.books[ctx.layer][ctx.kv_head];
         let codes = &self.codes[ctx.layer][ctx.kv_head];
         let n = codes.len().min(ctx.middle_len);
-        // Brownout: degraded effort shrinks the fetched top-k (floored at
-        // 1) before the scan runs; full effort passes the budget through
-        // untouched — no float math on the identity path.
-        let budget = self.effort.effective_k(ctx.budget);
-        if n == 0 || budget == 0 {
+        if n == 0 || ctx.budget == 0 {
             return;
         }
         group_query_into(ctx.queries, &mut scratch.q_buf);
@@ -207,13 +193,12 @@ impl SelectionPolicy for PqCachePolicy {
         match self.cfg.ivf {
             IvfMode::Probe(n_probe) => {
                 let ivf = &self.ivf[ctx.layer][ctx.kv_head];
-                let n_probe = self.effort.effective_n_probe(n_probe);
                 scratch.retriever.score_and_select_ivf_into(
                     book,
                     ivf,
                     &scratch.q_buf,
                     n,
-                    budget,
+                    ctx.budget,
                     n_probe,
                     out,
                 );
@@ -221,7 +206,7 @@ impl SelectionPolicy for PqCachePolicy {
             IvfMode::Exact => {
                 scratch
                     .retriever
-                    .score_and_select_into(book, codes, &scratch.q_buf, n, budget, out);
+                    .score_and_select_into(book, codes, &scratch.q_buf, n, ctx.budget, out);
             }
         }
     }
@@ -293,16 +278,12 @@ impl SelectionPolicy for PqCachePolicy {
     /// bit-identically to the original forever after — the checkpoint
     /// contract.
     fn fork(&self) -> Option<Box<dyn SelectionPolicy + Send>> {
-        // Effort resets to full: it is runtime control state the serving
-        // layer re-applies every step, not part of the checkpoint contract
-        // (a session replayed on a healthy shard starts at full effort).
         Some(Box::new(Self {
             cfg: self.cfg,
             books: self.books.clone(),
             codes: self.codes.clone(),
             ivf: self.ivf.clone(),
             code_buf: Vec::new(),
-            effort: SelectionEffort::full(),
         }))
     }
 }

@@ -6,21 +6,19 @@
 //! shards over (`recover.rs`), and assembles the [`ServeReport`].
 //!
 //! Each worker is a `Shard` (`shard.rs`) holding four pools: `waiting`
-//! (popped requests holding for an arrival tick, a retry backoff, or a
-//! brownout deferral), `prefilling` and `active` (the two kinds of slot
-//! holder), and `parked` (preempted: off slot, pages pinned in the host
-//! tier). A request's scheduler-side state is one `Ticket` (`ticket.rs`)
+//! (popped requests holding for an arrival tick or a retry backoff),
+//! `prefilling` and `active` (the two kinds of slot holder), and `parked`
+//! (preempted: off slot, pages pinned in the host tier). A request's scheduler-side state is one `Ticket` (`ticket.rs`)
 //! that moves whole between pools and into its [`Completion`].
 //!
 //! ## `Shard::tick`
 //!
 //! One pass runs these phases, in this order — the order is part of every
-//! tick-clocked outcome (deadlines, backoff, TTFT ticks, the brownout
-//! ladder):
+//! tick-clocked outcome (deadlines, backoff, TTFT ticks):
 //!
 //! 1. `admit` — reads free slots, `parked`, matured `waiting`, the queue.
 //!    Moves parked → active (resume), and queue/waiting → waiting (not due,
-//!    rejected, deferred), prefilling, active, or a shed completion. Blocks
+//!    rejected), prefilling, active, or a shed completion. Blocks
 //!    on the queue when every pool is empty (a closed, drained queue then
 //!    ends the worker), or — if no queue can ever fill — for an arrived
 //!    request the producer has yet to deliver.
@@ -30,24 +28,22 @@
 //!    matured `waiting`). Moves the weakest strictly-lower active → parked
 //!    and the pending request into its slot.
 //! 4. idle tick — when nothing holds a slot but `waiting`/`parked` are not
-//!    empty: moves nothing, burns one tick so holds elapse, feeds the
-//!    controller, and ends the pass.
-//! 5. `observe` — reads the tick-clock backlog, slots, page pool, and
-//!    unpublished completions. Moves nothing; steps the brownout ladder.
-//! 6. `publish` — moves local completions → the fleet (a published id
+//!    empty: moves nothing, burns one tick so holds elapse, and ends the
+//!    pass.
+//! 5. `publish` — moves local completions → the fleet (a published id
 //!    leaves the in-flight map and drops its checkpoint).
-//! 7. kill / stall — reads the fault plan. A planned kill unwinds the
+//! 6. kill / stall — reads the fault plan. A planned kill unwinds the
 //!    worker here; a planned stall starts.
-//! 8. `reap` — reads every ticket's deadlines. Moves late active /
+//! 7. `reap` — reads every ticket's deadlines. Moves late active /
 //!    prefilling / parked → `DeadlineExceeded` completions. A stalled pass
 //!    ends here.
-//! 9. `checkpoint` — reads the cadence (stretched under pressure). Moves
-//!    nothing; snapshots each active session into the registry.
-//! 10. `prefill_chunk` — advances the strongest prefilling job one budgeted
-//!     chunk. Moves a finished prompt prefilling → active.
-//! 11. `decode` — steps each active session once. Moves a failed step →
+//! 8. `checkpoint` — reads the cadence. Moves nothing; snapshots each
+//!    active session into the registry.
+//! 9. `prefill_chunk` — advances the strongest prefilling job one budgeted
+//!    chunk. Moves a finished prompt prefilling → active.
+//! 10. `decode` — steps each active session once. Moves a failed step →
 //!     completion; a corrupt page rolls back to its checkpoint in place.
-//! 12. `retire` — as 2.
+//! 11. `retire` — as 2.
 //!
 //! Scheduling never changes results: a token decoded here is bit-identical
 //! to the same session run alone through `SelectiveSession::decode`
@@ -114,7 +110,6 @@ pub use types::{
 use crate::error::ServeError;
 use crate::faults::FaultPlan;
 use crate::latency::LatencySummary;
-use crate::overload::OverloadSummary;
 use crate::queue::BoundedQueue;
 use pqc_cache::BlockCache;
 use pqc_core::ConfigError;
@@ -381,8 +376,8 @@ impl ServeEngine {
 }
 
 impl Fleet<'_> {
-    /// Fold the run into its report: completions by id, latency tails
-    /// overall and per class, the brownout aggregate, and the tier's view.
+    /// Fold the run into its report: completions by id, latency tails, and
+    /// the tier's view.
     fn report(
         &self,
         mut completions: Vec<Completion>,
@@ -390,29 +385,14 @@ impl Fleet<'_> {
         worker_panics: u64,
     ) -> ServeReport {
         completions.sort_by_key(|c| c.id);
-        // (ttft wall, ttft ticks, tpot wall) samples: overall, then by class.
-        let mut all: (Vec<f64>, Vec<f64>, Vec<f64>) = Default::default();
-        let mut by_class: [(Vec<f64>, Vec<f64>, Vec<f64>); Priority::COUNT] = Default::default();
-        for c in &completions {
-            for samples in [&mut all, &mut by_class[c.priority.index()]] {
-                samples.0.extend(c.ttft_wall.map(|d| d.as_secs_f64()));
-                samples.1.extend(c.ttft_ticks.map(|t| t as f64));
-                samples.2.extend(c.tpot_wall.map(|d| d.as_secs_f64()));
-            }
-        }
-        let mut overload = OverloadSummary::default();
-        for s in &shards {
-            for (acc, ticks) in overload.level_ticks.iter_mut().zip(s.level_ticks) {
-                *acc += ticks;
-            }
-            overload.degraded_tokens += s.degraded_tokens;
-            overload.deferrals += s.deferrals;
-            overload.sheds += s.overload_sheds;
-        }
+        let ttft_wall: Vec<f64> =
+            completions.iter().filter_map(|c| c.ttft_wall).map(|d| d.as_secs_f64()).collect();
+        let ttft_ticks: Vec<f64> =
+            completions.iter().filter_map(|c| c.ttft_ticks).map(|t| t as f64).collect();
+        let tpot_wall: Vec<f64> =
+            completions.iter().filter_map(|c| c.tpot_wall).map(|d| d.as_secs_f64()).collect();
         ServeReport {
-            latency: LatencySummary::new(&all.0, &all.1, &all.2),
-            latency_by_priority: by_class.map(|(tw, tt, tp)| LatencySummary::new(&tw, &tt, &tp)),
-            overload,
+            latency: LatencySummary::new(&ttft_wall, &ttft_ticks, &tpot_wall),
             completions,
             aggregate_transfer: self.tier.aggregate_stats(),
             prefix: self.tier.prefix_stats(),

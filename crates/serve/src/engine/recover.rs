@@ -85,8 +85,7 @@ pub(super) fn recover_dead_shards(
 /// Resume a checkpoint on the coordinator thread and decode it to
 /// completion — the failover replay. Bit-identical to the fault-free run
 /// by construction: resume is exact and decode is deterministic. No fault
-/// injection, no brownout effort (the snapshot's degradation high-water is
-/// final) and no deadline reaping apply here.
+/// injection and no deadline reaping apply here.
 fn replay_from_checkpoint(
     fleet: &Fleet<'_>,
     snapshot: Parked,

@@ -1,7 +1,7 @@
 //! One shard's scheduler: the pools a request moves through and the
 //! `tick()` that moves it. The phase order is the engine's contract with
-//! every tick-clocked outcome (deadlines, backoff, TTFT ticks, the brownout
-//! ladder) — see the module header of `engine.rs` for the phase list.
+//! every tick-clocked outcome (deadlines, backoff, TTFT ticks) — see the
+//! module header of `engine.rs` for the phase list.
 
 use super::ticket::{
     step_fault, store_fault, Active, Parked, Prefilling, SessionStats, Ticket, Ticketed,
@@ -10,7 +10,6 @@ use super::types::{Completion, Priority, ServeRequest, ShardAssignment, ShardSta
 use super::{lock, Fleet, InflightInfo};
 use crate::error::ServeError;
 use crate::faults::InjectedPanic;
-use crate::overload::{OverloadController, PressureLevel, PressureSample};
 use pqc_core::{SelectiveSession, SessionResources, SessionScratch, SessionStart, StepError};
 use pqc_llm::{PrefillOptions, PrefillOutput};
 use pqc_memhier::{MemError, PrefixHit};
@@ -31,8 +30,7 @@ struct SharedPrefix {
 }
 
 /// A popped request not yet admitted: holding for its recorded arrival
-/// tick (trace replay), waiting out an admission-retry backoff, or
-/// deferred by the brownout controller.
+/// tick (trace replay) or waiting out an admission-retry backoff.
 struct Waiting {
     req: ServeRequest,
     not_before: u64,
@@ -52,8 +50,8 @@ enum Taken {
     Ready(ServeRequest),
     /// Its arrival tick is still ahead: held in `waiting`.
     NotDue,
-    /// Rejected by the fault plan or gated by the brownout controller:
-    /// back in `waiting` with a backoff, or shed.
+    /// Rejected by the fault plan: back in `waiting` with a backoff, or
+    /// shed.
     TurnedAway,
     /// The source had nothing to give.
     Empty,
@@ -85,7 +83,7 @@ fn drain_expired<T: Ticketed>(
 }
 
 /// One worker's share of the fleet: its pools, its clock (`stats.ticks`),
-/// its scratch, and its fault/brownout bookkeeping.
+/// its scratch, and its fault bookkeeping.
 pub(super) struct Shard<'a> {
     fleet: &'a Fleet<'a>,
     id: usize,
@@ -95,20 +93,11 @@ pub(super) struct Shard<'a> {
     prefilling: Vec<Prefilling<'a>>,
     active: Vec<Active<'a>>,
     parked: Vec<Parked>,
-    /// Brownout controller, fed one pressure sample per tick. `None`
-    /// leaves every decision path untouched — bit-identical to an engine
-    /// built without brownout support.
-    ctrl: Option<OverloadController>,
     stats: ShardStats,
     /// Finished completions not yet published to the fleet.
     done: Vec<Completion>,
-    /// How much of `done` the controller has already sampled.
-    observed: usize,
-    /// Rejections consumed per request: injected by the fault plan, and
-    /// controller sheds. Separate ledgers, so an injected-rejection
-    /// schedule replays unperturbed with the controller on.
+    /// Fault-plan rejections consumed per request.
     rejected: HashMap<u64, u32>,
-    ctrl_rejected: HashMap<u64, u32>,
     stall_remaining: u64,
     /// Bit flips already injected: a rollback replays the trigger step,
     /// and the fault must not re-fire or recovery could never converge.
@@ -125,12 +114,9 @@ impl<'a> Shard<'a> {
             prefilling: Vec::new(),
             active: Vec::new(),
             parked: Vec::new(),
-            ctrl: fleet.cfg.overload.as_ref().map(|c| OverloadController::new(c.clone())),
             stats: ShardStats::default(),
             done: Vec::new(),
-            observed: 0,
             rejected: HashMap::new(),
-            ctrl_rejected: HashMap::new(),
             stall_remaining: 0,
             fired_flips: HashSet::new(),
         }
@@ -152,15 +138,15 @@ impl<'a> Shard<'a> {
         self.preempt();
         if self.resident() == 0 {
             if !self.is_idle() {
-                self.idle_tick();
+                // Retries or parked work are pending: ticks are the
+                // engine's clock, so burn one to let backoff elapse
+                // (parked work resumes via admission next pass).
+                self.stats.ticks += 1;
             }
             return true;
         }
         let tick = self.stats.ticks;
         self.stats.ticks += 1;
-        // Observe before publish: the pressure sample's rolling rates come
-        // from completions still in the local buffer.
-        self.observe(tick, self.resident());
         self.publish();
         self.kill_or_stall(tick);
         self.reap(tick);
@@ -202,10 +188,9 @@ impl<'a> Shard<'a> {
         self.waiting.push(Waiting { req, not_before });
     }
 
-    /// Admission retries `id` has consumed on both ledgers.
+    /// Admission retries `id` has consumed.
     fn retries_of(&self, id: u64) -> u32 {
-        let consumed = |ledger: &HashMap<u64, u32>| ledger.get(&id).copied().unwrap_or(0);
-        consumed(&self.rejected) + consumed(&self.ctrl_rejected)
+        self.rejected.get(&id).copied().unwrap_or(0)
     }
 
     /// Fail a ticketed request out of the shard.
@@ -284,10 +269,9 @@ impl<'a> Shard<'a> {
     }
 
     /// The one path a request takes from a source towards a slot: pop →
-    /// in-flight insert → arrival hold → injected screening → brownout
-    /// gate. Both the admission and the preemption loop come through here,
-    /// so a request's rejection schedule plays out identically whichever
-    /// first pops it.
+    /// in-flight insert → arrival hold → injected screening. Both the
+    /// admission and the preemption loop come through here, so a request's
+    /// rejection schedule plays out identically whichever first pops it.
     fn take_request(&mut self, source: Source) -> Taken {
         let req = match source {
             Source::Waiting(i) => self.waiting.swap_remove(i).req,
@@ -312,74 +296,27 @@ impl<'a> Shard<'a> {
             self.hold(req, due);
             return Taken::NotDue;
         }
-        let Some(req) = self.screen(req) else { return Taken::TurnedAway };
-        self.brownout_gate(req).map_or(Taken::TurnedAway, Taken::Ready)
+        self.screen(req).map_or(Taken::TurnedAway, Taken::Ready)
     }
 
-    /// One consumed rejection: re-queue with seeded backoff while the
-    /// request's retry budget lasts, else shed it typed. `prior` counts
-    /// retries already spent on the other ledger. Returns `true` if shed.
-    fn retry_or_shed(
-        &mut self,
-        req: ServeRequest,
-        attempts: u32,
-        seed: u64,
-        injected: bool,
-        prior: u32,
-    ) -> bool {
+    /// Injected admission screening: consume a planned rejection, then
+    /// re-queue with seeded backoff while the request's retry budget lasts,
+    /// else shed it typed. Returns the request when it's clear to admit.
+    fn screen(&mut self, req: ServeRequest) -> Option<ServeRequest> {
+        let consumed = self.retries_of(req.id);
+        if consumed >= self.fleet.plan.rejections(req.id) {
+            return Some(req);
+        }
+        let attempts = consumed + 1;
+        self.rejected.insert(req.id, attempts);
         if attempts > req.retry.max_retries {
-            let error = ServeError::Admission { attempts };
-            self.shed(&req, error, injected, prior + attempts.saturating_sub(1));
-            return true;
+            self.shed(&req, ServeError::Admission { attempts }, true, consumed);
+            return None;
         }
         self.stats.retries += 1;
-        let backoff = req.retry.backoff(seed ^ req.id, attempts);
+        let backoff = req.retry.backoff(self.fleet.plan.seed ^ req.id, attempts);
         self.hold(req, self.stats.ticks + backoff);
-        false
-    }
-
-    /// Injected admission screening: consume a planned rejection. Returns
-    /// the request when it's clear to admit.
-    fn screen(&mut self, req: ServeRequest) -> Option<ServeRequest> {
-        let planned = self.fleet.plan.rejections(req.id);
-        if self.rejected.get(&req.id).copied().unwrap_or(0) >= planned {
-            return Some(req);
-        }
-        let consumed = self.rejected.entry(req.id).or_insert(0);
-        *consumed += 1;
-        let attempts = *consumed;
-        self.retry_or_shed(req, attempts, self.fleet.plan.seed, true, 0);
         None
-    }
-
-    /// Brownout admission control, applied *after* injected screening so a
-    /// fault plan's rejection schedule plays out identically with the
-    /// controller on. Only Low-priority requests are gated: at `Saturated`
-    /// the request is **deferred** — pushed back with a bounded seeded
-    /// delay, consuming no retry — and at `Critical` it takes the shed
-    /// path (seeded backoff retries, then a typed admission shed).
-    fn brownout_gate(&mut self, req: ServeRequest) -> Option<ServeRequest> {
-        let Some(ctrl) = self.ctrl.as_ref().filter(|_| req.priority == Priority::Low) else {
-            return Some(req);
-        };
-        if ctrl.sheds_low_admission() {
-            let seed = ctrl.seed();
-            let prior = self.rejected.get(&req.id).copied().unwrap_or(0);
-            let consumed = self.ctrl_rejected.entry(req.id).or_insert(0);
-            *consumed += 1;
-            let attempts = *consumed;
-            if self.retry_or_shed(req, attempts, seed, false, prior) {
-                self.stats.overload_sheds += 1;
-            }
-            return None;
-        }
-        if ctrl.defers_low_admission() {
-            self.stats.deferrals += 1;
-            let due = self.stats.ticks + ctrl.defer_delay(req.id, self.stats.ticks);
-            self.hold(req, due);
-            return None;
-        }
-        Some(req)
     }
 
     fn prefill_options(&self, prompt_len: usize) -> PrefillOptions {
@@ -582,65 +519,12 @@ impl<'a> Shard<'a> {
 
     // ---- the tick proper -------------------------------------------------
 
-    /// Nothing holds a slot but retries or parked work are pending: ticks
-    /// are the engine's clock, so burn one to let backoff elapse (parked
-    /// work resumes via admission next pass). The controller observes idle
-    /// ticks too — liveness: deferred work only re-admits once decayed
-    /// pressure steps the ladder down, which needs the clock *and* the
-    /// controller to keep running.
-    fn idle_tick(&mut self) {
-        let tick = self.stats.ticks;
-        self.stats.ticks += 1;
-        self.observe(tick, 0);
-    }
-
-    /// Feed the brownout controller tick `tick`'s pressure sample and
-    /// meter the resulting level. Every input is tick-clock state: the
-    /// backlog of requests that have *arrived* (never physical queue
-    /// depth, which races the producer thread), resident slots, page-pool
-    /// occupancy, and completion-derived rolling miss/TTFT rates. Deferred
-    /// (`waiting`) work is not pressure, so pressure decays once
-    /// admissions stop and the ladder steps back down, re-admitting it.
-    fn observe(&mut self, tick: u64, resident: usize) {
-        if self.ctrl.is_none() {
-            return;
-        }
-        let capacity = self.fleet.inbox(self.id).queue.capacity();
-        let queue_frac = self.backlog(tick).min(capacity) as f64 / capacity as f64;
-        let Some(ctrl) = self.ctrl.as_mut() else { return };
-        let slo = ctrl.config().ttft_slo_ticks;
-        let (mut done, mut missed, mut ttft_over) = (0u32, 0u32, 0u32);
-        for c in &self.done[self.observed..] {
-            done += 1;
-            let cause = c.failure.as_ref().map(|f| &f.error);
-            missed += u32::from(matches!(cause, Some(ServeError::DeadlineExceeded { .. })));
-            ttft_over += u32::from(c.ttft_ticks.is_some_and(|t| t > slo));
-        }
-        self.observed = self.done.len();
-        let alloc = self.fleet.tier.allocator();
-        let pool_frac = match alloc.max_pages() {
-            Some(max) if max > 0 => alloc.pages_in_use() as f64 / max as f64,
-            _ => 0.0,
-        };
-        let sample = PressureSample {
-            queue_frac,
-            slot_frac: resident as f64 / self.fleet.cfg.max_active_per_shard as f64,
-            pool_frac,
-            done,
-            missed,
-            ttft_over,
-        };
-        let level = ctrl.observe(&sample);
-        self.stats.level_ticks[level.index()] += 1;
-    }
-
     /// Publish finished completions to the fleet — at every tick boundary,
     /// so if this worker dies, everything already done has left the thread.
     /// A published id leaves the in-flight map and drops its checkpoint (it
     /// can no longer need recovery), so at any kill boundary the in-flight
     /// map is exactly the set of incomplete requests.
     fn publish(&mut self) {
-        self.observed = 0;
         if self.done.is_empty() {
             return;
         }
@@ -698,12 +582,9 @@ impl<'a> Shard<'a> {
 
     /// Checkpoint pass: on the cadence, snapshot every active session
     /// through the paged tier without evicting it, replacing its registry
-    /// entry. Under pressure the cadence stretches: snapshots are pure
-    /// overhead on a saturated shard, and a sparser checkpoint trail only
-    /// widens the replay window, never correctness.
+    /// entry.
     fn checkpoint(&mut self, tick: u64) {
         let Some(k) = self.fleet.cfg.checkpoint_every_ticks else { return };
-        let k = self.ctrl.as_ref().map_or(k, |c| c.checkpoint_every(k));
         if !tick.is_multiple_of(k) || self.active.is_empty() {
             return;
         }
@@ -756,22 +637,13 @@ impl<'a> Shard<'a> {
         self.stats.busy += t0.elapsed();
     }
 
-    /// Step `active[i]` once: apply the brownout effort, fire its planned
-    /// faults, advance, meter. `Err` is the cause (and whether it was
-    /// injected) of a step the session did not survive; a corrupt page
-    /// with a good checkpoint rolls back in place and counts as `Ok`.
+    /// Step `active[i]` once: fire its planned faults, then advance. `Err`
+    /// is the cause (and whether it was injected) of a step the session did
+    /// not survive; a corrupt page with a good checkpoint rolls back in
+    /// place and counts as `Ok`.
     fn step(&mut self, i: usize) -> Result<(), (ServeError, bool)> {
         let fleet = self.fleet;
         let a = &mut self.active[i];
-        // Effort is re-applied every step: the level can move every tick,
-        // and a policy fork/resume resets effort to full. A full-effort
-        // application is an exact passthrough, so High-priority (and
-        // Nominal) sessions decode bit-identically to the controller-off
-        // engine.
-        let effort = self.ctrl.as_ref().map(|c| c.effort_for(a.ticket.priority));
-        if let Some(effort) = effort {
-            a.session.set_effort(effort);
-        }
         let (id, at_step) = (a.ticket.id, a.session.steps());
         if fleet.plan.panic_step(id) == Some(at_step) {
             return Err((InjectedPanic { request_id: id, at_step }.to_error(), true));
@@ -786,17 +658,7 @@ impl<'a> Shard<'a> {
             }
         }
         match a.advance(&mut self.scratch, fleet.cfg.record_trace) {
-            Ok(()) => {
-                if let (Some(ctrl), Some(effort)) = (self.ctrl.as_ref(), effort) {
-                    let level = ctrl.level();
-                    self.stats.degraded_steps += u64::from(level != PressureLevel::Nominal);
-                    if !effort.is_full() {
-                        self.stats.degraded_tokens += 1;
-                        a.ticket.max_degrade = a.ticket.max_degrade.max(level);
-                    }
-                }
-                Ok(())
-            }
+            Ok(()) => Ok(()),
             Err(StepError::Store(MemError::PageCorrupt { .. })) if self.roll_back(i) => Ok(()),
             Err(e) => Err(step_fault(e, &fleet.plan)),
         }

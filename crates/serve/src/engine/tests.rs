@@ -375,6 +375,7 @@ fn admission_rejects_retry_then_succeed_or_shed() {
         ServeError::Admission { attempts } => assert_eq!(attempts, 3),
         ref other => panic!("unexpected cause {other:?}"),
     }
+    assert_eq!(shed.retries, 2, "a shed reports the retries it consumed");
     assert!(report.completion(0).unwrap().is_success());
     assert!(report.completion(2).unwrap().is_success());
 }
@@ -632,11 +633,6 @@ fn shard_stall_degrades_without_changing_results() {
         ServeConfig { faults: Some(FaultPlan::seeded(5).with_stall(0, 1, 3)), ..base };
     let stalled = ServeEngine::run(&model, &cfg, requests(4)).unwrap();
     assert!(stalled.total_stalled_steps() > 0, "stall must meter stalled steps");
-    assert_eq!(
-        stalled.total_degraded_steps(),
-        0,
-        "no brownout controller, so no degraded steps"
-    );
     assert_eq!(clean.completions.len(), stalled.completions.len());
     for (a, b) in clean.completions.iter().zip(stalled.completions.iter()) {
         assert!(b.is_success());
@@ -644,7 +640,7 @@ fn shard_stall_degrades_without_changing_results() {
     }
     // Note: tick totals are NOT compared across the two runs — the
     // clean run's idle-tick count depends on producer/worker timing.
-    // The degraded-steps meter above is the deterministic evidence.
+    // The stalled-steps meter above is the deterministic evidence.
 }
 
 #[test]

@@ -8,7 +8,6 @@
 use super::types::{Completion, Priority, ServeRequest, StepTrace};
 use crate::error::{FailureCause, ServeError};
 use crate::faults::FaultPlan;
-use crate::overload::PressureLevel;
 use pqc_cache::{BlockCache, CacheStats};
 use pqc_core::{SelectiveSession, SessionScratch, StepError, SuspendedSession};
 use pqc_llm::{Model, PrefillJob};
@@ -52,9 +51,6 @@ pub(super) struct Ticket {
     pub(super) preemptions: u32,
     /// True once crash recovery touched this request (rollback or replay).
     pub(super) recovered: bool,
-    /// Highest pressure rung at which a token was decoded under reduced
-    /// effort (see [`Completion::max_degrade_level`]).
-    pub(super) max_degrade: PressureLevel,
 }
 
 impl Ticket {
@@ -79,7 +75,6 @@ impl Ticket {
             carried_cache: CacheStats::default(),
             preemptions: 0,
             recovered: false,
-            max_degrade: PressureLevel::Nominal,
         }
     }
 
@@ -116,13 +111,12 @@ impl Ticket {
 
     /// Rewind to a checkpoint's ticket after store corruption. Decode
     /// progress and carried stats come from the snapshot; what the request
-    /// has been *through* since — wall time decoding, preemptions, its
-    /// degradation high-water — is history and stays.
+    /// has been *through* since — wall time decoding, preemptions — is
+    /// history and stays.
     pub(super) fn roll_back_to(&mut self, snapshot: Ticket) {
         let live = std::mem::replace(self, snapshot);
         self.decode_wall = live.decode_wall;
         self.preemptions = live.preemptions;
-        self.max_degrade = live.max_degrade;
         self.recovered = true;
     }
 
@@ -152,7 +146,6 @@ impl Ticket {
             tpot_wall: (tokens > 0).then(|| self.decode_wall / tokens),
             preemptions: self.preemptions,
             recovered: self.recovered,
-            max_degrade_level: self.max_degrade,
         }
     }
 
@@ -200,7 +193,6 @@ impl Completion {
             tpot_wall: None,
             preemptions: 0,
             recovered: false,
-            max_degrade_level: PressureLevel::Nominal,
         }
     }
 }

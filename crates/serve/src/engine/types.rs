@@ -4,7 +4,6 @@
 use crate::error::{FailureCause, RetryPolicy};
 use crate::faults::FaultPlan;
 use crate::latency::LatencySummary;
-use crate::overload::{OverloadSummary, PressureLevel};
 use pqc_cache::CacheStats;
 use pqc_core::{ConfigError, SessionConfig};
 use pqc_memhier::{PrefixCacheStats, SharingStats, TransferStats, DEFAULT_PAGE_TOKENS};
@@ -28,17 +27,6 @@ pub enum Priority {
     /// Latency-sensitive work: skips the queue and claims a slot from a
     /// lower-class session when none is free.
     High,
-}
-
-impl Priority {
-    /// Number of priority classes.
-    pub const COUNT: usize = 3;
-
-    /// Dense index of this class (`Low` = 0, `Normal` = 1, `High` = 2) —
-    /// keys per-class arrays like [`ServeReport::latency_by_priority`].
-    pub fn index(self) -> usize {
-        self as usize
-    }
 }
 
 /// How requests map onto shards.
@@ -105,15 +93,6 @@ pub struct ServeConfig {
     /// never changes results; it costs the periodic offload of the
     /// GPU-resident rows (metered in [`ShardStats::checkpoint_bytes`]).
     pub checkpoint_every_ticks: Option<u64>,
-    /// Brownout overload control: each shard runs an
-    /// [`crate::OverloadController`] that samples pressure every tick and
-    /// stages degrade actions (effort reduction for Low/Normal sessions
-    /// within a recall floor, Low-admission deferral, checkpoint-cadence
-    /// stretch, Critical-only shedding) that reverse as pressure clears.
-    /// `None` (the default) disables the controller entirely — the engine
-    /// is then **bit-identical** to one built without brownout support:
-    /// no effort calls are made and no degraded path is evaluated.
-    pub overload: Option<crate::OverloadConfig>,
 }
 
 impl Default for ServeConfig {
@@ -130,7 +109,6 @@ impl Default for ServeConfig {
             prefill_chunk_tokens: None,
             faults: None,
             checkpoint_every_ticks: None,
-            overload: None,
         }
     }
 }
@@ -174,25 +152,6 @@ impl ServeConfig {
         if let Some(plan) = &self.faults {
             if plan.page_limit == Some(0) {
                 return Err(ConfigError::new("faults", "page_limit 0 would reject every page"));
-            }
-        }
-        if let Some(overload) = &self.overload {
-            overload.validate()?;
-            // Effort-floor consistency against the session's routing: a
-            // probe floor wider than the configured probe width could
-            // never be honoured (capping at min_n_probe would *raise*
-            // effort above construction-time behaviour).
-            if let pqc_core::IvfMode::Probe(n_probe) = self.session.ivf {
-                if overload.min_n_probe > n_probe {
-                    return Err(ConfigError::new(
-                        "overload.min_n_probe",
-                        format!(
-                            "probe floor {} exceeds the session's configured probe width \
-                             {n_probe} — the floor could never take effect",
-                            overload.min_n_probe
-                        ),
-                    ));
-                }
             }
         }
         self.session.validate()
@@ -351,12 +310,6 @@ pub struct Completion {
     /// or rolled back to a checkpoint after store corruption. Recovered
     /// output is bit-identical to the fault-free run.
     pub recovered: bool,
-    /// Highest [`PressureLevel`] at which this session decoded a token
-    /// under *reduced* effort. `Nominal` means every token was produced
-    /// at full effort — always the case for High-priority sessions, for
-    /// runs with the controller disabled, and for requests that never
-    /// decoded. Survives preemption and checkpoint failover.
-    pub max_degrade_level: PressureLevel,
 }
 
 impl Completion {
@@ -378,27 +331,9 @@ pub struct ShardStats {
     /// Decode tokens requested but never produced (shed at admission,
     /// reaped by deadline, or lost to a mid-decode fault).
     pub shed_tokens: u64,
-    /// Decode session-steps executed while the shard's brownout
-    /// controller sat at a non-`Nominal` [`PressureLevel`] — exactly the
-    /// steps served under degradation pressure (whether or not the
-    /// individual session's effort was reduced; High-priority steps under
-    /// a pressured shard count). Always 0 with the controller disabled.
-    pub degraded_steps: u64,
     /// Session-steps skipped while the shard was stalled by an injected
     /// slow-shard fault (sessions held but not decoded that tick).
     pub stalled_steps: u64,
-    /// Scheduler ticks spent at each pressure rung (indexed by
-    /// [`PressureLevel::index`]); all-zero with the controller disabled.
-    pub level_ticks: [u64; PressureLevel::COUNT],
-    /// Decode tokens produced under reduced (non-full) effort.
-    pub degraded_tokens: u64,
-    /// Low-priority admissions deferred by the controller at `Saturated`
-    /// (every deferral counts, including re-deferrals of the same
-    /// request).
-    pub deferrals: u64,
-    /// Requests shed by the controller at `Critical` (disjoint from
-    /// fault-plan and deadline sheds).
-    pub overload_sheds: u64,
     /// Admission retries performed (re-attempts after a rejection).
     pub retries: u64,
     /// Priority preemptions performed: a running session suspended through
@@ -458,14 +393,6 @@ pub struct ServeReport {
     /// TTFT/TPOT percentile summary across completions (only requests that
     /// reached the respective event contribute — see [`LatencySummary`]).
     pub latency: LatencySummary,
-    /// [`latency`](Self::latency) broken down by [`Priority`] class,
-    /// indexed by [`Priority::index`] — the brownout contract ("High never
-    /// degrades") is checked against these, not the blended summary.
-    pub latency_by_priority: [LatencySummary; Priority::COUNT],
-    /// Brownout-controller aggregate across shards: ticks at each pressure
-    /// rung, degraded tokens, deferrals, and overload sheds. All-zero when
-    /// [`ServeConfig::overload`] is `None`.
-    pub overload: OverloadSummary,
     /// Wall-clock time of the whole run.
     pub wall: Duration,
 }
@@ -491,20 +418,9 @@ impl ServeReport {
         self.shards.iter().map(|s| s.shed_tokens).sum()
     }
 
-    /// Total decode session-steps served while a shard's pressure level
-    /// was non-`Nominal` (0 with the controller disabled).
-    pub fn total_degraded_steps(&self) -> u64 {
-        self.shards.iter().map(|s| s.degraded_steps).sum()
-    }
-
     /// Total session-steps lost to injected shard stalls.
     pub fn total_stalled_steps(&self) -> u64 {
         self.shards.iter().map(|s| s.stalled_steps).sum()
-    }
-
-    /// The latency summary for one [`Priority`] class.
-    pub fn latency_for(&self, priority: Priority) -> &LatencySummary {
-        &self.latency_by_priority[priority.index()]
     }
 
     /// Total priority preemptions across shards.

@@ -36,15 +36,6 @@
 //!   per-request TTFT/TPOT on both the wall clock and the deterministic
 //!   tick clock, with p50/p95/p99 tails.
 //!
-//! Overload browns out before it blacks out ([`ServeConfig::overload`]):
-//! a per-shard [`OverloadController`] maps queue depth, slot/page-pool
-//! occupancy, deadline misses, and TTFT-vs-SLO through hysteresis onto a
-//! [`PressureLevel`] ladder, dialing Low/Normal selection effort down
-//! within a recall floor ([`pqc_core::SelectionEffort`]), deferring Low
-//! admissions, stretching the checkpoint cadence, and only shedding at
-//! `Critical` — all on the tick clock, replay-identical, and bit-identical
-//! to the pre-brownout engine when disabled.
-//!
 //! Crash recovery treats whole-worker loss and silent store corruption as
 //! bounded, recoverable events:
 //! - **checkpointing** ([`ServeConfig::checkpoint_every_ticks`]) snapshots
@@ -73,7 +64,6 @@ mod engine;
 pub mod error;
 pub mod faults;
 pub mod latency;
-pub mod overload;
 mod queue;
 
 pub use engine::{
@@ -85,7 +75,4 @@ pub use faults::{
     AdmissionReject, BitFlip, FaultPlan, InjectedPanic, SessionPanic, ShardStall, WorkerKill,
 };
 pub use latency::{LatencySummary, Percentiles};
-pub use overload::{
-    OverloadConfig, OverloadController, OverloadSummary, PressureLevel, PressureSample,
-};
 pub use queue::BoundedQueue;

@@ -15,8 +15,8 @@ pub mod multitenant;
 
 pub use gen::{aggregation, cot_chain, kv_retrieval, needle, passkey, qa, QuestionPosition, VocabLayout, Workload};
 pub use multitenant::{
-    chaos_victims, corruption_victims, multi_tenant_trace, overload_storm_trace,
-    shared_prefix_trace, TenantTrace, TraceConfig, TraceRequest,
+    chaos_victims, corruption_victims, multi_tenant_trace, shared_prefix_trace, TenantTrace,
+    TraceConfig, TraceRequest,
 };
 pub use harness::{
     driver_tokens, evaluate_method, evaluate_method_with_prefill, evaluate_workload, format_table, method_average, reference,

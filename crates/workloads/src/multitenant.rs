@@ -87,37 +87,9 @@ pub struct TenantTrace {
     pub requests: Vec<TraceRequest>,
 }
 
-impl TenantTrace {
-    /// Mean inter-arrival gap in ticks (0 for traces shorter than 2).
-    pub fn mean_interarrival(&self) -> f64 {
-        if self.requests.len() < 2 {
-            return 0.0;
-        }
-        let span = self.requests.last().expect("non-empty").arrival_tick
-            - self.requests[0].arrival_tick;
-        span as f64 / (self.requests.len() - 1) as f64
-    }
-}
-
-/// Generate a Poisson-arrival, mixed-length, churn-heavy request stream:
-/// an [`overload_storm_trace`] whose storm never rises above the base rate.
+/// Generate a Poisson-arrival, mixed-length, churn-heavy request stream.
 pub fn multi_tenant_trace(cfg: &TraceConfig) -> TenantTrace {
-    poisson_trace(cfg, 0, 1.0, None)
-}
-
-/// Generate an overload storm: a three-phase arrival profile that drives a
-/// brownout controller through its whole ladder in one trace. The first
-/// quarter of the requests arrive at the base [`TraceConfig::arrival_rate`]
-/// (warmup — the controller should sit at `Nominal`), the middle half at
-/// `overload`× that rate (the storm — pressure builds, the ladder climbs),
-/// and the last quarter at the base rate again (drain — hysteresis unwinds
-/// and deferred work re-admits). Everything else — workload rotation,
-/// decode churn, the independent priority stream — matches
-/// [`multi_tenant_trace`], and the generator is purely deterministic in
-/// the seed, so storm batteries replay bit-identically.
-pub fn overload_storm_trace(cfg: &TraceConfig, overload: f64) -> TenantTrace {
-    assert!(overload >= 1.0, "an overload factor below 1 is not a storm");
-    poisson_trace(cfg, 0, overload, None)
+    poisson_trace(cfg, 0, None)
 }
 
 /// Generate a shared-prefix fleet: `cfg.sessions` requests partitioned into
@@ -134,7 +106,7 @@ pub fn overload_storm_trace(cfg: &TraceConfig, overload: f64) -> TenantTrace {
 pub fn shared_prefix_trace(cfg: &TraceConfig, groups: usize) -> TenantTrace {
     assert!(groups > 0, "need at least one prompt group");
     assert!(groups <= cfg.sessions, "more prompt groups than sessions");
-    poisson_trace(cfg, 0x5AA5_F00D, 1.0, Some(groups))
+    poisson_trace(cfg, 0x5AA5_F00D, Some(groups))
 }
 
 /// The `n`-th workload of a rotation over the task families — so one trace
@@ -150,18 +122,12 @@ fn rotated_workload(cfg: &TraceConfig, n: u64, rng: &mut Rng64) -> Workload {
     }
 }
 
-/// The one request loop behind every trace generator: Poisson arrival gaps
-/// (at `overload`× the base rate for the middle half of the requests),
+/// The one request loop behind every trace generator: Poisson arrival gaps,
 /// a uniform decode length, and a priority per request. The content RNG is
 /// seeded `cfg.seed ^ stream`. With `groups` set, one canonical workload per
 /// group is drawn up front and requests round-robin over them; otherwise
 /// each request draws its own.
-fn poisson_trace(
-    cfg: &TraceConfig,
-    stream: u64,
-    overload: f64,
-    groups: Option<usize>,
-) -> TenantTrace {
+fn poisson_trace(cfg: &TraceConfig, stream: u64, groups: Option<usize>) -> TenantTrace {
     assert!(cfg.sessions > 0, "need at least one session");
     assert!(cfg.arrival_rate > 0.0, "arrival rate must be positive");
     assert!(cfg.decode_steps.0 <= cfg.decode_steps.1, "decode range inverted");
@@ -174,20 +140,14 @@ fn poisson_trace(
     let mut prio_rng = Rng64::new(cfg.seed ^ 0x5710_11E5);
     let canon: Vec<Workload> =
         (0..groups.unwrap_or(0) as u64).map(|g| rotated_workload(cfg, g, &mut rng)).collect();
-    let storm = cfg.sessions / 4..cfg.sessions - cfg.sessions / 4;
     let (lo, hi) = cfg.decode_steps;
     let mut tick = 0u64;
     let mut requests = Vec::with_capacity(cfg.sessions);
     for id in 0..cfg.sessions as u64 {
-        let rate = if storm.contains(&(id as usize)) {
-            cfg.arrival_rate * overload
-        } else {
-            cfg.arrival_rate
-        };
         // Exponential inter-arrival gap: -ln(1-u)/λ, rounded to whole
         // ticks (gaps under half a tick coalesce into a burst).
         let u = rng.uniform();
-        tick += (-(1.0 - u).ln() / rate).round() as u64;
+        tick += (-(1.0 - u).ln() / cfg.arrival_rate).round() as u64;
         let workload = match canon.len() {
             0 => rotated_workload(cfg, id, &mut rng),
             n => canon[id as usize % n].clone(),
@@ -302,7 +262,7 @@ mod tests {
         let t = multi_tenant_trace(&cfg());
         let ticks: Vec<u64> = t.requests.iter().map(|r| r.arrival_tick).collect();
         assert!(ticks.windows(2).all(|w| w[0] <= w[1]), "arrivals must be ordered");
-        let mean = t.mean_interarrival();
+        let mean = (ticks[ticks.len() - 1] - ticks[0]) as f64 / (ticks.len() - 1) as f64;
         assert!((1.0..3.0).contains(&mean), "mean gap {mean}");
         // A Poisson process has bursts: some consecutive requests share a
         // tick, others are far apart.
@@ -418,42 +378,6 @@ mod tests {
     #[should_panic(expected = "more prompt groups than sessions")]
     fn oversized_group_count_rejected() {
         let _ = shared_prefix_trace(&TraceConfig { sessions: 2, ..Default::default() }, 3);
-    }
-
-    #[test]
-    fn overload_storm_compresses_the_middle_phase() {
-        let base = TraceConfig { sessions: 200, arrival_rate: 0.25, ..cfg() };
-        let t = overload_storm_trace(&base, 4.0);
-        assert_eq!(t.requests.len(), 200);
-        // Mean inter-arrival gap per phase: the storm's middle half must
-        // arrive markedly denser than the warmup and drain quarters.
-        let gap = |lo: usize, hi: usize| {
-            let span = t.requests[hi - 1].arrival_tick - t.requests[lo].arrival_tick;
-            span as f64 / (hi - 1 - lo) as f64
-        };
-        let (warm, storm, drain) = (gap(0, 50), gap(50, 150), gap(150, 200));
-        assert!(storm * 2.0 < warm, "storm not denser than warmup: {storm} vs {warm}");
-        assert!(storm * 2.0 < drain, "storm not denser than drain: {storm} vs {drain}");
-        // Deterministic in the seed; a different seed moves the arrivals.
-        let again = overload_storm_trace(&base, 4.0);
-        for (a, b) in t.requests.iter().zip(again.requests.iter()) {
-            assert_eq!(a.arrival_tick, b.arrival_tick);
-            assert_eq!(a.workload.tokens, b.workload.tokens);
-            assert_eq!(a.decode_steps, b.decode_steps);
-            assert_eq!(a.priority, b.priority);
-        }
-        let other = overload_storm_trace(&TraceConfig { seed: 0xD1FF, ..base.clone() }, 4.0);
-        assert_ne!(
-            t.requests.iter().map(|r| r.arrival_tick).collect::<Vec<_>>(),
-            other.requests.iter().map(|r| r.arrival_tick).collect::<Vec<_>>(),
-            "seed must matter"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not a storm")]
-    fn sub_unit_overload_factor_rejected() {
-        let _ = overload_storm_trace(&TraceConfig::default(), 0.5);
     }
 
     #[test]
