@@ -2,19 +2,32 @@
 //! sparse-pattern masking, and score capture for the policies that learn
 //! from prefill attention (H2O, SnapKV).
 //!
-//! Prefill is one kernel, [`causal_attention`]: a per-row two-pass sweep
-//! (scaled dots over the allowed keys, softmax, weighted value sum) whose
-//! every operation touches only its own row. Its output is therefore
-//! bit-identical for any chunking of the prompt and any capture setting;
-//! capture only reads the probability rows the sweep materialises anyway.
+//! Prefill is one kernel, [`causal_attention`], blocked FlashAttention-style
+//! (Dao et al., 2022) but without the online rescale, which would change
+//! bits. Once per call the key prefix is transposed into lane blocks of
+//! `LANES` keys, so each AVX2 operation advances 8 keys' scores for one
+//! query row, each lane running `dot`'s exact lane split and reduction. Query rows go
+//! in tiles of `ROW_TILE`: scores, then a per-row `softmax_inplace` (and the
+//! capture's records, in ascending row order), then the value sum, which for
+//! a full `Dense` tile keeps all four rows' outputs in registers while it
+//! walks the tile's common causal prefix. Every score, probability and
+//! output element is the same sequence of IEEE operations as a plain
+//! per-row loop (`dot`, `softmax_inplace`, `axpy` in ascending key order),
+//! so the output is bit-identical for any chunking of the prompt and any
+//! capture setting; the test module keeps that loop as the reference.
 //!
 //! Decode is the blocked single-pass online softmax of
 //! [`attend_selected_into`]: logits for a block of keys are computed into
 //! an L1-resident buffer, the running row maximum is raised once per block,
 //! the accumulator is rescaled (`acc' = acc·e^{m−m'}`), and the block's
 //! weighted values are folded in — the FlashAttention recurrence, with no
-//! buffer that grows with the gathered set. It runs as an AVX2 clone when
-//! the host supports it, with the same IEEE operations in the same order.
+//! buffer that grows with the gathered set.
+//!
+//! Both kernels run as an AVX2 clone when the host supports it, with the
+//! same IEEE operations in the same order (no FMA), so dispatch changes
+//! speed, never results.
+
+use std::ops::Range;
 
 use pqc_tensor::{axpy, dot, softmax_inplace, Matrix};
 
@@ -22,6 +35,13 @@ use pqc_tensor::{axpy, dot, softmax_inplace, Matrix};
 /// (`KEY_BLOCK` f32s) stay in L1, and the accumulator rescale amortises over
 /// the block.
 const KEY_BLOCK: usize = 64;
+
+/// Keys per prefill lane block: one AVX2 vector of scores, one key a lane.
+const LANES: usize = 8;
+
+/// Query rows per prefill tile; a full `Dense` tile's value sum holds this
+/// many output rows in registers.
+const ROW_TILE: usize = 4;
 
 /// Restricts which keys each prefill query row may attend to.
 ///
@@ -49,6 +69,19 @@ impl PrefillPattern {
         match *self {
             PrefillPattern::Dense => true,
             PrefillPattern::AShape { init, local } => j < init || i - j < local,
+        }
+    }
+
+    /// The keys query row `i` attends, `{j <= i : allows(i, j)}`, as two
+    /// disjoint ascending ranges (either may be empty): the `init` stripe,
+    /// then the diagonal window. `Dense` is one range.
+    fn key_ranges(&self, i: usize) -> [Range<usize>; 2] {
+        match *self {
+            PrefillPattern::Dense => [0..i + 1, i + 1..i + 1],
+            PrefillPattern::AShape { init, local } => {
+                let stripe = init.min(i + 1);
+                [0..stripe, (i + 1).saturating_sub(local).max(stripe)..i + 1]
+            }
         }
     }
 }
@@ -133,15 +166,15 @@ impl ScoreCapture {
         self.samples.extend(other.samples.iter().cloned());
     }
 
-    /// Record a sparse row given the allowed key indices and their
+    /// Record a sparse row given its allowed key ranges and their
     /// probabilities; the dense scatter goes through one reusable scratch
     /// buffer instead of a fresh allocation per masked row.
-    fn record_sparse(&mut self, row: usize, allowed: &[usize], probs: &[f32], s_total: usize) {
-        debug_assert_eq!(allowed.len(), probs.len());
+    fn record_sparse(&mut self, row: usize, keys: [Range<usize>; 2], probs: &[f32], s_total: usize) {
+        debug_assert_eq!(keys[0].len() + keys[1].len(), probs.len());
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         scratch.resize(row + 1, 0.0);
-        for (&j, &p) in allowed.iter().zip(probs.iter()) {
+        for (j, &p) in keys.into_iter().flatten().zip(probs.iter()) {
             scratch[j] = p;
         }
         self.record(row, &scratch, s_total);
@@ -156,15 +189,19 @@ impl ScoreCapture {
 /// already be populated, RoPE'd). A whole prompt is the chunk at
 /// `row_offset = 0` with `q.rows() == s_total`.
 ///
-/// This is the one prefill kernel, a per-row two-pass sweep: scaled dots
-/// over the allowed keys, `softmax`, per-key `axpy`, and each row's
-/// materialised probabilities handed to the capture when there is one.
-/// Every operation touches only its own row and the capture accumulates
-/// rows in ascending order, so a prompt split into chunks at any boundaries
-/// produces the same output and capture bits as one whole-prompt call, and
-/// capturing never changes the output. `s_total` is the full prompt length
-/// (it anchors the capture's observation window, which must not depend on
-/// chunking).
+/// This is the one prefill kernel (see the module doc): lane-blocked scaled
+/// dots over each row's one or two allowed key ranges, `softmax_inplace`,
+/// then the value sum in ascending key order, register-tiled over four rows
+/// for `Dense`; each row's probabilities go to the capture when there is
+/// one. Every operation of a row depends only on that row and the capture
+/// accumulates rows in ascending order, so a prompt split into chunks at
+/// any boundaries produces the same output and capture bits as one
+/// whole-prompt call, and capturing never changes the output. `s_total` is
+/// the full prompt length (it anchors the capture's observation window,
+/// which must not depend on chunking).
+///
+/// Panics if an `AShape` pattern has `local == 0`, which would leave rows
+/// with no key (not even their own).
 pub fn causal_attention(
     q: &Matrix,
     k: &Matrix,
@@ -179,40 +216,257 @@ pub fn causal_attention(
     assert_eq!(k.shape(), v.shape());
     assert!(row_offset + rows <= s_total, "chunk extends past the prompt");
     assert!(k.rows() >= row_offset + rows, "key prefix shorter than the chunk needs");
-    let scale = 1.0 / (dh as f32).sqrt();
+    if let PrefillPattern::AShape { local, .. } = pattern {
+        assert!(local >= 1, "{pattern:?}: local must be >= 1 so every row attends its own key");
+    }
     let mut out = Matrix::zeros(rows, dh);
-    let mut scores: Vec<f32> = Vec::with_capacity(row_offset + rows);
-    let mut allowed: Vec<usize> = Vec::with_capacity(row_offset + rows);
     let mut cap = capture;
     if let Some(c) = cap.as_deref_mut() {
         c.prepare();
     }
+    let call = PrefillCall { q, k, v, row_offset, s_total, pattern };
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2() {
+        // SAFETY: AVX2 support verified at runtime by `use_avx2`.
+        unsafe { prefill_avx2(&call, cap, &mut out) };
+        return out;
+    }
+    prefill_baseline(&call, cap, &mut out);
+    out
+}
 
-    for r in 0..rows {
-        let i = row_offset + r;
-        scores.clear();
-        allowed.clear();
-        let qi = q.row(r);
-        for j in 0..=i {
-            if pattern.allows(i, j) {
-                allowed.push(j);
-                scores.push(dot(qi, k.row(j)) * scale);
+/// The checked inputs of one [`causal_attention`] call, shared by the
+/// baseline and AVX2 clones.
+struct PrefillCall<'a> {
+    q: &'a Matrix,
+    k: &'a Matrix,
+    v: &'a Matrix,
+    row_offset: usize,
+    s_total: usize,
+    pattern: PrefillPattern,
+}
+
+/// Keys `0..n` of `k` in lane blocks of `LANES` keys: block `b` is
+/// `[[f32; LANES]; dh]`, element `[d][l]` = dimension `d` of key
+/// `b·LANES + l`; lanes past `n` are zero (their scores are never read).
+fn transpose_key_blocks(k: &Matrix, n: usize) -> Vec<f32> {
+    let dh = k.cols();
+    let mut kt = vec![0.0f32; n.div_ceil(LANES) * dh * LANES];
+    for j in 0..n {
+        let blk = &mut kt[(j / LANES) * dh * LANES..];
+        for (d, &x) in k.row(j).iter().enumerate() {
+            blk[d * LANES + j % LANES] = x;
+        }
+    }
+    kt
+}
+
+/// Shared body: row tiles of [`ROW_TILE`], each in three passes — scores,
+/// softmax + capture in ascending row order, value sum into `out`.
+/// `score(q_row, block)` is the calling clone's lane kernel.
+///
+/// A row's buffer is indexed by key while it is scored: every lane block
+/// that touches one of its key ranges is stored whole at its keys' slots,
+/// then the window range is moved down behind the `init` stripe, so the
+/// buffer holds exactly the allowed keys' scores in ascending key order.
+#[inline(always)]
+fn prefill_body(
+    score: impl Fn(&[f32], &[f32]) -> [f32; LANES],
+    call: &PrefillCall<'_>,
+    mut cap: Option<&mut ScoreCapture>,
+    out: &mut Matrix,
+) {
+    let PrefillCall { q, k, v, row_offset, s_total, pattern } = *call;
+    let (rows, dh) = q.shape();
+    let n_keys = row_offset + rows;
+    let kt = transpose_key_blocks(k, n_keys);
+    let blk_len = dh * LANES;
+    let mut probs: [Vec<f32>; ROW_TILE] = std::array::from_fn(|_| vec![0.0; n_keys.div_ceil(LANES) * LANES]);
+    let mut lens = [0usize; ROW_TILE];
+    let mut r0 = 0;
+    while r0 < rows {
+        let tile = ROW_TILE.min(rows - r0);
+        for t in 0..tile {
+            let (qi, [stripe, window]) = (q.row(r0 + t), pattern.key_ranges(row_offset + r0 + t));
+            let buf = &mut probs[t];
+            for keys in [&stripe, &window] {
+                if keys.is_empty() {
+                    continue;
+                }
+                let (b0, b1) = (keys.start / LANES, keys.end.div_ceil(LANES));
+                let blocks = kt[b0 * blk_len..b1 * blk_len].chunks_exact(blk_len);
+                for (blk, dst) in blocks.zip(buf[b0 * LANES..b1 * LANES].chunks_exact_mut(LANES)) {
+                    dst.copy_from_slice(&score(qi, blk));
+                }
+            }
+            buf.copy_within(window.clone(), stripe.end);
+            lens[t] = stripe.len() + window.len();
+        }
+        for t in 0..tile {
+            let i = row_offset + r0 + t;
+            let p = &mut probs[t][..lens[t]];
+            softmax_inplace(p);
+            if let Some(c) = cap.as_deref_mut() {
+                if p.len() == i + 1 {
+                    c.record(i, p, s_total);
+                } else {
+                    c.record_sparse(i, pattern.key_ranges(i), p, s_total);
+                }
             }
         }
-        softmax_inplace(&mut scores);
-        let orow = out.row_mut(r);
-        for (&j, &p) in allowed.iter().zip(scores.iter()) {
-            axpy(orow, v.row(j), p);
+        if tile == ROW_TILE && pattern == PrefillPattern::Dense {
+            accumulate_dense_tile(&probs, v, out, r0, row_offset + r0 + 1);
+        } else {
+            for t in 0..tile {
+                let orow = out.row_mut(r0 + t);
+                let keys = pattern.key_ranges(row_offset + r0 + t);
+                for (j, &pj) in keys.into_iter().flatten().zip(probs[t][..lens[t]].iter()) {
+                    axpy(orow, v.row(j), pj);
+                }
+            }
         }
-        if let Some(c) = cap.as_deref_mut() {
-            if allowed.len() == i + 1 {
-                c.record(i, &scores, s_total);
-            } else {
-                c.record_sparse(i, &allowed, &scores, s_total);
+        r0 += tile;
+    }
+}
+
+/// Value sum of a full `Dense` tile: rows `r0 + t` attend keys
+/// `0..n0 + t`. Output columns go in register strips of 16, 8, then 1.
+#[inline(always)]
+fn accumulate_dense_tile(probs: &[Vec<f32>; ROW_TILE], v: &Matrix, out: &mut Matrix, r0: usize, n0: usize) {
+    let dh = v.cols();
+    let mut c0 = 0;
+    while c0 < dh {
+        c0 += match dh - c0 {
+            16.. => store_strip(out, r0, c0, accumulate_strip::<16>(probs, v, c0, n0)),
+            8.. => store_strip(out, r0, c0, accumulate_strip::<8>(probs, v, c0, n0)),
+            _ => store_strip(out, r0, c0, accumulate_strip::<1>(probs, v, c0, n0)),
+        };
+    }
+}
+
+/// Columns `c0..c0 + W` of a `Dense` tile's four output rows, held in
+/// registers (returned by value; written in place they stay in memory):
+/// `o[t][d] += p[t][j]·v[j][d]` for `j` ascending over the common prefix
+/// `0..n0`, then each row's triangle tail `n0..n0 + t` — `axpy`'s
+/// operations in `axpy`'s order, per element.
+#[inline(always)]
+fn accumulate_strip<const W: usize>(
+    probs: &[Vec<f32>; ROW_TILE],
+    v: &Matrix,
+    c0: usize,
+    n0: usize,
+) -> [[f32; W]; ROW_TILE] {
+    let dh = v.cols();
+    let mut o = [[0.0f32; W]; ROW_TILE];
+    let p: [&[f32]; ROW_TILE] = std::array::from_fn(|t| &probs[t][..n0]);
+    for (j, vrow) in v.as_slice()[..n0 * dh].chunks_exact(dh).enumerate() {
+        let vj: &[f32; W] = vrow[c0..c0 + W].try_into().expect("strip is W wide");
+        for t in 0..ROW_TILE {
+            let pt = p[t][j];
+            for d in 0..W {
+                o[t][d] += pt * vj[d];
             }
         }
     }
-    out
+    for t in 1..ROW_TILE {
+        for j in n0..n0 + t {
+            let (pt, vj) = (probs[t][j], &v.row(j)[c0..c0 + W]);
+            for d in 0..W {
+                o[t][d] += pt * vj[d];
+            }
+        }
+    }
+    o
+}
+
+/// Write a strip from [`accumulate_strip`] into rows `r0..r0 + ROW_TILE`;
+/// returns the strip width.
+#[inline(always)]
+fn store_strip<const W: usize>(out: &mut Matrix, r0: usize, c0: usize, o: [[f32; W]; ROW_TILE]) -> usize {
+    for (t, row) in o.iter().enumerate() {
+        out.row_mut(r0 + t)[c0..c0 + W].copy_from_slice(row);
+    }
+    W
+}
+
+/// Scaled scores of one query row against one lane block (`blk[d·LANES + l]`
+/// = dimension `d` of key `l`). Lane `l` runs `dot`'s exact sequence: eight
+/// accumulators `0.0 + q[m]·k[m]`, `+= q[8c+m]·k[8c+m]` per further chunk,
+/// the `(((a0+a4) + (a1+a5)) + (a2+a6)) + (a3+a7)` reduction, the scalar tail
+/// for `dh % 8`, then `· scale`.
+#[inline(always)]
+fn score_block(q: &[f32], blk: &[f32], scale: f32) -> [f32; LANES] {
+    let (q_body, q_tail) = q.split_at(q.len() / 8 * 8);
+    let (k_body, k_tail) = blk.split_at(q_body.len() * LANES);
+    let mut acc = [[0.0f32; LANES]; 8];
+    for (qc, kc) in q_body.chunks_exact(8).zip(k_body.chunks_exact(8 * LANES)) {
+        for ((a, &qd), kd) in acc.iter_mut().zip(qc).zip(kc.chunks_exact(LANES)) {
+            for l in 0..LANES {
+                a[l] += qd * kd[l];
+            }
+        }
+    }
+    let mut s = [0.0f32; LANES];
+    for l in 0..LANES {
+        let a = |m: usize| acc[m][l];
+        let mut x = (a(0) + a(4)) + (a(1) + a(5)) + (a(2) + a(6)) + (a(3) + a(7));
+        for (&qd, kd) in q_tail.iter().zip(k_tail.chunks_exact(LANES)) {
+            x += qd * kd[l];
+        }
+        s[l] = x * scale;
+    }
+    s
+}
+
+/// [`score_block`] in AVX2 intrinsics, one key per lane: the same IEEE
+/// operations in the same order (`mul` then `add`, never FMA). LLVM's
+/// autovectoriser turns the scalar lane loop into shuffles instead.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn score_block_avx2(q: &[f32], blk: &[f32], scale: f32) -> [f32; LANES] {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    let (q_body, q_tail) = q.split_at(q.len() / 8 * 8);
+    let (k_body, k_tail) = blk.split_at(q_body.len() * LANES);
+    let term = |qd: f32, kd: &[f32]| -> __m256 {
+        let kd: &[f32; LANES] = kd.try_into().expect("a lane row is LANES wide");
+        // SAFETY: `kd` is a reference to exactly the 8 f32s the unaligned
+        // load reads.
+        _mm256_mul_ps(_mm256_set1_ps(qd), unsafe { _mm256_loadu_ps(kd.as_ptr()) })
+    };
+    let mut acc = [_mm256_setzero_ps(); 8];
+    for (qc, kc) in q_body.chunks_exact(8).zip(k_body.chunks_exact(8 * LANES)) {
+        for ((a, &qd), kd) in acc.iter_mut().zip(qc).zip(kc.chunks_exact(LANES)) {
+            *a = _mm256_add_ps(*a, term(qd, kd));
+        }
+    }
+    let add = |x, y| _mm256_add_ps(x, y);
+    let mut x = add(
+        add(add(add(acc[0], acc[4]), add(acc[1], acc[5])), add(acc[2], acc[6])),
+        add(acc[3], acc[7]),
+    );
+    for (&qd, kd) in q_tail.iter().zip(k_tail.chunks_exact(LANES)) {
+        x = add(x, term(qd, kd));
+    }
+    let mut s = [0.0f32; LANES];
+    // SAFETY: `s` holds exactly the 8 f32s the unaligned store writes.
+    unsafe { _mm256_storeu_ps(s.as_mut_ptr(), _mm256_mul_ps(x, _mm256_set1_ps(scale))) };
+    s
+}
+
+#[inline(never)]
+fn prefill_baseline(call: &PrefillCall<'_>, cap: Option<&mut ScoreCapture>, out: &mut Matrix) {
+    let scale = 1.0 / (call.q.cols() as f32).sqrt();
+    prefill_body(|q, blk| score_block(q, blk, scale), call, cap, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn prefill_avx2(call: &PrefillCall<'_>, cap: Option<&mut ScoreCapture>, out: &mut Matrix) {
+    let scale = 1.0 / (call.q.cols() as f32).sqrt();
+    prefill_body(|q, blk| score_block_avx2(q, blk, scale), call, cap, out);
 }
 
 /// Whether the host supports AVX2 (std caches the CPUID probe). The AVX2
@@ -364,6 +618,176 @@ mod tests {
             Matrix::randn(s, dh, 1.0, &mut rng),
             Matrix::randn(s, dh, 1.0, &mut rng),
         )
+    }
+
+    /// The plain per-row loop the blocked kernel must reproduce bit for bit:
+    /// scaled `dot` over each allowed key in ascending order, one
+    /// `softmax_inplace`, one `axpy` per allowed key, and the row's
+    /// probabilities (scattered densely when masked) handed to the capture.
+    fn reference_causal_attention(
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        row_offset: usize,
+        s_total: usize,
+        pattern: PrefillPattern,
+        mut cap: Option<&mut ScoreCapture>,
+    ) -> Matrix {
+        let (rows, dh) = q.shape();
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut out = Matrix::zeros(rows, dh);
+        if let Some(c) = cap.as_deref_mut() {
+            c.prepare();
+        }
+        for r in 0..rows {
+            let i = row_offset + r;
+            let allowed: Vec<usize> = (0..=i).filter(|&j| pattern.allows(i, j)).collect();
+            let mut scores: Vec<f32> = allowed.iter().map(|&j| dot(q.row(r), k.row(j)) * scale).collect();
+            softmax_inplace(&mut scores);
+            let orow = out.row_mut(r);
+            for (&j, &p) in allowed.iter().zip(scores.iter()) {
+                axpy(orow, v.row(j), p);
+            }
+            if let Some(c) = cap.as_deref_mut() {
+                let mut dense = vec![0.0; i + 1];
+                for (&j, &p) in allowed.iter().zip(scores.iter()) {
+                    dense[j] = p;
+                }
+                c.record(i, &dense, s_total);
+            }
+        }
+        out
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_capture(a: &ScoreCapture, b: &ScoreCapture, ctx: &str) {
+        assert_eq!(bits(&a.accum), bits(&b.accum), "{ctx}: accum");
+        assert_eq!(bits(&a.window_accum), bits(&b.window_accum), "{ctx}: window_accum");
+        assert_eq!(a.samples.len(), b.samples.len(), "{ctx}: sample count");
+        for ((ra, pa), (rb, pb)) in a.samples.iter().zip(b.samples.iter()) {
+            assert_eq!((ra, bits(pa)), (rb, bits(pb)), "{ctx}: samples");
+        }
+    }
+
+    /// `q`, `k`, `v` with signed zeros mixed in: some query rows all `+0.0`
+    /// or all `-0.0`, and `v[r][0] = -0.0` for every fourth row, row 0
+    /// included (a row that attends only key 0 must sum `0.0 + 1·(-0.0)`
+    /// to `+0.0`); `q_scale` stretches the scores so the softmax tail
+    /// underflows.
+    fn edge_mats(s: usize, dh: usize, q_scale: f32, seed: u64) -> (Matrix, Matrix, Matrix) {
+        let (mut q, k, mut v) = rand_mats(s, dh, seed);
+        q.map_inplace(|x| x * q_scale);
+        for r in 0..s {
+            match r % 5 {
+                1 => q.row_mut(r).fill(0.0),
+                3 => q.row_mut(r).fill(-0.0),
+                _ => {}
+            }
+            if r % 4 == 0 {
+                v.row_mut(r)[0] = -0.0;
+            }
+        }
+        (q, k, v)
+    }
+
+    #[test]
+    fn blocked_kernel_is_bit_identical_to_the_reference_loop() {
+        let patterns = [
+            PrefillPattern::Dense,
+            PrefillPattern::AShape { init: 0, local: 1 },
+            PrefillPattern::AShape { init: 3, local: 2 },
+            PrefillPattern::AShape { init: 4, local: 17 },
+        ];
+        for s in [1usize, 2, 7, 8, 9, 63, 64, 65, 130, 513] {
+            for dh in [5usize, 8, 12, 16, 32] {
+                for q_scale in [1.0f32, 40.0] {
+                    let (q, k, v) = edge_mats(s, dh, q_scale, 0x5EED ^ (s * 64 + dh) as u64);
+                    for pattern in patterns {
+                        let new_cap = || {
+                            let mut c = ScoreCapture::new(s, 5.min(s));
+                            c.sample_rows = vec![s - 1, 0, s / 2];
+                            c
+                        };
+                        let mut cap_ref = new_cap();
+                        let want = reference_causal_attention(&q, &k, &v, 0, s, pattern, Some(&mut cap_ref));
+                        for chunk in [s, 1, 3, 37] {
+                            let ctx = format!("s={s} dh={dh} q×{q_scale} {pattern:?} chunk={chunk}");
+                            let mut cap = new_cap();
+                            let mut out = Vec::with_capacity(s * dh);
+                            let mut done = 0;
+                            while done < s {
+                                let hi = (done + chunk).min(s);
+                                let qc = q.slice_rows(done, hi);
+                                let oc = causal_attention(&qc, &k, &v, done, s, pattern, Some(&mut cap));
+                                out.extend_from_slice(oc.as_slice());
+                                done = hi;
+                            }
+                            assert_eq!(bits(&out), bits(want.as_slice()), "{ctx}: outputs");
+                            assert_same_capture(&cap, &cap_ref, &ctx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_and_baseline_clones_are_bit_identical() {
+        #[cfg(target_arch = "x86_64")]
+        if use_avx2() {
+            for (s, dh, pattern) in [
+                (131usize, 16usize, PrefillPattern::Dense),
+                (70, 32, PrefillPattern::Dense),
+                (77, 12, PrefillPattern::AShape { init: 3, local: 9 }),
+                (45, 5, PrefillPattern::Dense),
+            ] {
+                let (q, k, v) = edge_mats(s, dh, 3.0, 0xA5 + s as u64);
+                let call = PrefillCall { q: &q, k: &k, v: &v, row_offset: 0, s_total: s, pattern };
+                let run = |avx2: bool| {
+                    let mut cap = ScoreCapture::new(s, 4);
+                    cap.prepare();
+                    let mut out = Matrix::zeros(s, dh);
+                    if avx2 {
+                        // SAFETY: the host supports AVX2 (checked above).
+                        unsafe { prefill_avx2(&call, Some(&mut cap), &mut out) };
+                    } else {
+                        prefill_baseline(&call, Some(&mut cap), &mut out);
+                    }
+                    (out, cap)
+                };
+                let ((a, cap_a), (b, cap_b)) = (run(false), run(true));
+                let ctx = format!("s={s} dh={dh} {pattern:?}");
+                assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "{ctx}: outputs");
+                assert_same_capture(&cap_a, &cap_b, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn key_ranges_list_the_allowed_keys_in_ascending_order() {
+        let mut patterns = vec![PrefillPattern::Dense];
+        for init in 0..6 {
+            for local in 1..7 {
+                patterns.push(PrefillPattern::AShape { init, local });
+            }
+        }
+        for pattern in patterns {
+            for i in 0..20 {
+                let from_ranges: Vec<usize> = pattern.key_ranges(i).into_iter().flatten().collect();
+                let allowed: Vec<usize> = (0..=i).filter(|&j| pattern.allows(i, j)).collect();
+                assert_eq!(from_ranges, allowed, "{pattern:?} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "local must be >= 1")]
+    fn ashape_without_a_local_window_panics() {
+        let (q, k, v) = rand_mats(4, 8, 9);
+        let _ = causal_attention(&q, &k, &v, 0, 4, PrefillPattern::AShape { init: 2, local: 0 }, None);
     }
 
     #[test]

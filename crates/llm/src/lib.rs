@@ -8,6 +8,7 @@
 //! Llama/Mistral models (see DESIGN.md §2 for the substitution argument).
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 // Index-based loops are kept where they mirror the mathematical notation
 // (row/column/cluster indices); iterator rewrites obscure the kernels.
 #![allow(clippy::needless_range_loop, clippy::explicit_counter_loop)]

@@ -292,9 +292,9 @@ impl Model {
     /// Begin an incremental (chunked) prefill over `tokens`. The returned
     /// [`PrefillJob`] processes the prompt in caller-budgeted chunks via
     /// [`PrefillJob::advance`]; once done, [`PrefillJob::finish`] yields the
-    /// [`PrefillOutput`]. Every chunk runs the one prefill kernel,
-    /// [`causal_attention`]'s per-row two-pass sweep, against the keys stored
-    /// so far, so the output is **bit-identical** (same logits, same KV rows,
+    /// [`PrefillOutput`]. Every chunk runs the one prefill kernel, the
+    /// blocked [`causal_attention`], against the keys stored so far, so the
+    /// output is **bit-identical** (same logits, same KV rows,
     /// same capture statistics) for every chunk schedule, one whole-prompt
     /// chunk ([`Model::prefill`]) included — the property the SLO scheduler's
     /// chunked-prefill interleaving rests on — and capture is bit-transparent:
@@ -686,7 +686,10 @@ mod tests {
     /// The independent reference every chunked-prefill comparison runs
     /// against: a straight-line, single-threaded, whole-prompt prefill that
     /// shares no layer code with [`PrefillJob`] — each op spelled out, one
-    /// `causal_attention` call per query head over freshly built K/V.
+    /// `causal_attention` call per query head over freshly built K/V. It
+    /// pins the layer plumbing, not the kernel: the kernel itself is pinned
+    /// to a plain per-row loop in `attention.rs`'s tests
+    /// (`blocked_kernel_is_bit_identical_to_the_reference_loop`).
     fn reference_prefill(model: &Model, tokens: &[u32], opts: &PrefillOptions) -> PrefillOutput {
         let cfg = &model.cfg;
         let (s, dh, group) = (tokens.len(), cfg.head_dim, cfg.group_size());

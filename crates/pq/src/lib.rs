@@ -10,6 +10,7 @@
 //! a fused, threshold-pruned scan streaming into one selector.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 // Index-based loops are kept where they mirror the mathematical notation
 // (row/column/cluster indices); iterator rewrites obscure the kernels.
 #![allow(clippy::needless_range_loop, clippy::explicit_counter_loop)]
