@@ -1,15 +1,18 @@
 //! The sharded serve engine: continuous batching over `SelectiveSession`s.
 //!
 //! [`ServeEngine::run`] builds one `Fleet` (model, paged [`KvTier`], bounded
-//! admission queues, and the cross-shard recovery state), spawns one worker thread per shard, feeds the queues from the
-//! caller's thread (bounded pushes are the back-pressure), joins, fails dead
-//! shards over (`recover.rs`), and assembles the [`ServeReport`].
+//! admission queues, and the cross-shard recovery state), queues every
+//! request that fits before any worker starts, spawns one worker thread per
+//! shard, feeds the overflow from the caller's thread (bounded pushes are
+//! the back-pressure), joins, fails dead shards over (`recover.rs`), and
+//! assembles the [`ServeReport`].
 //!
 //! Each worker is a `Shard` (`shard.rs`) holding four pools: `waiting`
-//! (popped requests holding for an arrival tick or a retry backoff),
-//! `prefilling` and `active` (the two kinds of slot holder), and `parked`
-//! (preempted: off slot, pages pinned in the host tier). A request's scheduler-side state is one `Ticket` (`ticket.rs`)
-//! that moves whole between pools and into its [`Completion`].
+//! (popped requests waiting out a retry backoff or a preemption that could
+//! not go ahead), `prefilling` and `active` (the two kinds of slot holder),
+//! and `parked` (preempted: off slot, pages pinned in the host tier). A
+//! request's scheduler-side state is one `Ticket` (`ticket.rs`) that moves
+//! whole between pools and into its [`Completion`].
 //!
 //! ## `Shard::tick`
 //!
@@ -17,11 +20,10 @@
 //! tick-clocked outcome (deadlines, backoff, TTFT ticks):
 //!
 //! 1. `admit` — reads free slots, `parked`, matured `waiting`, the queue.
-//!    Moves parked → active (resume), and queue/waiting → waiting (not due,
-//!    rejected), prefilling, active, or a shed completion. Blocks
-//!    on the queue when every pool is empty (a closed, drained queue then
-//!    ends the worker), or — if no queue can ever fill — for an arrived
-//!    request the producer has yet to deliver.
+//!    Moves parked → active (resume), and queue/waiting → waiting
+//!    (rejected), prefilling, active, or a shed completion. Blocks on the
+//!    queue only when every pool is empty; a closed, drained queue then
+//!    ends the worker.
 //! 2. `retire` — reads `active`. Moves sessions with nothing left to decode
 //!    → completions.
 //! 3. `preempt` — reads full slots and the best pending priority (queue,
@@ -34,7 +36,7 @@
 //!    leaves the in-flight map and drops its checkpoint).
 //! 6. kill / stall — reads the fault plan. A planned kill unwinds the
 //!    worker here; a planned stall starts.
-//! 7. `reap` — reads every ticket's deadlines. Moves late active /
+//! 7. `reap` — reads every ticket's tick deadline. Moves late active /
 //!    prefilling / parked → `DeadlineExceeded` completions. A stalled pass
 //!    ends here.
 //! 8. `checkpoint` — reads the cadence. Moves nothing; snapshots each
@@ -82,8 +84,7 @@
 //!   completing exactly once. In-flight sessions with no checkpoint fail
 //!   with the typed [`ServeError::ShardLost`] cause. Recovery replay runs
 //!   on the coordinator thread with no fault injection and no deadline
-//!   reaping (the failover host is assumed healthy; wall deadlines keep
-//!   ticking only in the report's wall clock).
+//!   reaping (the failover host is assumed healthy).
 //! - **Integrity**: every KV page carries a checksum verified on fetch
 //!   (`pqc_memhier`), so corrupted bytes — e.g. an injected
 //!   [`BitFlip`](crate::faults::BitFlip) — are *never served*: the step
@@ -109,7 +110,6 @@ pub use types::{
 
 use crate::error::ServeError;
 use crate::faults::FaultPlan;
-use crate::latency::LatencySummary;
 use crate::queue::BoundedQueue;
 use pqc_cache::BlockCache;
 use pqc_core::ConfigError;
@@ -117,7 +117,6 @@ use pqc_llm::Model;
 use pqc_memhier::KvTier;
 use shard::Shard;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use ticket::Parked;
@@ -127,45 +126,6 @@ use ticket::Parked;
 /// worker must not cascade lock panics into the shards doing the failover.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One admission queue plus the tick-clock view of its backlog. The
-/// physical queue depth depends on how far the producer thread has got and
-/// counts requests whose arrival tick is still in the future, so the
-/// scheduler never reads it; it reads [`Inbox::backlog`], a function of the
-/// request list and the shard's own pops.
-struct Inbox {
-    queue: BoundedQueue<ServeRequest>,
-    /// Arrival ticks of every request routed to this queue, sorted.
-    arrivals: Vec<u64>,
-    /// Requests popped so far (a statistic: publishes no other data).
-    popped: AtomicUsize,
-}
-
-impl Inbox {
-    /// Pop the highest-priority request (FIFO within a class), blocking
-    /// for one when `block`. `None`: nothing queued — when blocking, the
-    /// queue is closed and drained.
-    fn pop(&self, block: bool) -> Option<ServeRequest> {
-        let req = if block {
-            self.queue.pop_wait_max_by_key(|r| r.priority)
-        } else {
-            self.queue.try_pop_max_by_key(|r| r.priority)
-        }?;
-        self.popped.fetch_add(1, Ordering::Relaxed);
-        Some(req)
-    }
-
-    /// Requests that have arrived by `tick` and not been popped. `not_due`
-    /// is how many popped requests the caller still holds for a future
-    /// arrival tick — popped early, not yet part of the backlog. Exact per
-    /// shard under round-robin placement; with a shared first-free queue
-    /// other shards' early pops undercount it.
-    fn backlog(&self, tick: u64, not_due: usize) -> usize {
-        let arrived = self.arrivals.partition_point(|&a| a <= tick);
-        let taken = self.popped.load(Ordering::Relaxed).saturating_sub(not_due);
-        arrived.saturating_sub(taken)
-    }
 }
 
 /// What the coordinator needs to account for a request that was on a shard
@@ -188,11 +148,7 @@ struct Fleet<'a> {
     plan: FaultPlan,
     tier: KvTier,
     /// FirstFree: one shared queue. RoundRobin: one per shard.
-    inboxes: Vec<Inbox>,
-    /// True when every queue can hold everything routed to it: the
-    /// producer never blocks, so a request that has arrived on the tick
-    /// clock but is not in its queue yet is only ever moments away.
-    unthrottled: bool,
+    inboxes: Vec<BoundedQueue<ServeRequest>>,
     epoch: Instant,
     completions: Mutex<Vec<Completion>>,
     registry: Mutex<HashMap<u64, Parked>>,
@@ -200,7 +156,7 @@ struct Fleet<'a> {
 }
 
 impl<'a> Fleet<'a> {
-    fn new(model: &'a Model, cfg: &'a ServeConfig, requests: &[ServeRequest]) -> Self {
+    fn new(model: &'a Model, cfg: &'a ServeConfig) -> Self {
         let plan = cfg.faults.clone().unwrap_or_default();
         let mcfg = model.config();
         let tier = KvTier::with_pages(
@@ -219,19 +175,14 @@ impl<'a> Fleet<'a> {
         };
         let inboxes = (0..n)
             .map(|i| {
-                let capacity = cfg.queue_capacity / n + usize::from(i < cfg.queue_capacity % n);
-                let mut arrivals: Vec<u64> =
-                    requests.iter().skip(i).step_by(n).map(|r| r.arrival_tick).collect();
-                arrivals.sort_unstable();
-                Inbox { queue: BoundedQueue::new(capacity), arrivals, popped: AtomicUsize::new(0) }
+                BoundedQueue::new(cfg.queue_capacity / n + usize::from(i < cfg.queue_capacity % n))
             })
-            .collect::<Vec<Inbox>>();
+            .collect();
         Self {
             model,
             cfg,
             plan,
             tier,
-            unthrottled: inboxes.iter().all(|i| i.arrivals.len() <= i.queue.capacity()),
             inboxes,
             epoch: Instant::now(),
             completions: Mutex::new(Vec::new()),
@@ -241,7 +192,7 @@ impl<'a> Fleet<'a> {
     }
 
     /// The queue shard `shard` pops from.
-    fn inbox(&self, shard: usize) -> &Inbox {
+    fn inbox(&self, shard: usize) -> &BoundedQueue<ServeRequest> {
         &self.inboxes[shard % self.inboxes.len()]
     }
 
@@ -257,14 +208,33 @@ impl<'a> Fleet<'a> {
         !self.plan.worker_kills.is_empty()
     }
 
-    /// The producer side, on the caller's thread: bounded pushes are the
-    /// admission back-pressure. A push only bounces when a dying worker
-    /// closed its queue first — shed the request as a shard loss instead
-    /// of aborting the run. Returns those sheds.
-    fn produce(&self, requests: Vec<ServeRequest>) -> Vec<Completion> {
-        let mut shed = Vec::new();
+    /// Before any worker starts: queue request `i` on queue `i mod queues`
+    /// iff that queue has room. A batch that fits is whole before the first
+    /// pop, so no shard's schedule can depend on how far the producer got.
+    /// Returns the overflow, each request with its batch index.
+    fn preload(&self, requests: Vec<ServeRequest>) -> Vec<(usize, ServeRequest)> {
+        let mut overflow = Vec::new();
         for (i, req) in requests.into_iter().enumerate() {
-            if let Err(req) = self.inboxes[i % self.inboxes.len()].queue.push(req) {
+            let queue = &self.inboxes[i % self.inboxes.len()];
+            if queue.len() < queue.capacity() {
+                // Room, and no worker to close the queue yet: cannot fail.
+                let _ = queue.push(req);
+            } else {
+                overflow.push((i, req));
+            }
+        }
+        overflow
+    }
+
+    /// The producer side, on the caller's thread: pushes the overflow
+    /// [`Self::preload`] left, and the bounded pushes are the admission
+    /// back-pressure. A push only bounces when a dying worker closed its
+    /// queue first — shed the request as a shard loss instead of aborting
+    /// the run. Returns those sheds.
+    fn produce(&self, overflow: Vec<(usize, ServeRequest)>) -> Vec<Completion> {
+        let mut shed = Vec::new();
+        for (i, req) in overflow {
+            if let Err(req) = self.inboxes[i % self.inboxes.len()].push(req) {
                 let shard = i % self.cfg.shards;
                 shed.push(Completion::unserved(
                     req.id,
@@ -276,8 +246,8 @@ impl<'a> Fleet<'a> {
                 ));
             }
         }
-        for inbox in &self.inboxes {
-            inbox.queue.close();
+        for queue in &self.inboxes {
+            queue.close();
         }
         shed
     }
@@ -285,8 +255,7 @@ impl<'a> Fleet<'a> {
 
 /// Why a shard worker would panic on `req`, if it would: a prompt must be
 /// long enough to segment (which also rules out an empty one) and carry
-/// only ids the model can embed, and every retry's backoff (below
-/// `backoff_ticks · 2^(min(max_retries, 16) + 1)`) must fit in a u64.
+/// only ids the model can embed.
 fn request_error(model: &Model, cfg: &ServeConfig, req: &ServeRequest) -> Option<ConfigError> {
     let tokens = &req.tokens;
     let floor = cfg.session.n_init + cfg.session.n_local;
@@ -299,14 +268,6 @@ fn request_error(model: &Model, cfg: &ServeConfig, req: &ServeRequest) -> Option
     if let Some(stray) = tokens.iter().find(|&&t| t as usize >= vocab) {
         let message = format!("token id {stray} is outside the vocabulary ({vocab})");
         return Some(ConfigError::new("tokens", message));
-    }
-    let retry = req.retry;
-    if retry.backoff_ticks.checked_mul(1 << (retry.max_retries.min(16) + 1)).is_none() {
-        let message = format!(
-            "backoff of {} ticks overflows within {} retries",
-            retry.backoff_ticks, retry.max_retries
-        );
-        return Some(ConfigError::new("retry", message));
     }
     None
 }
@@ -331,9 +292,9 @@ impl ServeEngine {
         mut requests: Vec<ServeRequest>,
     ) -> Result<ServeReport, ServeError> {
         cfg.validate()?;
-        // The door: a malformed prompt or retry policy fails here, typed,
-        // and never reaches a queue — routing, arrivals and every shard's
-        // schedule are those of the batch without it.
+        // The door: a malformed prompt fails here, typed, and never
+        // reaches a queue — routing and every shard's schedule are those
+        // of the batch without it.
         let mut turned_away = Vec::new();
         requests.retain(|r| match request_error(model, cfg, r) {
             None => true,
@@ -343,13 +304,14 @@ impl ServeEngine {
                 false
             }
         });
-        let fleet = Fleet::new(model, cfg, &requests);
+        let fleet = Fleet::new(model, cfg);
+        let overflow = fleet.preload(requests);
         let (mut completions, shards, worker_panics) = std::thread::scope(|scope| {
             let fleet = &fleet;
             let handles: Vec<_> = (0..cfg.shards)
                 .map(|id| scope.spawn(move || Shard::new(fleet, id).run()))
                 .collect();
-            let mut completions = fleet.produce(requests);
+            let mut completions = fleet.produce(overflow);
             // A worker that died outside the per-session isolation is
             // absorbed: the other shards' completions and the report still
             // come back, and its in-flight sessions fail over below.
@@ -376,8 +338,8 @@ impl ServeEngine {
 }
 
 impl Fleet<'_> {
-    /// Fold the run into its report: completions by id, latency tails, and
-    /// the tier's view.
+    /// Fold the run into its report: completions by id, and the tier's
+    /// view.
     fn report(
         &self,
         mut completions: Vec<Completion>,
@@ -385,14 +347,7 @@ impl Fleet<'_> {
         worker_panics: u64,
     ) -> ServeReport {
         completions.sort_by_key(|c| c.id);
-        let ttft_wall: Vec<f64> =
-            completions.iter().filter_map(|c| c.ttft_wall).map(|d| d.as_secs_f64()).collect();
-        let ttft_ticks: Vec<f64> =
-            completions.iter().filter_map(|c| c.ttft_ticks).map(|t| t as f64).collect();
-        let tpot_wall: Vec<f64> =
-            completions.iter().filter_map(|c| c.tpot_wall).map(|d| d.as_secs_f64()).collect();
         ServeReport {
-            latency: LatencySummary::new(&ttft_wall, &ttft_ticks, &tpot_wall),
             completions,
             aggregate_transfer: self.tier.aggregate_stats(),
             prefix: self.tier.prefix_stats(),
@@ -400,7 +355,7 @@ impl Fleet<'_> {
             peak_host_bytes: self.tier.allocator().peak_resident_bytes(),
             // Sum of per-queue high waters: an upper bound on peak global
             // occupancy, itself bounded by the configured capacity.
-            queue_high_water: self.inboxes.iter().map(|i| i.queue.high_water()).sum(),
+            queue_high_water: self.inboxes.iter().map(BoundedQueue::high_water).sum(),
             shards,
             worker_panics,
             wall: self.epoch.elapsed(),

@@ -66,7 +66,7 @@ pub(super) fn recover_dead_shards(
     // (the first dead shard then empties it).
     if fleet.inboxes.len() == shards || dead.len() == shards {
         for &shard in dead {
-            while let Some(req) = fleet.inbox(shard).queue.try_pop() {
+            while let Some(req) = fleet.inbox(shard).try_pop() {
                 shard_stats[shard].failed += 1;
                 shard_stats[shard].shed_tokens += req.decode_steps as u64;
                 completions.push(Completion::unserved(

@@ -8,8 +8,9 @@ use super::ticket::{
 };
 use super::types::{Completion, Priority, ServeRequest, ShardAssignment, ShardStats};
 use super::{lock, Fleet, InflightInfo};
-use crate::error::ServeError;
+use crate::error::{RetryPolicy, ServeError};
 use crate::faults::InjectedPanic;
+use crate::queue::BoundedQueue;
 use pqc_core::{SelectiveSession, SessionResources, SessionScratch, SessionStart, StepError};
 use pqc_llm::{PrefillOptions, PrefillOutput};
 use pqc_memhier::{MemError, PrefixHit};
@@ -17,7 +18,7 @@ use pqc_policies::{SelectionPolicy, SharedPolicyState};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What the first session to serve a prompt leaves behind in the tier's
 /// prefix registry, alongside the refcounted KV pages: the deterministic
@@ -29,8 +30,8 @@ struct SharedPrefix {
     policy: Option<SharedPolicyState>,
 }
 
-/// A popped request not yet admitted: holding for its recorded arrival
-/// tick (trace replay) or waiting out an admission-retry backoff.
+/// A popped request not yet admitted: waiting out an admission-retry
+/// backoff, or a preemption that could not go ahead.
 struct Waiting {
     req: ServeRequest,
     not_before: u64,
@@ -48,13 +49,22 @@ enum Source {
 enum Taken {
     /// Clear to admit.
     Ready(ServeRequest),
-    /// Its arrival tick is still ahead: held in `waiting`.
-    NotDue,
     /// Rejected by the fault plan: back in `waiting` with a backoff, or
     /// shed.
     TurnedAway,
     /// The source had nothing to give.
     Empty,
+}
+
+/// Pop the highest-priority request (FIFO within a class), blocking for one
+/// when `block`. `None`: nothing queued — when blocking, the queue is
+/// closed and drained.
+fn pop_request(queue: &BoundedQueue<ServeRequest>, block: bool) -> Option<ServeRequest> {
+    if block {
+        queue.pop_wait_max_by_key(|r| r.priority)
+    } else {
+        queue.try_pop_max_by_key(|r| r.priority)
+    }
 }
 
 /// Index of the highest-priority entry; the earliest wins ties, so a
@@ -67,12 +77,11 @@ fn strongest<T: Ticketed>(pool: &[T]) -> Option<usize> {
 fn drain_expired<T: Ticketed>(
     pool: &mut Vec<T>,
     tick: u64,
-    now: Duration,
     late: &mut Vec<(Ticket, SessionStats, ServeError)>,
 ) {
     let mut i = 0;
     while i < pool.len() {
-        match pool[i].ticket().expired(tick, now) {
+        match pool[i].ticket().expired(tick) {
             Some(cause) => {
                 let (ticket, held) = pool.swap_remove(i).finish();
                 late.push((ticket, held, cause));
@@ -218,46 +227,35 @@ impl<'a> Shard<'a> {
 
     /// Fill free slots. Order: resume preempted work, then matured
     /// retries, then the queue — highest priority first, FIFO within a
-    /// class. A shard with nothing pending at all waits on the queue. So
-    /// does one with a free slot and an arrived request the producer thread
-    /// has yet to deliver, when the producer cannot be held up by a full
-    /// queue: the tick clock must not run ahead of such arrivals, or the
-    /// schedule would depend on thread timing. Otherwise the shard keeps
-    /// ticking while the queue is empty. Returns `true` when the queue is
-    /// closed and drained with nothing left here.
+    /// class. Only an idle shard, with nothing in any pool, blocks on the
+    /// queue; one with work in hand takes what is queued and ticks on. A
+    /// batch that fits its queues was queued whole before the workers
+    /// started, so what a shard finds queued never depends on the producer
+    /// thread. Returns `true` when the queue is closed and drained with
+    /// nothing left here.
     fn admit(&mut self) -> bool {
         while self.resident() < self.fleet.cfg.max_active_per_shard {
             if self.resume_parked() {
                 continue;
             }
-            let block = self.is_idle()
-                || (self.fleet.unthrottled && self.backlog(self.stats.ticks) > 0);
+            let block = self.is_idle();
             let source = self.matured().map_or(Source::Queue { block }, Source::Waiting);
             match self.take_request(source) {
                 Taken::Ready(req) => self.seat(req),
-                Taken::NotDue | Taken::TurnedAway => {}
+                Taken::TurnedAway => {}
                 // A blocking pop only comes back empty from a closed,
                 // drained queue.
-                Taken::Empty => return block && self.is_idle(),
+                Taken::Empty => return block,
             }
         }
         false
-    }
-
-    /// Requests routed to this shard's queue that have arrived by `tick`
-    /// and not been popped — tick-clock state, unlike the queue's physical
-    /// depth, which races the producer thread and counts requests that are
-    /// not due yet.
-    fn backlog(&self, tick: u64) -> usize {
-        let not_due = self.waiting.iter().filter(|w| w.req.arrival_tick > tick).count();
-        self.fleet.inbox(self.id).backlog(tick, not_due)
     }
 
     /// Resume the strongest parked session into a free slot — unless a
     /// queued request strictly outranks it (that one is admitted first).
     fn resume_parked(&mut self) -> bool {
         let Some(pi) = strongest(&self.parked) else { return false };
-        let queued = self.fleet.inbox(self.id).queue.max_key(|r| r.priority);
+        let queued = self.fleet.inbox(self.id).max_key(|r| r.priority);
         if queued.is_some_and(|qp| qp > self.parked[pi].ticket.priority) {
             return false;
         }
@@ -269,13 +267,13 @@ impl<'a> Shard<'a> {
     }
 
     /// The one path a request takes from a source towards a slot: pop →
-    /// in-flight insert → arrival hold → injected screening. Both the
+    /// in-flight insert → injected screening. Both the
     /// admission and the preemption loop come through here, so a request's
     /// rejection schedule plays out identically whichever first pops it.
     fn take_request(&mut self, source: Source) -> Taken {
         let req = match source {
             Source::Waiting(i) => self.waiting.swap_remove(i).req,
-            Source::Queue { block } => match self.fleet.inbox(self.id).pop(block) {
+            Source::Queue { block } => match pop_request(self.fleet.inbox(self.id), block) {
                 Some(req) => req,
                 None => return Taken::Empty,
             },
@@ -288,33 +286,27 @@ impl<'a> Shard<'a> {
                 decode_steps: req.decode_steps,
             },
         );
-        if req.arrival_tick > self.stats.ticks {
-            // Time-accurate replay: hold the request — consuming no retry —
-            // until this shard's clock reaches its recorded arrival (idle
-            // ticks mature the clock).
-            let due = req.arrival_tick;
-            self.hold(req, due);
-            return Taken::NotDue;
-        }
         self.screen(req).map_or(Taken::TurnedAway, Taken::Ready)
     }
 
     /// Injected admission screening: consume a planned rejection, then
-    /// re-queue with seeded backoff while the request's retry budget lasts,
-    /// else shed it typed. Returns the request when it's clear to admit.
+    /// re-queue with seeded backoff while the retry budget
+    /// ([`RetryPolicy::ADMISSION`]) lasts, else shed it typed. Returns the
+    /// request when it's clear to admit.
     fn screen(&mut self, req: ServeRequest) -> Option<ServeRequest> {
+        const RETRY: RetryPolicy = RetryPolicy::ADMISSION;
         let consumed = self.retries_of(req.id);
         if consumed >= self.fleet.plan.rejections(req.id) {
             return Some(req);
         }
         let attempts = consumed + 1;
         self.rejected.insert(req.id, attempts);
-        if attempts > req.retry.max_retries {
+        if attempts > RETRY.max_retries {
             self.shed(&req, ServeError::Admission { attempts }, true, consumed);
             return None;
         }
         self.stats.retries += 1;
-        let backoff = req.retry.backoff(self.fleet.plan.seed ^ req.id, attempts);
+        let backoff = RETRY.backoff(self.fleet.plan.seed ^ req.id, attempts);
         self.hold(req, self.stats.ticks + backoff);
         None
     }
@@ -335,7 +327,7 @@ impl<'a> Shard<'a> {
         let t0 = Instant::now();
         let fleet = self.fleet;
         let retries = self.retries_of(req.id);
-        let ticket = Ticket::new(&req, retries, self.stats.ticks, fleet.epoch.elapsed());
+        let ticket = Ticket::new(&req, retries, self.stats.ticks);
         let ServeRequest { tokens, policy, .. } = req;
         let started = match self.full_prefix_hit(&tokens) {
             Some((hit, shared)) => {
@@ -441,7 +433,7 @@ impl<'a> Shard<'a> {
     /// candidates remain.
     fn preempt(&mut self) {
         while self.resident() >= self.fleet.cfg.max_active_per_shard {
-            let queued = self.fleet.inbox(self.id).queue.max_key(|r| r.priority);
+            let queued = self.fleet.inbox(self.id).max_key(|r| r.priority);
             let matured = self.matured();
             let waited = matured.map(|i| self.waiting[i].req.priority);
             let Some(vi) = queued.max(waited).and_then(|qp| self.victim(qp)) else { break };
@@ -454,9 +446,9 @@ impl<'a> Shard<'a> {
             let req = match self.take_request(source) {
                 Taken::Ready(req) => req,
                 Taken::TurnedAway => continue,
-                // Not due yet (held without parking a victim), or another
-                // shard emptied the queue between the scan and the pop.
-                Taken::NotDue | Taken::Empty => break,
+                // Another shard emptied the queue between the scan and the
+                // pop.
+                Taken::Empty => break,
             };
             if req.priority <= self.active[vi].ticket.priority {
                 // Raced: another shard took the stronger request between
@@ -550,7 +542,7 @@ impl<'a> Shard<'a> {
             // drainable after the close. The first-free shared queue stays
             // open for the surviving workers.
             if fleet.cfg.assignment == ShardAssignment::RoundRobin || fleet.cfg.shards == 1 {
-                fleet.inbox(self.id).queue.close();
+                fleet.inbox(self.id).close();
             }
             // resume_unwind skips the panic hook: an injected crash must
             // not spray a backtrace over every chaos run.
@@ -564,17 +556,15 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Reap everything whose deadline elapsed on either clock: scheduler
-    /// ticks (deterministic) or wall time since admission (SLO classes).
-    /// Checked every tick — including stalled ones: a stalled shard is
-    /// exactly how deadlines get blown. Mid-prefill requests (no first
-    /// token: `ttft_*` stay `None`) and parked sessions are reaped too.
+    /// Reap everything whose tick deadline elapsed. Checked every tick —
+    /// including stalled ones: a stalled shard is exactly how deadlines get
+    /// blown. Mid-prefill requests (no first token: `ttft_*` stay `None`)
+    /// and parked sessions are reaped too.
     fn reap(&mut self, tick: u64) {
-        let now = self.fleet.epoch.elapsed();
         let mut late = Vec::new();
-        drain_expired(&mut self.active, tick, now, &mut late);
-        drain_expired(&mut self.prefilling, tick, now, &mut late);
-        drain_expired(&mut self.parked, tick, now, &mut late);
+        drain_expired(&mut self.active, tick, &mut late);
+        drain_expired(&mut self.prefilling, tick, &mut late);
+        drain_expired(&mut self.parked, tick, &mut late);
         for (ticket, held, cause) in late {
             self.fail(ticket, held, cause, false);
         }
@@ -723,7 +713,7 @@ mod tests {
             prefill_chunk_tokens: Some(512),
             ..Default::default()
         };
-        let fleet = Fleet::new(&model, &cfg, &[]);
+        let fleet = Fleet::new(&model, &cfg);
         let mut shard = Shard::new(&fleet, 0);
         // (id, decode steps, priority, retries): 0 stays active, 1 gets
         // parked, 2 never leaves prefill.
@@ -803,12 +793,12 @@ mod tests {
             last.expect("the session was active")
         };
 
-        let fleet = Fleet::new(&model, &cfg, &[]);
+        let fleet = Fleet::new(&model, &cfg);
         let mut reference = Shard::new(&fleet, 0);
         reference.seat(request(7, STEPS, Priority::Normal));
         finish(&mut reference);
 
-        let fleet = Fleet::new(&model, &cfg, &[]);
+        let fleet = Fleet::new(&model, &cfg);
         let mut shard = Shard::new(&fleet, 0);
         shard.seat(request(7, STEPS, Priority::Normal));
         for _ in 0..3 {

@@ -1,10 +1,8 @@
 use super::*;
-use crate::RetryPolicy;
 use pqc_core::SessionConfig;
 use pqc_llm::LlmConfig;
 use pqc_memhier::{SharingStats, TransferStats};
 use pqc_policies::PqCachePolicy;
-use std::time::Duration;
 
 pub(super) fn session_cfg() -> SessionConfig {
     SessionConfig {
@@ -532,6 +530,51 @@ fn all_normal_priorities_never_preempt() {
 }
 
 #[test]
+fn closed_batch_is_queued_before_the_first_pop_replays_identically() {
+    // One shard, one slot, a queue that holds the whole batch: 63 Low
+    // requests, then one High request last. The batch is queued whole
+    // before the worker starts, so its first pop already sees the High
+    // request and seats it first. Nothing is ever preempted, and the High
+    // request's completion cannot depend on how far a producer thread got.
+    let model = Model::new(LlmConfig::tiny());
+    let cfg = ServeConfig {
+        shards: 1,
+        max_active_per_shard: 1,
+        queue_capacity: 64,
+        assignment: ShardAssignment::RoundRobin,
+        session: session_cfg(),
+        ..Default::default()
+    };
+    const HIGH: u64 = 63;
+    let low = prompt(24, 0xB47C);
+    let run = || {
+        let mut reqs: Vec<ServeRequest> = (0..HIGH)
+            .map(|id| {
+                let policy = Box::new(PqCachePolicy::default());
+                ServeRequest::new(id, low.clone(), 1, policy).with_priority(Priority::Low)
+            })
+            .collect();
+        let policy = Box::new(PqCachePolicy::default());
+        let high = ServeRequest::new(HIGH, prompt(48, 0x4160), 4, policy);
+        reqs.push(high.with_priority(Priority::High));
+        let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
+        assert!(report.completions.iter().all(Completion::is_success));
+        assert_eq!(report.total_preemptions(), 0, "the High request must be seated first");
+        let high = report.completion(HIGH).unwrap().clone();
+        // One worker stamps every first token in schedule order.
+        let first = report.completions.iter().filter_map(|c| c.ttft_wall).min();
+        assert_eq!(high.ttft_wall, first, "the High request reached its first token first");
+        high
+    };
+    let fingerprint = |c: &Completion| {
+        let stats = (c.transfer, c.cache, c.sharing);
+        (c.generated.clone(), stats, c.ttft_ticks, c.retries, c.preemptions, c.shard)
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(fingerprint(&a), fingerprint(&b), "the High request's completion moved");
+}
+
+#[test]
 fn deadline_reaps_mid_prefill_as_deadline_exceeded() {
     // Chunk budget 1 on a ~48-token prompt needs ~48 ticks of prefill;
     // a 5-tick deadline expires long before the first token.
@@ -605,17 +648,25 @@ fn latency_summary_covers_every_completion() {
         session: session_cfg(),
         ..Default::default()
     };
+    // Every completion carries its own first-token stamps on both clocks
+    // and a TPOT; monolithic prefill is a 0-tick event, chunked prefill
+    // spends ticks.
     let mono = ServeEngine::run(&model, &base, requests(5)).unwrap();
-    assert_eq!(mono.latency.ttft_wall.count, 5);
-    assert_eq!(mono.latency.ttft_ticks.count, 5);
-    assert_eq!(mono.latency.tpot_wall.count, 5);
-    assert_eq!(mono.latency.ttft_ticks.max, 0.0, "monolithic prefill is a 0-tick event");
-    assert!(mono.latency.tpot_wall.p50 > 0.0);
     let cfg = ServeConfig { prefill_chunk_tokens: Some(7), ..base };
-    let chunked = ServeEngine::run(&model, &cfg, requests(5)).unwrap();
-    assert_eq!(chunked.latency.ttft_ticks.count, 5);
-    assert!(chunked.latency.ttft_ticks.p50 >= 1.0, "chunked prefill spends ticks");
-    assert!(chunked.latency.ttft_wall.max >= chunked.latency.ttft_wall.p50);
+    let split = ServeEngine::run(&model, &cfg, requests(5)).unwrap();
+    for (report, chunked) in [(&mono, false), (&split, true)] {
+        assert_eq!(report.completions.len(), 5);
+        for c in &report.completions {
+            let ticks = c.ttft_ticks.expect("every request reached its first token");
+            if chunked {
+                assert!(ticks >= 1, "request {}: chunked prefill spends ticks", c.id);
+            } else {
+                assert_eq!(ticks, 0, "request {}: monolithic prefill is a 0-tick event", c.id);
+            }
+            assert!(c.ttft_wall.is_some(), "request {}: no wall TTFT", c.id);
+            assert!(c.tpot_wall.is_some(), "request {}: no TPOT", c.id);
+        }
+    }
 }
 
 #[test]
@@ -682,62 +733,10 @@ fn zero_checkpoint_cadence_rejected() {
 }
 
 #[test]
-fn arrival_tick_holds_admission_until_the_clock_matures() {
-    // Time-accurate replay: a request stamped arrival_tick 50 must not
-    // be admitted before the shard's clock reaches 50 — the shard
-    // burns idle ticks to mature it, consuming no retries.
-    let model = Model::new(LlmConfig::tiny());
-    let cfg = ServeConfig {
-        shards: 1,
-        max_active_per_shard: 2,
-        queue_capacity: 4,
-        session: session_cfg(),
-        ..Default::default()
-    };
-    let mut reqs = requests(2);
-    reqs[1].arrival_tick = 50;
-    let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
-    assert_eq!(report.completions.len(), 2);
-    for c in &report.completions {
-        assert!(c.is_success(), "request {} failed: {:?}", c.id, c.failure);
-        assert_eq!(c.retries, 0, "arrival gating must not consume retries");
-    }
-    assert!(
-        report.shards[0].ticks >= 50,
-        "the shard clock must reach the recorded arrival (got {})",
-        report.shards[0].ticks
-    );
-}
-
-#[test]
-fn zero_wall_deadline_is_reaped_as_deadline_exceeded() {
-    // A wall-clock SLO of zero expires at the first reap pass; the
-    // neighbour without one is untouched.
-    let model = Model::new(LlmConfig::tiny());
-    let cfg = ServeConfig {
-        shards: 1,
-        max_active_per_shard: 2,
-        queue_capacity: 4,
-        session: session_cfg(),
-        ..Default::default()
-    };
-    let mut reqs = requests(2);
-    reqs[0].decode_steps = 50;
-    reqs[0].wall_deadline = Some(Duration::ZERO);
-    let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
-    let reaped = report.completion(0).unwrap();
-    let cause = reaped.failure.as_ref().expect("zero wall deadline must reap");
-    assert_eq!(cause.error.class(), "deadline_exceeded");
-    assert!(reaped.generated.len() < 50);
-    assert!(report.completion(1).unwrap().is_success());
-}
-
-#[test]
 fn malformed_prompt_fails_alone_at_the_door() {
     // A request a shard worker would panic on — a prompt too short to
-    // segment, empty, or carrying an id outside the vocabulary, or a retry
-    // policy whose backoff overflows once its planned rejection fires — is
-    // turned away before any worker sees it. Only that request fails; its
+    // segment, empty, or carrying an id outside the vocabulary — is turned
+    // away before any worker sees it. Only that request fails; its
     // neighbours on the one shard decode exactly what they decode without
     // it, monolithic and chunked alike.
     let model = Model::new(LlmConfig::tiny());
@@ -747,14 +746,7 @@ fn malformed_prompt_fails_alone_at_the_door() {
     };
     let mut out_of_vocab = prompt(96, 7);
     out_of_vocab[50] = vocab;
-    let sane = RetryPolicy::default();
-    let overflowing = RetryPolicy { max_retries: 2, backoff_ticks: u64::MAX };
-    let malformed = [
-        (prompt(3, 7), sane, "tokens"),
-        (Vec::new(), sane, "tokens"),
-        (out_of_vocab, sane, "tokens"),
-        (prompt(96, 41), overflowing, "retry"),
-    ];
+    let malformed = [prompt(3, 7), Vec::new(), out_of_vocab];
     for chunk in [None, Some(32)] {
         let cfg = ServeConfig {
             shards: 1,
@@ -763,22 +755,20 @@ fn malformed_prompt_fails_alone_at_the_door() {
             session: session_cfg(),
             record_trace: true,
             prefill_chunk_tokens: chunk,
-            faults: Some(FaultPlan::seeded(3).with_admission_rejects(1, 1)),
             ..Default::default()
         };
         let clean = ServeEngine::run(&model, &cfg, vec![good(0), good(2)]).unwrap();
-        for (bad, retry, field) in &malformed {
-            let policy = Box::new(PqCachePolicy::default());
-            let bad_req = ServeRequest::new(1, bad.clone(), 5, policy).with_retry(*retry);
+        for bad in &malformed {
+            let bad_req = ServeRequest::new(1, bad.clone(), 5, Box::new(PqCachePolicy::default()));
             let reqs = vec![good(0), bad_req, good(2)];
             let report = ServeEngine::run(&model, &cfg, reqs).unwrap();
-            let shape = format!("chunk {chunk:?}, {}-token prompt, {retry:?}", bad.len());
+            let shape = format!("chunk {chunk:?}, {}-token prompt", bad.len());
             assert_eq!(report.worker_panics, 0, "{shape}");
             assert_eq!(report.completions.len(), 3, "{shape}");
             let failed = report.completion(1).unwrap();
             let cause = failed.failure.as_ref().expect("the malformed request fails");
             match &cause.error {
-                ServeError::Config(e) => assert_eq!(e.field, *field, "{shape}"),
+                ServeError::Config(e) => assert_eq!(e.field, "tokens", "{shape}"),
                 other => panic!("{shape}: expected Config, got {other:?}"),
             }
             assert_eq!((cause.step, cause.injected, failed.shard), (0, false, 0), "{shape}");

@@ -24,12 +24,9 @@ pub(super) struct Ticket {
     pub(super) priority: Priority,
     /// Admission retries consumed before a slot was granted.
     pub(super) retries: u32,
-    /// Per-shard tick and run-epoch wall time at admission: the bases both
-    /// deadlines count from.
+    /// Per-shard tick at admission: the base the deadline counts from.
     pub(super) admitted_tick: u64,
-    pub(super) admitted_wall: Duration,
     pub(super) deadline: Option<u64>,
-    pub(super) wall_deadline: Option<Duration>,
     /// Token to feed the next decode step (set with the first-token stamp).
     pub(super) next: u32,
     pub(super) remaining: usize,
@@ -55,15 +52,13 @@ pub(super) struct Ticket {
 
 impl Ticket {
     /// The ticket for `req`, admitted now after `retries` rejections.
-    pub(super) fn new(req: &ServeRequest, retries: u32, tick: u64, wall: Duration) -> Self {
+    pub(super) fn new(req: &ServeRequest, retries: u32, tick: u64) -> Self {
         Self {
             id: req.id,
             priority: req.priority,
             retries,
             admitted_tick: tick,
-            admitted_wall: wall,
             deadline: req.deadline,
-            wall_deadline: req.wall_deadline,
             next: 0,
             remaining: req.decode_steps,
             generated: Vec::with_capacity(req.decode_steps),
@@ -87,26 +82,16 @@ impl Ticket {
         self.ttft_wall = Some(wall);
     }
 
-    /// The `DeadlineExceeded` cause when this request is late on either
-    /// clock at `tick` / `now`. The deterministic tick deadline takes
-    /// precedence when both elapsed; a wall (SLO) expiry reports
-    /// **milliseconds** in the tick fields.
-    pub(super) fn expired(&self, tick: u64, now: Duration) -> Option<ServeError> {
+    /// The `DeadlineExceeded` cause when this request is late at `tick`.
+    pub(super) fn expired(&self, tick: u64) -> Option<ServeError> {
         // Every token decoded: the session is retiring, not late. A prompt
         // still mid-prefill has no first token yet and is always reapable.
         if self.remaining == 0 && self.ttft_ticks.is_some() {
             return None;
         }
         let elapsed_ticks = tick - self.admitted_tick;
-        if let Some(deadline_ticks) = self.deadline.filter(|&d| elapsed_ticks >= d) {
-            return Some(ServeError::DeadlineExceeded { deadline_ticks, elapsed_ticks });
-        }
-        let elapsed_wall = now.saturating_sub(self.admitted_wall);
-        let deadline = self.wall_deadline.filter(|&d| elapsed_wall >= d)?;
-        Some(ServeError::DeadlineExceeded {
-            deadline_ticks: deadline.as_millis() as u64,
-            elapsed_ticks: elapsed_wall.as_millis() as u64,
-        })
+        let deadline_ticks = self.deadline.filter(|&d| elapsed_ticks >= d)?;
+        Some(ServeError::DeadlineExceeded { deadline_ticks, elapsed_ticks })
     }
 
     /// Rewind to a checkpoint's ticket after store corruption. Decode

@@ -1,9 +1,8 @@
 //! The engine's public vocabulary: what callers configure, submit, and read
 //! back. Nothing here schedules anything.
 
-use crate::error::{FailureCause, RetryPolicy};
+use crate::error::FailureCause;
 use crate::faults::FaultPlan;
-use crate::latency::LatencySummary;
 use pqc_cache::CacheStats;
 use pqc_core::{ConfigError, SessionConfig};
 use pqc_memhier::{PrefixCacheStats, SharingStats, TransferStats, DEFAULT_PAGE_TOKENS};
@@ -14,18 +13,19 @@ use std::time::Duration;
 /// (FIFO within a class), and a queued request **strictly** outranking a
 /// running session preempts it: the victim is suspended through the paged
 /// host tier ([`pqc_core::SelectiveSession::suspend`]) and resumed later —
-/// bit identically — once a slot frees up.
+/// bit identically — once a slot frees up, ahead of any queued request of
+/// its own class or lower.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
-    /// Background work: preempted by anything higher whenever slots are
-    /// contended.
+    /// Background work: never preempts, and a pending `Normal` or `High`
+    /// request takes its slot whenever every slot is taken.
     Low,
-    /// The default class; FIFO among itself, never preempts `Low`… unless
-    /// slots are contended.
+    /// The default class: FIFO among itself, admitted ahead of `Low`, and
+    /// preempts a running `Low` session when every slot is taken.
     #[default]
     Normal,
-    /// Latency-sensitive work: skips the queue and claims a slot from a
-    /// lower-class session when none is free.
+    /// Latency-sensitive work: admitted first, and preempts a running
+    /// `Low` or `Normal` session when every slot is taken.
     High,
 }
 
@@ -175,26 +175,6 @@ pub struct ServeRequest {
     /// reaped with [`crate::ServeError::DeadlineExceeded`]. `None` never
     /// expires.
     pub deadline: Option<u64>,
-    /// Optional wall-clock deadline, measured from the run's epoch (batch
-    /// arrival): a request still in flight this long after admission is
-    /// reaped with the same [`crate::ServeError::DeadlineExceeded`] taxonomy, the
-    /// tick fields carrying **milliseconds**. Unlike [`Self::deadline`]
-    /// this follows real time — it is an SLO class, not a reproducible
-    /// schedule bound. `None` never expires.
-    pub wall_deadline: Option<Duration>,
-    /// Earliest per-shard scheduler tick at which this request may be
-    /// admitted (0 = immediately). Set from a trace's `arrival_tick` to
-    /// replay recorded traffic time-accurately: the serving shard holds
-    /// the request — without consuming an admission retry — until its
-    /// clock reaches this tick. Deterministic under round-robin placement
-    /// (each shard's clock is its own); under first-free placement the
-    /// serving shard, and so the gating clock, depends on OS scheduling.
-    pub arrival_tick: u64,
-    /// Bounded-retry policy applied when admission rejects the request. A
-    /// policy whose backoff could overflow a u64 (see
-    /// [`RetryPolicy::backoff`]) fails this request alone, at the door,
-    /// with a `Config` cause on field `"retry"`.
-    pub retry: RetryPolicy,
     /// Scheduling class. `Normal` (the default) keeps exact FIFO among
     /// itself; `High` is admitted first and may preempt a strictly
     /// lower-class running session when no slot is free.
@@ -202,8 +182,7 @@ pub struct ServeRequest {
 }
 
 impl ServeRequest {
-    /// A request with no deadline, normal priority, and the default retry
-    /// policy.
+    /// A request with no deadline and normal priority.
     pub fn new(
         id: u64,
         tokens: Vec<u32>,
@@ -216,9 +195,6 @@ impl ServeRequest {
             decode_steps,
             policy,
             deadline: None,
-            wall_deadline: None,
-            arrival_tick: 0,
-            retry: RetryPolicy::default(),
             priority: Priority::default(),
         }
     }
@@ -226,26 +202,6 @@ impl ServeRequest {
     /// Set a deadline in scheduler ticks.
     pub fn with_deadline(mut self, ticks: u64) -> Self {
         self.deadline = Some(ticks);
-        self
-    }
-
-    /// Set a wall-clock deadline (an SLO class — see
-    /// [`Self::wall_deadline`] for the clock and reporting convention).
-    pub fn with_wall_deadline(mut self, deadline: Duration) -> Self {
-        self.wall_deadline = Some(deadline);
-        self
-    }
-
-    /// Hold admission until the serving shard's clock reaches `tick`
-    /// (time-accurate trace replay — see [`Self::arrival_tick`]).
-    pub fn with_arrival_tick(mut self, tick: u64) -> Self {
-        self.arrival_tick = tick;
-        self
-    }
-
-    /// Override the admission retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -272,7 +228,7 @@ pub struct Completion {
     /// The request id.
     pub id: u64,
     /// Shard (worker) that served the session; 0 for a request turned away
-    /// at the door (malformed prompt or retry policy), which no shard saw.
+    /// at the door (malformed prompt), which no shard saw.
     pub shard: usize,
     /// Greedy-decoded tokens: `decode_steps` of them on success, however
     /// many the session managed before failing otherwise.
@@ -390,9 +346,6 @@ pub struct ServeReport {
     /// unless something escapes the per-session isolation; the engine
     /// absorbs the loss and still reports).
     pub worker_panics: u64,
-    /// TTFT/TPOT percentile summary across completions (only requests that
-    /// reached the respective event contribute — see [`LatencySummary`]).
-    pub latency: LatencySummary,
     /// Wall-clock time of the whole run.
     pub wall: Duration,
 }

@@ -135,33 +135,25 @@ pub struct FailureCause {
 /// Bounded-retry policy for admission shedding, with deterministic seeded
 /// backoff (tick-based, so retries replay identically across runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Re-admission attempts after the first rejection (0 = shed at once).
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// Base backoff in scheduler ticks; the r-th retry waits
     /// `backoff_ticks << r` ticks plus a seeded jitter in `[0, backoff)`.
-    pub backoff_ticks: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { max_retries: 2, backoff_ticks: 2 }
-    }
+    pub(crate) backoff_ticks: u64,
 }
 
 impl RetryPolicy {
-    /// No retries: first rejection sheds the request.
-    pub fn none() -> Self {
-        Self { max_retries: 0, backoff_ticks: 0 }
-    }
+    /// The budget every request gets when admission rejects it: two
+    /// retries on a 2-tick base.
+    pub(crate) const ADMISSION: Self = Self { max_retries: 2, backoff_ticks: 2 };
 
     /// Ticks to wait before retry number `attempt` (1-based), jittered
     /// deterministically from `seed` (exponential backoff, full jitter).
     ///
     /// Precondition: `backoff_ticks · 2^(min(attempt, 16) + 1)` fits in a
-    /// u64, which bounds the result. `ServeEngine::run` fails any request
-    /// whose policy breaks it for some `attempt <= max_retries` at the door.
-    pub fn backoff(&self, seed: u64, attempt: u32) -> u64 {
+    /// u64, which bounds the result.
+    pub(crate) fn backoff(&self, seed: u64, attempt: u32) -> u64 {
         let base = self.backoff_ticks << attempt.min(16);
         if base == 0 {
             return 0;
@@ -232,6 +224,6 @@ mod tests {
             assert!(a >= base && a < 2 * base, "attempt {attempt}: {a} outside [{base}, {})", 2 * base);
         }
         assert_ne!(p.backoff(1, 1), p.backoff(2, 1), "seeds decorrelate sessions");
-        assert_eq!(RetryPolicy::none().backoff(7, 1), 0);
+        assert_eq!(RetryPolicy { max_retries: 0, backoff_ticks: 0 }.backoff(7, 1), 0);
     }
 }

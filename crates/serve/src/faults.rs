@@ -37,8 +37,8 @@ pub struct ShardStall {
 }
 
 /// Reject a request at admission a number of times (queue-full burst /
-/// transient overload stand-in). The request retries per its
-/// [`RetryPolicy`](crate::RetryPolicy) and is shed when retries run out.
+/// transient overload stand-in). The request retries up to twice, with
+/// seeded exponential backoff, and is shed when retries run out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionReject {
     /// The request to reject.

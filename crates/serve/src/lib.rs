@@ -31,10 +31,10 @@
 //! - **priority preemption** ([`Priority`] on [`ServeRequest`]) suspends a
 //!   lower-class running session through the paged host tier
 //!   ([`pqc_core::SelectiveSession::suspend`]) to give its slot to a
-//!   latency-sensitive arrival, resuming it later bit-identically;
-//! - **latency accounting** ([`LatencySummary`] in [`ServeReport`]) tracks
-//!   per-request TTFT/TPOT on both the wall clock and the deterministic
-//!   tick clock, with p50/p95/p99 tails.
+//!   latency-sensitive arrival, resuming it later bit-identically.
+//!
+//! Each [`Completion`] carries its own TTFT (wall clock and the
+//! deterministic tick clock) and TPOT; callers aggregate them.
 //!
 //! Crash recovery treats whole-worker loss and silent store corruption as
 //! bounded, recoverable events:
@@ -63,16 +63,13 @@
 mod engine;
 pub mod error;
 pub mod faults;
-pub mod latency;
 mod queue;
 
 pub use engine::{
     Completion, Priority, ServeConfig, ServeEngine, ServeReport, ServeRequest, ShardAssignment,
     ShardStats, StepTrace,
 };
-pub use error::{FailureCause, RetryPolicy, ServeError};
+pub use error::{FailureCause, ServeError};
 pub use faults::{
     AdmissionReject, BitFlip, FaultPlan, InjectedPanic, SessionPanic, ShardStall, WorkerKill,
 };
-pub use latency::{LatencySummary, Percentiles};
-pub use queue::BoundedQueue;

@@ -22,7 +22,7 @@ struct State<T> {
 }
 
 /// A bounded FIFO shared between the admission side and shard workers.
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     capacity: usize,
     state: Mutex<State<T>>,
     not_empty: Condvar,
@@ -148,11 +148,6 @@ impl<T> BoundedQueue<T> {
     pub fn len(&self) -> usize {
         self.lock().items.len()
     }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -242,7 +237,7 @@ mod tests {
         assert_eq!(pop_fifo(&q), Some(100));
         assert_eq!(pop_fifo(&q), Some(101));
         assert_eq!(pop_fifo(&q), None, "drained + closed signals shutdown");
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

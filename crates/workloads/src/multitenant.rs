@@ -9,10 +9,11 @@
 //! freed slots).
 //!
 //! `arrival_tick` is abstract time: it fixes the arrival *order* and burst
-//! structure. The current drivers (`tests/serve_stress.rs`, the serve
-//! bench) feed requests in that order through the engine's bounded queue —
-//! back-pressure, not wall-clock, paces admission — while the ticks remain
-//! available to a time-accurate replay driver.
+//! structure. The serve engine takes a closed batch, so its drivers
+//! (`tests/serve_stress.rs`, the repo benchmark) submit requests in that
+//! order and the engine's bounded queue — back-pressure, not the ticks —
+//! paces admission. The ticks are kept because they come from the same
+//! RNG stream as the prompts: dropping them would change every trace.
 //!
 //! The generator is purely deterministic in its seed: the same
 //! [`TraceConfig`] always yields the same trace, which is what lets the
