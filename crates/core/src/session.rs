@@ -68,9 +68,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// (key, value) rows.
 type LocalWindow = VecDeque<(Vec<f32>, Vec<f32>)>;
 
-/// Minimum middle length before a lazily-initialised policy is trained.
-const LAZY_INIT_THRESHOLD: usize = 16;
-
 /// The session state that survives suspend / checkpoint / resume. A live
 /// [`SelectiveSession`] and a parked [`SuspendedSession`] hold the *same*
 /// record — `suspend` moves it out, `checkpoint` forks it, `resume` moves it
@@ -78,7 +75,6 @@ const LAZY_INIT_THRESHOLD: usize = 16;
 struct SessionRecord {
     cfg: SessionConfig,
     policy: Box<dyn SelectionPolicy + Send>,
-    policy_ready: bool,
     /// Middle budget per step (already includes "(C)" compensation for
     /// dropping policies).
     budget_middle: usize,
@@ -347,8 +343,7 @@ impl<'m> SelectiveSession<'m> {
         // Shared-prefix fast path for the policy too: adopt the trained
         // PQ/IVF state exported over the same middle keys (bit-identical to
         // training — seeds are deterministic) and skip building PolicyInit.
-        let imported =
-            middle_len > 0 && shared.is_some_and(|state| policy.import_shared(state));
+        let imported = shared.is_some_and(|state| policy.import_shared(state));
         let mut resident = Vec::with_capacity(mcfg.n_layers * mcfg.n_kv_heads);
         let mut middle_keys = Vec::with_capacity(mcfg.n_layers);
 
@@ -383,8 +378,7 @@ impl<'m> SelectiveSession<'m> {
                     .collect::<Vec<_>>()
             })
         };
-        let policy_ready = middle_len > 0;
-        if policy_ready && !imported {
+        if !imported {
             let pinit = PolicyInit {
                 n_layers: mcfg.n_layers,
                 n_kv_heads: mcfg.n_kv_heads,
@@ -404,7 +398,6 @@ impl<'m> SelectiveSession<'m> {
         let rec = SessionRecord {
             cfg,
             policy,
-            policy_ready,
             budget_middle,
             store,
             pos: s,
@@ -675,33 +668,6 @@ impl<'m> SelectiveSession<'m> {
         self.rec.store.corrupt_slot(layer, head, bit)
     }
 
-    /// A [`PolicyInit`] over the current `mid`-token middle region with
-    /// zero attention scores — no prefill captures exist for tokens that
-    /// entered the middle during decode.
-    fn middle_init(&self, mid: usize) -> PolicyInit {
-        let mcfg = self.model.config();
-        let ids: Vec<usize> = (0..mid).collect();
-        let dh = mcfg.head_dim;
-        // Host-side PQ construction: the rows never cross the link.
-        let read_keys = |l, h| {
-            let (mut keys, mut values) = (Matrix::zeros(0, dh), Matrix::zeros(0, dh));
-            self.rec.store.read_into(l, h, &ids, 0, &mut keys, &mut values).expect("middle rows");
-            keys
-        };
-        let middle_keys: Vec<Vec<Matrix>> = (0..mcfg.n_layers)
-            .map(|l| (0..mcfg.n_kv_heads).map(|h| read_keys(l, h)).collect())
-            .collect();
-        let zeros = vec![vec![vec![0.0f32; mid]; mcfg.n_kv_heads]; mcfg.n_layers];
-        PolicyInit {
-            n_layers: mcfg.n_layers,
-            n_kv_heads: mcfg.n_kv_heads,
-            head_dim: mcfg.head_dim,
-            middle_keys,
-            accum_scores: Some(zeros.clone()),
-            window_scores: Some(zeros),
-        }
-    }
-
     /// True between decode steps: every local window holds exactly
     /// `n_local` rows.
     fn windows_full(&self) -> bool {
@@ -726,19 +692,6 @@ impl<'m> SelectiveSession<'m> {
             }
         }
         Ok(swap)
-    }
-
-    fn maybe_lazy_init(&mut self) {
-        if self.rec.policy_ready {
-            return;
-        }
-        let mid = self.rec.store.len(0, 0);
-        if mid < LAZY_INIT_THRESHOLD {
-            return;
-        }
-        let pinit = self.middle_init(mid);
-        self.rec.policy.init(&pinit);
-        self.rec.policy_ready = true;
     }
 }
 
@@ -930,11 +883,7 @@ impl KvSource for SelectiveSession<'_> {
                     return;
                 }
             };
-            if self.rec.policy_ready {
-                self.rec.policy.on_evict(layer, kv_head, &ek, middle_idx);
-            } else if head == self.resident.len() - 1 {
-                self.maybe_lazy_init();
-            }
+            self.rec.policy.on_evict(layer, kv_head, &ek, middle_idx);
         }
     }
 
@@ -946,7 +895,7 @@ impl KvSource for SelectiveSession<'_> {
         // 1. Select (middle-relative ids, the policy's order).
         let sel = &mut self.sel_scratch;
         sel.clear();
-        if rec.policy_ready && budget > 0 {
+        if budget > 0 {
             let ctx = PolicyContext { layer, kv_head, queries, budget, middle_len };
             rec.policy.select_with_scratch(&ctx, &mut self.policy_scratch, sel);
             sel.retain(|&i| i < middle_len);

@@ -346,7 +346,6 @@ mod tests {
         ];
         for p in &policies {
             assert_eq!(p.comm_bytes_per_step(10_000), 0, "{}", p.name());
-            assert_eq!(p.prefetch_bytes_per_step(10_000), 0);
             assert!(p.is_dropping());
         }
     }

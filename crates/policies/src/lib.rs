@@ -216,13 +216,6 @@ pub trait SelectionPolicy {
     /// current middle-region size.
     fn comm_bytes_per_step(&self, middle_len: usize) -> u64;
 
-    /// Overlappable (prefetchable) communication per step per (layer,
-    /// kv-head) — PQ codes, block representatives, etc.
-    fn prefetch_bytes_per_step(&self, middle_len: usize) -> u64 {
-        let _ = middle_len;
-        0
-    }
-
     /// Dropping policies keep a static set and never fetch from host.
     fn is_dropping(&self) -> bool {
         false

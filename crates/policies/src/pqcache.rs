@@ -230,12 +230,6 @@ impl SelectionPolicy for PqCachePolicy {
         0
     }
 
-    fn prefetch_bytes_per_step(&self, middle_len: usize) -> u64 {
-        // m·b bits per token, plus the (tiny, s-independent) centroids are
-        // GPU-resident after the first step, so codes dominate.
-        ((middle_len * self.cfg.m * self.cfg.b as usize) as u64).div_ceil(8)
-    }
-
     /// Snapshot the trained codebooks/codes/IVF tiers. Training is
     /// deterministically seeded per (layer, head), so the snapshot equals
     /// what any same-configured policy would train over the same middle
@@ -350,8 +344,6 @@ mod tests {
         let mut p = PqCachePolicy::new(cfg(2, 6, 5));
         p.init(&init);
         assert_eq!(p.comm_bytes_per_step(100_000), 0);
-        // m=2, b=6: 12 bits -> 1.5 bytes/token.
-        assert_eq!(p.prefetch_bytes_per_step(1000), 1500);
     }
 
     #[test]

@@ -316,12 +316,6 @@ impl SelectionPolicy for InfLlmPolicy {
         let nb = middle_len.div_ceil(self.block_size);
         (nb * self.reps_per_block * dh * 2) as u64
     }
-
-    fn prefetch_bytes_per_step(&self, middle_len: usize) -> u64 {
-        // Representatives are query-independent, so they can be prefetched —
-        // InfLLM's efficiency advantage over SPARQ.
-        self.comm_bytes_per_step(middle_len)
-    }
 }
 
 #[cfg(test)]
@@ -388,7 +382,6 @@ mod tests {
         let init = synthetic_init(1, 1, 10, 16, &[], 4);
         p.init(&init);
         assert_eq!(p.comm_bytes_per_step(1000), 2 * 1000 * 2);
-        assert_eq!(p.prefetch_bytes_per_step(1000), 0); // query-dependent!
     }
 
     #[test]

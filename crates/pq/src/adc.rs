@@ -9,6 +9,7 @@
 use crate::codebook::{PqCodebook, PqCodes, CODE_BLOCK};
 use crate::ivf::IvfIndex;
 use pqc_tensor::{dot, TopK};
+use std::ops::Range;
 
 /// Pre-computed per-query lookup table: `table[j][c]` is the inner product of
 /// query sub-vector `j` with centroid `c` of sub-space `j`.
@@ -211,36 +212,13 @@ impl AdcTable {
         let k = k.min(n);
         topk.stream_begin(k);
         if k == 0 {
-            // Nothing can be selected: skip the scan entirely (the batch
-            // selector's k = 0 early-out, streaming edition).
+            // Nothing can be selected: skip the scan entirely.
             topk.stream_finish_into(out);
             return 0;
         }
-        let mut pruned = 0usize;
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + CODE_BLOCK).min(n);
-            let blk = lo / CODE_BLOCK;
-            if let Some(threshold) = topk.stream_threshold() {
-                // Strict `<`: the threshold is the exact k-th-best score at
-                // the selector's last compaction, so a block whose bound
-                // falls strictly below it cannot contribute to the final
-                // top-k (boundary ties are retained by the selector and
-                // resolved by total order at finish; NaN bounds fail `<`
-                // and never prune).
-                if self.block_score_bound(codes, blk) < threshold {
-                    pruned += 1;
-                    lo = hi;
-                    continue;
-                }
-            }
-            self.score_range_into(codes, lo, hi, block_scores);
-            // Bulk offer: the threshold reject loop runs tight inside the
-            // selector (~one branch-predictable comparison per token), and
-            // only survivors are appended as candidates.
-            topk.stream_offer_block(block_scores, lo);
-            lo = hi;
-        }
+        let (pruned, _) = self.scan_blocks(codes, n, topk, block_scores, |topk, scores, range| {
+            topk.stream_offer_block(scores, range.start)
+        });
         topk.stream_finish_into(out);
         pruned
     }
@@ -280,8 +258,8 @@ impl AdcTable {
         let mut stats = IvfSelectStats::default();
         let eligible = n.min(ivf.len());
         let k = k.min(eligible);
-        // Coarse routing through the shared O(n) selector, *before* the
-        // stream opens (the batch and streaming modes share one TopK).
+        // Coarse routing is a selection of its own on the same TopK, so it
+        // finishes before the token stream opens.
         ivf.score_cells_into(query, &mut scratch.coarse_scores);
         // `n_probe` is validated up front by the config layer
         // (`SessionConfig::validate` rejects 0 and > n_list with a typed
@@ -305,29 +283,60 @@ impl AdcTable {
                 continue;
             }
             self.assert_codes_bounded(codes);
-            let mut lo = 0usize;
-            while lo < lim {
-                let hi = (lo + CODE_BLOCK).min(lim);
-                let blk = lo / CODE_BLOCK;
-                if let Some(threshold) = topk.stream_threshold() {
-                    // Same strict-`<` argument as the flat fused scan: the
-                    // block bound covers every member (including any past
-                    // `lim`), so a bound below the exact k-th-best excludes
-                    // the whole block; NaN bounds fail `<` and never prune.
-                    if self.block_score_bound(codes, blk) < threshold {
-                        stats.pruned_blocks += 1;
-                        lo = hi;
-                        continue;
-                    }
-                }
-                self.score_range_into(codes, lo, hi, block_scores);
-                topk.stream_offer_indexed(block_scores, &ids[lo..hi]);
-                stats.scanned_tokens += hi - lo;
-                lo = hi;
-            }
+            let (pruned, scanned) =
+                self.scan_blocks(codes, lim, topk, block_scores, |topk, scores, range| {
+                    topk.stream_offer_indexed(scores, &ids[range])
+                });
+            stats.pruned_blocks += pruned;
+            stats.scanned_tokens += scanned;
         }
         topk.stream_finish_into(out);
         stats
+    }
+
+    /// The pruned block scan both fused entry points run: walk tokens
+    /// `0..lim` of `codes` in [`CODE_BLOCK`]-token blocks, skip each block
+    /// whose upper bound (`Self::block_score_bound`) cannot beat the
+    /// selector's running k-th-best threshold, and hand every other block's
+    /// scores to `offer` with the block's token range. Returns `(pruned
+    /// blocks, scanned tokens)`. `offer` is generic, so each caller gets its
+    /// own monomorphised loop.
+    ///
+    /// Callers must have validated code bounds via
+    /// [`Self::assert_codes_bounded`].
+    #[inline]
+    fn scan_blocks(
+        &self,
+        codes: &PqCodes,
+        lim: usize,
+        topk: &mut TopK,
+        block_scores: &mut Vec<f32>,
+        mut offer: impl FnMut(&mut TopK, &[f32], Range<usize>),
+    ) -> (usize, usize) {
+        let (mut pruned, mut scanned) = (0, 0);
+        for lo in (0..lim).step_by(CODE_BLOCK) {
+            let hi = (lo + CODE_BLOCK).min(lim);
+            if let Some(threshold) = topk.stream_threshold() {
+                // Strict `<`: the threshold is the exact k-th-best score at
+                // the selector's last compaction, and the bound covers every
+                // member of the block (in an IVF cell, also any past `lim`),
+                // so a block whose bound falls strictly below it cannot
+                // contribute to the final top-k (boundary ties are retained
+                // by the selector and resolved by total order at finish;
+                // NaN bounds fail `<` and never prune).
+                if self.block_score_bound(codes, lo / CODE_BLOCK) < threshold {
+                    pruned += 1;
+                    continue;
+                }
+            }
+            self.score_range_into(codes, lo, hi, block_scores);
+            // Bulk offer: the threshold reject loop runs tight inside the
+            // selector (~one branch-predictable comparison per token), and
+            // only survivors are appended as candidates.
+            offer(topk, block_scores, lo..hi);
+            scanned += hi - lo;
+        }
+        (pruned, scanned)
     }
 }
 

@@ -1,17 +1,15 @@
 //! Top-k selection.
 //!
 //! Decoding needs "indices of the k largest approximate scores" every step at
-//! every layer/head (Algorithm 2, line 14). The workhorse is an **O(n)
-//! two-pass threshold selector**: a strided sample estimates the k-th-score
-//! threshold, one counting pass verifies it, and one collection pass gathers
-//! the (rare) survivors, which a quickselect then trims exactly. When the
-//! estimate misses (degenerate/duplicated distributions, NaN floods, large
-//! k/n), selection falls back to a full quickselect — still O(n), still
-//! exact. A streaming min-heap API serves callers that produce scores
-//! incrementally (the fused ADC scan) and want a running k-th-best threshold
-//! to prune against. Every path returns *bit-identical* results to the
-//! argsort reference: score descending, ties toward the smaller index, NaN
-//! ranked lowest.
+//! every layer/head (Algorithm 2, line 14). There is **one O(n) selector**, a
+//! streaming compaction: offers strictly below a running k-th-best threshold
+//! are rejected in a tight loop, survivors are appended to a candidate
+//! buffer, and a quickselect compacts the buffer back to `k` (publishing an
+//! exact new threshold) whenever it fills. The fused ADC scan feeds it block
+//! by block and prunes whole blocks against that threshold; a plain score
+//! slice is one block. The result is *bit-identical* to the argsort
+//! reference: score descending, ties toward the smaller index, NaN ranked
+//! lowest.
 
 use std::cmp::Ordering;
 
@@ -67,22 +65,8 @@ fn decode_score(key: u64) -> f32 {
     }
 }
 
-/// Strided-sample size for the threshold estimate. Big enough that the
-/// k/n-quantile estimate is stable, small enough that sampling is free
-/// relative to the scan it guards.
-const SAMPLE_CAP: usize = 256;
-
-/// Safety factor on the estimated survivor count: the threshold targets
-/// ~`OVERSAMPLE × k` strict survivors so that sampling error almost never
-/// leaves fewer than `k` (which would force the full-quickselect fallback).
-const OVERSAMPLE: usize = 3;
-
-/// Below this input size the bookkeeping of the threshold pass costs more
-/// than it saves; go straight to the full quickselect.
-const SMALL_N: usize = 1024;
-
 /// Ceiling on the streaming candidate buffer. A larger buffer means fewer,
-/// better-amortised compactions on long streams, at 16 bytes per slot.
+/// better-amortised compactions on long streams, at 8 bytes per slot.
 const MAX_STREAM_CAP: usize = 4096;
 
 /// First compaction trigger (when `2k` is smaller): a threshold published
@@ -93,25 +77,23 @@ const FIRST_STREAM_COMPACT: usize = 256;
 
 /// Reusable top-k selector over owned scratch buffers, so steady-state decode
 /// loops (one selection per layer/head per step) perform zero heap
-/// allocations after warm-up. One instance serves both selection styles:
+/// allocations after warm-up.
 ///
-/// - [`TopK::select_into`] — batch selection over a full score slice via the
-///   O(n) threshold/quickselect path;
-/// - [`TopK::stream_begin`] / [`TopK::stream_offer`] /
-///   [`TopK::stream_finish_into`] — streaming selection with a running
-///   k-th-best threshold ([`TopK::stream_threshold`]), used by the fused
-///   ADC score-and-select scan to prune whole blocks. Accepted offers are
-///   *appended* to an unordered candidate buffer that is compacted back to
-///   `k` by quickselect whenever it fills — amortised O(1) per offer, with
-///   none of the per-accept sift cost a heap would pay.
+/// A selection is [`TopK::stream_begin`] → any number of
+/// [`TopK::stream_offer_block`] / [`TopK::stream_offer_indexed`] calls →
+/// [`TopK::stream_finish_into`]; between offers [`TopK::stream_threshold`]
+/// is the running k-th-best score the fused ADC scan prunes blocks against.
+/// Accepted offers are *appended* to an unordered candidate buffer that is
+/// compacted back to `k` by quickselect whenever it fills — amortised O(1)
+/// per offer, with none of the per-accept sift cost a heap would pay.
+/// [`TopK::select_into`] is that sequence over one score slice.
 #[derive(Debug, Default, Clone)]
 pub struct TopK {
-    /// Candidate / quickselect storage (batch paths and streaming mode):
-    /// packed `(score, index)` keys, see [`encode_key`].
+    /// Candidate / quickselect storage: packed `(score, index)` keys, see
+    /// [`encode_key`].
     entries: Vec<u64>,
-    /// Strided sample of scores for the threshold estimate.
-    sample: Vec<f32>,
-    /// Streaming-mode `k`, set by [`TopK::stream_begin`].
+    /// The open selection's `k`, set by [`TopK::stream_begin`]; 0 between
+    /// selections.
     stream_k: usize,
     /// Next compaction trigger (escalates from [`FIRST_STREAM_COMPACT`]
     /// towards `max(2k, MAX_STREAM_CAP)` by doubling).
@@ -129,129 +111,30 @@ impl TopK {
     /// Total capacity of the internal scratch buffers (for
     /// allocation-stability tests).
     pub fn scratch_capacity(&self) -> usize {
-        self.entries.capacity() + self.sample.capacity()
+        self.entries.capacity()
     }
 
     /// Indices of the `k` largest scores written into `out` (cleared first),
     /// in descending score order with ties broken toward the smaller index —
     /// identical results to [`top_k_indices`] and to the
-    /// [`argsort_desc`]-prefix reference.
+    /// [`argsort_desc`]-prefix reference. One stream over the whole slice.
     pub fn select_into(&mut self, scores: &[f32], k: usize, out: &mut Vec<usize>) {
-        // The batch and streaming modes share the candidate buffer, so a
-        // batch call would wipe an in-progress stream's candidates while
-        // its stale threshold kept rejecting new offers — a silently wrong
-        // result. Catch the interleaving instead.
+        // This call opens and closes its own stream on the same buffers:
+        // mid-stream, it would discard the open stream's candidates and
+        // close it, so the caller's later offers would be dropped — a
+        // silently wrong result. Catch the interleaving instead.
         debug_assert!(
             self.stream_k == 0,
             "select_into called while a streaming selection is in progress \
              (finish it with stream_finish_into first)"
         );
-        out.clear();
-        let n = scores.len();
-        assert!(n <= u32::MAX as usize, "select_into supports up to 2^32 scores");
-        let k = k.min(n);
-        if k == 0 {
-            return;
-        }
-        // One up-front reservation to the worst case (the full-quickselect
-        // path holds all n entries) keeps the scratch capacity deterministic:
-        // it never grows after the first call at a given n, whichever path
-        // later inputs take.
-        self.entries.clear();
-        self.entries.reserve(n);
-
-        // Small inputs and large k/n ratios: the threshold pass can't win.
-        if n <= SMALL_N || k.saturating_mul(4) >= n {
-            self.select_full(scores, k, out);
-            return;
-        }
-
-        // Pass 0 (O(SAMPLE_CAP)): strided sample -> estimated threshold at
-        // the k/n quantile, biased low so ~OVERSAMPLE*k survive.
-        let Some(threshold) = self.estimate_threshold(scores, k) else {
-            self.select_full(scores, k, out);
-            return;
-        };
-
-        // Pass 1: count strict survivors. NaN fails `>` and is excluded,
-        // which matches its rank-lowest ordering.
-        let count = scores.iter().filter(|&&s| s > threshold).count();
-        if count < k {
-            // Estimate missed (duplicate-heavy or adversarial distribution):
-            // the boundary needs ties at `threshold` itself — resolve them
-            // exactly with the full quickselect.
-            self.select_full(scores, k, out);
-            return;
-        }
-
-        // Pass 2: collect the survivors. `count >= k` strict survivors means
-        // the true top-k all score strictly above the threshold, so the
-        // candidate set provably contains the answer.
-        self.entries.extend(
-            scores
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| s > threshold)
-                .map(|(index, &s)| encode_key(s, index)),
-        );
-        debug_assert_eq!(self.entries.len(), count);
-        Self::emit_top_k(&mut self.entries, k, out);
+        self.stream_begin(k.min(scores.len()));
+        self.stream_offer_block(scores, 0);
+        self.stream_finish_into(out);
     }
-
-    /// Quantile estimate from a strided sample: the value at (approximately)
-    /// rank `OVERSAMPLE * k * sample_len / n` of the sample, descending.
-    /// Returns `None` when the sample is all-NaN (nothing to estimate from).
-    fn estimate_threshold(&mut self, scores: &[f32], k: usize) -> Option<f32> {
-        let n = scores.len();
-        self.sample.clear();
-        if self.sample.capacity() < SAMPLE_CAP {
-            self.sample.reserve(SAMPLE_CAP - self.sample.capacity());
-        }
-        let stride = n.div_ceil(SAMPLE_CAP).max(1);
-        self.sample.extend(scores.iter().step_by(stride).filter(|s| !s.is_nan()));
-        if self.sample.is_empty() {
-            return None;
-        }
-        let s_len = self.sample.len();
-        // Descending rank targeting OVERSAMPLE*k survivors out of n.
-        let rank = (k.saturating_mul(OVERSAMPLE).saturating_mul(s_len) / n).min(s_len - 1);
-        // All sample entries are non-NaN: partial_cmp cannot fail.
-        self.sample
-            .select_nth_unstable_by(rank, |a, b| b.partial_cmp(a).expect("non-NaN sample"));
-        Some(self.sample[rank])
-    }
-
-    /// Exact O(n) fallback: materialise every `(score, index)` pair and
-    /// quickselect. Assumes `self.entries` is cleared with capacity >= n.
-    fn select_full(&mut self, scores: &[f32], k: usize, out: &mut Vec<usize>) {
-        self.entries
-            .extend(scores.iter().enumerate().map(|(index, &score)| encode_key(score, index)));
-        Self::emit_top_k(&mut self.entries, k, out);
-    }
-
-    /// Shared tail: quickselect the top `k` keys (descending `u64` order is
-    /// the full selection order), sort them, emit the indices.
-    fn emit_top_k(entries: &mut [u64], k: usize, out: &mut Vec<usize>) {
-        debug_assert!(k >= 1 && k <= entries.len());
-        if k < entries.len() {
-            // `select_nth_unstable_by` is introselect: O(n) average with an
-            // O(n log n) worst-case guard. The key order is total, so the
-            // partition is exact and the final output is independent of
-            // pivot choices.
-            entries.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
-        }
-        let top = &mut entries[..k];
-        top.sort_unstable_by(|a, b| b.cmp(a));
-        out.extend(top.iter().map(|&e| decode_index(e)));
-    }
-
-    // -----------------------------------------------------------------------
-    // Streaming (heap) API — for producers that generate scores block by
-    // block and want a running k-th-best threshold to prune against.
-    // -----------------------------------------------------------------------
 
     /// Start a streaming selection of the best `k` offers. Clears any
-    /// previous streaming state; the batch API above is unaffected.
+    /// previous streaming state.
     pub fn stream_begin(&mut self, k: usize) {
         self.stream_k = k;
         self.stream_next = (2 * k).max(FIRST_STREAM_COMPACT);
@@ -284,34 +167,12 @@ impl TopK {
         self.stream_thr
     }
 
-    /// Offer one `(score, index)` pair. Rejected outright when strictly
-    /// below the running threshold (NaN fails the comparison and is kept as
-    /// a candidate; compaction ranks it lowest); otherwise appended — no
-    /// per-offer sift, compaction amortises to O(1) per offer.
-    #[inline]
-    pub fn stream_offer(&mut self, score: f32, index: usize) {
-        assert!(index <= u32::MAX as usize, "stream indices must fit in u32");
-        if self.stream_k == 0 {
-            return;
-        }
-        if let Some(t) = self.stream_thr {
-            if score < t {
-                return;
-            }
-        }
-        self.entries.push(encode_key(score, index));
-        if self.entries.len() >= self.stream_next {
-            self.stream_compact();
-            self.stream_advance_trigger();
-        }
-    }
-
     /// Offer one contiguous block of scores whose indices are
-    /// `base_index..base_index + scores.len()` — the bulk form of
-    /// [`TopK::stream_offer`] used by the fused ADC scan. The threshold
-    /// reject loop runs tight over the slice (no per-token call), so the
-    /// common all-rejected block costs ~one comparison per token. Identical
-    /// accept/reject decisions to offering each pair individually.
+    /// `base_index..base_index + scores.len()`, used by the fused ADC scan
+    /// and by [`TopK::select_into`]. The threshold reject loop runs tight
+    /// over the slice (no per-token call), so the common all-rejected block
+    /// costs ~one comparison per token. Any split of a score run into
+    /// blocks makes the same accept/reject decisions.
     pub fn stream_offer_block(&mut self, scores: &[f32], base_index: usize) {
         assert!(
             scores.is_empty() || base_index + scores.len() - 1 <= u32::MAX as usize,
@@ -376,7 +237,7 @@ impl TopK {
 
     /// Finish the streaming selection: write the retained indices into `out`
     /// (cleared first), descending by score with ties toward the smaller
-    /// index — the same order every other path produces.
+    /// index — the [`argsort_desc`] order.
     pub fn stream_finish_into(&mut self, out: &mut Vec<usize>) {
         out.clear();
         if self.stream_k == 0 {
@@ -404,8 +265,8 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
 }
 
 /// Indices that would sort `scores` descending (stable for equal scores,
-/// NaN ranked lowest) — the reference ordering every selection path above
-/// must reproduce exactly.
+/// NaN ranked lowest) — the reference ordering the selector above must
+/// reproduce exactly.
 pub fn argsort_desc(scores: &[f32]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..scores.len()).collect();
     idx.sort_by(|&a, &b| {
@@ -441,6 +302,25 @@ mod tests {
     use super::*;
     use crate::rng::Rng64;
 
+    /// Block width of the fused ADC scan (`pqc_pq::CODE_BLOCK`): streams in
+    /// the tests below are split where the scan splits them.
+    const SCAN_BLOCK: usize = 512;
+
+    /// `select_into`, and a stream offered in `SCAN_BLOCK`-sized blocks,
+    /// both equal the `argsort_desc` prefix of length `min(k, n)`.
+    fn assert_matches_argsort_prefix(scores: &[f32], k: usize, what: &str) {
+        let expect: Vec<usize> = argsort_desc(scores).into_iter().take(k).collect();
+        assert_eq!(top_k_indices(scores, k), expect, "select_into, {what}, k={k}");
+        let mut topk = TopK::new();
+        topk.stream_begin(k.min(scores.len()));
+        for (b, block) in scores.chunks(SCAN_BLOCK).enumerate() {
+            topk.stream_offer_block(block, b * SCAN_BLOCK);
+        }
+        let mut streamed = Vec::new();
+        topk.stream_finish_into(&mut streamed);
+        assert_eq!(streamed, expect, "blocked stream, {what}, k={k}");
+    }
+
     #[test]
     fn topk_small_known() {
         let s = [0.1f32, 5.0, 3.0, 4.0, -1.0];
@@ -475,32 +355,28 @@ mod tests {
 
     #[test]
     fn topk_threshold_path_matches_argsort_prefix() {
-        // Large n, small k: exercises the sample-threshold fast path
-        // (n > SMALL_N and 4k < n) against the exact reference.
+        // Large n, small to mid k: many compactions, each tightening the
+        // running threshold that the reject loop then filters against.
         let mut rng = Rng64::new(78);
         for trial in 0..6 {
             let n = 4096 + rng.below(8192);
             let scores: Vec<f32> = (0..n).map(|_| rng.normal_f32(0.0, 1.0)).collect();
             for k in [1usize, 16, 128, n / 5] {
-                let fast = top_k_indices(&scores, k);
-                let slow: Vec<usize> = argsort_desc(&scores).into_iter().take(k).collect();
-                assert_eq!(fast, slow, "trial {trial}, n={n}, k={k}");
+                assert_matches_argsort_prefix(&scores, k, &format!("trial {trial}, n={n}"));
             }
         }
     }
 
     #[test]
     fn topk_duplicate_heavy_falls_back_exactly() {
-        // Scores drawn from 3 distinct values: the threshold estimate lands
-        // on a massive tie plateau, so count < k forces the fallback — which
-        // must still match the reference exactly, index ties included.
+        // Scores drawn from 3 distinct values: the running threshold lands
+        // on a massive tie plateau, every offer at the threshold is kept,
+        // and compaction must resolve the ties by index exactly.
         let mut rng = Rng64::new(79);
         let vals = [1.0f32, 2.0, 3.0];
         let scores: Vec<f32> = (0..5000).map(|_| vals[rng.below(3)]).collect();
         for k in [1usize, 100, 1700, 4999] {
-            let fast = top_k_indices(&scores, k);
-            let slow: Vec<usize> = argsort_desc(&scores).into_iter().take(k).collect();
-            assert_eq!(fast, slow, "k={k}");
+            assert_matches_argsort_prefix(&scores, k, "3 values");
         }
     }
 
@@ -530,33 +406,46 @@ mod tests {
 
     #[test]
     fn topk_nan_flood_large_n() {
-        // Mostly-NaN input at threshold-path sizes: the sample filters NaN
-        // and the count pass excludes it, so either path stays exact.
+        // Mostly-NaN input: NaN fails the reject loop's `<`, so it is kept
+        // as a candidate and ranked lowest at compaction.
         let mut rng = Rng64::new(80);
         let scores: Vec<f32> = (0..8000)
             .map(|i| if i % 3 == 0 { rng.normal_f32(0.0, 1.0) } else { f32::NAN })
             .collect();
         for k in [1usize, 64, 500] {
-            let fast = top_k_indices(&scores, k);
-            let slow: Vec<usize> = argsort_desc(&scores).into_iter().take(k).collect();
-            assert_eq!(fast, slow, "k={k}");
+            assert_matches_argsort_prefix(&scores, k, "2/3 NaN");
         }
     }
 
     #[test]
-    fn stream_matches_batch() {
+    fn select_and_blocked_stream_match_argsort_prefix() {
         let mut rng = Rng64::new(92);
-        for &(n, k) in &[(1usize, 1usize), (50, 7), (4096, 128), (3000, 3000), (100, 0)] {
-            let scores: Vec<f32> =
+        let mut inputs: Vec<(String, Vec<f32>)> = Vec::new();
+        // Sizes from 1 to 4 096, three of them around 1 024, with a NaN
+        // every 97th score.
+        for n in [1usize, 50, 100, 1023, 1024, 1025, 3000, 4096] {
+            let scores =
                 (0..n).map(|i| if i % 97 == 0 { f32::NAN } else { rng.normal_f32(0.0, 1.0) }).collect();
-            let mut topk = TopK::new();
-            topk.stream_begin(k.min(n));
-            for (i, &s) in scores.iter().enumerate() {
-                topk.stream_offer(s, i);
+            inputs.push((format!("normal n={n}"), scores));
+        }
+        // NaN floods: all NaN, and all but every 5th.
+        inputs.push(("all NaN".into(), vec![f32::NAN; 1025]));
+        let flood = (0..1025).map(|i| if i % 5 == 0 { rng.normal_f32(0.0, 1.0) } else { f32::NAN });
+        inputs.push(("4/5 NaN".into(), flood.collect()));
+        // The 4 096-value plateau of an m = 2, b = 6 ADC table: every token
+        // scores one of the 64 × 64 sums `t0[a] + t1[b]`, so ties abound.
+        let t0: Vec<f32> = (0..64).map(|_| rng.normal_f32(0.0, 1.0)).collect();
+        let t1: Vec<f32> = (0..64).map(|_| rng.normal_f32(0.0, 1.0)).collect();
+        let plateau = (0..3 * 4096 + 5).map(|_| t0[rng.below(64)] + t1[rng.below(64)]);
+        inputs.push(("m=2 b=6 sums".into(), plateau.collect()));
+
+        for (what, scores) in &inputs {
+            let n = scores.len();
+            let quarter = n / 4;
+            let ks = [0, 1, 7, 128, quarter.saturating_sub(1), quarter, quarter + 1, n - 1, n, n + 3];
+            for k in ks {
+                assert_matches_argsort_prefix(scores, k, &format!("{what}, n={n}"));
             }
-            let mut streamed = Vec::new();
-            topk.stream_finish_into(&mut streamed);
-            assert_eq!(streamed, top_k_indices(&scores, k), "n={n}, k={k}");
         }
     }
 
@@ -569,19 +458,19 @@ mod tests {
         topk.stream_begin(2);
         assert_eq!(topk.stream_threshold(), None);
         for i in 0..FIRST_STREAM_COMPACT - 1 {
-            topk.stream_offer(i as f32, i);
+            topk.stream_offer_block(&[i as f32], i);
             assert_eq!(topk.stream_threshold(), None, "no compaction before trigger");
         }
         let last = FIRST_STREAM_COMPACT - 1;
-        topk.stream_offer(last as f32, last);
+        topk.stream_offer_block(&[last as f32], last);
         assert_eq!(topk.stream_threshold(), Some((last - 1) as f32));
         // Offers strictly below the threshold are dropped without growing
         // the candidate buffer.
         let len_before = topk.entries.len();
-        topk.stream_offer(0.5, last + 1);
+        topk.stream_offer_block(&[0.5], last + 1);
         assert_eq!(topk.entries.len(), len_before);
         // A new global best still enters and wins.
-        topk.stream_offer(f32::INFINITY, last + 2);
+        topk.stream_offer_block(&[f32::INFINITY], last + 2);
         let mut out = Vec::new();
         topk.stream_finish_into(&mut out);
         assert_eq!(out, vec![last + 2, last]);
@@ -590,8 +479,8 @@ mod tests {
     #[test]
     fn stream_offer_indexed_matches_batch_on_scattered_ids() {
         // Offer a permuted, gap-ridden index set in chunks: the result must
-        // equal batch selection over the scattered scores (same total order,
-        // NaNs included).
+        // equal `select_into` over the scattered scores laid out densely
+        // (same total order, NaNs included).
         let mut rng = Rng64::new(93);
         for &(n, k, chunk) in &[(1usize, 1usize, 1usize), (300, 17, 7), (4000, 256, 93)] {
             // Scattered ids: stride-3 with an offset, descending within
