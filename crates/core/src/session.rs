@@ -738,8 +738,9 @@ impl HostPages for SessionRecord {
 
 /// A value whose host pages are pinned against recycling for as long as
 /// this wrapper lives. Unpins on [`Pinned::into_inner`] or drop, so a
-/// parked session that is discarded (e.g. deadline-reaped) never trips the
-/// allocator's pinned-release panic.
+/// parked session that is discarded (a checkpoint that failed to verify, or
+/// one dropped with a dead worker) never trips the allocator's
+/// pinned-release panic.
 struct Pinned<T: HostPages>(Option<T>);
 
 impl<T: HostPages> Pinned<T> {
@@ -809,7 +810,8 @@ impl SuspendedSession {
 
     /// Host transfer of the middle-region namespace — the same stats
     /// [`SelectiveSession::transfer_stats`] would report, available while
-    /// parked so a reaped session's completion still carries its traffic.
+    /// parked so a completion built without resuming still carries its
+    /// traffic.
     pub fn transfer_stats(&self) -> TransferStats {
         self.rec.get().store.stats()
     }
@@ -1525,7 +1527,7 @@ mod tests {
             "every page the parked session owns is pinned"
         );
 
-        // Discarding a parked session (deadline reaping) unpins then
+        // Discarding a parked session without resuming it unpins then
         // releases everything — no pinned-release panic, no leaks.
         drop(suspended);
         assert_eq!(tier.allocator().pages_in_use(), 0);

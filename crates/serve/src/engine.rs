@@ -17,7 +17,8 @@
 //! ## `Shard::tick`
 //!
 //! One pass runs these phases, in this order — the order is part of every
-//! tick-clocked outcome (deadlines, backoff, TTFT ticks):
+//! tick-clocked outcome (retry backoff, stalls, checkpoint cadence, TTFT
+//! ticks):
 //!
 //! 1. `admit` — reads free slots, `parked`, matured `waiting`, the queue.
 //!    Moves parked → active (resume), and queue/waiting → waiting
@@ -35,17 +36,15 @@
 //! 5. `publish` — moves local completions → the fleet (a published id
 //!    leaves the in-flight map and drops its checkpoint).
 //! 6. kill / stall — reads the fault plan. A planned kill unwinds the
-//!    worker here; a planned stall starts.
-//! 7. `reap` — reads every ticket's tick deadline. Moves late active /
-//!    prefilling / parked → `DeadlineExceeded` completions. A stalled pass
-//!    ends here.
-//! 8. `checkpoint` — reads the cadence. Moves nothing; snapshots each
+//!    worker here; a planned stall starts. A stalled pass ends here,
+//!    moving nothing.
+//! 7. `checkpoint` — reads the cadence. Moves nothing; snapshots each
 //!    active session into the registry.
-//! 9. `prefill_chunk` — advances the strongest prefilling job one budgeted
+//! 8. `prefill_chunk` — advances the strongest prefilling job one budgeted
 //!    chunk. Moves a finished prompt prefilling → active.
-//! 10. `decode` — steps each active session once. Moves a failed step →
-//!     completion; a corrupt page rolls back to its checkpoint in place.
-//! 11. `retire` — as 2.
+//! 9. `decode` — steps each active session once. Moves a failed step →
+//!    completion; a corrupt page rolls back to its checkpoint in place.
+//! 10. `retire` — as 2.
 //!
 //! Scheduling never changes results: a token decoded here is bit-identical
 //! to the same session run alone through `SelectiveSession::decode`
@@ -54,13 +53,14 @@
 //! ## Fault tolerance
 //!
 //! Per-request failure is a normal state, not an abort. Every recoverable
-//! fault — a panicking session, an exhausted page pool, a blown deadline,
-//! an admission shed — is contained to the session it hit: the session
-//! becomes a [`Completion`] carrying a [`FailureCause`](crate::FailureCause),
-//! its slot frees for the next request, and every other session keeps its
-//! bit-identical results (locked down by `tests/chaos.rs`). Only a config
-//! rejection fails the whole run, as a typed `Err` from
-//! [`ServeEngine::run`]. A seeded [`FaultPlan`] threaded through
+//! fault — a panicking session, an exhausted page pool, a corrupt page
+//! with no checkpoint, an admission shed — is contained to the session it
+//! hit: the session becomes a [`Completion`] carrying a
+//! [`FailureCause`](crate::FailureCause), its slot frees for the next
+//! request, and every other session keeps its bit-identical results
+//! (locked down by `tests/chaos.rs`). Every failure class but `Config`
+//! traces to a planned or a real fault. Only a config rejection fails the
+//! whole run, as a typed `Err` from [`ServeEngine::run`]. A seeded [`FaultPlan`] threaded through
 //! [`ServeConfig::faults`] provokes each fault class deterministically at
 //! chosen points.
 //!
@@ -83,8 +83,8 @@
 //!   shard — completions bit-identical to the fault-free run, each request
 //!   completing exactly once. In-flight sessions with no checkpoint fail
 //!   with the typed [`ServeError::ShardLost`] cause. Recovery replay runs
-//!   on the coordinator thread with no fault injection and no deadline
-//!   reaping (the failover host is assumed healthy).
+//!   on the coordinator thread with no fault injection (the failover host
+//!   is assumed healthy).
 //! - **Integrity**: every KV page carries a checksum verified on fetch
 //!   (`pqc_memhier`), so corrupted bytes — e.g. an injected
 //!   [`BitFlip`](crate::faults::BitFlip) — are *never served*: the step
@@ -116,7 +116,7 @@ use pqc_core::ConfigError;
 use pqc_llm::Model;
 use pqc_memhier::KvTier;
 use shard::Shard;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use ticket::Parked;
@@ -283,15 +283,22 @@ impl ServeEngine {
     /// assignment is first-free-worker (work conserving) by default, which
     /// is safe because results are scheduling-independent.
     ///
-    /// `Err` only on a rejected configuration; every per-request fault
-    /// (malformed prompt, panic, page exhaustion, deadline, shed) is
-    /// reported as a failed [`Completion`] inside an `Ok` report instead.
+    /// `Err` only on a rejected configuration or a batch that repeats a
+    /// request id (the in-flight map, the checkpoint registry and retry
+    /// bookkeeping are all keyed by id); every per-request fault
+    /// (malformed prompt, panic, page exhaustion, shed) is reported as a
+    /// failed [`Completion`] inside an `Ok` report instead.
     pub fn run(
         model: &Model,
         cfg: &ServeConfig,
         mut requests: Vec<ServeRequest>,
     ) -> Result<ServeReport, ServeError> {
         cfg.validate()?;
+        let mut ids = HashSet::with_capacity(requests.len());
+        if let Some(r) = requests.iter().find(|r| !ids.insert(r.id)) {
+            let message = format!("request id {} appears more than once in the batch", r.id);
+            return Err(ConfigError::new("id", message).into());
+        }
         // The door: a malformed prompt fails here, typed, and never
         // reaches a queue — routing and every shard's schedule are those
         // of the batch without it.

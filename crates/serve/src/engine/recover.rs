@@ -2,7 +2,7 @@
 //! request a dead shard popped but never completed gets exactly one
 //! completion.
 
-use super::ticket::{step_fault, Parked, Ticketed};
+use super::ticket::{step_fault, Parked};
 use super::types::{Completion, ShardStats};
 use super::{lock, Fleet, InflightInfo};
 use crate::error::ServeError;
@@ -85,7 +85,7 @@ pub(super) fn recover_dead_shards(
 /// Resume a checkpoint on the coordinator thread and decode it to
 /// completion — the failover replay. Bit-identical to the fault-free run
 /// by construction: resume is exact and decode is deterministic. No fault
-/// injection and no deadline reaping apply here.
+/// injection applies here.
 fn replay_from_checkpoint(
     fleet: &Fleet<'_>,
     snapshot: Parked,

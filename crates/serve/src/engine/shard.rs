@@ -1,11 +1,9 @@
 //! One shard's scheduler: the pools a request moves through and the
 //! `tick()` that moves it. The phase order is the engine's contract with
-//! every tick-clocked outcome (deadlines, backoff, TTFT ticks) — see the
-//! module header of `engine.rs` for the phase list.
+//! every tick-clocked outcome (retry backoff, stalls, checkpoint cadence,
+//! TTFT ticks) — see the module header of `engine.rs` for the phase list.
 
-use super::ticket::{
-    step_fault, store_fault, Active, Parked, Prefilling, SessionStats, Ticket, Ticketed,
-};
+use super::ticket::{step_fault, store_fault, Active, Parked, Prefilling, SessionStats, Ticket};
 use super::types::{Completion, Priority, ServeRequest, ShardAssignment, ShardStats};
 use super::{lock, Fleet, InflightInfo};
 use crate::error::{RetryPolicy, ServeError};
@@ -67,28 +65,10 @@ fn pop_request(queue: &BoundedQueue<ServeRequest>, block: bool) -> Option<ServeR
     }
 }
 
-/// Index of the highest-priority entry; the earliest wins ties, so a
-/// uniform-priority pool keeps stable order. `None` when empty.
-fn strongest<T: Ticketed>(pool: &[T]) -> Option<usize> {
-    pool.iter().enumerate().min_by_key(|(_, t)| Reverse(t.ticket().priority)).map(|(i, _)| i)
-}
-
-/// Move every late entry out of `pool` (in `swap_remove` order) into `late`.
-fn drain_expired<T: Ticketed>(
-    pool: &mut Vec<T>,
-    tick: u64,
-    late: &mut Vec<(Ticket, SessionStats, ServeError)>,
-) {
-    let mut i = 0;
-    while i < pool.len() {
-        match pool[i].ticket().expired(tick) {
-            Some(cause) => {
-                let (ticket, held) = pool.swap_remove(i).finish();
-                late.push((ticket, held, cause));
-            }
-            None => i += 1,
-        }
-    }
+/// Index of the highest of a pool's priorities; the earliest wins ties, so
+/// a uniform-priority pool keeps stable order. `None` when empty.
+fn strongest(priorities: impl Iterator<Item = Priority>) -> Option<usize> {
+    priorities.enumerate().min_by_key(|&(_, p)| Reverse(p)).map(|(i, _)| i)
 }
 
 /// One worker's share of the fleet: its pools, its clock (`stats.ticks`),
@@ -158,7 +138,6 @@ impl<'a> Shard<'a> {
         self.stats.ticks += 1;
         self.publish();
         self.kill_or_stall(tick);
-        self.reap(tick);
         if self.stall_remaining > 0 {
             // Injected slow shard: hold the sessions, skip the work.
             self.stall_remaining -= 1;
@@ -254,7 +233,9 @@ impl<'a> Shard<'a> {
     /// Resume the strongest parked session into a free slot — unless a
     /// queued request strictly outranks it (that one is admitted first).
     fn resume_parked(&mut self) -> bool {
-        let Some(pi) = strongest(&self.parked) else { return false };
+        let Some(pi) = strongest(self.parked.iter().map(|p| p.ticket.priority)) else {
+            return false;
+        };
         let queued = self.fleet.inbox(self.id).max_key(|r| r.priority);
         if queued.is_some_and(|qp| qp > self.parked[pi].ticket.priority) {
             return false;
@@ -556,20 +537,6 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Reap everything whose tick deadline elapsed. Checked every tick —
-    /// including stalled ones: a stalled shard is exactly how deadlines get
-    /// blown. Mid-prefill requests (no first token: `ttft_*` stay `None`)
-    /// and parked sessions are reaped too.
-    fn reap(&mut self, tick: u64) {
-        let mut late = Vec::new();
-        drain_expired(&mut self.active, tick, &mut late);
-        drain_expired(&mut self.prefilling, tick, &mut late);
-        drain_expired(&mut self.parked, tick, &mut late);
-        for (ticket, held, cause) in late {
-            self.fail(ticket, held, cause, false);
-        }
-    }
-
     /// Checkpoint pass: on the cadence, snapshot every active session
     /// through the paged tier without evicting it, replacing its registry
     /// entry.
@@ -595,7 +562,9 @@ impl<'a> Shard<'a> {
     /// session exactly like monolithic admission does.
     fn prefill_chunk(&mut self, tick: u64) {
         let Some(chunk) = self.fleet.cfg.prefill_chunk_tokens else { return };
-        let Some(pi) = strongest(&self.prefilling) else { return };
+        let Some(pi) = strongest(self.prefilling.iter().map(|p| p.ticket.priority)) else {
+            return;
+        };
         let t0 = Instant::now();
         self.prefilling[pi].job.advance(chunk);
         self.stats.prefill_chunks += 1;
@@ -691,6 +660,7 @@ mod tests {
     use super::super::tests::{prompt, session_cfg};
     use super::super::types::ServeConfig;
     use super::*;
+    use crate::faults::FaultPlan;
     use pqc_llm::{LlmConfig, Model};
     use pqc_policies::PqCachePolicy;
 
@@ -700,69 +670,59 @@ mod tests {
     }
 
     #[test]
-    fn one_reap_covers_active_prefilling_and_parked() {
-        // The same 5-tick deadline over a decoding, a mid-prefill and a
-        // parked session: each leaves as DeadlineExceeded with its own
-        // progress, and everything its ticket carried.
+    fn failed_and_retired_completions_carry_their_tickets() {
+        // Two ways a ticketed session leaves a shard: an active session
+        // failed by an injected panic, and a parked one resumed and
+        // retired. Each completion keeps its own progress and everything
+        // its ticket carried.
         let model = Model::new(LlmConfig::tiny());
         let cfg = ServeConfig {
             shards: 1,
             max_active_per_shard: 4,
             session: session_cfg(),
-            // One chunk swallows a 64-token prompt.
-            prefill_chunk_tokens: Some(512),
+            faults: Some(FaultPlan::seeded(5).with_session_panic(0, 2)),
             ..Default::default()
         };
         let fleet = Fleet::new(&model, &cfg);
         let mut shard = Shard::new(&fleet, 0);
-        // (id, decode steps, priority, retries): 0 stays active, 1 gets
-        // parked, 2 never leaves prefill.
-        let plan = [(0, 30, Priority::High, 1), (1, 20, Priority::Low, 2), (2, 10, Priority::Normal, 3)];
-        for &(id, steps, priority, retries) in &plan[..2] {
+        // (id, decode steps, priority, retries): 0 fails at step 2, 1 gets
+        // parked, then resumed and retired.
+        let plan = [(0, 30, Priority::High, 1), (1, 20, Priority::Low, 2)];
+        for &(id, steps, priority, retries) in &plan {
             shard.rejected.insert(id, retries);
-            shard.seat(request(id, steps, priority).with_deadline(5));
+            shard.seat(request(id, steps, priority));
         }
-        shard.prefill_chunk(0);
-        shard.prefill_chunk(1);
-        assert_eq!(shard.active.len(), 2, "both prompts finished prefill");
         shard.decode();
         shard.decode();
         let low = shard.active.iter().position(|a| a.ticket.id == 1).unwrap();
         assert!(shard.park(low), "uncapped tier takes the swap");
-        let (id, steps, priority, retries) = plan[2];
-        shard.rejected.insert(id, retries);
-        shard.seat(request(id, steps, priority).with_deadline(5));
-        assert_eq!((shard.active.len(), shard.prefilling.len(), shard.parked.len()), (1, 1, 1));
+        shard.decode();
+        assert!(shard.active.is_empty(), "the injected panic failed request 0");
+        assert_eq!(shard.stats.failed, 1);
+        assert_eq!(shard.stats.shed_tokens, 30 - 2);
+        assert!(shard.resume_parked());
+        while !shard.active.is_empty() {
+            shard.decode();
+            shard.retire();
+        }
 
-        shard.reap(4);
-        assert!(shard.done.is_empty(), "one tick early reaps nothing");
-        shard.reap(5);
-        assert_eq!((shard.active.len(), shard.prefilling.len(), shard.parked.len()), (0, 0, 0));
-        assert_eq!(shard.stats.failed, 3);
-        assert_eq!(shard.stats.shed_tokens, (30 - 2) + (20 - 2) + 10);
-
-        // (generated, preemptions, has a first token) per id.
-        let expect = [(2, 0, true), (2, 1, true), (0, 0, false)];
-        for (&(id, _, priority, retries), (generated, preemptions, first_token)) in
+        // (generated, preemptions, failed) per id.
+        let expect = [(2, 0, true), (20, 1, false)];
+        for (&(id, _, priority, retries), (generated, preemptions, failed)) in
             plan.iter().zip(expect)
         {
             let c = shard.done.iter().find(|c| c.id == id).expect("one completion per request");
-            let cause = c.failure.as_ref().expect("reaped");
-            assert_eq!(
-                cause.error,
-                ServeError::DeadlineExceeded { deadline_ticks: 5, elapsed_ticks: 5 },
-                "request {id}"
-            );
-            assert!(!cause.injected);
+            assert_eq!(c.failure.is_some(), failed, "request {id}");
+            if let Some(cause) = &c.failure {
+                assert_eq!(cause.error.class(), "session_poisoned");
+                assert!(cause.injected);
+                assert_eq!(cause.step, generated as u64, "request {id}: step = tokens served");
+            }
             assert_eq!(c.generated.len(), generated, "request {id}");
-            assert_eq!(cause.step, generated as u64, "request {id}: step = tokens served");
             assert_eq!((c.retries, c.priority, c.preemptions), (retries, priority, preemptions));
-            assert_eq!(c.ttft_ticks.is_some(), first_token, "request {id}");
-            assert_eq!(c.ttft_wall.is_some(), first_token, "request {id}");
-            assert_eq!(c.tpot_wall.is_some(), generated > 0, "request {id}");
-            // A session that existed offloaded its prompt; a mid-prefill
-            // request never touched the tier.
-            assert_eq!(c.transfer.d2h_bytes > 0, first_token, "request {id}");
+            assert_eq!(c.ttft_ticks, Some(0), "request {id}: prefilled at admission");
+            assert!(c.ttft_wall.is_some() && c.tpot_wall.is_some(), "request {id}");
+            assert!(c.transfer.d2h_bytes > 0, "request {id} offloaded its prompt");
         }
     }
 

@@ -24,9 +24,9 @@ pub(super) struct Ticket {
     pub(super) priority: Priority,
     /// Admission retries consumed before a slot was granted.
     pub(super) retries: u32,
-    /// Per-shard tick at admission: the base the deadline counts from.
+    /// Per-shard tick at admission: the base chunked-prefill TTFT ticks
+    /// count from, and the preemption victim order's tie-break.
     pub(super) admitted_tick: u64,
-    pub(super) deadline: Option<u64>,
     /// Token to feed the next decode step (set with the first-token stamp).
     pub(super) next: u32,
     pub(super) remaining: usize,
@@ -58,7 +58,6 @@ impl Ticket {
             priority: req.priority,
             retries,
             admitted_tick: tick,
-            deadline: req.deadline,
             next: 0,
             remaining: req.decode_steps,
             generated: Vec::with_capacity(req.decode_steps),
@@ -80,18 +79,6 @@ impl Ticket {
         self.next = pqc_tensor::argmax(logits) as u32;
         self.ttft_ticks = Some(ticks);
         self.ttft_wall = Some(wall);
-    }
-
-    /// The `DeadlineExceeded` cause when this request is late at `tick`.
-    pub(super) fn expired(&self, tick: u64) -> Option<ServeError> {
-        // Every token decoded: the session is retiring, not late. A prompt
-        // still mid-prefill has no first token yet and is always reapable.
-        if self.remaining == 0 && self.ttft_ticks.is_some() {
-            return None;
-        }
-        let elapsed_ticks = tick - self.admitted_tick;
-        let deadline_ticks = self.deadline.filter(|&d| elapsed_ticks >= d)?;
-        Some(ServeError::DeadlineExceeded { deadline_ticks, elapsed_ticks })
     }
 
     /// Rewind to a checkpoint's ticket after store corruption. Decode
@@ -183,7 +170,7 @@ impl Completion {
 }
 
 /// The per-namespace stats a finishing session still holds; a request with
-/// no session (mid-prefill, or failed at admission) holds the default.
+/// no session (its prompt did not fit the host tier) holds the default.
 #[derive(Default)]
 pub(super) struct SessionStats {
     transfer: TransferStats,
@@ -207,12 +194,6 @@ impl SessionStats {
     }
 }
 
-/// Anything a shard pool holds: it carries a ticket and can be finished
-/// into the ticket plus whatever session stats still exist.
-pub(super) trait Ticketed {
-    fn ticket(&self) -> &Ticket;
-    fn finish(self) -> (Ticket, SessionStats);
-}
 
 /// A session decoding in a slot.
 pub(super) struct Active<'m> {
@@ -237,38 +218,13 @@ pub(super) struct Parked {
     pub(super) suspended: SuspendedSession,
 }
 
-impl Ticketed for Active<'_> {
-    fn ticket(&self) -> &Ticket {
-        &self.ticket
-    }
-    fn finish(self) -> (Ticket, SessionStats) {
+impl<'m> Active<'m> {
+    /// Leave the slot: the ticket, plus the live session's stats.
+    pub(super) fn finish(self) -> (Ticket, SessionStats) {
         let held = SessionStats::live(&self.session);
         (self.ticket, held)
     }
-}
 
-impl Ticketed for Prefilling<'_> {
-    fn ticket(&self) -> &Ticket {
-        &self.ticket
-    }
-    fn finish(self) -> (Ticket, SessionStats) {
-        (self.ticket, SessionStats::default())
-    }
-}
-
-impl Ticketed for Parked {
-    fn ticket(&self) -> &Ticket {
-        &self.ticket
-    }
-    /// Dropping the suspended session unpins and releases its pages; the
-    /// completion still accounts its full transfer history.
-    fn finish(self) -> (Ticket, SessionStats) {
-        let held = SessionStats::suspended(&self.suspended);
-        (self.ticket, held)
-    }
-}
-
-impl<'m> Active<'m> {
     /// One greedy decode step through the shard's shared scratch: feed
     /// `ticket.next`, and on success record the token (and trace) and pick
     /// the next one. On `Err` the session is dead and must be retired.
@@ -310,6 +266,14 @@ impl<'m> Active<'m> {
 }
 
 impl Parked {
+    /// Leave the pool without resuming. Dropping the suspended session
+    /// unpins and releases its pages; the completion still accounts its
+    /// full transfer history.
+    pub(super) fn finish(self) -> (Ticket, SessionStats) {
+        let held = SessionStats::suspended(&self.suspended);
+        (self.ticket, held)
+    }
+
     /// Resume into a slot around a fresh cache. Decoding continues
     /// bit-identically to never having left; the suspend + resume swap
     /// traffic lands on the ticket so per-completion accounting stays

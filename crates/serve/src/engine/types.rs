@@ -160,7 +160,9 @@ impl ServeConfig {
 
 /// One admission: a prompt plus how many tokens to decode greedily.
 pub struct ServeRequest {
-    /// Caller-chosen id, echoed in the completion (must be unique).
+    /// Caller-chosen id, echoed in the completion. Unique within a batch:
+    /// [`crate::ServeEngine::run`] rejects a repeat with a `Config` error
+    /// on field `"id"`.
     pub id: u64,
     /// Prompt tokens: more than `session.n_init + session.n_local` of them,
     /// every id below the model's vocabulary size. Anything else fails this
@@ -170,11 +172,6 @@ pub struct ServeRequest {
     pub decode_steps: usize,
     /// Selection policy instance for this session.
     pub policy: Box<dyn SelectionPolicy + Send>,
-    /// Optional deadline in scheduler ticks (the engine's deterministic
-    /// clock): a session still decoding `deadline` ticks after admission is
-    /// reaped with [`crate::ServeError::DeadlineExceeded`]. `None` never
-    /// expires.
-    pub deadline: Option<u64>,
     /// Scheduling class. `Normal` (the default) keeps exact FIFO among
     /// itself; `High` is admitted first and may preempt a strictly
     /// lower-class running session when no slot is free.
@@ -182,7 +179,7 @@ pub struct ServeRequest {
 }
 
 impl ServeRequest {
-    /// A request with no deadline and normal priority.
+    /// A request at normal priority.
     pub fn new(
         id: u64,
         tokens: Vec<u32>,
@@ -194,15 +191,8 @@ impl ServeRequest {
             tokens,
             decode_steps,
             policy,
-            deadline: None,
             priority: Priority::default(),
         }
-    }
-
-    /// Set a deadline in scheduler ticks.
-    pub fn with_deadline(mut self, ticks: u64) -> Self {
-        self.deadline = Some(ticks);
-        self
     }
 
     /// Set the scheduling class.
@@ -250,7 +240,7 @@ pub struct Completion {
     pub priority: Priority,
     /// Time-to-first-token, wall clock from batch arrival (includes queue
     /// wait and head-of-line blocking). `None` when the request never
-    /// produced a first token (shed, or reaped mid-prefill).
+    /// produced a first token (shed, or failed before its prefill ended).
     pub ttft_wall: Option<Duration>,
     /// Time-to-first-token in scheduler ticks from admission: 0 for
     /// monolithic or prefix-adopted prefill (one admission event), the
@@ -284,8 +274,8 @@ pub struct ShardStats {
     pub admitted: u64,
     /// Sessions that failed or were shed on this shard.
     pub failed: u64,
-    /// Decode tokens requested but never produced (shed at admission,
-    /// reaped by deadline, or lost to a mid-decode fault).
+    /// Decode tokens requested but never produced (shed at admission, or
+    /// lost to a mid-decode fault or a dead shard).
     pub shed_tokens: u64,
     /// Session-steps skipped while the shard was stalled by an injected
     /// slow-shard fault (sessions held but not decoded that tick).

@@ -28,13 +28,6 @@ pub enum ServeError {
         /// The pool cap that was hit.
         max_pages: usize,
     },
-    /// The request's deadline elapsed before decoding finished.
-    DeadlineExceeded {
-        /// The configured deadline, in scheduler ticks.
-        deadline_ticks: u64,
-        /// Ticks actually elapsed when the session was reaped.
-        elapsed_ticks: u64,
-    },
     /// The session's step panicked; the panic payload is preserved.
     SessionPoisoned {
         /// Stringified panic payload.
@@ -64,7 +57,6 @@ impl ServeError {
             ServeError::Config(_) => "config",
             ServeError::Admission { .. } => "admission",
             ServeError::PageExhausted { .. } => "page_exhausted",
-            ServeError::DeadlineExceeded { .. } => "deadline_exceeded",
             ServeError::SessionPoisoned { .. } => "session_poisoned",
             ServeError::ShardLost { .. } => "shard_lost",
             ServeError::KvCorruption { .. } => "kv_corruption",
@@ -81,9 +73,6 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::PageExhausted { max_pages } => {
                 write!(f, "host page pool exhausted (max_pages {max_pages})")
-            }
-            ServeError::DeadlineExceeded { deadline_ticks, elapsed_ticks } => {
-                write!(f, "deadline of {deadline_ticks} ticks exceeded ({elapsed_ticks} elapsed)")
             }
             ServeError::SessionPoisoned { message } => {
                 write!(f, "session poisoned by panic: {message}")
@@ -178,11 +167,6 @@ mod tests {
             ),
             (ServeError::Admission { attempts: 3 }, "admission", "3 attempt"),
             (ServeError::PageExhausted { max_pages: 8 }, "page_exhausted", "max_pages 8"),
-            (
-                ServeError::DeadlineExceeded { deadline_ticks: 5, elapsed_ticks: 9 },
-                "deadline_exceeded",
-                "5 ticks",
-            ),
             (
                 ServeError::SessionPoisoned { message: "boom".into() },
                 "session_poisoned",

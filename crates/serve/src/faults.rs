@@ -26,6 +26,8 @@ pub struct SessionPanic {
 
 /// Stall one shard for a number of ticks: the shard consumes scheduler
 /// ticks without stepping its sessions (a slow-worker / GC-pause stand-in).
+/// A stall fails no request: the held sessions go on where they stopped,
+/// and only their latency and `stalled_steps` show it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStall {
     /// Shard to stall.

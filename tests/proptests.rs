@@ -75,10 +75,10 @@ proptest! {
     #[test]
     fn topk_exact_under_duplicates_nans_and_degenerate_k(
         // Scores drawn from a tiny value set (massive tie plateaus) with
-        // NaNs mixed in, at sizes spanning both selector paths (full
-        // quickselect below SMALL_N, sample-threshold above), and k from 0
-        // through >= n: the O(n) selector must reproduce the argsort
-        // reference exactly — same index set, same order.
+        // NaNs mixed in, at sizes from one score to several compaction
+        // rounds, and k from 0 through >= n: the O(n) selector must
+        // reproduce the argsort reference exactly — same index set, same
+        // order.
         picks in proptest::collection::vec(0usize..5, 1..2600),
         k_frac in 0u8..=8,
     ) {
@@ -94,9 +94,9 @@ proptest! {
 
     #[test]
     fn streamed_selection_equals_batch(
-        // The streaming candidate-buffer path (compaction thresholds,
-        // block offers) must agree with the batch selector on arbitrary
-        // block splits of the same score stream.
+        // The streaming selector (compaction thresholds, block offers) over
+        // arbitrary block splits of one score stream must pick what a full
+        // argsort of the whole batch ranks first: same ids, same order.
         picks in proptest::collection::vec(0usize..6, 1..800),
         k in 0usize..96,
         block in 1usize..130,
@@ -111,7 +111,8 @@ proptest! {
         }
         let mut streamed = Vec::new();
         topk.stream_finish_into(&mut streamed);
-        prop_assert_eq!(streamed, top_k_indices(&scores, k));
+        let sorted: Vec<usize> = argsort_desc(&scores).into_iter().take(k).collect();
+        prop_assert_eq!(streamed, sorted);
     }
 
     #[test]
