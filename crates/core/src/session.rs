@@ -83,8 +83,6 @@ struct SessionRecord {
     /// Next absolute position to decode.
     pos: usize,
     steps: u64,
-    /// Non-overlappable policy communication accumulated (bytes).
-    policy_comm_bytes: u64,
     /// Selected middle indices (absolute token ids) of the last step,
     /// `[layer][kv_head]` — used by retrieval-accuracy instrumentation.
     last_selected: Vec<Vec<Vec<usize>>>,
@@ -402,7 +400,6 @@ impl<'m> SelectiveSession<'m> {
             store,
             pos: s,
             steps: 0,
-            policy_comm_bytes: 0,
             last_selected: vec![vec![Vec::new(); mcfg.n_kv_heads]; mcfg.n_layers],
         };
         let session = Self::assemble(model, rec, resident, cache);
@@ -545,11 +542,6 @@ impl<'m> SelectiveSession<'m> {
     /// GPU cache statistics.
     pub fn cache_stats(&self) -> pqc_cache::CacheStats {
         self.cache.stats()
-    }
-
-    /// Non-overlappable policy communication so far, in bytes.
-    pub fn policy_comm_bytes(&self) -> u64 {
-        self.rec.policy_comm_bytes
     }
 
     /// Decode steps taken.
@@ -902,8 +894,6 @@ impl KvSource for SelectiveSession<'_> {
             rec.policy.select_with_scratch(&ctx, &mut self.policy_scratch, sel);
             sel.retain(|&i| i < middle_len);
         }
-        // Account the policy's non-overlappable proxy communication.
-        rec.policy_comm_bytes += rec.policy.comm_bytes_per_step(middle_len);
 
         // 2. Record absolute ids for instrumentation, in selection order.
         let abs = &mut rec.last_selected[layer][kv_head];
@@ -1015,8 +1005,6 @@ mod tests {
         let ts = session.transfer_stats();
         assert!(ts.d2h_bytes > 0, "prefill offload must be metered");
         assert!(ts.h2d_bytes > 0, "top-k fetches must be metered");
-        // PQCache reports zero non-overlappable proxy comm.
-        assert_eq!(session.policy_comm_bytes(), 0);
         assert!(session.cache_stats().token_lookups > 0);
     }
 
@@ -1387,38 +1375,6 @@ mod tests {
         assert_eq!(tier.allocator().pages_in_use(), 0, "failed start leaks no pages");
     }
 
-    /// A policy with a non-zero `comm_bytes_per_step` around PQCache (which
-    /// reports zero), so the twin batteries can tell a carried
-    /// `policy_comm_bytes` from a reset one. Everything the twins exercise
-    /// is delegated.
-    struct Metered(Box<dyn SelectionPolicy + Send>);
-
-    impl SelectionPolicy for Metered {
-        fn name(&self) -> &'static str {
-            "Metered"
-        }
-        fn init(&mut self, init: &PolicyInit) {
-            self.0.init(init);
-        }
-        fn select_with_scratch(
-            &mut self,
-            ctx: &PolicyContext<'_>,
-            scratch: &mut PolicyScratch,
-            out: &mut Vec<usize>,
-        ) {
-            self.0.select_with_scratch(ctx, scratch, out);
-        }
-        fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], middle_idx: usize) {
-            self.0.on_evict(layer, kv_head, key, middle_idx);
-        }
-        fn comm_bytes_per_step(&self, middle_len: usize) -> u64 {
-            middle_len as u64
-        }
-        fn fork(&self) -> Option<Box<dyn SelectionPolicy + Send>> {
-            Some(Box::new(Metered(self.0.fork()?)))
-        }
-    }
-
     /// Twin-session harness for the suspend/resume battery: both sessions
     /// start from one prefill inside `tier`, decode `warm` steps in
     /// lockstep, then the closure takes over.
@@ -1433,7 +1389,7 @@ mod tests {
         let mk = || {
             SelectiveSession::start_from_prefill_in(
                 model,
-                Box::new(Metered(Box::new(PqCachePolicy::default()))),
+                Box::new(PqCachePolicy::default()),
                 c,
                 &prefill,
                 SessionResources {
@@ -1460,8 +1416,6 @@ mod tests {
     /// uninterrupted twin's (a field dropped on the way would reset).
     fn assert_same_record(twin: &SelectiveSession<'_>, revived: &SelectiveSession<'_>) {
         assert_eq!(twin.steps(), revived.steps(), "steps");
-        assert!(twin.policy_comm_bytes() > 0, "twins must meter policy comm");
-        assert_eq!(twin.policy_comm_bytes(), revived.policy_comm_bytes(), "policy_comm_bytes");
         assert_eq!(twin.middle_budget(), revived.middle_budget(), "middle_budget");
     }
 

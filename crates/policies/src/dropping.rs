@@ -80,10 +80,6 @@ impl SelectionPolicy for StreamingLlmPolicy {
         out.clear();
     }
 
-    fn comm_bytes_per_step(&self, _middle_len: usize) -> u64 {
-        0
-    }
-
     fn is_dropping(&self) -> bool {
         true
     }
@@ -116,10 +112,6 @@ impl SelectionPolicy for H2oPolicy {
         out: &mut Vec<usize>,
     ) {
         self.ranking.select_into(ctx.layer, ctx.kv_head, ctx.budget, ctx.middle_len, out);
-    }
-
-    fn comm_bytes_per_step(&self, _middle_len: usize) -> u64 {
-        0
     }
 
     fn is_dropping(&self) -> bool {
@@ -168,10 +160,6 @@ impl SelectionPolicy for SnapKvPolicy {
         out: &mut Vec<usize>,
     ) {
         self.ranking.select_into(ctx.layer, ctx.kv_head, ctx.budget, ctx.middle_len, out);
-    }
-
-    fn comm_bytes_per_step(&self, _middle_len: usize) -> u64 {
-        0
     }
 
     fn is_dropping(&self) -> bool {
@@ -234,10 +222,6 @@ impl SelectionPolicy for PyramidKvPolicy {
     ) {
         let scaled = (ctx.budget as f64 * self.layer_multiplier(ctx.layer)).round() as usize;
         self.ranking.select_into(ctx.layer, ctx.kv_head, scaled, ctx.middle_len, out);
-    }
-
-    fn comm_bytes_per_step(&self, _middle_len: usize) -> u64 {
-        0
     }
 
     fn is_dropping(&self) -> bool {
@@ -334,19 +318,5 @@ mod tests {
         // Pretend middle only has 20 tokens: index 39 must not appear.
         let sel = selected(&mut p, &ctx(&q, 0, 10, 20));
         assert!(sel.iter().all(|&i| i < 20));
-    }
-
-    #[test]
-    fn dropping_policies_report_zero_comm() {
-        let policies: Vec<Box<dyn SelectionPolicy>> = vec![
-            Box::new(StreamingLlmPolicy),
-            Box::new(H2oPolicy::default()),
-            Box::new(SnapKvPolicy::default()),
-            Box::new(PyramidKvPolicy::default()),
-        ];
-        for p in &policies {
-            assert_eq!(p.comm_bytes_per_step(10_000), 0, "{}", p.name());
-            assert!(p.is_dropping());
-        }
     }
 }

@@ -15,8 +15,10 @@
 //! - **Offloading / retrieval** (Oracle, SPARQ, InfLLM, PQCache): keep
 //!   everything on the host and re-select per step, paying communication.
 //!
-//! Every policy reports its per-step communication so comm-budget-matched
-//! comparisons (§4.1.3) are honest.
+//! Comm-budget-matched comparisons (§4.1.3) size the retrieval baselines
+//! from one communication fraction (`pqc_workloads::MethodSpec::build`);
+//! the host-tier traffic a session really moves is metered by
+//! `pqc_memhier`.
 
 #![warn(missing_docs)]
 
@@ -209,12 +211,6 @@ pub trait SelectionPolicy {
     fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], middle_idx: usize) {
         let _ = (layer, kv_head, key, middle_idx);
     }
-
-    /// Non-overlappable communication bytes this policy incurs per decode
-    /// step for one (layer, kv-head), *excluding* the final top-k KV fetch
-    /// (which is identical across retrieval policies). `middle_len` is the
-    /// current middle-region size.
-    fn comm_bytes_per_step(&self, middle_len: usize) -> u64;
 
     /// Dropping policies keep a static set and never fetch from host.
     fn is_dropping(&self) -> bool {

@@ -224,12 +224,6 @@ impl SelectionPolicy for PqCachePolicy {
         }
     }
 
-    /// PQ codes are query-independent: fully prefetchable. Non-overlappable
-    /// per-step traffic is zero (the paper's headline efficiency property).
-    fn comm_bytes_per_step(&self, _middle_len: usize) -> u64 {
-        0
-    }
-
     /// Snapshot the trained codebooks/codes/IVF tiers. Training is
     /// deterministically seeded per (layer, head), so the snapshot equals
     /// what any same-configured policy would train over the same middle
@@ -336,14 +330,6 @@ mod tests {
         let ctx = PolicyContext { layer: 0, kv_head: 0, queries: &q, budget: 3, middle_len: 65 };
         let sel = selected(&mut p, &ctx);
         assert!(sel.contains(&64), "{sel:?}");
-    }
-
-    #[test]
-    fn comm_is_prefetchable_only() {
-        let init = synthetic_init(1, 1, 64, 16, &[], 5);
-        let mut p = PqCachePolicy::new(cfg(2, 6, 5));
-        p.init(&init);
-        assert_eq!(p.comm_bytes_per_step(100_000), 0);
     }
 
     #[test]

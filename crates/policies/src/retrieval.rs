@@ -45,12 +45,6 @@ impl SelectionPolicy for FullAttentionPolicy {
     fn on_evict(&mut self, _layer: usize, _kv_head: usize, _key: &[f32], middle_idx: usize) {
         self.middle_len = self.middle_len.max(middle_idx + 1);
     }
-
-    /// Full attention keeps the whole KVCache on device; in the offloading
-    /// setting it would move every key and value each step.
-    fn comm_bytes_per_step(&self, middle_len: usize) -> u64 {
-        (middle_len * 2) as u64 // placeholder per-dim accounting handled by engine
-    }
 }
 
 /// Exact top-k selection over middle keys (the paper's "Ora" column).
@@ -89,13 +83,6 @@ impl SelectionPolicy for OraclePolicy {
 
     fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], _middle_idx: usize) {
         self.keys[layer][kv_head].push_row(key);
-    }
-
-    /// The oracle is not implementable without moving all keys; we account
-    /// the full key traffic to make that explicit in latency experiments.
-    fn comm_bytes_per_step(&self, middle_len: usize) -> u64 {
-        // full keys, FP16
-        (middle_len * self.keys.first().map_or(0, |l| l[0].cols()) * 2) as u64
     }
 }
 
@@ -164,12 +151,6 @@ impl SelectionPolicy for SparqPolicy {
 
     fn on_evict(&mut self, layer: usize, kv_head: usize, key: &[f32], _middle_idx: usize) {
         self.keys[layer][kv_head].push_row(key);
-    }
-
-    /// `r` FP16 values per middle key, every step, and it *cannot* be
-    /// prefetched: the dimensions depend on the current query.
-    fn comm_bytes_per_step(&self, middle_len: usize) -> u64 {
-        (middle_len * self.r * 2) as u64
     }
 }
 
@@ -308,14 +289,6 @@ impl SelectionPolicy for InfLlmPolicy {
             rv[last] = reps;
         }
     }
-
-    /// Representative keys cross the link once per step; block-level
-    /// management keeps it small: `r_rep/B` of the keys.
-    fn comm_bytes_per_step(&self, middle_len: usize) -> u64 {
-        let dh = self.keys.first().map_or(0, |l| l[0].cols());
-        let nb = middle_len.div_ceil(self.block_size);
-        (nb * self.reps_per_block * dh * 2) as u64
-    }
 }
 
 #[cfg(test)]
@@ -374,14 +347,6 @@ mod tests {
         rec_lo /= trials as f64;
         assert!(rec_hi > rec_lo + 0.15, "hi {rec_hi} lo {rec_lo}");
         assert!(rec_hi > 0.6, "hi {rec_hi}");
-    }
-
-    #[test]
-    fn sparq_comm_scales_with_r_and_len() {
-        let mut p = SparqPolicy::new(2);
-        let init = synthetic_init(1, 1, 10, 16, &[], 4);
-        p.init(&init);
-        assert_eq!(p.comm_bytes_per_step(1000), 2 * 1000 * 2);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The sharded serve engine: continuous batching over `SelectiveSession`s.
 //!
-//! [`ServeEngine::run`] builds one `Fleet` (model, paged [`KvTier`], bounded
-//! admission queues, and the cross-shard recovery state), queues every
-//! request that fits before any worker starts, spawns one worker thread per
-//! shard, feeds the overflow from the caller's thread (bounded pushes are
-//! the back-pressure), joins, fails dead shards over (`recover.rs`), and
-//! assembles the [`ServeReport`].
+//! [`ServeEngine::run`] builds one `Fleet` (model, paged [`KvTier`], the
+//! batch split over admission windows, and the cross-shard recovery state),
+//! spawns one worker thread per shard, joins them, fails dead shards over
+//! (`recover.rs`), and assembles the [`ServeReport`]. An inbox holds its
+//! whole share of the batch from the start but shows a shard at most its
+//! share of [`ServeConfig::queue_capacity`] (`queue.rs`); each pop refills
+//! the window in batch order, so no thread ever waits on another.
 //!
 //! Each worker is a `Shard` (`shard.rs`) holding four pools: `waiting`
 //! (popped requests waiting out a retry backoff or a preemption that could
@@ -20,14 +21,13 @@
 //! tick-clocked outcome (retry backoff, stalls, checkpoint cadence, TTFT
 //! ticks):
 //!
-//! 1. `admit` — reads free slots, `parked`, matured `waiting`, the queue.
-//!    Moves parked → active (resume), and queue/waiting → waiting
-//!    (rejected), prefilling, active, or a shed completion. Blocks on the
-//!    queue only when every pool is empty; a closed, drained queue then
-//!    ends the worker.
+//! 1. `admit` — reads free slots, `parked`, matured `waiting`, the window.
+//!    Moves parked → active (resume), and window/waiting → waiting
+//!    (rejected), prefilling, active, or a shed completion. A shard with
+//!    every pool empty and nothing left in its window is finished.
 //! 2. `retire` — reads `active`. Moves sessions with nothing left to decode
 //!    → completions.
-//! 3. `preempt` — reads full slots and the best pending priority (queue,
+//! 3. `preempt` — reads full slots and the best pending priority (window,
 //!    matured `waiting`). Moves the weakest strictly-lower active → parked
 //!    and the pending request into its slot.
 //! 4. idle tick — when nothing holds a slot but `waiting`/`parked` are not
@@ -82,7 +82,8 @@
 //!   that has a checkpoint is resumed and **replayed forward** on a healthy
 //!   shard — completions bit-identical to the fault-free run, each request
 //!   completing exactly once. In-flight sessions with no checkpoint fail
-//!   with the typed [`ServeError::ShardLost`] cause. Recovery replay runs
+//!   with the typed [`ServeError::ShardLost`] cause, and so does whatever
+//!   the dead shard's own window still held. Recovery replay runs
 //!   on the coordinator thread with no fault injection (the failover host
 //!   is assumed healthy).
 //! - **Integrity**: every KV page carries a checksum verified on fetch
@@ -110,7 +111,7 @@ pub use types::{
 
 use crate::error::ServeError;
 use crate::faults::FaultPlan;
-use crate::queue::BoundedQueue;
+use crate::queue::Window;
 use pqc_cache::BlockCache;
 use pqc_core::ConfigError;
 use pqc_llm::Model;
@@ -131,7 +132,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// What the coordinator needs to account for a request that was on a shard
 /// when its worker died and left no checkpoint: enough to emit a typed
 /// [`ServeError::ShardLost`] completion. A request enters its shard's map
-/// when popped from the queue and leaves when its completion is published.
+/// when popped from a window and leaves when its completion is published.
 struct InflightInfo {
     priority: Priority,
     retries: u32,
@@ -147,8 +148,8 @@ struct Fleet<'a> {
     cfg: &'a ServeConfig,
     plan: FaultPlan,
     tier: KvTier,
-    /// FirstFree: one shared queue. RoundRobin: one per shard.
-    inboxes: Vec<BoundedQueue<ServeRequest>>,
+    /// FirstFree: one shared window. RoundRobin: one per shard.
+    inboxes: Vec<Window<ServeRequest>>,
     epoch: Instant,
     completions: Mutex<Vec<Completion>>,
     registry: Mutex<HashMap<u64, Parked>>,
@@ -156,7 +157,9 @@ struct Fleet<'a> {
 }
 
 impl<'a> Fleet<'a> {
-    fn new(model: &'a Model, cfg: &'a ServeConfig) -> Self {
+    /// The fleet for `cfg`, with request `i` of `requests` in inbox
+    /// `i mod inboxes`.
+    fn new(model: &'a Model, cfg: &'a ServeConfig, requests: Vec<ServeRequest>) -> Self {
         let plan = cfg.faults.clone().unwrap_or_default();
         let mcfg = model.config();
         let tier = KvTier::with_pages(
@@ -166,16 +169,22 @@ impl<'a> Fleet<'a> {
             cfg.page_tokens,
             plan.page_limit,
         );
-        // Round-robin splits the global bound exactly: the first
-        // `remainder` shards get the extra slot, so per-shard capacities
-        // sum to queue_capacity.
         let n = match cfg.assignment {
             ShardAssignment::FirstFree => 1,
             ShardAssignment::RoundRobin => cfg.shards,
         };
-        let inboxes = (0..n)
-            .map(|i| {
-                BoundedQueue::new(cfg.queue_capacity / n + usize::from(i < cfg.queue_capacity % n))
+        let mut shares: Vec<Vec<ServeRequest>> = (0..n).map(|_| Vec::new()).collect();
+        for (i, req) in requests.into_iter().enumerate() {
+            shares[i % n].push(req);
+        }
+        // Round-robin splits the global bound exactly: the first
+        // `remainder` shards get the extra slot, so per-shard capacities
+        // sum to queue_capacity.
+        let inboxes = shares
+            .into_iter()
+            .enumerate()
+            .map(|(i, share)| {
+                Window::new(cfg.queue_capacity / n + usize::from(i < cfg.queue_capacity % n), share)
             })
             .collect();
         Self {
@@ -191,8 +200,8 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// The queue shard `shard` pops from.
-    fn inbox(&self, shard: usize) -> &BoundedQueue<ServeRequest> {
+    /// The window shard `shard` pops from.
+    fn inbox(&self, shard: usize) -> &Window<ServeRequest> {
         &self.inboxes[shard % self.inboxes.len()]
     }
 
@@ -206,50 +215,6 @@ impl<'a> Fleet<'a> {
     /// injected.
     fn kills_injected(&self) -> bool {
         !self.plan.worker_kills.is_empty()
-    }
-
-    /// Before any worker starts: queue request `i` on queue `i mod queues`
-    /// iff that queue has room. A batch that fits is whole before the first
-    /// pop, so no shard's schedule can depend on how far the producer got.
-    /// Returns the overflow, each request with its batch index.
-    fn preload(&self, requests: Vec<ServeRequest>) -> Vec<(usize, ServeRequest)> {
-        let mut overflow = Vec::new();
-        for (i, req) in requests.into_iter().enumerate() {
-            let queue = &self.inboxes[i % self.inboxes.len()];
-            if queue.len() < queue.capacity() {
-                // Room, and no worker to close the queue yet: cannot fail.
-                let _ = queue.push(req);
-            } else {
-                overflow.push((i, req));
-            }
-        }
-        overflow
-    }
-
-    /// The producer side, on the caller's thread: pushes the overflow
-    /// [`Self::preload`] left, and the bounded pushes are the admission
-    /// back-pressure. A push only bounces when a dying worker closed its
-    /// queue first — shed the request as a shard loss instead of aborting
-    /// the run. Returns those sheds.
-    fn produce(&self, overflow: Vec<(usize, ServeRequest)>) -> Vec<Completion> {
-        let mut shed = Vec::new();
-        for (i, req) in overflow {
-            if let Err(req) = self.inboxes[i % self.inboxes.len()].push(req) {
-                let shard = i % self.cfg.shards;
-                shed.push(Completion::unserved(
-                    req.id,
-                    req.priority,
-                    0,
-                    shard,
-                    ServeError::ShardLost { shard },
-                    self.kills_injected(),
-                ));
-            }
-        }
-        for queue in &self.inboxes {
-            queue.close();
-        }
-        shed
     }
 }
 
@@ -300,7 +265,7 @@ impl ServeEngine {
             return Err(ConfigError::new("id", message).into());
         }
         // The door: a malformed prompt fails here, typed, and never
-        // reaches a queue — routing and every shard's schedule are those
+        // reaches a window — routing and every shard's schedule are those
         // of the batch without it.
         let mut turned_away = Vec::new();
         requests.retain(|r| match request_error(model, cfg, r) {
@@ -311,19 +276,17 @@ impl ServeEngine {
                 false
             }
         });
-        let fleet = Fleet::new(model, cfg);
-        let overflow = fleet.preload(requests);
-        let (mut completions, shards, worker_panics) = std::thread::scope(|scope| {
+        let fleet = Fleet::new(model, cfg, requests);
+        // A worker that died outside the per-session isolation is absorbed:
+        // the other shards' completions and the report still come back,
+        // and its work fails over below.
+        let mut dead = Vec::new();
+        let mut shards: Vec<ShardStats> = std::thread::scope(|scope| {
             let fleet = &fleet;
             let handles: Vec<_> = (0..cfg.shards)
                 .map(|id| scope.spawn(move || Shard::new(fleet, id).run()))
                 .collect();
-            let mut completions = fleet.produce(overflow);
-            // A worker that died outside the per-session isolation is
-            // absorbed: the other shards' completions and the report still
-            // come back, and its in-flight sessions fail over below.
-            let mut dead = Vec::new();
-            let mut shards: Vec<ShardStats> = handles
+            handles
                 .into_iter()
                 .enumerate()
                 .map(|(id, h)| {
@@ -332,15 +295,14 @@ impl ServeEngine {
                         ShardStats::default()
                     })
                 })
-                .collect();
-            completions.append(&mut lock(&fleet.completions));
-            if !dead.is_empty() {
-                recover::recover_dead_shards(fleet, &dead, &mut shards, &mut completions);
-            }
-            (completions, shards, dead.len() as u64)
+                .collect()
         });
+        let mut completions = std::mem::take(&mut *lock(&fleet.completions));
+        if !dead.is_empty() {
+            recover::recover_dead_shards(&fleet, &dead, &mut shards, &mut completions);
+        }
         completions.append(&mut turned_away);
-        Ok(fleet.report(completions, shards, worker_panics))
+        Ok(fleet.report(completions, shards, dead.len() as u64))
     }
 }
 
@@ -360,9 +322,9 @@ impl Fleet<'_> {
             prefix: self.tier.prefix_stats(),
             aggregate_sharing: self.tier.aggregate_sharing(),
             peak_host_bytes: self.tier.allocator().peak_resident_bytes(),
-            // Sum of per-queue high waters: an upper bound on peak global
+            // Sum of per-window high waters: an upper bound on peak global
             // occupancy, itself bounded by the configured capacity.
-            queue_high_water: self.inboxes.iter().map(BoundedQueue::high_water).sum(),
+            queue_high_water: self.inboxes.iter().map(Window::high_water).sum(),
             shards,
             worker_panics,
             wall: self.epoch.elapsed(),

@@ -1,6 +1,6 @@
 //! Shard failover, on the coordinator thread after the joins: every
-//! request a dead shard popped but never completed gets exactly one
-//! completion.
+//! request a dead shard popped but never completed, or left in its window,
+//! gets exactly one completion.
 
 use super::ticket::{step_fault, Parked};
 use super::types::{Completion, ShardStats};
@@ -11,9 +11,8 @@ use pqc_core::SessionScratch;
 
 /// Fail the `dead` shards' work over. A checkpointed session replays
 /// forward on a surviving shard (bit-identical to the fault-free run), the
-/// rest fail typed with [`ServeError::ShardLost`]. Stranded queue items —
-/// pushed before the dying worker closed its queue, never popped — are
-/// drained last.
+/// rest fail typed with [`ServeError::ShardLost`], and so does every request
+/// still in a dead shard's window or backlog, last.
 pub(super) fn recover_dead_shards(
     fleet: &Fleet<'_>,
     dead: &[usize],
@@ -30,16 +29,7 @@ pub(super) fn recover_dead_shards(
         for (id, info) in lost {
             let Some(snapshot) = lock(&fleet.registry).remove(&id) else {
                 // Popped but never checkpointed: the session is gone.
-                shard_stats[shard].failed += 1;
-                shard_stats[shard].shed_tokens += info.decode_steps as u64;
-                completions.push(Completion::unserved(
-                    id,
-                    info.priority,
-                    info.retries,
-                    shard,
-                    ServeError::ShardLost { shard },
-                    fleet.kills_injected(),
-                ));
+                completions.push(lose(fleet, shard, id, &info, &mut shard_stats[shard]));
                 continue;
             };
             // Round-robin the replays over the survivors (the dead shard
@@ -61,25 +51,37 @@ pub(super) fn recover_dead_shards(
             completions.push(c);
         }
     }
-    // Only a per-shard queue strands items behind a single dead worker; the
-    // shared first-free queue goes undrained only when every worker died
-    // (the first dead shard then empties it).
+    // Only a per-shard window strands requests behind a single dead worker;
+    // the survivors drain the shared first-free window, which goes
+    // undrained only when every worker died (the first dead shard then
+    // empties it).
     if fleet.inboxes.len() == shards || dead.len() == shards {
         for &shard in dead {
-            while let Some(req) = fleet.inbox(shard).try_pop() {
-                shard_stats[shard].failed += 1;
-                shard_stats[shard].shed_tokens += req.decode_steps as u64;
-                completions.push(Completion::unserved(
-                    req.id,
-                    req.priority,
-                    0,
-                    shard,
-                    ServeError::ShardLost { shard },
-                    fleet.kills_injected(),
-                ));
+            for req in fleet.inbox(shard).drain() {
+                let info = InflightInfo {
+                    priority: req.priority,
+                    retries: 0,
+                    decode_steps: req.decode_steps,
+                };
+                completions.push(lose(fleet, shard, req.id, &info, &mut shard_stats[shard]));
             }
         }
     }
+}
+
+/// Request `id`, lost with dead shard `shard`: count it in the shard's
+/// failures and shed tokens, and fail it typed.
+fn lose(
+    fleet: &Fleet<'_>,
+    shard: usize,
+    id: u64,
+    info: &InflightInfo,
+    stats: &mut ShardStats,
+) -> Completion {
+    stats.failed += 1;
+    stats.shed_tokens += info.decode_steps as u64;
+    let error = ServeError::ShardLost { shard };
+    Completion::unserved(id, info.priority, info.retries, shard, error, fleet.kills_injected())
 }
 
 /// Resume a checkpoint on the coordinator thread and decode it to

@@ -4,11 +4,10 @@
 //! TTFT ticks) — see the module header of `engine.rs` for the phase list.
 
 use super::ticket::{step_fault, store_fault, Active, Parked, Prefilling, SessionStats, Ticket};
-use super::types::{Completion, Priority, ServeRequest, ShardAssignment, ShardStats};
+use super::types::{Completion, Priority, ServeRequest, ShardStats};
 use super::{lock, Fleet, InflightInfo};
 use crate::error::{RetryPolicy, ServeError};
 use crate::faults::InjectedPanic;
-use crate::queue::BoundedQueue;
 use pqc_core::{SelectiveSession, SessionResources, SessionScratch, SessionStart, StepError};
 use pqc_llm::{PrefillOptions, PrefillOutput};
 use pqc_memhier::{MemError, PrefixHit};
@@ -39,8 +38,8 @@ struct Waiting {
 enum Source {
     /// The matured `waiting` entry at this index.
     Waiting(usize),
-    /// The admission queue; `block` waits for an arrival.
-    Queue { block: bool },
+    /// The shard's admission window.
+    Window,
 }
 
 /// What became of a taken request.
@@ -52,17 +51,6 @@ enum Taken {
     TurnedAway,
     /// The source had nothing to give.
     Empty,
-}
-
-/// Pop the highest-priority request (FIFO within a class), blocking for one
-/// when `block`. `None`: nothing queued — when blocking, the queue is
-/// closed and drained.
-fn pop_request(queue: &BoundedQueue<ServeRequest>, block: bool) -> Option<ServeRequest> {
-    if block {
-        queue.pop_wait_max_by_key(|r| r.priority)
-    } else {
-        queue.try_pop_max_by_key(|r| r.priority)
-    }
 }
 
 /// Index of the highest of a pool's priorities; the earliest wins ties, so
@@ -111,7 +99,7 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Tick until the queue is closed and every pool has drained.
+    /// Tick until the window and every pool have drained.
     pub(super) fn run(mut self) -> ShardStats {
         while self.tick() {}
         self.stats
@@ -164,8 +152,8 @@ impl<'a> Shard<'a> {
     /// The strongest `waiting` entry whose hold has elapsed: highest
     /// priority, then longest matured, then lowest id. A total order — the
     /// pick must not depend on where an entry sits in `waiting`, because
-    /// that follows the order requests were popped in, which races the
-    /// producer thread.
+    /// that follows the order requests were popped in, which under
+    /// first-free assignment races the other shards.
     fn matured(&self) -> Option<usize> {
         let now = self.stats.ticks;
         let due = self.waiting.iter().enumerate().filter(|(_, w)| w.not_before <= now);
@@ -205,33 +193,27 @@ impl<'a> Shard<'a> {
     // ---- admission -------------------------------------------------------
 
     /// Fill free slots. Order: resume preempted work, then matured
-    /// retries, then the queue — highest priority first, FIFO within a
-    /// class. Only an idle shard, with nothing in any pool, blocks on the
-    /// queue; one with work in hand takes what is queued and ticks on. A
-    /// batch that fits its queues was queued whole before the workers
-    /// started, so what a shard finds queued never depends on the producer
-    /// thread. Returns `true` when the queue is closed and drained with
-    /// nothing left here.
+    /// retries, then the window — highest priority first, FIFO within a
+    /// class. Returns `true` when the shard is finished: every pool is
+    /// empty and so is its window, which never refills once empty.
     fn admit(&mut self) -> bool {
         while self.resident() < self.fleet.cfg.max_active_per_shard {
             if self.resume_parked() {
                 continue;
             }
-            let block = self.is_idle();
-            let source = self.matured().map_or(Source::Queue { block }, Source::Waiting);
+            let source = self.matured().map_or(Source::Window, Source::Waiting);
             match self.take_request(source) {
                 Taken::Ready(req) => self.seat(req),
                 Taken::TurnedAway => {}
-                // A blocking pop only comes back empty from a closed,
-                // drained queue.
-                Taken::Empty => return block,
+                Taken::Empty => return self.is_idle(),
             }
         }
         false
     }
 
     /// Resume the strongest parked session into a free slot — unless a
-    /// queued request strictly outranks it (that one is admitted first).
+    /// request in the window strictly outranks it (that one is admitted
+    /// first).
     fn resume_parked(&mut self) -> bool {
         let Some(pi) = strongest(self.parked.iter().map(|p| p.ticket.priority)) else {
             return false;
@@ -254,7 +236,7 @@ impl<'a> Shard<'a> {
     fn take_request(&mut self, source: Source) -> Taken {
         let req = match source {
             Source::Waiting(i) => self.waiting.swap_remove(i).req,
-            Source::Queue { block } => match pop_request(self.fleet.inbox(self.id), block) {
+            Source::Window => match self.fleet.inbox(self.id).pop_max_by_key(|r| r.priority) {
                 Some(req) => req,
                 None => return Taken::Empty,
             },
@@ -407,7 +389,7 @@ impl<'a> Shard<'a> {
 
     // ---- preemption ------------------------------------------------------
 
-    /// Slots full and a pending request (queued, or a matured retry)
+    /// Slots full and a pending request (in the window, or a matured retry)
     /// strictly outranking a running session claims its slot. The weakest
     /// victim is suspended through the paged host tier — bit-identical on
     /// resume — and the request seats in the freed slot. Loops while
@@ -419,15 +401,15 @@ impl<'a> Shard<'a> {
             let waited = matured.map(|i| self.waiting[i].req.priority);
             let Some(vi) = queued.max(waited).and_then(|qp| self.victim(qp)) else { break };
             // Prefer the matured retry when it's at least as strong (it
-            // arrived first); otherwise pop the queue.
+            // arrived first); otherwise pop the window.
             let source = match matured {
                 Some(i) if waited >= queued => Source::Waiting(i),
-                _ => Source::Queue { block: false },
+                _ => Source::Window,
             };
             let req = match self.take_request(source) {
                 Taken::Ready(req) => req,
                 Taken::TurnedAway => continue,
-                // Another shard emptied the queue between the scan and the
+                // Another shard emptied the window between the scan and the
                 // pop.
                 Taken::Empty => break,
             };
@@ -517,16 +499,9 @@ impl<'a> Shard<'a> {
     fn kill_or_stall(&mut self, tick: u64) {
         let fleet = self.fleet;
         if fleet.plan.kill_at(self.id, tick) {
-            // A dying worker that exclusively owns its queue closes it
-            // first: a blocked producer push bounces (shed as a shard
-            // loss) instead of deadlocking, and stranded items stay
-            // drainable after the close. The first-free shared queue stays
-            // open for the surviving workers.
-            if fleet.cfg.assignment == ShardAssignment::RoundRobin || fleet.cfg.shards == 1 {
-                fleet.inbox(self.id).close();
-            }
             // resume_unwind skips the panic hook: an injected crash must
-            // not spray a backtrace over every chaos run.
+            // not spray a backtrace over every chaos run. What this shard
+            // leaves in flight or in its window fails over in `recover.rs`.
             std::panic::resume_unwind(Box::new(format!(
                 "injected worker kill: shard {} at tick {tick}",
                 self.id
@@ -683,7 +658,7 @@ mod tests {
             faults: Some(FaultPlan::seeded(5).with_session_panic(0, 2)),
             ..Default::default()
         };
-        let fleet = Fleet::new(&model, &cfg);
+        let fleet = Fleet::new(&model, &cfg, Vec::new());
         let mut shard = Shard::new(&fleet, 0);
         // (id, decode steps, priority, retries): 0 fails at step 2, 1 gets
         // parked, then resumed and retired.
@@ -753,12 +728,12 @@ mod tests {
             last.expect("the session was active")
         };
 
-        let fleet = Fleet::new(&model, &cfg);
+        let fleet = Fleet::new(&model, &cfg, Vec::new());
         let mut reference = Shard::new(&fleet, 0);
         reference.seat(request(7, STEPS, Priority::Normal));
         finish(&mut reference);
 
-        let fleet = Fleet::new(&model, &cfg);
+        let fleet = Fleet::new(&model, &cfg, Vec::new());
         let mut shard = Shard::new(&fleet, 0);
         shard.seat(request(7, STEPS, Priority::Normal));
         for _ in 0..3 {

@@ -477,8 +477,7 @@ fn high_priority_preempts_victim_and_resumes_it_bit_identically() {
     };
     let reference = ServeEngine::run(&model, &base, mk(false)).unwrap();
     // Delay the high request one injected rejection so the low session
-    // is mid-decode when it matures — forcing the preemption path
-    // regardless of producer/worker timing.
+    // is mid-decode when it matures — forcing the preemption path.
     let cfg = ServeConfig {
         faults: Some(FaultPlan::seeded(21).with_admission_rejects(1, 1)),
         ..base
@@ -528,11 +527,10 @@ fn all_normal_priorities_never_preempt() {
 
 #[test]
 fn closed_batch_is_queued_before_the_first_pop_replays_identically() {
-    // One shard, one slot, a queue that holds the whole batch: 63 Low
-    // requests, then one High request last. The batch is queued whole
-    // before the worker starts, so its first pop already sees the High
-    // request and seats it first. Nothing is ever preempted, and the High
-    // request's completion cannot depend on how far a producer thread got.
+    // One shard, one slot, a window that holds the whole batch: 63 Low
+    // requests, then one High request last. The whole batch is visible to
+    // the first pop, which seats the High request first. Nothing is ever
+    // preempted.
     let model = Model::new(LlmConfig::tiny());
     let cfg = ServeConfig {
         shards: 1,
@@ -569,6 +567,45 @@ fn closed_batch_is_queued_before_the_first_pop_replays_identically() {
     };
     let (a, b) = (run(), run());
     assert_eq!(fingerprint(&a), fingerprint(&b), "the High request's completion moved");
+}
+
+#[test]
+fn overflowing_batch_replays_identically() {
+    // One shard, one slot, a window of 4 over 16 requests of mixed
+    // priority, a High one near the end: most of the batch waits in the
+    // backlog, priority admission and preemption see only the window, and
+    // each pop refills it. No thread feeds it, so two runs schedule alike
+    // to the tick.
+    let model = Model::new(LlmConfig::tiny());
+    let cfg = ServeConfig {
+        shards: 1,
+        max_active_per_shard: 1,
+        queue_capacity: 4,
+        session: session_cfg(),
+        ..Default::default()
+    };
+    let classes = [Priority::Low, Priority::Normal, Priority::Low, Priority::Normal];
+    let batch = || {
+        let mut reqs = requests(16);
+        for (i, r) in reqs.iter_mut().enumerate() {
+            r.priority = if i == 13 { Priority::High } else { classes[i % 4] };
+            r.decode_steps = 6 + i % 5;
+        }
+        reqs
+    };
+    let run = || ServeEngine::run(&model, &cfg, batch()).unwrap();
+    let (a, b) = (run(), run());
+    assert!(a.completions.iter().all(Completion::is_success));
+    assert_eq!(a.queue_high_water, 4, "the window held its bound");
+    assert!(a.total_preemptions() > 0, "the overflow must reach the preemption path");
+    let schedule = |r: &ServeReport| -> Vec<_> {
+        let per_request = |c: &Completion| {
+            (c.id, c.generated.clone(), c.ttft_ticks, c.preemptions, c.retries)
+        };
+        r.completions.iter().map(per_request).collect()
+    };
+    assert_eq!(schedule(&a), schedule(&b), "the overflowing batch's schedule moved");
+    assert_eq!(a.shards[0].ticks, b.shards[0].ticks);
 }
 
 #[test]
@@ -644,8 +681,9 @@ fn shard_stall_degrades_without_changing_results() {
         ..Default::default()
     };
     let clean = ServeEngine::run(&model, &base, requests(4)).unwrap();
+    const STALL: u64 = 3;
     let cfg =
-        ServeConfig { faults: Some(FaultPlan::seeded(5).with_stall(0, 1, 3)), ..base };
+        ServeConfig { faults: Some(FaultPlan::seeded(5).with_stall(0, 1, STALL)), ..base };
     let stalled = ServeEngine::run(&model, &cfg, requests(4)).unwrap();
     assert!(stalled.total_stalled_steps() > 0, "stall must meter stalled steps");
     assert_eq!(clean.completions.len(), stalled.completions.len());
@@ -653,9 +691,9 @@ fn shard_stall_degrades_without_changing_results() {
         assert!(b.is_success());
         assert_eq!(a.generated, b.generated, "stall changed request {} output", a.id);
     }
-    // Note: tick totals are NOT compared across the two runs — the
-    // clean run's idle-tick count depends on producer/worker timing.
-    // The stalled-steps meter above is the deterministic evidence.
+    // Every stalled tick holds the sessions and does no work, so the shard
+    // runs exactly the planned stall length longer on the tick clock.
+    assert_eq!(stalled.shards[0].ticks, clean.shards[0].ticks + STALL, "stall length in ticks");
 }
 
 #[test]

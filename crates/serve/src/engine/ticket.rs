@@ -138,9 +138,9 @@ impl Ticket {
 }
 
 impl Completion {
-    /// A completion for a request that never got a ticket: shed at
-    /// admission, bounced off a dead shard's queue, or lost with its shard
-    /// before any checkpoint.
+    /// A completion for a request that never got a ticket: turned away at
+    /// the door, shed at admission, left in a dead shard's window, or lost
+    /// with its shard before any checkpoint.
     pub(super) fn unserved(
         id: u64,
         priority: Priority,

@@ -32,15 +32,15 @@ pub enum Priority {
 /// How requests map onto shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardAssignment {
-    /// One shared queue; whichever worker has a free slot first takes the
-    /// request. Work-conserving — the right default for live traffic.
+    /// One shared admission window; whichever worker has a free slot first
+    /// takes the request. Work-conserving — the right default for live traffic.
     #[default]
     FirstFree,
-    /// Request `i` goes to shard `i mod shards` through per-shard queues.
+    /// Request `i` goes to shard `i mod shards` through per-shard windows.
     /// Deterministic placement and balance independent of OS scheduling —
     /// what benchmarks and placement-sensitive tests want (on a host with
     /// fewer cores than shards, first-free lets one timesliced worker
-    /// drain the queue while the rest starve, which skews per-shard load).
+    /// drain the window while the rest starve, which skews per-shard load).
     RoundRobin,
 }
 
@@ -51,9 +51,11 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Continuous-batching width: sessions decoded per shard per tick.
     pub max_active_per_shard: usize,
-    /// Admission-queue bound across all shards (back-pressure on the
-    /// producer). Round-robin splits it evenly over the per-shard queues,
-    /// so it must be ≥ `shards` in that mode.
+    /// How many queued requests priority admission and preemption can see,
+    /// across all shards: the batch waits behind admission windows of this
+    /// total size, each pop refilling its window in batch order.
+    /// Round-robin splits it evenly over the per-shard windows, so it must
+    /// be ≥ `shards` in that mode.
     pub queue_capacity: usize,
     /// Request→shard placement.
     pub assignment: ShardAssignment,
@@ -318,7 +320,8 @@ pub struct ServeReport {
     /// Tier-wide transfer aggregate (equals the sum of per-completion
     /// transfer stats — asserted by the equivalence battery).
     pub aggregate_transfer: TransferStats,
-    /// Highest queue occupancy observed (≤ the configured bound).
+    /// Most requests visible in the admission windows (summed over
+    /// windows; ≤ the configured bound).
     pub queue_high_water: usize,
     /// Prefix-cache registry counters (lookups, full hits, entries).
     pub prefix: PrefixCacheStats,

@@ -11,6 +11,11 @@
 //! one set of hot-path buffers per shard (`SessionScratch`) instead of per
 //! session.
 //!
+//! A batch is closed: [`ServeEngine::run`] takes it whole, and shards see
+//! it through admission windows of [`ServeConfig::queue_capacity`] requests
+//! that refill in batch order as they pop. The calling thread only spawns
+//! and joins the shard workers, and no worker ever waits on another.
+//!
 //! Shared resources are explicitly multi-tenant:
 //! - the host KV tier is a paged [`pqc_memhier::KvTier`]: one namespace per
 //!   session (offsets are namespace-local) over a tier-global refcounted
@@ -54,8 +59,8 @@
 //! sequential engine at 1, 2, and 4 shards;
 //! `tests/scheduler_invariance.rs` extends that to random chunk budgets,
 //! priority mixes, and forced preemption schedules; and
-//! `tests/serve_stress.rs` churns 64 sessions through 4 workers under the
-//! queue bound.
+//! `tests/serve_stress.rs` churns 64 sessions through 4 workers behind a
+//! tight admission window.
 
 #![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]

@@ -163,9 +163,11 @@ mod tests {
 
     #[test]
     fn comm_fraction_maps_to_sparq_r() {
-        let p = MethodSpec::Sparq.build(32, 1.0 / 16.0);
-        // 32/16 = 2 dims; comm per step per head = 2·2 bytes/key.
-        assert_eq!(p.comm_bytes_per_step(100), 400);
+        // `build` hands SPARQ `r = round(fraction · dh)` query dimensions
+        // through `SparqPolicy::for_comm_fraction`: 32/16 = 2.
+        assert_eq!(MethodSpec::Sparq.build(32, 1.0 / 16.0).name(), "SPARQ");
+        assert_eq!(SparqPolicy::for_comm_fraction(1.0 / 16.0, 32).r, 2);
+        assert_eq!(SparqPolicy::for_comm_fraction(1.0 / 128.0, 32).r, 1, "at least one dim");
     }
 
     #[test]

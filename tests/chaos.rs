@@ -606,6 +606,47 @@ fn recovery_kill_without_checkpoints_sheds_shard_lost_typed() {
 }
 
 #[test]
+fn recovery_kill_counts_requests_still_waiting_in_the_dead_shards_window() {
+    // Round-robin, 2 shards × 1 slot, one visible request per shard: when
+    // shard 0 dies at tick 2 it holds request 0, shows request 2 in its
+    // window and keeps 4 and 6 in its backlog. All four are lost with it,
+    // typed, and all four count in its failures and shed tokens.
+    let cfg = ServeConfig {
+        shards: 2,
+        max_active_per_shard: 1,
+        queue_capacity: 2,
+        assignment: ShardAssignment::RoundRobin,
+        session: session_cfg(),
+        faults: Some(FaultPlan::seeded(0x0DD).with_worker_kill(0, 2)),
+        ..Default::default()
+    };
+    let steps = |id: u64| 8 + id as usize;
+    let requests = (0..8u64)
+        .map(|id| ServeRequest::new(id, prompt(48, 0x1057 + id), steps(id), policy()))
+        .collect();
+    let report = run_with_watchdog(cfg, requests);
+
+    assert_eq!(report.completions.len(), 8);
+    assert_eq!(report.worker_panics, 1);
+    let mut lost: Vec<u64> = report.failures().map(|c| c.id).collect();
+    lost.sort_unstable();
+    assert_eq!(lost, vec![0, 2, 4, 6], "everything routed to shard 0 is lost with it");
+    for c in report.failures() {
+        let cause = c.failure.as_ref().unwrap();
+        assert!(matches!(cause.error, ServeError::ShardLost { shard: 0 }), "{:?}", cause.error);
+        assert!(cause.injected);
+    }
+    assert_eq!(report.shards[0].failed, 4, "every lost request counts against shard 0");
+    let shed: usize = lost.iter().map(|&id| steps(id)).sum();
+    assert_eq!(report.total_shed_tokens(), shed as u64);
+    for id in [1u64, 3, 5, 7] {
+        let c = report.completion(id).unwrap();
+        assert!(c.is_success(), "survivor shard harmed: {:?}", c.failure);
+        assert_eq!(c.generated.len(), steps(id));
+    }
+}
+
+#[test]
 fn recovery_corruption_rolls_back_and_replays_bit_identically() {
     let cfg = ServeConfig {
         shards: 1,

@@ -1,14 +1,15 @@
-//! Serve-engine concurrency stress: churn, back-pressure, liveness.
+//! Serve-engine concurrency stress: churn, a tight admission window,
+//! liveness.
 //!
 //! 64 short sessions stream through 4 worker threads with deliberately
-//! tight knobs: a small admission queue (back-pressure engages), few
-//! session slots per shard (sessions finish and new ones are admitted
-//! mid-run — churn), and mixed decode lengths from the Poisson trace
-//! generator.
+//! tight knobs: a small admission window (most of the batch waits in the
+//! backlog), few session slots per shard (sessions finish and new ones are
+//! admitted mid-run — churn), and mixed decode lengths from the Poisson
+//! trace generator.
 //!
-//! Asserted: the run finishes within a wall-clock bound (no deadlock
-//! between queue and workers), the queue never exceeds its bound,
-//! and every admitted request completes with exactly the requested token
+//! Asserted: the run finishes within a wall-clock bound (no deadlock or
+//! livelock among the workers), the window never exceeds its bound, and
+//! every admitted request completes with exactly the requested token
 //! count.
 
 use pqcache::core::{CacheConfig, SessionConfig};
@@ -93,7 +94,7 @@ fn churn_under_four_workers_completes_everything() {
         shards: SHARDS,
         // 2 slots/shard over 64 requests: ~8 admission waves per shard.
         max_active_per_shard: 2,
-        // Tight queue: the producer is throttled most of the run.
+        // Tight window: 6 of 64 requests visible at a time.
         queue_capacity: 6,
         session: session_cfg(),
         ..Default::default()
@@ -104,7 +105,7 @@ fn churn_under_four_workers_completes_everything() {
     assert!(report.wall < WALL_LIMIT);
     assert_eq!(report.completions.len(), SESSIONS, "requests lost");
 
-    // The queue honoured its bound.
+    // The window honoured its bound.
     assert!(
         report.queue_high_water <= 6,
         "queue exceeded its bound: {}",
@@ -139,7 +140,7 @@ fn churn_under_four_workers_completes_everything() {
 
 #[test]
 fn stress_results_are_scheduling_independent() {
-    // Two runs with different shard counts and queue pressure must produce
+    // Two runs with different shard counts and window sizes must produce
     // the same tokens for every request (the equivalence property, held
     // under full stress rather than fixture fixtures).
     let mk = |shards: usize, queue: usize| {
