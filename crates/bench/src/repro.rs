@@ -485,8 +485,9 @@ fn hit_rate(model: &Model, w: &Workload, cache: CacheConfig, token_ratio: f64, d
     let cfg = SessionConfig { cache, ..quality_session(token_ratio, 1.0 / 32.0) };
     let policy = MethodSpec::pqcache_default().build(model.config().head_dim, 1.0 / 32.0);
     let mut session = SelectiveSession::start(model, policy, cfg, &w.tokens).session;
+    let mut scratch = pqc_core::SessionScratch::new();
     for &t in &driver_tokens(w, model.config().vocab_size, 48, driver_seed) {
-        let _ = session.decode(t);
+        let _ = session.step_with_scratch(t, &mut scratch);
     }
     session.cache_stats().hit_rate()
 }

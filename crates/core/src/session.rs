@@ -17,6 +17,15 @@
 //! [`HostKvStore::read_into`], which meters the cache misses and verifies
 //! the slot exactly when it meters. Cache hits and a dropping policy's
 //! rows count as GPU-resident: unmetered and unverified.
+//!
+//! A [`SelectiveSession`] holds only what outlives a step: its record
+//! (policy, host store, position), its GPU-resident rows and its block
+//! cache. A step borrows its buffers — selection, policy scratch, attention
+//! operand, model attention buffers — from the caller's [`SessionScratch`],
+//! so a serving shard steps N sessions through one set. Every spelling of a
+//! step (`decode`, `step_with_scratch`, `generate`) runs
+//! [`SelectiveSession::try_step_with_scratch`], which contains panics and
+//! surfaces store faults as a [`StepError`].
 
 use crate::config::SessionConfig;
 use pqc_cache::{top_blocks, BlockCache};
@@ -124,7 +133,9 @@ impl ResidentHead {
     }
 }
 
-/// A running decode session with selective attention.
+/// A running decode session with selective attention. Holds only the
+/// state that lives across steps; each step borrows its buffers from a
+/// [`SessionScratch`].
 pub struct SelectiveSession<'m> {
     model: &'m Model,
     rec: SessionRecord,
@@ -132,20 +143,18 @@ pub struct SelectiveSession<'m> {
     /// kv-head), at `layer * n_kv_heads + kv_head`.
     resident: Vec<ResidentHead>,
     cache: BlockCache,
-    /// Reusable selection buffer handed to the policy each step
-    /// (taken/restored around the call to satisfy the borrow checker
-    /// without reallocating).
-    sel_scratch: Vec<usize>,
-    /// Reusable policy scratch (retriever, group-query buffer). Swapped out
-    /// for a worker-owned scratch by [`SelectiveSession::step_with_scratch`]
-    /// so concurrent sessions on one shard share a single set of buffers.
-    policy_scratch: PolicyScratch,
-    /// Reusable attention operand `(keys, values)`, refilled by every
-    /// `gather` and swapped for the worker's like the buffers above.
-    operand: (Matrix, Matrix),
-    /// A store fault recorded mid-step (`publish` cannot return errors
-    /// through the `KvSource` trait); drained by the fallible step wrapper.
-    pending_fault: Option<MemError>,
+}
+
+/// One decode step in flight, the model's [`KvSource`]: the session's
+/// cross-step state and the caller's step buffers, borrowed together.
+/// `KvSource` cannot return errors, so the step's first store fault is held
+/// here for [`SelectiveSession::try_step_with_scratch`] to surface.
+struct Step<'a, 'm> {
+    session: &'a mut SelectiveSession<'m>,
+    selection: &'a mut Vec<usize>,
+    policy: &'a mut PolicyScratch,
+    operand: &'a mut (Matrix, Matrix),
+    fault: Option<MemError>,
 }
 
 /// Per-worker scratch reused across every session a shard steps: the policy
@@ -402,116 +411,75 @@ impl<'m> SelectiveSession<'m> {
             steps: 0,
             last_selected: vec![vec![Vec::new(); mcfg.n_kv_heads]; mcfg.n_layers],
         };
-        let session = Self::assemble(model, rec, resident, cache);
+        let session = SelectiveSession { model, rec, resident, cache };
         Ok(SessionStart { session, logits: prefill.logits.clone() })
     }
 
-    /// A live session around `rec`: fresh step scratch, no pending fault.
-    fn assemble(
-        model: &'m Model,
-        rec: SessionRecord,
-        resident: Vec<ResidentHead>,
-        cache: BlockCache,
-    ) -> Self {
-        Self {
-            model,
-            rec,
-            resident,
-            cache,
-            sel_scratch: Vec::new(),
-            policy_scratch: PolicyScratch::new(),
-            operand: Default::default(),
-            pending_fault: None,
-        }
-    }
-
-    /// One decode step: runs the model with this session as the KV source.
+    /// One decode step with fresh step buffers:
+    /// [`SelectiveSession::step_with_scratch`] on a new [`SessionScratch`].
+    /// A loop of steps should keep one scratch and call that instead.
     ///
-    /// Panics on a store fault latched during the step (a failed append, a
-    /// page that failed its checksum): logits computed from the damaged
-    /// state are never returned.
+    /// Panics on a store fault during the step (a failed append, a page
+    /// that failed its checksum), so logits computed from damaged state are
+    /// never returned. A panic inside the step is contained the way the
+    /// serving path contains it and re-raised as [`StepError::Poisoned`].
     pub fn decode(&mut self, token: u32) -> DecodeOutput {
-        let pos = self.rec.pos;
-        self.rec.pos += 1;
-        self.rec.steps += 1;
-        let model = self.model;
-        let out = model.decode_step(token, pos, self);
-        if let Some(e) = self.pending_fault.take() {
-            panic!("{}", StepError::Store(e));
-        }
-        out
+        self.step_with_scratch(token, &mut SessionScratch::new())
     }
 
-    /// One decode step through worker-owned scratch — the serving hot path.
-    ///
-    /// The shard's [`SessionScratch`] is swapped into the session for the
-    /// duration of the step (policy retrieval buffers, selection buffer,
-    /// attention operand) and the model runs with the shared attention
-    /// buffers, so N concurrent sessions reuse one set of hot-path
-    /// allocations.
-    /// Bit-identical to [`SelectiveSession::decode`], and panics on the
-    /// same faults [`SelectiveSession::try_step_with_scratch`] returns.
+    /// One decode step through worker-owned scratch: the panicking
+    /// [`SelectiveSession::try_step_with_scratch`]. Bit-identical to
+    /// [`SelectiveSession::decode`] whatever the scratch held before.
     pub fn step_with_scratch(&mut self, token: u32, scratch: &mut SessionScratch) -> DecodeOutput {
         self.try_step_with_scratch(token, scratch).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`SelectiveSession::step_with_scratch`] — the fault-tolerant
-    /// serving hot path. The shard's [`SessionScratch`] is swapped into the
-    /// session for the duration of the step. Two failure modes are
-    /// contained here instead of unwinding through the shard worker:
+    /// The one decode step, and the fault-tolerant serving hot path. The
+    /// step borrows `scratch` (policy retrieval buffers, selection buffer,
+    /// attention operand, model attention buffers), so N concurrent
+    /// sessions reuse one set of hot-path allocations. Two failure modes
+    /// are contained here instead of unwinding through the shard worker:
     ///
-    /// - a host-tier fault latched by `publish` (the `KvSource` trait can't
+    /// - a host-tier fault during the step (the `KvSource` trait can't
     ///   return errors) surfaces as [`StepError::Store`];
     /// - a panic anywhere in the step is caught and surfaces as
     ///   [`StepError::Poisoned`] with the payload's message.
     ///
-    /// The scratch swaps happen *outside* the catch, so the worker's shared
-    /// buffers are always restored — a poisoned session never corrupts the
-    /// scratch other sessions on the shard keep using. On `Err` the session
-    /// must be retired: per-layer state is partially mutated and stepping
-    /// again would produce garbage.
+    /// A poisoned step may leave `scratch` half-written, which is harmless:
+    /// every step overwrites each buffer before reading it. On `Err` the
+    /// session must be retired: per-layer state is partially mutated and
+    /// stepping again would produce garbage.
     pub fn try_step_with_scratch(
         &mut self,
         token: u32,
         scratch: &mut SessionScratch,
     ) -> Result<DecodeOutput, StepError> {
-        self.swap_scratch(scratch);
         let pos = self.rec.pos;
         self.rec.pos += 1;
         self.rec.steps += 1;
         let model = self.model;
-        let decode = &mut scratch.decode;
+        let SessionScratch { policy, selection, operand, decode } = scratch;
+        let mut step = Step { session: self, selection, policy, operand, fault: None };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            model.decode_step_with_scratch(token, pos, self, decode)
+            model.decode_step_with_scratch(token, pos, &mut step, decode)
         }));
-        self.swap_scratch(scratch);
-        // A latched store fault outranks the panic it may have caused
-        // downstream: the injected/root cause is the useful report.
-        if let Some(e) = self.pending_fault.take() {
+        // A store fault outranks the panic it may have caused downstream:
+        // the injected/root cause is the useful report.
+        if let Some(e) = step.fault {
             return Err(StepError::Store(e));
         }
-        match result {
-            Ok(out) => Ok(out),
-            Err(payload) => Err(StepError::Poisoned { message: panic_message(payload.as_ref()) }),
-        }
-    }
-
-    /// Exchange the session's step buffers with the worker's `scratch`.
-    fn swap_scratch(&mut self, scratch: &mut SessionScratch) {
-        std::mem::swap(&mut self.sel_scratch, &mut scratch.selection);
-        std::mem::swap(&mut self.policy_scratch, &mut scratch.policy);
-        std::mem::swap(&mut self.operand, &mut scratch.operand);
+        result.map_err(|payload| StepError::Poisoned { message: panic_message(payload.as_ref()) })
     }
 
     /// Greedy generation: feeds the argmax of `first_logits`, then each
-    /// step's own argmax, for `steps` tokens.
+    /// step's own argmax, for `steps` tokens, through one scratch.
     pub fn generate(&mut self, first_logits: &[f32], steps: usize) -> Vec<u32> {
+        let mut scratch = SessionScratch::new();
         let mut out = Vec::with_capacity(steps);
         let mut next = pqc_tensor::argmax(first_logits) as u32;
         for _ in 0..steps {
             out.push(next);
-            let dec = self.decode(next);
-            next = dec.greedy();
+            next = self.step_with_scratch(next, &mut scratch).greedy();
         }
         out
     }
@@ -581,21 +549,17 @@ impl<'m> SelectiveSession<'m> {
     /// (the block cache only meters transfers — it never changes gathered
     /// data — so resuming with a cold cache alters metering, not logits).
     ///
-    /// Must be called between decode steps (panics if a store fault is
-    /// pending). On pool exhaustion the session comes back **intact** inside
-    /// the error — preemption failure is recoverable, the victim just keeps
-    /// running — along with the D2H already metered into the abandoned swap
-    /// namespace so the caller's transfer accounting stays exact.
+    /// Must be called between decode steps. On pool exhaustion the session
+    /// comes back **intact** inside the error — preemption failure is
+    /// recoverable, the victim just keeps running — along with the D2H
+    /// already metered into the abandoned swap namespace so the caller's
+    /// transfer accounting stays exact.
     // The Err variant is deliberately large: preemption failure must hand the
     // intact victim session (plus the already-metered D2H) back to the caller
     // so it can keep decoding — boxing would buy nothing but an allocation on
     // a path that exists precisely because allocation just failed.
     #[allow(clippy::result_large_err)]
     pub fn suspend(self, tier: &pqc_memhier::KvTier) -> Result<SuspendedSession, SuspendError<'m>> {
-        assert!(
-            self.pending_fault.is_none(),
-            "cannot suspend a session with a pending store fault"
-        );
         assert!(self.windows_full(), "suspend must run between steps (local window full)");
         let swap = match self.offload_resident(tier) {
             Ok(swap) => swap,
@@ -622,17 +586,15 @@ impl<'m> SelectiveSession<'m> {
     /// - the policy is deep-copied via [`SelectionPolicy::fork`].
     ///
     /// Returns `Ok(None)` — checkpoint skipped, session unaffected — when
-    /// the policy is not forkable, the local windows are not full (mid-
-    /// prefill), or a store fault is already pending. Returns `Err` when
-    /// the swap offload exhausts a capped pool (the partial swap is rolled
-    /// back; the live session is still unaffected).
+    /// the policy is not forkable, or when a local window does not hold
+    /// exactly `n_local` rows (never the case between steps; `suspend`
+    /// asserts it). Returns `Err` when the swap offload exhausts a capped
+    /// pool (the partial swap is rolled back; the live session is still
+    /// unaffected).
     pub fn checkpoint(
         &self,
         tier: &pqc_memhier::KvTier,
     ) -> Result<Option<SuspendedSession>, MemError> {
-        if self.pending_fault.is_some() {
-            return Ok(None);
-        }
         let Some(policy) = self.rec.policy.fork() else {
             return Ok(None);
         };
@@ -854,44 +816,46 @@ impl SuspendedSession {
         let swap = self.swap.into_inner(); // unpin BEFORE the chains release
         let swap_transfer = swap.stats();
         drop(swap);
-        (SelectiveSession::assemble(model, self.rec.into_inner(), resident, cache), swap_transfer)
+        (SelectiveSession { model, rec: self.rec.into_inner(), resident, cache }, swap_transfer)
     }
 }
 
-impl KvSource for SelectiveSession<'_> {
+impl KvSource for Step<'_, '_> {
     fn publish(&mut self, layer: usize, kv_head: usize, key: &[f32], value: &[f32]) {
-        let head = layer * self.model.config().n_kv_heads + kv_head;
-        let window = &mut self.resident[head].local;
+        let session = &mut *self.session;
+        let head = layer * session.model.config().n_kv_heads + kv_head;
+        let window = &mut session.resident[head].local;
         window.push_back((key.to_vec(), value.to_vec()));
-        if window.len() > self.rec.cfg.n_local {
+        if window.len() > session.rec.cfg.n_local {
             let (ek, ev) = window.pop_front().expect("non-empty window");
             // The append's returned offset is namespace-local — correct even
             // when several sessions interleave appends into one KvTier.
             // `KvSource::publish` cannot return errors, so a store fault is
-            // latched for the fallible step wrapper to surface; the evicted
-            // row is dropped — the session is unrecoverable either way.
-            let middle_idx = match self.rec.store.try_append_token(layer, kv_head, &ek, &ev) {
+            // held for the step to surface; the evicted row is dropped — the
+            // session is unrecoverable either way.
+            let middle_idx = match session.rec.store.try_append_token(layer, kv_head, &ek, &ev) {
                 Ok(off) => off,
                 Err(e) => {
-                    self.pending_fault.get_or_insert(e);
+                    self.fault.get_or_insert(e);
                     return;
                 }
             };
-            self.rec.policy.on_evict(layer, kv_head, &ek, middle_idx);
+            session.rec.policy.on_evict(layer, kv_head, &ek, middle_idx);
         }
     }
 
     fn gather(&mut self, layer: usize, kv_head: usize, queries: &Matrix) -> (&Matrix, &Matrix) {
-        let rec = &mut self.rec;
+        let session = &mut *self.session;
+        let rec = &mut session.rec;
         let middle_len = rec.store.len(layer, kv_head);
         let budget = rec.budget_middle.min(middle_len);
 
         // 1. Select (middle-relative ids, the policy's order).
-        let sel = &mut self.sel_scratch;
+        let sel = &mut *self.selection;
         sel.clear();
         if budget > 0 {
             let ctx = PolicyContext { layer, kv_head, queries, budget, middle_len };
-            rec.policy.select_with_scratch(&ctx, &mut self.policy_scratch, sel);
+            rec.policy.select_with_scratch(&ctx, self.policy, sel);
             sel.retain(|&i| i < middle_len);
         }
 
@@ -907,22 +871,22 @@ impl KvSource for SelectiveSession<'_> {
         let link_rows = if sel.is_empty() || rec.policy.is_dropping() {
             0
         } else {
-            let lookup = self.cache.lookup(sel);
+            let lookup = session.cache.lookup(sel);
             let (block, k_cache) = (rec.cfg.cache.block_size, rec.cfg.cache.k_cache_blocks);
-            self.cache.update(&top_blocks(sel, block, k_cache));
+            session.cache.update(&top_blocks(sel, block, k_cache));
             sel.sort_unstable();
             lookup.misses.len()
         };
 
         // 4. init | middle | local, in absolute token order, with one read.
-        // A corrupt page latches a fault the fallible step wrapper surfaces
-        // and leaves the middle out, so poisoned logits are never served.
-        let head = &self.resident[layer * self.model.config().n_kv_heads + kv_head];
-        let (keys, values) = &mut self.operand;
+        // A corrupt page holds a fault the step surfaces and leaves the
+        // middle out, so poisoned logits are never served.
+        let head = &session.resident[layer * session.model.config().n_kv_heads + kv_head];
+        let (keys, values) = &mut *self.operand;
         keys.copy_from(&head.init_k);
         values.copy_from(&head.init_v);
         if let Err(e) = rec.store.read_into(layer, kv_head, sel, link_rows, keys, values) {
-            self.pending_fault.get_or_insert(e);
+            self.fault.get_or_insert(e);
         }
         head.push_local(keys, values);
         (&self.operand.0, &self.operand.1)

@@ -9,7 +9,10 @@
 //! Storage is **paged** (see [`crate::pages`]): each (layer, head) slot is a
 //! page table into the tier-global [`PageAllocator`], appends are page-local
 //! and amortized O(head_dim), and pages are refcounted so namespaces can
-//! share them copy-on-write.
+//! share them copy-on-write. Every owner of page tables — a namespace, a
+//! registered prefix, a [`PrefixHit`] — holds them as one `PageTables`
+//! value, which retains every chain when cloned and releases them when
+//! dropped, so no code here counts page references by hand.
 //!
 //! There is **one read**, [`HostKvStore::read_into`]: it appends the rows
 //! of an id list to caller-owned K/V buffers, meters the rows that crossed
@@ -29,7 +32,7 @@
 //! the serving layer stores the prefill output and trained policy state
 //! there) via [`KvTier::new_namespace_with_prefix`].
 
-use crate::pages::{MemError, PageAllocator, SharingStats, DEFAULT_PAGE_TOKENS};
+use crate::pages::{MemError, PageAllocator, PageTables, SharingStats, DEFAULT_PAGE_TOKENS};
 use parking_lot::Mutex;
 use pqc_tensor::Matrix;
 use std::any::Any;
@@ -113,19 +116,13 @@ impl PrefixCacheStats {
     }
 }
 
-/// Key and value page table for one (layer, kv-head) pair.
-#[derive(Debug, Clone, Default)]
-struct HeadKv {
-    pages: Vec<u32>,
-    rows: usize,
-}
-
 /// One registered prefix: the exact tokens (hash-collision guard), a frozen
-/// snapshot of the registrant's page tables, and an opaque payload the
-/// registering layer attaches (e.g. prefill output + trained policy state).
+/// snapshot of the registrant's page tables (holding their own page
+/// references), and an opaque payload the registering layer attaches (e.g.
+/// prefill output + trained policy state).
 struct PrefixEntry {
     tokens: Vec<u32>,
-    slots: Vec<Option<HeadKv>>,
+    tables: PageTables,
     payload: Arc<dyn Any + Send + Sync>,
 }
 
@@ -140,15 +137,15 @@ impl std::fmt::Debug for PrefixRegistry {
     }
 }
 
-/// A successful prefix lookup. Holds page references for the matched
-/// snapshot (released on drop), the matched length, and the registrant's
-/// payload; feed it to [`KvTier::new_namespace_with_prefix`] to mint a
-/// namespace that starts with the shared pages resident.
+/// A successful prefix lookup: the matched length, the registrant's
+/// payload, and the matched snapshot's page tables, which hold a reference
+/// to every page until the hit drops. Feed it to
+/// [`KvTier::new_namespace_with_prefix`] to mint a namespace that starts
+/// with the shared pages resident.
 pub struct PrefixHit {
     len: usize,
     payload: Arc<dyn Any + Send + Sync>,
-    slots: Vec<Option<HeadKv>>,
-    alloc: PageAllocator,
+    tables: PageTables,
 }
 
 impl PrefixHit {
@@ -165,14 +162,6 @@ impl PrefixHit {
     /// The payload attached at registration time.
     pub fn payload(&self) -> &Arc<dyn Any + Send + Sync> {
         &self.payload
-    }
-}
-
-impl Drop for PrefixHit {
-    fn drop(&mut self) {
-        for slot in self.slots.iter().flatten() {
-            self.alloc.release_chain(&slot.pages);
-        }
     }
 }
 
@@ -281,14 +270,11 @@ impl KvTier {
     /// the engine-wide `aggregate == Σ namespace stats` invariant.
     pub fn fork_namespace(&self, store: &HostKvStore) -> HostKvStore {
         assert!(
-            self.alloc.same_pool(&store.alloc),
+            self.alloc.same_pool(&store.tables.alloc),
             "fork_namespace: store does not belong to this tier"
         );
         let mut fork = self.new_namespace();
-        for slot in store.slots.iter().flatten() {
-            self.alloc.retain_chain(&slot.pages);
-        }
-        fork.slots = store.slots.clone();
+        fork.tables = store.tables.clone();
         fork
     }
 
@@ -308,7 +294,7 @@ impl KvTier {
         payload: Arc<dyn Any + Send + Sync>,
     ) -> bool {
         assert!(
-            self.alloc.same_pool(&store.alloc),
+            self.alloc.same_pool(&store.tables.alloc),
             "register_prefix: store does not belong to this tier"
         );
         if tokens.is_empty() {
@@ -319,18 +305,15 @@ impl KvTier {
         if reg.map.contains_key(&key) {
             return false;
         }
-        let slots = store.slots.clone();
-        for slot in slots.iter().flatten() {
-            self.alloc.retain_chain(&slot.pages);
-        }
-        reg.map.insert(key, PrefixEntry { tokens: tokens.to_vec(), slots, payload });
+        let tables = store.tables.clone();
+        reg.map.insert(key, PrefixEntry { tokens: tokens.to_vec(), tables, payload });
         true
     }
 
     /// Look up `tokens` as a whole registered prompt (token content is
     /// verified, not just the hash). Only whole-prompt matches hit: a
     /// partial hit would need a partial prefill the dense model cannot
-    /// resume. The returned [`PrefixHit`] pins the matched pages until
+    /// resume. The returned [`PrefixHit`] holds the matched pages until
     /// dropped.
     pub fn lookup_prefix(&self, tokens: &[u32]) -> Option<PrefixHit> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
@@ -338,15 +321,10 @@ impl KvTier {
         let reg = self.registry.lock();
         let entry = reg.map.get(&key).filter(|e| e.tokens == tokens)?;
         self.full_hits.fetch_add(1, Ordering::Relaxed);
-        let slots = entry.slots.clone();
-        for slot in slots.iter().flatten() {
-            self.alloc.retain_chain(&slot.pages);
-        }
         Some(PrefixHit {
             len: entry.tokens.len(),
             payload: Arc::clone(&entry.payload),
-            slots,
-            alloc: self.alloc.clone(),
+            tables: entry.tables.clone(),
         })
     }
 
@@ -357,14 +335,11 @@ impl KvTier {
     /// `prefix_hit_tokens` by the hit length.
     pub fn new_namespace_with_prefix(&self, hit: &PrefixHit) -> HostKvStore {
         assert!(
-            self.alloc.same_pool(&hit.alloc),
+            self.alloc.same_pool(&hit.tables.alloc),
             "new_namespace_with_prefix: hit does not belong to this tier"
         );
         let mut store = self.new_namespace();
-        for slot in hit.slots.iter().flatten() {
-            self.alloc.retain_chain(&slot.pages);
-        }
-        store.slots = hit.slots.clone();
+        store.tables = hit.tables.clone();
         store.meter_sharing(|s| s.prefix_hit_tokens += hit.len as u64);
         store
     }
@@ -373,16 +348,7 @@ impl KvTier {
     /// `false` when no such prefix is registered.
     pub fn release_prefix(&self, tokens: &[u32]) -> bool {
         let key = (token_chain_hash(tokens), tokens.len());
-        let mut reg = self.registry.lock();
-        match reg.map.remove(&key) {
-            Some(entry) => {
-                for slot in entry.slots.iter().flatten() {
-                    self.alloc.release_chain(&slot.pages);
-                }
-                true
-            }
-            None => false,
-        }
+        self.registry.lock().map.remove(&key).is_some()
     }
 
     /// Snapshot of the prefix-cache counters.
@@ -433,38 +399,25 @@ pub struct HostKvStore {
     n_kv_heads: usize,
     head_dim: usize,
     namespace: NamespaceId,
-    alloc: PageAllocator,
-    slots: Vec<Option<HeadKv>>,
-    stats: Arc<Mutex<TransferStats>>,
-    sharing: Arc<Mutex<SharingStats>>,
+    tables: PageTables,
+    stats: Mutex<TransferStats>,
+    sharing: Mutex<SharingStats>,
     aggregate: Option<Arc<Mutex<TransferStats>>>,
     sharing_aggregate: Option<Arc<Mutex<SharingStats>>>,
 }
 
 impl Clone for HostKvStore {
     fn clone(&self) -> Self {
-        for slot in self.slots.iter().flatten() {
-            self.alloc.retain_chain(&slot.pages);
-        }
         Self {
             n_layers: self.n_layers,
             n_kv_heads: self.n_kv_heads,
             head_dim: self.head_dim,
             namespace: self.namespace,
-            alloc: self.alloc.clone(),
-            slots: self.slots.clone(),
-            stats: Arc::new(Mutex::new(TransferStats::default())),
-            sharing: Arc::new(Mutex::new(SharingStats::default())),
+            tables: self.tables.clone(),
+            stats: Mutex::default(),
+            sharing: Mutex::default(),
             aggregate: None,
             sharing_aggregate: None,
-        }
-    }
-}
-
-impl Drop for HostKvStore {
-    fn drop(&mut self) {
-        for slot in self.slots.iter().flatten() {
-            self.alloc.release_chain(&slot.pages);
         }
     }
 }
@@ -495,10 +448,9 @@ impl HostKvStore {
             n_kv_heads,
             head_dim,
             namespace: NamespaceId(0),
-            alloc,
-            slots: vec![None; n_layers * n_kv_heads],
-            stats: Arc::new(Mutex::new(TransferStats::default())),
-            sharing: Arc::new(Mutex::new(SharingStats::default())),
+            tables: PageTables::new(alloc, n_layers * n_kv_heads),
+            stats: Mutex::default(),
+            sharing: Mutex::default(),
             aggregate: None,
             sharing_aggregate: None,
         }
@@ -511,7 +463,7 @@ impl HostKvStore {
 
     /// Page size (tokens per page) of the backing pool.
     pub fn page_tokens(&self) -> usize {
-        self.alloc.page_tokens()
+        self.tables.alloc.page_tokens()
     }
 
     fn slot_index(&self, layer: usize, head: usize) -> usize {
@@ -558,13 +510,7 @@ impl HostKvStore {
     ) -> Result<(), MemError> {
         assert_eq!(keys.shape(), values.shape(), "K/V shape mismatch");
         assert_eq!(keys.cols(), self.head_dim, "head_dim mismatch");
-        let idx = self.slot_index(layer, head);
-        let rows = keys.rows();
-        let pages = self.alloc.try_write_rows(&keys, &values)?;
-        if let Some(old) = self.slots[idx].take() {
-            self.alloc.release_chain(&old.pages);
-        }
-        self.slots[idx] = Some(HeadKv { pages, rows });
+        self.tables.try_write(self.slot_index(layer, head), &keys, &values)?;
         let bytes = (2 * keys.rows() * keys.cols() * WIRE_BYTES_PER_ELEM) as u64;
         self.meter(|st| {
             st.d2h_bytes += bytes;
@@ -599,11 +545,8 @@ impl HostKvStore {
     ) -> Result<usize, MemError> {
         assert_eq!(key.len(), self.head_dim);
         assert_eq!(value.len(), self.head_dim);
-        let idx = self.slot_index(layer, head);
-        let slot = self.slots[idx].get_or_insert_with(HeadKv::default);
-        let offset = slot.rows;
-        let cow = self.alloc.try_append_row(&mut slot.pages, key, value)?;
-        slot.rows += 1;
+        let offset = self.len(layer, head);
+        let cow = self.tables.try_append(self.slot_index(layer, head), key, value)?;
         let bytes = (2 * self.head_dim * WIRE_BYTES_PER_ELEM) as u64;
         self.meter(|st| {
             st.d2h_bytes += bytes;
@@ -644,8 +587,8 @@ impl HostKvStore {
             return Ok(());
         }
         let idx = self.slot_index(layer, head);
-        let slot = self.slots[idx].as_ref().ok_or(MemError::EmptySlot { layer, head })?;
-        self.alloc.read_rows(&slot.pages, slot.rows, token_ids, link_rows > 0, keys, values)?;
+        let slot = self.tables.get(idx).ok_or(MemError::EmptySlot { layer, head })?;
+        self.tables.alloc.read_rows(&slot.pages, slot.rows, token_ids, link_rows > 0, keys, values)?;
         if link_rows > 0 {
             let bytes = (2 * link_rows * self.head_dim * WIRE_BYTES_PER_ELEM) as u64;
             self.meter(|st| {
@@ -675,21 +618,20 @@ impl HostKvStore {
 
     /// Stored token count for a slot (0 if never offloaded).
     pub fn len(&self, layer: usize, head: usize) -> usize {
-        self.slots[self.slot_index(layer, head)].as_ref().map_or(0, |s| s.rows)
+        self.tables.get(self.slot_index(layer, head)).map_or(0, |s| s.rows)
     }
 
     /// True when no slot holds data.
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+        self.tables.iter().next().is_none()
     }
 
     /// Logical resident bytes across all slots (FP16 accounting of this
     /// namespace's rows; shared pages are counted here per-namespace — use
     /// [`KvTier::resident_bytes`] for unique physical residency).
     pub fn resident_bytes(&self) -> u64 {
-        self.slots
+        self.tables
             .iter()
-            .flatten()
             .map(|s| (2 * s.rows * self.head_dim * WIRE_BYTES_PER_ELEM) as u64)
             .sum()
     }
@@ -715,8 +657,8 @@ impl HostKvStore {
     /// a recovered session decodes from it, not when the bad row happens to
     /// be fetched).
     pub fn verify(&self) -> Result<(), MemError> {
-        for slot in self.slots.iter().flatten() {
-            self.alloc.verify_chain(&slot.pages)?;
+        for slot in self.tables.iter() {
+            self.tables.alloc.verify_chain(&slot.pages)?;
         }
         Ok(())
     }
@@ -727,11 +669,7 @@ impl HostKvStore {
     /// observes the corruption). Returns `false` when the slot holds no
     /// data to corrupt.
     pub fn corrupt_slot(&mut self, layer: usize, head: usize, bit: u64) -> bool {
-        let idx = self.slot_index(layer, head);
-        match self.slots[idx].as_mut() {
-            Some(slot) => self.alloc.corrupt_chain_tail(&mut slot.pages, bit),
-            None => false,
-        }
+        self.tables.corrupt_tail(self.slot_index(layer, head), bit)
     }
 
     /// Pin every page this namespace references (suspend path: a preempted
@@ -740,16 +678,16 @@ impl HostKvStore {
     /// chains are released — a pinned page whose refcount drains to zero
     /// panics.
     pub fn pin_pages(&self) {
-        for slot in self.slots.iter().flatten() {
-            self.alloc.pin_chain(&slot.pages);
+        for slot in self.tables.iter() {
+            self.tables.alloc.pin_chain(&slot.pages);
         }
     }
 
     /// Remove one pin layer from every page this namespace references
     /// (resume/retire path).
     pub fn unpin_pages(&self) {
-        for slot in self.slots.iter().flatten() {
-            self.alloc.unpin_chain(&slot.pages);
+        for slot in self.tables.iter() {
+            self.tables.alloc.unpin_chain(&slot.pages);
         }
     }
 }

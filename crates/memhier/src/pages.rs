@@ -410,7 +410,7 @@ impl PageAllocator {
     }
 
     /// Bump the refcount of every page in `chain`.
-    pub(crate) fn retain_chain(&self, chain: &[u32]) {
+    fn retain_chain(&self, chain: &[u32]) {
         let mut pool = self.pool.lock();
         for &id in chain {
             pool.retain(id);
@@ -418,7 +418,7 @@ impl PageAllocator {
     }
 
     /// Drop one reference to every page in `chain`.
-    pub(crate) fn release_chain(&self, chain: &[u32]) {
+    fn release_chain(&self, chain: &[u32]) {
         let mut pool = self.pool.lock();
         for &id in chain {
             pool.release(id);
@@ -429,7 +429,7 @@ impl PageAllocator {
     /// the page chain. On pool exhaustion mid-write, every page already
     /// allocated for this chain is released before the error returns — a
     /// failed bulk write leaves the pool exactly as it found it.
-    pub(crate) fn try_write_rows(
+    fn try_write_rows(
         &self,
         keys: &Matrix,
         values: &Matrix,
@@ -462,7 +462,7 @@ impl PageAllocator {
     /// chain is left untouched (the allocation is attempted before any
     /// chain or refcount mutation), so a failed append is retryable after
     /// pages free up.
-    pub(crate) fn try_append_row(
+    fn try_append_row(
         &self,
         chain: &mut Vec<u32>,
         key: &[f32],
@@ -568,6 +568,89 @@ impl PageAllocator {
             values.push_row(&p.v[lo..lo + dh]);
         }
         Ok(())
+    }
+}
+
+/// One (layer, kv-head) page table: an ordered page chain and the rows
+/// written through it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HeadKv {
+    pub(crate) pages: Vec<u32>,
+    pub(crate) rows: usize,
+}
+
+/// The (layer, kv-head) page tables of one owner — a namespace, a
+/// registered prefix or a prefix hit — and the allocator their pages come
+/// from. The tables hold one reference to every page they list: `Clone`
+/// retains every chain, `Drop` releases them, and replacing a slot releases
+/// the chain it replaces. Chains change only through the methods here, so
+/// page refcounts are conserved by construction, not by each owner.
+#[derive(Debug)]
+pub(crate) struct PageTables {
+    pub(crate) alloc: PageAllocator,
+    slots: Vec<Option<HeadKv>>,
+}
+
+impl PageTables {
+    /// `n_slots` empty tables drawing pages from `alloc`.
+    pub(crate) fn new(alloc: PageAllocator, n_slots: usize) -> Self {
+        Self { alloc, slots: vec![None; n_slots] }
+    }
+
+    /// Slot `idx`'s table, if anything was ever written there.
+    pub(crate) fn get(&self, idx: usize) -> Option<&HeadKv> {
+        self.slots[idx].as_ref()
+    }
+
+    /// Every written table, in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &HeadKv> {
+        self.slots.iter().flatten()
+    }
+
+    /// Write the rows of `k` / `v` into fresh pages as slot `idx`'s table,
+    /// releasing the chain it replaces. The new chain is written first, so
+    /// on pool exhaustion the slot keeps its prior content.
+    pub(crate) fn try_write(&mut self, idx: usize, k: &Matrix, v: &Matrix) -> Result<(), MemError> {
+        let pages = self.alloc.try_write_rows(k, v)?;
+        if let Some(old) = self.slots[idx].replace(HeadKv { pages, rows: k.rows() }) {
+            self.alloc.release_chain(&old.pages);
+        }
+        Ok(())
+    }
+
+    /// Append one row to slot `idx` (see [`PageAllocator::try_append_row`]);
+    /// `Ok(true)` when the append copied a shared tail.
+    pub(crate) fn try_append(&mut self, idx: usize, k: &[f32], v: &[f32]) -> Result<bool, MemError> {
+        let table = self.slots[idx].get_or_insert_with(HeadKv::default);
+        let cow = self.alloc.try_append_row(&mut table.pages, k, v)?;
+        table.rows += 1;
+        Ok(cow)
+    }
+
+    /// Flip one bit of slot `idx`'s tail page (see
+    /// [`PageAllocator::corrupt_chain_tail`]); `false` for an empty slot.
+    pub(crate) fn corrupt_tail(&mut self, idx: usize, bit: u64) -> bool {
+        match self.slots[idx].as_mut() {
+            Some(table) => self.alloc.corrupt_chain_tail(&mut table.pages, bit),
+            None => false,
+        }
+    }
+}
+
+impl Clone for PageTables {
+    fn clone(&self) -> Self {
+        for table in self.iter() {
+            self.alloc.retain_chain(&table.pages);
+        }
+        Self { alloc: self.alloc.clone(), slots: self.slots.clone() }
+    }
+}
+
+impl Drop for PageTables {
+    fn drop(&mut self) {
+        for table in self.iter() {
+            self.alloc.release_chain(&table.pages);
+        }
     }
 }
 

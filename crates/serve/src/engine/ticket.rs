@@ -250,8 +250,8 @@ impl<'m> Active<'m> {
         Ok(())
     }
 
-    /// Snapshot this session without evicting it. Best effort: a pending
-    /// store fault, an unforkable policy, or pool exhaustion yields `None`
+    /// Snapshot this session without evicting it. Best effort: an
+    /// unforkable policy or pool exhaustion yields `None`
     /// (the previous snapshot stays), and the snapshot is checksum-verified
     /// before it is handed out, so the registry only ever holds provably
     /// good state to roll back or fail over to.

@@ -18,7 +18,7 @@
 
 use crate::gen::Workload;
 use crate::methods::MethodSpec;
-use pqc_core::{SelectiveSession, SessionConfig};
+use pqc_core::{SelectiveSession, SessionConfig, SessionScratch};
 use pqc_llm::{FullKvSource, Model, PrefillOutput};
 use pqc_tensor::{cosine, top_k_indices, Rng64};
 
@@ -163,8 +163,9 @@ pub fn evaluate_method_with_prefill(
     let n_layers = model.config().n_layers;
     let n_heads = model.config().n_kv_heads;
 
+    let mut scratch = SessionScratch::new();
     for (i, &t) in rf.driver.iter().enumerate() {
-        let dec = session.decode(t);
+        let dec = session.step_with_scratch(t, &mut scratch);
         let mine = top_k_indices(&dec.logits, TOPK_TOKENS);
         let hit = rf.top_tokens[i].iter().filter(|x| mine.contains(x)).count();
         agree += hit as f64 / rf.top_tokens[i].len().max(1) as f64;

@@ -550,3 +550,155 @@ proptest! {
         prop_assert!(alloc.try_alloc().is_err(), "cap must re-engage after recycling");
     }
 }
+
+/// One scripted action against the owners of a small tier's pages.
+#[derive(Debug, Clone, Copy)]
+enum OwnerOp {
+    /// Mint an empty namespace.
+    New,
+    /// Append one token to head `seed % 2` of the store at `target % live`.
+    Append { target: usize, seed: u64 },
+    /// `KvTier::fork_namespace` of the store at `target % live`.
+    Fork { target: usize },
+    /// `HostKvStore::clone` of the store at `target % live`.
+    Clone { target: usize },
+    /// Register the store at `target % live` under a fresh token stream.
+    Register { target: usize },
+    /// Look up the prefix at `target % registered`, keep the hit, and mint
+    /// a namespace from it.
+    Adopt { target: usize },
+    /// Release the prefix at `target % registered`.
+    Release { target: usize },
+    /// Drop a store (even `target`) or a kept hit (odd).
+    Drop { target: usize },
+}
+
+fn owner_op_strategy() -> impl Strategy<Value = OwnerOp> {
+    // kind 1..=3 → append (weighted 3×), 9..=10 → drop (2×), the rest 1× each.
+    (0usize..11, 0usize..16, 0u64..(1 << 62)).prop_map(|(kind, target, seed)| match kind {
+        0 => OwnerOp::New,
+        1..=3 => OwnerOp::Append { target, seed },
+        4 => OwnerOp::Fork { target },
+        5 => OwnerOp::Clone { target },
+        6 => OwnerOp::Register { target },
+        7 => OwnerOp::Adopt { target },
+        8 => OwnerOp::Release { target },
+        _ => OwnerOp::Drop { target },
+    })
+}
+
+/// Rows one owner has written, per head: `(keys, values)`.
+type OwnerRows = Vec<(Vec<Vec<f32>>, Vec<Vec<f32>>)>;
+
+/// Every head of `store` reads back through `try_fetch` exactly as `rows`.
+fn reads_back(store: &pqcache::memhier::HostKvStore, rows: &OwnerRows) -> TestCaseResult {
+    for (h, (k, v)) in rows.iter().enumerate() {
+        prop_assert_eq!(store.len(0, h), k.len());
+        let ids: Vec<usize> = (0..k.len()).collect();
+        let (fk, fv) = store.try_fetch(0, h, &ids).expect("intact store");
+        for i in ids {
+            prop_assert_eq!(fk.row(i), &k[i][..], "head {} key row {}", h, i);
+            prop_assert_eq!(fv.row(i), &v[i][..], "head {} value row {}", h, i);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every owner of tier pages — namespaces, their forks and clones,
+    /// registered prefixes, kept prefix hits and the namespaces minted
+    /// from them — under random interleavings, each mirrored by the rows
+    /// it was given: after every operation each live owner reads back
+    /// exactly its own rows (copy-on-write isolated every shared tail),
+    /// and once every owner is gone the pool holds no page.
+    #[test]
+    fn page_owners_conserve_references_under_random_interleavings(
+        page_tokens in 1usize..5,
+        ops in proptest::collection::vec(owner_op_strategy(), 1..60),
+        data_seed in 0u64..(1 << 62),
+    ) {
+        use pqcache::memhier::{HostKvStore, KvTier, PrefixHit};
+        const DIM: usize = 4;
+        let tier = KvTier::with_pages(1, 2, DIM, page_tokens, None);
+        let mut rng = Rng64::new(data_seed);
+        let empty = || -> OwnerRows { vec![(Vec::new(), Vec::new()); 2] };
+        let mut stores: Vec<(HostKvStore, OwnerRows)> = vec![(tier.new_namespace(), empty())];
+        let mut prefixes: Vec<(Vec<u32>, OwnerRows)> = Vec::new();
+        let mut hits: Vec<(PrefixHit, OwnerRows)> = Vec::new();
+        let mut next_token = 0u32;
+
+        for op in &ops {
+            let live = stores.len().max(1);
+            match *op {
+                OwnerOp::New if stores.len() < 8 => stores.push((tier.new_namespace(), empty())),
+                OwnerOp::Append { target, seed } if !stores.is_empty() => {
+                    let (store, rows) = &mut stores[target % live];
+                    let h = (seed % 2) as usize;
+                    let k: Vec<f32> = (0..DIM).map(|_| rng.normal_f32(0.0, 1.0)).collect();
+                    let v: Vec<f32> = (0..DIM).map(|_| rng.normal_f32(0.0, 1.0)).collect();
+                    prop_assert_eq!(store.append_token(0, h, &k, &v), rows[h].0.len());
+                    rows[h].0.push(k);
+                    rows[h].1.push(v);
+                }
+                OwnerOp::Fork { target } if !stores.is_empty() && stores.len() < 8 => {
+                    let (store, rows) = &stores[target % live];
+                    let fork = (tier.fork_namespace(store), rows.clone());
+                    stores.push(fork);
+                }
+                OwnerOp::Clone { target } if !stores.is_empty() && stores.len() < 8 => {
+                    let (store, rows) = &stores[target % live];
+                    let clone = (store.clone(), rows.clone());
+                    stores.push(clone);
+                }
+                OwnerOp::Register { target } if !stores.is_empty() => {
+                    let (store, rows) = &stores[target % live];
+                    let tokens = vec![next_token];
+                    next_token += 1;
+                    prop_assert!(tier.register_prefix(&tokens, store, std::sync::Arc::new(())));
+                    prefixes.push((tokens, rows.clone()));
+                }
+                OwnerOp::Adopt { target } if !prefixes.is_empty() && stores.len() < 8 => {
+                    let (tokens, rows) = &prefixes[target % prefixes.len()];
+                    let hit = tier.lookup_prefix(tokens).expect("registered prefix must hit");
+                    stores.push((tier.new_namespace_with_prefix(&hit), rows.clone()));
+                    if hits.len() < 4 {
+                        hits.push((hit, rows.clone()));
+                    }
+                }
+                OwnerOp::Release { target } if !prefixes.is_empty() => {
+                    let (tokens, _) = prefixes.remove(target % prefixes.len());
+                    prop_assert!(tier.release_prefix(&tokens));
+                }
+                OwnerOp::Drop { target } => {
+                    if target % 2 == 0 && !stores.is_empty() {
+                        stores.remove(target / 2 % stores.len());
+                    } else if !hits.is_empty() {
+                        hits.remove(target / 2 % hits.len());
+                    }
+                }
+                _ => {}
+            }
+            // Stores read back directly; a registered prefix or a kept hit
+            // reads back through a namespace minted from it and dropped.
+            for (store, rows) in &stores {
+                reads_back(store, rows)?;
+            }
+            for (hit, rows) in &hits {
+                reads_back(&tier.new_namespace_with_prefix(hit), rows)?;
+            }
+            for (tokens, rows) in &prefixes {
+                let hit = tier.lookup_prefix(tokens).expect("registered prefix must hit");
+                reads_back(&tier.new_namespace_with_prefix(&hit), rows)?;
+            }
+        }
+
+        drop(stores);
+        drop(hits);
+        for (tokens, _) in &prefixes {
+            prop_assert!(tier.release_prefix(tokens));
+        }
+        prop_assert_eq!(tier.allocator().pages_in_use(), 0, "pages leaked after every owner left");
+    }
+}
