@@ -1032,6 +1032,19 @@ mod tests {
     }
 
     #[test]
+    fn failed_first_append_leaves_the_slot_empty() {
+        // 1 page of 2 tokens, taken by another namespace.
+        let tier = KvTier::with_pages(1, 2, 2, 2, Some(1));
+        let mut a = tier.new_namespace();
+        a.try_append_token(0, 0, &[1.0; 2], &[1.0; 2]).expect("takes the only page");
+        let mut b = tier.new_namespace();
+        let err = b.try_append_token(0, 1, &[2.0; 2], &[2.0; 2]).expect_err("pool is full");
+        assert_eq!(err, MemError::PageExhausted { max_pages: 1 });
+        assert!(b.is_empty(), "failed first append wrote no table");
+        assert_eq!(b.try_fetch(0, 1, &[0]), Err(MemError::EmptySlot { layer: 0, head: 1 }));
+    }
+
+    #[test]
     fn capped_tier_offload_fails_without_metering() {
         let tier = KvTier::with_pages(1, 1, 4, 2, Some(2));
         let mut ns = tier.new_namespace();

@@ -619,11 +619,15 @@ impl PageTables {
     }
 
     /// Append one row to slot `idx` (see [`PageAllocator::try_append_row`]);
-    /// `Ok(true)` when the append copied a shared tail.
+    /// `Ok(true)` when the append copied a shared tail. A failed append
+    /// leaves the slot as it was: an empty slot gets its table only once
+    /// the first row is in.
     pub(crate) fn try_append(&mut self, idx: usize, k: &[f32], v: &[f32]) -> Result<bool, MemError> {
-        let table = self.slots[idx].get_or_insert_with(HeadKv::default);
+        let mut fresh = HeadKv::default();
+        let table = self.slots[idx].as_mut().unwrap_or(&mut fresh);
         let cow = self.alloc.try_append_row(&mut table.pages, k, v)?;
         table.rows += 1;
+        self.slots[idx].get_or_insert(fresh);
         Ok(cow)
     }
 

@@ -13,18 +13,11 @@ use std::ops::Range;
 
 /// Pre-computed per-query lookup table: `table[j][c]` is the inner product of
 /// query sub-vector `j` with centroid `c` of sub-space `j`.
-///
-/// Alongside the raw table a **prefix-max** copy is kept (`prefmax[j][c]` =
-/// max of `table[j][0..=c]`): combined with [`PqCodes`]' per-block max-code
-/// tracking it upper-bounds the best achievable score of any token block in
-/// O(m), which is what lets the fused score-and-select scan skip blocks that
-/// cannot beat the running k-th-best threshold.
 #[derive(Debug, Clone, Default)]
 pub struct AdcTable {
     m: usize,
     k_c: usize,
     table: Vec<f32>,
-    prefmax: Vec<f32>,
 }
 
 impl AdcTable {
@@ -46,36 +39,12 @@ impl AdcTable {
         self.k_c = k_c;
         self.table.clear();
         self.table.reserve(m * k_c);
-        self.prefmax.clear();
-        self.prefmax.reserve(m * k_c);
         for j in 0..m {
             let sub = &query[j * dm..(j + 1) * dm];
             let cents = book.centroids(j);
             debug_assert_eq!(cents.rows(), k_c);
-            let mut running = f32::NEG_INFINITY;
-            for c in 0..k_c {
-                let v = dot(sub, cents.row(c));
-                self.table.push(v);
-                running = running.max(v);
-                self.prefmax.push(running);
-            }
+            self.table.extend((0..k_c).map(|c| dot(sub, cents.row(c))));
         }
-    }
-
-    /// Upper bound on the score of any token in block `blk` of `codes`:
-    /// per column, no code in the block exceeds its tracked block max, so
-    /// the prefix-max table entry at that code bounds the column's
-    /// contribution. Summation mirrors the scan's association (sequential
-    /// adds), and f32 addition is monotone, so the bound dominates every
-    /// in-block score *as computed by the scan*, bit for bit.
-    #[inline]
-    fn block_score_bound(&self, codes: &PqCodes, blk: usize) -> f32 {
-        let mut bound = 0.0f32;
-        for j in 0..self.m {
-            let c = codes.block_max_code(j, blk) as usize;
-            bound += self.prefmax[j * self.k_c + c];
-        }
-        bound
     }
 
     /// Table entry for sub-space `j`, centroid `c`.
@@ -186,18 +155,14 @@ impl AdcTable {
 
     /// Fused score-and-select over the first `n` tokens: stream the paired-
     /// column ADC scan in [`CODE_BLOCK`]-token blocks straight into a
-    /// [`TopK`] stream, and once a running k-th-best threshold exists, skip
-    /// whole blocks whose upper bound (`Self::block_score_bound`) cannot
-    /// beat it — their scores are never materialised. Selected indices land
-    /// in `out` (descending score, ties toward the smaller index).
+    /// [`TopK`] stream, so the full score vector is never materialised.
+    /// Selected indices land in `out` (descending score, ties toward the
+    /// smaller index).
     ///
-    /// Returns the number of pruned blocks. The selected set is
-    /// **bit-identical** to the unfused `top_k_indices` over the first `n`
-    /// of [`Self::score_all`]'s scores: block scoring preserves the scan's
-    /// per-token accumulation order, pruning only discards tokens that
-    /// provably lose to the current k-th best (strictly on score, or on the
-    /// ascending-index tie-break), and every selection path shares the same
-    /// total order.
+    /// The selected set is **bit-identical** to the unfused `top_k_indices`
+    /// over the first `n` of [`Self::score_all`]'s scores: block scoring
+    /// preserves the scan's per-token accumulation order, and every
+    /// selection path shares the same total order.
     pub fn score_and_select_into(
         &self,
         codes: &PqCodes,
@@ -206,21 +171,17 @@ impl AdcTable {
         topk: &mut TopK,
         block_scores: &mut Vec<f32>,
         out: &mut Vec<usize>,
-    ) -> usize {
+    ) {
         let n = n.min(codes.len());
         self.assert_codes_bounded(codes);
         let k = k.min(n);
         topk.stream_begin(k);
-        if k == 0 {
-            // Nothing can be selected: skip the scan entirely.
-            topk.stream_finish_into(out);
-            return 0;
+        if k > 0 {
+            self.scan_blocks(codes, n, topk, block_scores, |topk, scores, range| {
+                topk.stream_offer_block(scores, range.start)
+            });
         }
-        let (pruned, _) = self.scan_blocks(codes, n, topk, block_scores, |topk, scores, range| {
-            topk.stream_offer_block(scores, range.start)
-        });
         topk.stream_finish_into(out);
-        pruned
     }
 
     /// IVF-routed fused score-and-select: score the coarse centroids, probe
@@ -229,10 +190,7 @@ impl AdcTable {
     /// probed cells are never touched, so per-step ADC work is
     /// O(n_list·dh + s·m·n_probe/n_list) instead of O(s·m).
     ///
-    /// Pruning composes with routing: inside a probed cell, whole
-    /// [`CODE_BLOCK`]-blocks whose upper bound (`Self::block_score_bound`
-    /// over the cell's own block-max codes) cannot beat the running
-    /// k-th-best threshold are skipped, exactly as in the flat
+    /// Each probed cell runs the same [`CODE_BLOCK`]-block scan as the flat
     /// [`Self::score_and_select_into`]. Only tokens with id `< n` are
     /// offered (cell id lists ascend, so the eligible prefix is found by
     /// one binary search per cell).
@@ -283,24 +241,19 @@ impl AdcTable {
                 continue;
             }
             self.assert_codes_bounded(codes);
-            let (pruned, scanned) =
-                self.scan_blocks(codes, lim, topk, block_scores, |topk, scores, range| {
-                    topk.stream_offer_indexed(scores, &ids[range])
-                });
-            stats.pruned_blocks += pruned;
-            stats.scanned_tokens += scanned;
+            self.scan_blocks(codes, lim, topk, block_scores, |topk, scores, range| {
+                topk.stream_offer_indexed(scores, &ids[range])
+            });
+            stats.scanned_tokens += lim;
         }
         topk.stream_finish_into(out);
         stats
     }
 
-    /// The pruned block scan both fused entry points run: walk tokens
-    /// `0..lim` of `codes` in [`CODE_BLOCK`]-token blocks, skip each block
-    /// whose upper bound (`Self::block_score_bound`) cannot beat the
-    /// selector's running k-th-best threshold, and hand every other block's
-    /// scores to `offer` with the block's token range. Returns `(pruned
-    /// blocks, scanned tokens)`. `offer` is generic, so each caller gets its
-    /// own monomorphised loop.
+    /// The block scan both fused entry points run: walk tokens `0..lim` of
+    /// `codes` in [`CODE_BLOCK`]-token blocks, score each block and hand its
+    /// scores to `offer` with the block's token range. `offer` is generic,
+    /// so each caller gets its own monomorphised loop.
     ///
     /// Callers must have validated code bounds via
     /// [`Self::assert_codes_bounded`].
@@ -312,47 +265,27 @@ impl AdcTable {
         topk: &mut TopK,
         block_scores: &mut Vec<f32>,
         mut offer: impl FnMut(&mut TopK, &[f32], Range<usize>),
-    ) -> (usize, usize) {
-        let (mut pruned, mut scanned) = (0, 0);
+    ) {
         for lo in (0..lim).step_by(CODE_BLOCK) {
             let hi = (lo + CODE_BLOCK).min(lim);
-            if let Some(threshold) = topk.stream_threshold() {
-                // Strict `<`: the threshold is the exact k-th-best score at
-                // the selector's last compaction, and the bound covers every
-                // member of the block (in an IVF cell, also any past `lim`),
-                // so a block whose bound falls strictly below it cannot
-                // contribute to the final top-k (boundary ties are retained
-                // by the selector and resolved by total order at finish;
-                // NaN bounds fail `<` and never prune).
-                if self.block_score_bound(codes, lo / CODE_BLOCK) < threshold {
-                    pruned += 1;
-                    continue;
-                }
-            }
             self.score_range_into(codes, lo, hi, block_scores);
             // Bulk offer: the threshold reject loop runs tight inside the
             // selector (~one branch-predictable comparison per token), and
             // only survivors are appended as candidates.
             offer(topk, block_scores, lo..hi);
-            scanned += hi - lo;
         }
-        (pruned, scanned)
     }
 }
 
 /// Per-step counters from the IVF-routed fused scan — what the benchmark
 /// (`pq.ivf_scan_frac`) and the tests read to show sublinear selection
-/// cost (scanned tokens ≪ context) and that block pruning still composes
-/// with routing.
+/// cost (scanned tokens ≪ context).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IvfSelectStats {
     /// Coarse cells actually probed.
     pub probed_cells: usize,
-    /// Tokens whose scores were materialised (≤ the probed cells' members).
+    /// Tokens scored: the probed cells' members with id `< n`.
     pub scanned_tokens: usize,
-    /// [`CODE_BLOCK`]-blocks inside probed cells skipped by the threshold
-    /// bound.
-    pub pruned_blocks: usize,
 }
 
 /// Reusable IVF-routing scratch: coarse-centroid scores and the probed-cell
@@ -394,14 +327,12 @@ impl PqRetriever {
 
     /// Fused decode-step retrieval (the serving hot path): rebuild the ADC
     /// table for `query`, then run [`AdcTable::score_and_select_into`] —
-    /// the blocked scan streams straight into the selector, pruning blocks
-    /// against the running k-th-best threshold, and the full score vector
-    /// is never materialised (the score scratch holds one
+    /// the blocked scan streams straight into the selector, and the full
+    /// score vector is never materialised (the score scratch holds one
     /// [`CODE_BLOCK`]-token block). Writes the indices of the `k` best of
     /// the first `n` tokens (descending score, ties toward the smaller
-    /// index) into `out` and returns the number of pruned blocks. The
-    /// engine bounds `n` by the live middle length, so the scan never
-    /// touches the excess tail.
+    /// index) into `out`. The engine bounds `n` by the live middle length,
+    /// so the scan never touches the excess tail.
     pub fn score_and_select_into(
         &mut self,
         book: &PqCodebook,
@@ -410,7 +341,7 @@ impl PqRetriever {
         n: usize,
         k: usize,
         out: &mut Vec<usize>,
-    ) -> usize {
+    ) {
         self.table.rebuild(book, query);
         self.table
             .score_and_select_into(codes, n, k, &mut self.topk, &mut self.scores, out)
@@ -418,8 +349,8 @@ impl PqRetriever {
 
     /// Fused IVF-routed decode-step retrieval: rebuild the ADC table for
     /// `query`, then run [`AdcTable::score_and_select_ivf_into`] — coarse
-    /// routing plus a threshold-pruned scan over only the probed cells'
-    /// code columns. Returns the routing stats. With `n_probe >= n_list`
+    /// routing plus the blocked scan over only the probed cells' code
+    /// columns. Returns the routing stats. With `n_probe >= n_list`
     /// the selected set is bit-identical to [`Self::score_and_select_into`].
     #[allow(clippy::too_many_arguments)] // hot path: flat knobs, no bundling
     pub fn score_and_select_ivf_into(
@@ -448,11 +379,10 @@ impl PqRetriever {
 
     /// Capacities of the internal scratch buffers `(table, scores, heap)` —
     /// exposed so tests can assert steady-state allocation stability. The
-    /// table component covers both the raw LUT and its prefix-max copy; the
     /// heap component folds in the IVF routing buffers.
     pub fn scratch_capacities(&self) -> (usize, usize, usize) {
         (
-            self.table.table.capacity() + self.table.prefmax.capacity(),
+            self.table.table.capacity(),
             self.scores.capacity(),
             self.topk.scratch_capacity() + self.ivf.capacity(),
         )
@@ -479,7 +409,7 @@ mod tests {
     /// score-and-select through a fresh retriever.
     fn fused_top_k(book: &PqCodebook, codes: &PqCodes, q: &[f32], k: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        let _ = PqRetriever::new().score_and_select_into(book, codes, q, codes.len(), k, &mut out);
+        PqRetriever::new().score_and_select_into(book, codes, q, codes.len(), k, &mut out);
         out
     }
 
@@ -601,8 +531,8 @@ mod tests {
     #[test]
     fn fused_select_matches_unfused_across_blocks() {
         // Fixture larger than CODE_BLOCK so the fused scan spans several
-        // blocks (and can prune): results must equal the unfused
-        // scan+select pipeline exactly, for every (n, k) shape.
+        // blocks: results must equal the unfused scan+select pipeline
+        // exactly, for every (n, k) shape.
         let (_, book, codes) = setup(crate::CODE_BLOCK * 2 + 137, 16, 2, 4, 71);
         let mut rng = Rng64::new(72);
         let mut retriever = PqRetriever::new();
@@ -619,17 +549,18 @@ mod tests {
             ] {
                 let unfused = top_k_indices(&scores[..n], k);
                 let mut fused = Vec::new();
-                let _ = retriever.score_and_select_into(&book, &codes, &q, n, k, &mut fused);
+                retriever.score_and_select_into(&book, &codes, &q, n, k, &mut fused);
                 assert_eq!(unfused, fused, "trial {trial}, n={n}, k={k}");
             }
         }
     }
 
     #[test]
-    fn fused_select_prunes_cold_blocks() {
-        // Construct codes whose later blocks can only reference centroid 0,
-        // and a table where centroid 0 scores lowest: with k small, the
-        // running threshold must exceed those blocks' bound and prune them.
+    fn fused_select_matches_unfused_on_cold_blocks() {
+        // Codes whose later blocks all hold the centroid with the lowest
+        // table entry, so every score after the first block ties at the
+        // minimum: the fused scan must still select what the unfused
+        // scan-then-select does.
         let s = crate::CODE_BLOCK * 3;
         let mut rng = Rng64::new(73);
         let keys = Matrix::randn(256, 8, 1.0, &mut rng);
@@ -647,9 +578,7 @@ mod tests {
         let codes = PqCodes::from_columns(vec![col]);
         let mut topk = TopK::new();
         let (mut buf, mut fused) = (Vec::new(), Vec::new());
-        let pruned = table.score_and_select_into(&codes, s, 4, &mut topk, &mut buf, &mut fused);
-        assert_eq!(pruned, 2, "both cold blocks should be skipped");
-        // And pruning must not have changed the answer.
+        table.score_and_select_into(&codes, s, 4, &mut topk, &mut buf, &mut fused);
         assert_eq!(fused, top_k_indices(&table.score_all(&codes), 4));
     }
 }

@@ -40,10 +40,8 @@ impl PqConfig {
     }
 }
 
-/// Token-block granularity of the per-block max-code tracking (and of the
-/// fused score-and-select scan that prunes against it). 512 × f32 block
-/// scores stay comfortably in L1 while the per-block bound check amortises
-/// to ~`m/512` comparisons per token.
+/// Token-block granularity of the fused score-and-select scan: it sizes the
+/// score scratch, and 512 × f32 block scores stay comfortably in L1.
 pub const CODE_BLOCK: usize = 512;
 
 /// PQ codes for a sequence of tokens, stored **subspace-major** (SoA): one
@@ -54,11 +52,8 @@ pub const CODE_BLOCK: usize = 512;
 /// makes the fused scan fast. `u16` accommodates every configuration the
 /// paper sweeps (`m·b ≤ 16`, so `b ≤ 16`).
 ///
-/// Alongside the running per-column maximum (one bounds proof per scan),
-/// each column tracks its maximum code per [`CODE_BLOCK`]-token block; the
-/// fused score-and-select scan combines these with a prefix-max over the
-/// ADC table to upper-bound a block's best possible score and skip blocks
-/// that cannot beat the running k-th-best threshold.
+/// Each column also tracks its running maximum code, so the scan proves its
+/// table reads in bounds once per column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PqCodes {
     len: usize,
@@ -67,9 +62,6 @@ pub struct PqCodes {
     /// Running per-column maximum code; lets the ADC scan validate bounds
     /// once per column instead of once per element.
     max_code: Vec<u16>,
-    /// `block_max[j][blk]` = max code of sub-space `j` over tokens
-    /// `[blk*CODE_BLOCK, (blk+1)*CODE_BLOCK)` (last block may be partial).
-    block_max: Vec<Vec<u16>>,
 }
 
 impl PqCodes {
@@ -80,7 +72,6 @@ impl PqCodes {
             len: 0,
             cols: vec![Vec::new(); m],
             max_code: vec![0; m],
-            block_max: vec![Vec::new(); m],
         }
     }
 
@@ -90,15 +81,7 @@ impl PqCodes {
         let len = cols[0].len();
         assert!(cols.iter().all(|c| c.len() == len), "ragged code columns");
         let max_code = cols.iter().map(|c| c.iter().copied().max().unwrap_or(0)).collect();
-        let block_max = cols
-            .iter()
-            .map(|c| {
-                c.chunks(CODE_BLOCK)
-                    .map(|blk| blk.iter().copied().max().unwrap_or(0))
-                    .collect()
-            })
-            .collect();
-        Self { len, cols, max_code, block_max }
+        Self { len, cols, max_code }
     }
 
     /// Number of encoded tokens.
@@ -149,32 +132,12 @@ impl PqCodes {
         self.max_code[j]
     }
 
-    /// Largest code of sub-space `j` within token block `blk` (blocks of
-    /// [`CODE_BLOCK`] tokens; the last block may be partial).
-    #[inline]
-    pub fn block_max_code(&self, j: usize, blk: usize) -> u16 {
-        self.block_max[j][blk]
-    }
-
     /// Append one token's codes.
     pub fn push(&mut self, token_codes: &[u16]) {
         assert_eq!(token_codes.len(), self.cols.len());
-        let new_block = self.len.is_multiple_of(CODE_BLOCK);
-        for (((col, mx), bm), &c) in self
-            .cols
-            .iter_mut()
-            .zip(self.max_code.iter_mut())
-            .zip(self.block_max.iter_mut())
-            .zip(token_codes)
-        {
+        for ((col, mx), &c) in self.cols.iter_mut().zip(self.max_code.iter_mut()).zip(token_codes) {
             col.push(c);
             *mx = (*mx).max(c);
-            if new_block {
-                bm.push(c);
-            } else {
-                let last = bm.last_mut().expect("non-empty block index");
-                *last = (*last).max(c);
-            }
         }
         self.len += 1;
     }

@@ -10,11 +10,10 @@
 //! The index stores **per-cell SoA code columns** (each cell owns a
 //! [`PqCodes`] holding its members' codes in the same subspace-major layout
 //! the fused scan wants, plus an ascending token-id list), so probing a cell
-//! is the same L1-resident sequential column walk as the flat scan — and the
-//! per-`CODE_BLOCK`-block max-code bound composes with routing: inside a
-//! probed cell, blocks that cannot beat the running k-th-best threshold are
-//! skipped exactly as in [`crate::adc::AdcTable::score_and_select_into`].
-//! See `score_and_select_ivf_into` in [`crate::adc`] and the "IVF-routed
+//! is the same L1-resident sequential column walk, in the same
+//! `CODE_BLOCK`-token blocks, as
+//! [`crate::adc::AdcTable::score_and_select_into`]. See
+//! `score_and_select_ivf_into` in [`crate::adc`] and the "IVF-routed
 //! selection" section of EXPERIMENTS.md.
 //!
 //! The index is built once, over the prefill keys; decode-time tokens join
@@ -321,6 +320,8 @@ mod tests {
     #[test]
     fn ivf_ablation_recall_vs_scan() {
         // More probes => more scan => better recall against exact search.
+        // Every probed cell's eligible members (id < n) are scanned, no
+        // more and no fewer: all `n` tokens at full probe.
         let (keys, book, codes) = setup(600, 16, 3);
         let mut rng = Rng64::new(10);
         let mut retriever = PqRetriever::new();
@@ -338,8 +339,16 @@ mod tests {
             for _ in 0..trials {
                 let q: Vec<f32> = (0..16).map(|_| rq.normal_f32(0.0, 1.0)).collect();
                 let exact = exact_top_k(&keys, &q, 30);
-                let _ = retriever
-                    .score_and_select_ivf_into(&book, &ivf, &q, ivf.len(), 30, n_probe, &mut got);
+                for n in [ivf.len() / 2, ivf.len()] {
+                    let stats = retriever
+                        .score_and_select_ivf_into(&book, &ivf, &q, n, 30, n_probe, &mut got);
+                    let routed = routed_ids(&ivf, &q, n_probe);
+                    let eligible = routed.iter().filter(|&&i| i < n).count();
+                    assert_eq!(stats.scanned_tokens, eligible, "n_probe={n_probe}, n={n}");
+                    if n_probe >= ivf.n_list() {
+                        assert_eq!(stats.scanned_tokens, n);
+                    }
+                }
                 recall += topk_recall(&exact, &got);
             }
             recall /= trials as f64;

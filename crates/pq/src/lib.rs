@@ -7,7 +7,7 @@
 //!
 //! Query to top-k has one path: [`PqRetriever::score_and_select_into`]
 //! (flat) or [`PqRetriever::score_and_select_ivf_into`] (IVF-routed), each
-//! a fused, threshold-pruned scan streaming into one selector.
+//! a fused blocked scan streaming into one selector.
 
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]

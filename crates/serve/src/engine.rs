@@ -322,8 +322,9 @@ impl Fleet<'_> {
             prefix: self.tier.prefix_stats(),
             aggregate_sharing: self.tier.aggregate_sharing(),
             peak_host_bytes: self.tier.allocator().peak_resident_bytes(),
-            // Sum of per-window high waters: an upper bound on peak global
-            // occupancy, itself bounded by the configured capacity.
+            // Sum over windows of min(share, capacity), fixed in
+            // `Window::new`: set by the configuration and the batch, not
+            // by load.
             queue_high_water: self.inboxes.iter().map(Window::high_water).sum(),
             shards,
             worker_panics,

@@ -320,8 +320,9 @@ pub struct ServeReport {
     /// Tier-wide transfer aggregate (equals the sum of per-completion
     /// transfer stats — asserted by the equivalence battery).
     pub aggregate_transfer: TransferStats,
-    /// Most requests visible in the admission windows (summed over
-    /// windows; ≤ the configured bound).
+    /// Sum over the admission windows of min(share, capacity): fixed by the
+    /// configuration and the batch once, in `Window::new`, so it describes
+    /// a setting, not load.
     pub queue_high_water: usize,
     /// Prefix-cache registry counters (lookups, full hits, entries).
     pub prefix: PrefixCacheStats,

@@ -6,10 +6,9 @@
 //! are rejected in a tight loop, survivors are appended to a candidate
 //! buffer, and a quickselect compacts the buffer back to `k` (publishing an
 //! exact new threshold) whenever it fills. The fused ADC scan feeds it block
-//! by block and prunes whole blocks against that threshold; a plain score
-//! slice is one block. The result is *bit-identical* to the argsort
-//! reference: score descending, ties toward the smaller index, NaN ranked
-//! lowest.
+//! by block; a plain score slice is one block. The result is
+//! *bit-identical* to the argsort reference: score descending, ties toward
+//! the smaller index, NaN ranked lowest.
 
 use std::cmp::Ordering;
 
@@ -71,7 +70,7 @@ const MAX_STREAM_CAP: usize = 4096;
 
 /// First compaction trigger (when `2k` is smaller): a threshold published
 /// after a few hundred offers lets short streams (decode-step selections
-/// over a few thousand tokens) start pruning early; the trigger then
+/// over a few thousand tokens) start rejecting early; the trigger then
 /// doubles up to the ceiling so long streams still amortise.
 const FIRST_STREAM_COMPACT: usize = 256;
 
@@ -81,11 +80,11 @@ const FIRST_STREAM_COMPACT: usize = 256;
 ///
 /// A selection is [`TopK::stream_begin`] → any number of
 /// [`TopK::stream_offer_block`] / [`TopK::stream_offer_indexed`] calls →
-/// [`TopK::stream_finish_into`]; between offers [`TopK::stream_threshold`]
-/// is the running k-th-best score the fused ADC scan prunes blocks against.
-/// Accepted offers are *appended* to an unordered candidate buffer that is
-/// compacted back to `k` by quickselect whenever it fills — amortised O(1)
-/// per offer, with none of the per-accept sift cost a heap would pay.
+/// [`TopK::stream_finish_into`]. Offers below the running k-th-best score
+/// are rejected in a tight loop; accepted offers are *appended* to an
+/// unordered candidate buffer that is compacted back to `k` by quickselect
+/// whenever it fills — amortised O(1) per offer, with none of the
+/// per-accept sift cost a heap would pay.
 /// [`TopK::select_into`] is that sequence over one score slice.
 #[derive(Debug, Default, Clone)]
 pub struct TopK {
@@ -98,7 +97,11 @@ pub struct TopK {
     /// Next compaction trigger (escalates from [`FIRST_STREAM_COMPACT`]
     /// towards `max(2k, MAX_STREAM_CAP)` by doubling).
     stream_next: usize,
-    /// Running k-th-best score, refreshed at each compaction.
+    /// Running k-th-best score, refreshed at each compaction: `Some(s)` once
+    /// at least `k` offers have been compacted, `None` before that. It never
+    /// exceeds the *current* k-th-best score, so an offer scoring strictly
+    /// below it cannot enter the result; offers exactly at it are retained
+    /// and resolved by total order at finish.
     stream_thr: Option<f32>,
 }
 
@@ -152,19 +155,6 @@ impl TopK {
     #[inline]
     fn stream_advance_trigger(&mut self) {
         self.stream_next = (self.stream_next * 2).min((2 * self.stream_k).max(MAX_STREAM_CAP));
-    }
-
-    /// Running k-th-best score, refreshed at each compaction: `Some(s)` once
-    /// at least `k` offers have been compacted, `None` before that. It never
-    /// exceeds the *current* k-th-best score, so any offer scoring strictly
-    /// below it provably cannot enter the final result set — callers may
-    /// prune candidates (or whole candidate blocks) whose score upper bound
-    /// is `< threshold` without affecting the selected set. Offers scoring
-    /// exactly at the threshold are retained and resolved exactly (total
-    /// order, ties toward the smaller index) at finish.
-    #[inline]
-    pub fn stream_threshold(&self) -> Option<f32> {
-        self.stream_thr
     }
 
     /// Offer one contiguous block of scores whose indices are
@@ -450,20 +440,20 @@ mod tests {
     }
 
     #[test]
-    fn stream_threshold_is_kth_best_and_prunable() {
+    fn stream_thr_is_kth_best() {
         // Offer ascending scores with k = 2: the first compaction fires at
         // FIRST_STREAM_COMPACT offers and must publish the exact 2nd-best
         // score seen so far.
         let mut topk = TopK::new();
         topk.stream_begin(2);
-        assert_eq!(topk.stream_threshold(), None);
+        assert_eq!(topk.stream_thr, None);
         for i in 0..FIRST_STREAM_COMPACT - 1 {
             topk.stream_offer_block(&[i as f32], i);
-            assert_eq!(topk.stream_threshold(), None, "no compaction before trigger");
+            assert_eq!(topk.stream_thr, None, "no compaction before trigger");
         }
         let last = FIRST_STREAM_COMPACT - 1;
         topk.stream_offer_block(&[last as f32], last);
-        assert_eq!(topk.stream_threshold(), Some((last - 1) as f32));
+        assert_eq!(topk.stream_thr, Some((last - 1) as f32));
         // Offers strictly below the threshold are dropped without growing
         // the candidate buffer.
         let len_before = topk.entries.len();

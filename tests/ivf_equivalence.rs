@@ -94,7 +94,7 @@ fn probe_all_selection_bit_identical_on_paper_fixtures() {
                 (0, 3),
             ] {
                 let mut flat = Vec::new();
-                let _ = retriever.score_and_select_into(&book, &codes, &q, n, k, &mut flat);
+                retriever.score_and_select_into(&book, &codes, &q, n, k, &mut flat);
                 let mut routed = Vec::new();
                 let stats = retriever.score_and_select_ivf_into(
                     &book, &ivf, &q, n, k, n_list, &mut routed,
@@ -187,7 +187,7 @@ fn recall_at_k_regression_floor() {
             .map(|v| v + 0.25 * rng.normal_f32(0.0, 1.0))
             .collect();
         let mut exact = Vec::new();
-        let _ = retriever.score_and_select_into(&book, &codes, &q, s, k, &mut exact);
+        retriever.score_and_select_into(&book, &codes, &q, s, k, &mut exact);
         let mut routed = Vec::new();
         let stats = retriever.score_and_select_ivf_into(&book, &ivf, &q, s, k, 8, &mut routed);
         recall_sum += topk_recall(&exact, &routed);
@@ -203,7 +203,7 @@ fn recall_at_k_regression_floor() {
 fn ivf_retriever_steady_state_allocates_nothing() {
     // Zero-alloc audit for the routed path: 100 decode-step retrievals
     // through `score_and_select_ivf_into` (table rebuild + coarse routing +
-    // pruned cell scans + streaming selection) hold every scratch capacity
+    // blocked cell scans + streaming selection) hold every scratch capacity
     // steady after warm-up.
     let (keys, book, codes) = fixture(pqcache::pq::CODE_BLOCK + 400, 32, 2, 6, 901);
     let ivf = IvfIndex::build(

@@ -37,7 +37,7 @@ fn pq_top_k_bit_identical_to_scalar_path() {
         let mut retriever = PqRetriever::new();
         let mut fused = Vec::new();
         for k in [1usize, 7, 50, 600] {
-            let _ = retriever.score_and_select_into(&book, &codes, &q, codes.len(), k, &mut fused);
+            retriever.score_and_select_into(&book, &codes, &q, codes.len(), k, &mut fused);
             assert_eq!(fused, top_k_indices(&scalar_scores, k), "top-{k} diverged (m={m}, b={b})");
         }
     }
@@ -46,10 +46,10 @@ fn pq_top_k_bit_identical_to_scalar_path() {
 #[test]
 fn fused_score_and_select_bit_identical_on_paper_fixtures() {
     // PR 4 acceptance guard: the fused score-and-select pipeline (blocked
-    // scan streaming into the selector, threshold-pruned) must select the
-    // exact same index sets, in the same order, as the unfused scan+select
-    // on the m=2/b=6 and m=4/b=8 fixtures — sized past CODE_BLOCK so the
-    // stream spans several prunable blocks.
+    // scan streaming into the selector) must select the exact same index
+    // sets, in the same order, as the unfused scan+select on the m=2/b=6
+    // and m=4/b=8 fixtures — sized past CODE_BLOCK so the stream spans
+    // several blocks.
     for &(m, b, seed) in &[(2usize, 6u32, 303u64), (4, 8, 404)] {
         let (book, codes, q) = fixture(pqcache::pq::CODE_BLOCK * 2 + 300, 32, m, b, seed);
         let mut retriever = PqRetriever::new();
@@ -58,7 +58,7 @@ fn fused_score_and_select_bit_identical_on_paper_fixtures() {
             for k in [1usize, 16, 128, n] {
                 let unfused = top_k_indices(&scores[..n], k);
                 let mut fused = Vec::new();
-                let _ = retriever.score_and_select_into(&book, &codes, &q, n, k, &mut fused);
+                retriever.score_and_select_into(&book, &codes, &q, n, k, &mut fused);
                 assert_eq!(unfused, fused, "m={m}, b={b}, n={n}, k={k}");
             }
         }
@@ -105,7 +105,7 @@ fn online_attention_logits_match_two_pass_reference() {
 #[test]
 fn fused_retriever_steady_state_allocates_nothing() {
     // Zero-alloc audit for the fused path: 100 decode-step retrievals
-    // through `score_and_select_into` (table rebuild + blocked pruned scan
+    // through `score_and_select_into` (table rebuild + blocked scan
     // + streaming selection) must hold every scratch capacity steady after
     // warm-up, and keep agreeing with the unfused pipeline.
     let (book, codes, _) = fixture(pqcache::pq::CODE_BLOCK + 200, 32, 2, 6, 41);
@@ -114,13 +114,12 @@ fn fused_retriever_steady_state_allocates_nothing() {
     let mut rng = Rng64::new(78);
     // Warm-up step.
     let q: Vec<f32> = (0..32).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-    let _ = fused_retriever.score_and_select_into(&book, &codes, &q, codes.len(), 64, &mut out);
+    fused_retriever.score_and_select_into(&book, &codes, &q, codes.len(), 64, &mut out);
     let caps = fused_retriever.scratch_capacities();
     let out_cap = out.capacity();
     for step in 0..100 {
         let q: Vec<f32> = (0..32).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-        let _ =
-            fused_retriever.score_and_select_into(&book, &codes, &q, codes.len(), 64, &mut out);
+        fused_retriever.score_and_select_into(&book, &codes, &q, codes.len(), 64, &mut out);
         assert_eq!(out.len(), 64, "step {step}");
         assert_eq!(
             fused_retriever.scratch_capacities(),

@@ -139,7 +139,7 @@ proptest! {
         let mut retriever = PqRetriever::new();
         for n in [codes.len(), codes.len() / 2, 1] {
             let mut flat = Vec::new();
-            let _ = retriever.score_and_select_into(&book, &codes, &q, n, k, &mut flat);
+            retriever.score_and_select_into(&book, &codes, &q, n, k, &mut flat);
             let mut routed = Vec::new();
             let _ = retriever.score_and_select_ivf_into(
                 &book, &ivf, &q, n, k, ivf.n_list(), &mut routed,
@@ -214,14 +214,14 @@ proptest! {
         q in proptest::collection::vec(-2.0f32..2.0, 8),
         k in 0usize..40,
     ) {
-        // Tentpole invariant: the fused blocked score-and-select (threshold
-        // pruning included — fixtures above CODE_BLOCK span several blocks)
-        // must select exactly what the unfused scan + batch select selects.
+        // Tentpole invariant: the fused blocked score-and-select (fixtures
+        // above CODE_BLOCK span several blocks) must select exactly what the
+        // unfused scan + batch select selects.
         let (book, codes) =
             PqCodebook::train(&keys, PqConfig { m: 2, b: 3, max_iters: 3, seed: 5 });
         let unfused = top_k_indices(&AdcTable::build(&book, &q).score_all(&codes), k);
         let mut fused = Vec::new();
-        let _ = PqRetriever::new().score_and_select_into(&book, &codes, &q, codes.len(), k, &mut fused);
+        PqRetriever::new().score_and_select_into(&book, &codes, &q, codes.len(), k, &mut fused);
         prop_assert_eq!(unfused, fused);
     }
 
