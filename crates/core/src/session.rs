@@ -540,8 +540,8 @@ impl<'m> SelectiveSession<'m> {
 
     /// Preempt this session: offload its GPU-resident state (initial segment
     /// plus local window) into a fresh namespace of `tier` — the metered D2H
-    /// path — pin every host page it owns against recycling, and drop its
-    /// GPU block cache.
+    /// path — and drop its GPU block cache. Its host pages stay resident
+    /// because the returned [`SuspendedSession`] holds their page tables.
     ///
     /// The returned [`SuspendedSession`] holds no model borrow and can be
     /// parked indefinitely; [`SuspendedSession::resume`] restores a session
@@ -568,7 +568,7 @@ impl<'m> SelectiveSession<'m> {
             }
         };
         // The resident rows and the cache drop here.
-        Ok(SuspendedSession { rec: Pinned::new(self.rec), swap: Pinned::new(swap) })
+        Ok(SuspendedSession { rec: self.rec, swap })
     }
 
     /// Snapshot this session **without evicting it**: the crash-recovery
@@ -577,7 +577,7 @@ impl<'m> SelectiveSession<'m> {
     /// while `self` keeps running untouched:
     ///
     /// - the GPU-resident state (initial segment + local window) is
-    ///   offloaded into a fresh pinned swap namespace, exactly as
+    ///   offloaded into a fresh swap namespace, exactly as
     ///   [`SelectiveSession::suspend`] would;
     /// - the middle store is forked copy-on-write
     ///   ([`pqc_memhier::KvTier::fork_namespace`]) — no bytes move, the
@@ -610,7 +610,7 @@ impl<'m> SelectiveSession<'m> {
             last_selected: self.rec.last_selected.clone(),
             ..self.rec
         };
-        Ok(Some(SuspendedSession { rec: Pinned::new(rec), swap: Pinned::new(swap) }))
+        Ok(Some(SuspendedSession { rec, swap }))
     }
 
     /// Deterministic fault injection: flip one bit in the middle store's
@@ -672,68 +672,19 @@ impl std::fmt::Debug for SuspendError<'_> {
     }
 }
 
-/// Something whose host pages can be pinned: a bare store, or the session
-/// record that owns one.
-trait HostPages {
-    fn host_store(&self) -> &HostKvStore;
-}
-
-impl HostPages for HostKvStore {
-    fn host_store(&self) -> &HostKvStore {
-        self
-    }
-}
-
-impl HostPages for SessionRecord {
-    fn host_store(&self) -> &HostKvStore {
-        &self.store
-    }
-}
-
-/// A value whose host pages are pinned against recycling for as long as
-/// this wrapper lives. Unpins on [`Pinned::into_inner`] or drop, so a
-/// parked session that is discarded (a checkpoint that failed to verify, or
-/// one dropped with a dead worker) never trips the allocator's
-/// pinned-release panic.
-struct Pinned<T: HostPages>(Option<T>);
-
-impl<T: HostPages> Pinned<T> {
-    fn new(value: T) -> Self {
-        value.host_store().pin_pages();
-        Self(Some(value))
-    }
-
-    fn get(&self) -> &T {
-        self.0.as_ref().expect("value present until into_inner")
-    }
-
-    fn into_inner(mut self) -> T {
-        let value = self.0.take().expect("value present until into_inner");
-        value.host_store().unpin_pages();
-        value
-    }
-}
-
-impl<T: HostPages> Drop for Pinned<T> {
-    fn drop(&mut self) {
-        if let Some(value) = self.0.take() {
-            value.host_store().unpin_pages();
-        }
-    }
-}
-
 /// A preempted session parked off-GPU: its middle region stays in its host
-/// namespace, its initial segment + local window live in a swap namespace,
-/// and every page is pinned. Holds no model borrow and no GPU cache.
-/// Produced by [`SelectiveSession::suspend`]; revived by
-/// [`SuspendedSession::resume`]. Dropping it without resuming unpins and
-/// releases everything cleanly.
+/// namespace, its initial segment + local window live in a swap namespace.
+/// Both namespaces hold a reference to every page they list, so the pages
+/// stay resident while it is parked. Holds no model borrow and no GPU
+/// cache. Produced by [`SelectiveSession::suspend`]; revived by
+/// [`SuspendedSession::resume`]. Dropping it without resuming releases
+/// everything.
 pub struct SuspendedSession {
-    /// The session's persistent state, its middle-region namespace pinned.
-    rec: Pinned<SessionRecord>,
+    /// The session's persistent state, including its middle-region namespace.
+    rec: SessionRecord,
     /// Swap namespace holding, per (layer, head), `n_init` initial rows
-    /// followed by `n_local` local-window rows (pinned).
-    swap: Pinned<HostKvStore>,
+    /// followed by `n_local` local-window rows.
+    swap: HostKvStore,
 }
 
 impl std::fmt::Debug for SuspendedSession {
@@ -749,17 +700,17 @@ impl std::fmt::Debug for SuspendedSession {
 impl SuspendedSession {
     /// Next absolute position the resumed session will decode.
     pub fn pos(&self) -> usize {
-        self.rec.get().pos
+        self.rec.pos
     }
 
     /// Decode steps taken before suspension.
     pub fn steps(&self) -> u64 {
-        self.rec.get().steps
+        self.rec.steps
     }
 
     /// Middle tokens parked on the host (layer 0 as representative).
     pub fn middle_len(&self) -> usize {
-        self.rec.get().store.len(0, 0)
+        self.rec.store.len(0, 0)
     }
 
     /// Host transfer of the middle-region namespace — the same stats
@@ -767,13 +718,13 @@ impl SuspendedSession {
     /// parked so a completion built without resuming still carries its
     /// traffic.
     pub fn transfer_stats(&self) -> TransferStats {
-        self.rec.get().store.stats()
+        self.rec.store.stats()
     }
 
     /// Sharing stats of the middle-region namespace (see
     /// [`SelectiveSession::sharing_stats`]).
     pub fn sharing_stats(&self) -> SharingStats {
-        self.rec.get().store.sharing_stats()
+        self.rec.store.sharing_stats()
     }
 
     /// Swap-namespace transfer so far (the suspend-time D2H offload).
@@ -781,7 +732,7 @@ impl SuspendedSession {
     /// resume-time H2D fetch; callers fold them into the session's
     /// completion so engine-aggregate accounting stays exact.
     pub fn swap_stats(&self) -> TransferStats {
-        self.swap.get().stats()
+        self.swap.stats()
     }
 
     /// Verify every page this parked session references — middle store and
@@ -789,34 +740,32 @@ impl SuspendedSession {
     /// integrity gate. A checkpoint that fails here must be discarded, not
     /// resumed.
     pub fn verify(&self) -> Result<(), MemError> {
-        self.rec.get().store.verify()?;
-        self.swap.get().verify()
+        self.rec.store.verify()?;
+        self.swap.verify()
     }
 
     /// Revive the session: fetch the initial segment + local window back
-    /// from the swap namespace (metered H2D), unpin everything, release the
-    /// swap pages, and rebuild the session around a fresh (empty) block
-    /// cache. Returns the session plus the swap namespace's total transfer
-    /// (suspend D2H + resume H2D) for the caller's accounting.
+    /// from the swap namespace (metered H2D), release the swap pages, and
+    /// rebuild the session around a fresh (empty) block cache. Returns the
+    /// session plus the swap namespace's total transfer (suspend D2H +
+    /// resume H2D) for the caller's accounting.
     ///
     /// `model` must be the model the session was started with; the cache
     /// must be empty (it starts cold — metering changes, logits do not).
     pub fn resume(self, model: &Model, cache: BlockCache) -> (SelectiveSession<'_>, TransferStats) {
         let mcfg = model.config();
         assert!(cache.is_empty(), "resume cache must start empty");
-        let cfg = self.rec.get().cfg;
+        let cfg = self.rec.cfg;
         let ids: Vec<usize> = (0..cfg.n_init + cfg.n_local).collect();
         let mut resident = Vec::with_capacity(mcfg.n_layers * mcfg.n_kv_heads);
         for l in 0..mcfg.n_layers {
             for h in 0..mcfg.n_kv_heads {
-                let (k, v) = self.swap.get().try_fetch(l, h, &ids).expect("swap holds the rows");
+                let (k, v) = self.swap.try_fetch(l, h, &ids).expect("swap holds the rows");
                 resident.push(ResidentHead::from_rows(&k, &v, cfg.n_init, cfg.n_init));
             }
         }
-        let swap = self.swap.into_inner(); // unpin BEFORE the chains release
-        let swap_transfer = swap.stats();
-        drop(swap);
-        (SelectiveSession { model, rec: self.rec.into_inner(), resident, cache }, swap_transfer)
+        let swap_transfer = self.swap.stats();
+        (SelectiveSession { model, rec: self.rec, resident, cache }, swap_transfer)
     }
 }
 
@@ -1426,7 +1375,7 @@ mod tests {
     }
 
     #[test]
-    fn suspend_pins_pages_and_discard_releases_them() {
+    fn suspend_holds_pages_and_discard_releases_them() {
         let model = Model::new(LlmConfig::tiny());
         let toks = prompt(72, 72);
         let mcfg = model.config();
@@ -1434,22 +1383,15 @@ mod tests {
         let (a, b, _) = tiered_twins(&model, &tier, &toks, 3);
         drop(a);
         let resident = tier.allocator().pages_in_use();
-        assert_eq!(tier.allocator().pinned_pages(), 0);
 
         let suspended = b.suspend(&tier).expect("uncapped tier");
-        // Middle pages + swap pages are all pinned; the swap grew the pool.
+        // The parked session holds its middle pages and the new swap pages.
         assert!(tier.allocator().pages_in_use() > resident, "swap namespace allocates");
-        assert_eq!(
-            tier.allocator().pinned_pages(),
-            tier.allocator().pages_in_use(),
-            "every page the parked session owns is pinned"
-        );
 
-        // Discarding a parked session without resuming it unpins then
-        // releases everything — no pinned-release panic, no leaks.
+        // Discarding a parked session without resuming it releases
+        // everything — no leaks.
         drop(suspended);
         assert_eq!(tier.allocator().pages_in_use(), 0);
-        assert_eq!(tier.allocator().pinned_pages(), 0);
     }
 
     #[test]
@@ -1464,9 +1406,11 @@ mod tests {
         let c = cfg();
         let mut swap_total = TransferStats::default();
         for cycle in 0..2 {
+            let before = tier.allocator().pages_in_use();
             let suspended = b.suspend(&tier).expect("uncapped tier");
             let cache = SessionResources::standalone(&model, &c).cache;
             let (revived, sw) = suspended.resume(&model, cache);
+            assert_eq!(tier.allocator().pages_in_use(), before, "resume releases the swap");
             b = revived;
             swap_total += sw;
             for step in 0..3 {
@@ -1478,13 +1422,14 @@ mod tests {
         }
         // Swap traffic is symmetric: every offloaded byte is fetched back.
         assert_eq!(swap_total.d2h_bytes, swap_total.h2d_bytes);
-        assert_eq!(tier.allocator().pinned_pages(), 0);
         // Aggregate accounting closes: tier-wide = both sessions' middle
         // traffic + the swap round trips.
         assert_eq!(
             tier.aggregate_stats(),
             a.transfer_stats() + b.transfer_stats() + swap_total
         );
+        drop((a, b));
+        assert_eq!(tier.allocator().pages_in_use(), 0);
     }
 
     #[test]
@@ -1535,7 +1480,6 @@ mod tests {
 
         let err = victim.suspend(&capped).expect_err("swap offload must exhaust the cap");
         assert!(matches!(err.error, MemError::PageExhausted { .. }));
-        assert_eq!(capped.allocator().pinned_pages(), 0, "failed suspend pins nothing");
         assert_eq!(capped.allocator().pages_in_use(), footprint, "partial swap fully released");
         let mut victim = err.session;
         let a = twin.decode(next);
@@ -1547,7 +1491,9 @@ mod tests {
     fn checkpoint_resumes_bit_identically_while_original_keeps_running() {
         // The crash-recovery contract: checkpoint() must not perturb the
         // live session, and the checkpoint must resume into a session that
-        // replays the live session's future bit for bit.
+        // replays the live session's future bit for bit — even after the
+        // live session and its twin are gone, because the snapshot's own
+        // page tables keep every page it lists resident.
         let model = Model::new(LlmConfig::tiny());
         let toks = prompt(80, 81);
         let mcfg = model.config();
@@ -1570,6 +1516,12 @@ mod tests {
             next = da.greedy();
         }
 
+        assert_same_record(&a, &b);
+        let live_record = (b.steps(), b.middle_budget());
+        drop((a, b));
+        assert!(tier.allocator().pages_in_use() > 0, "the snapshot holds its pages");
+        ckpt.verify().expect("snapshot intact after the live sessions dropped");
+
         // Resume the checkpoint: it must replay those same 5 steps exactly.
         let c = cfg();
         let cache = SessionResources::standalone(&model, &c).cache;
@@ -1581,10 +1533,9 @@ mod tests {
             assert_eq!(&d.logits, expect, "replayed step {step} diverged");
             rnext = d.greedy();
         }
-        assert_same_record(&a, &revived);
-        assert_same_record(&a, &b);
-        drop(b);
-        assert_eq!(tier.allocator().pinned_pages(), 0);
+        assert_eq!((revived.steps(), revived.middle_budget()), live_record);
+        drop(revived);
+        assert_eq!(tier.allocator().pages_in_use(), 0);
     }
 
     #[test]
@@ -1618,7 +1569,6 @@ mod tests {
         }
         drop(b);
         drop(ckpt);
-        assert_eq!(tier.allocator().pinned_pages(), 0);
         assert_eq!(tier.allocator().pages_in_use(), 0);
     }
 
@@ -1641,11 +1591,14 @@ mod tests {
             },
         );
         let session = start.session;
+        let resident = tier.allocator().pages_in_use();
         assert!(
             session.checkpoint(&tier).expect("no store fault").is_none(),
             "non-forkable policy must skip checkpointing"
         );
-        assert_eq!(tier.allocator().pinned_pages(), 0);
+        assert_eq!(tier.allocator().pages_in_use(), resident, "a skipped checkpoint allocates nothing");
+        drop(session);
+        assert_eq!(tier.allocator().pages_in_use(), 0);
     }
 
     #[test]

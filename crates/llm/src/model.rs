@@ -687,8 +687,8 @@ mod tests {
     /// against: a straight-line, single-threaded, whole-prompt prefill that
     /// shares no layer code with [`PrefillJob`] — each op spelled out, one
     /// `causal_attention` call per query head over freshly built K/V. It
-    /// pins the layer plumbing, not the kernel: the kernel itself is pinned
-    /// to a plain per-row loop in `attention.rs`'s tests
+    /// checks the layer plumbing, not the kernel: the kernel itself is checked
+    /// against a plain per-row loop in `attention.rs`'s tests
     /// (`blocked_kernel_is_bit_identical_to_the_reference_loop`).
     fn reference_prefill(model: &Model, tokens: &[u32], opts: &PrefillOptions) -> PrefillOutput {
         let cfg = &model.cfg;

@@ -79,11 +79,6 @@ impl std::iter::Sum for TransferStats {
     }
 }
 
-/// Identifier of one namespace within a [`KvTier`]. Offsets (middle-token
-/// indices) are scoped to a namespace, never global across the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NamespaceId(pub u64);
-
 /// Fold `tokens` into a positional content hash (FNV-1a with an avalanche
 /// step per token) — the key the tier's prefix registry stores prompts
 /// under, together with their length.
@@ -173,8 +168,8 @@ impl std::fmt::Debug for PrefixHit {
 
 /// A shared host-memory tier serving many concurrent sessions.
 ///
-/// `new_namespace` hands out a [`HostKvStore`] bound to a fresh
-/// [`NamespaceId`]; every namespace meters its traffic both into its own
+/// `new_namespace` hands out a fresh, empty [`HostKvStore`] with its own
+/// token offsets; every namespace meters its traffic both into its own
 /// [`TransferStats`] and into the tier-wide aggregate, which
 /// [`KvTier::aggregate_stats`] snapshots. All namespaces draw pages from
 /// one [`PageAllocator`], so [`KvTier::resident_bytes`] counts each shared
@@ -201,7 +196,6 @@ pub struct KvTier {
     alloc: PageAllocator,
     aggregate: Arc<Mutex<TransferStats>>,
     sharing_aggregate: Arc<Mutex<SharingStats>>,
-    next_ns: Arc<AtomicU64>,
     registry: Arc<Mutex<PrefixRegistry>>,
     lookups: Arc<AtomicU64>,
     full_hits: Arc<AtomicU64>,
@@ -233,7 +227,6 @@ impl KvTier {
             alloc: PageAllocator::with_limit(page_tokens, head_dim, max_pages),
             aggregate: Arc::new(Mutex::new(TransferStats::default())),
             sharing_aggregate: Arc::new(Mutex::new(SharingStats::default())),
-            next_ns: Arc::new(AtomicU64::new(0)),
             registry: Arc::new(Mutex::new(PrefixRegistry::default())),
             lookups: Arc::new(AtomicU64::new(0)),
             full_hits: Arc::new(AtomicU64::new(0)),
@@ -251,12 +244,9 @@ impl KvTier {
     }
 
     /// Create a fresh, empty namespace (e.g. one per admitted session).
-    /// Namespace ids are unique across clones of this tier handle.
     pub fn new_namespace(&self) -> HostKvStore {
-        let ns = NamespaceId(self.next_ns.fetch_add(1, Ordering::Relaxed));
         let mut store =
             HostKvStore::with_allocator(self.n_layers, self.n_kv_heads, self.head_dim, self.alloc.clone());
-        store.namespace = ns;
         store.aggregate = Some(Arc::clone(&self.aggregate));
         store.sharing_aggregate = Some(Arc::clone(&self.sharing_aggregate));
         store
@@ -382,11 +372,10 @@ impl KvTier {
 /// each a page table into a shared [`PageAllocator`].
 ///
 /// Standalone stores (from [`HostKvStore::new`]) own a private single-store
-/// pool and are namespace 0 with no aggregate; stores vended by
-/// [`KvTier::new_namespace`] carry a unique [`NamespaceId`], draw pages from
-/// the tier pool, and mirror their metering into the tier aggregate. Token
-/// offsets returned by [`HostKvStore::append_token`] are always
-/// namespace-local.
+/// pool and no aggregate; stores vended by [`KvTier::new_namespace`] draw
+/// pages from the tier pool and mirror their metering into the tier
+/// aggregate. Token offsets returned by [`HostKvStore::append_token`] are
+/// always namespace-local.
 ///
 /// Cloning forks the namespace copy-on-write: the clone shares pages with
 /// the source (refcounts bumped) but gets **fresh, zeroed stats** and is
@@ -398,7 +387,6 @@ pub struct HostKvStore {
     n_layers: usize,
     n_kv_heads: usize,
     head_dim: usize,
-    namespace: NamespaceId,
     tables: PageTables,
     stats: Mutex<TransferStats>,
     sharing: Mutex<SharingStats>,
@@ -412,7 +400,6 @@ impl Clone for HostKvStore {
             n_layers: self.n_layers,
             n_kv_heads: self.n_kv_heads,
             head_dim: self.head_dim,
-            namespace: self.namespace,
             tables: self.tables.clone(),
             stats: Mutex::default(),
             sharing: Mutex::default(),
@@ -447,18 +434,12 @@ impl HostKvStore {
             n_layers,
             n_kv_heads,
             head_dim,
-            namespace: NamespaceId(0),
             tables: PageTables::new(alloc, n_layers * n_kv_heads),
             stats: Mutex::default(),
             sharing: Mutex::default(),
             aggregate: None,
             sharing_aggregate: None,
         }
-    }
-
-    /// The namespace this store is bound to (0 for standalone stores).
-    pub fn namespace(&self) -> NamespaceId {
-        self.namespace
     }
 
     /// Page size (tokens per page) of the backing pool.
@@ -646,12 +627,6 @@ impl HostKvStore {
         *self.sharing.lock()
     }
 
-    /// Zero the transfer counters (e.g. to meter decode separately from
-    /// prefill).
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = TransferStats::default();
-    }
-
     /// Verify every page this namespace references against its stored
     /// checksum (resume/restore path: corrupt KV must be detected *before*
     /// a recovered session decodes from it, not when the bad row happens to
@@ -670,25 +645,6 @@ impl HostKvStore {
     /// data to corrupt.
     pub fn corrupt_slot(&mut self, layer: usize, head: usize, bit: u64) -> bool {
         self.tables.corrupt_tail(self.slot_index(layer, head), bit)
-    }
-
-    /// Pin every page this namespace references (suspend path: a preempted
-    /// session's KV must stay resident while it is parked). Pair with
-    /// [`HostKvStore::unpin_pages`] before the store is dropped or its
-    /// chains are released — a pinned page whose refcount drains to zero
-    /// panics.
-    pub fn pin_pages(&self) {
-        for slot in self.tables.iter() {
-            self.tables.alloc.pin_chain(&slot.pages);
-        }
-    }
-
-    /// Remove one pin layer from every page this namespace references
-    /// (resume/retire path).
-    pub fn unpin_pages(&self) {
-        for slot in self.tables.iter() {
-            self.tables.alloc.unpin_chain(&slot.pages);
-        }
     }
 }
 
@@ -860,7 +816,6 @@ mod tests {
         let tier = KvTier::new(1, 1, 4);
         let mut a = tier.new_namespace();
         let mut b = tier.new_namespace();
-        assert_ne!(a.namespace(), b.namespace());
         for i in 0..6 {
             let ka = [i as f32; 4];
             let kb = [-(i as f32) - 1.0; 4];
@@ -938,11 +893,11 @@ mod tests {
     #[test]
     fn read_meters_and_verifies_exactly_the_rows_that_cross_the_link() {
         let (mut store, k, v) = store_with_data(40, 4);
-        store.reset_stats();
+        let offload = store.stats();
         let (mut gk, mut gv) = (Matrix::zeros(0, 4), Matrix::zeros(0, 4));
         // Three rows, one of them a miss: one row's bytes and one op.
         store.read_into(0, 0, &[2, 39, 17], 1, &mut gk, &mut gv).unwrap();
-        let one_miss = TransferStats { h2d_bytes: 2 * 4 * 2, h2d_ops: 1, ..Default::default() };
+        let one_miss = offload + TransferStats { h2d_bytes: 2 * 4 * 2, h2d_ops: 1, ..Default::default() };
         assert_eq!(store.stats(), one_miss);
         for (row, &id) in [2usize, 39, 17].iter().enumerate() {
             assert_eq!((gk.row(row), gv.row(row)), (k.row(id), v.row(id)));
@@ -969,31 +924,6 @@ mod tests {
         store.offload(0, 0, Matrix::randn(10, 4, 1.0, &mut rng), Matrix::randn(10, 4, 1.0, &mut rng));
         store.offload(1, 0, Matrix::randn(5, 4, 1.0, &mut rng), Matrix::randn(5, 4, 1.0, &mut rng));
         assert_eq!(store.resident_bytes(), (2 * 10 * 4 * 2 + 2 * 5 * 4 * 2) as u64);
-    }
-
-    #[test]
-    fn reset_stats_zeroes() {
-        let (store, _, _) = store_with_data(10, 4);
-        store.reset_stats();
-        assert_eq!(store.stats(), TransferStats::default());
-    }
-
-    #[test]
-    fn store_pin_pages_blocks_recycling_until_unpinned() {
-        let tier = KvTier::with_pages(1, 1, 4, 8, None);
-        let mut store = tier.new_namespace();
-        let mut rng = Rng64::new(7);
-        let k = Matrix::randn(20, 4, 1.0, &mut rng);
-        let v = Matrix::randn(20, 4, 1.0, &mut rng);
-        store.offload(0, 0, k.clone(), v.clone());
-        store.pin_pages();
-        assert_eq!(tier.allocator().pinned_pages(), 3, "ceil(20/8) pages pinned");
-        store.unpin_pages();
-        assert_eq!(tier.allocator().pinned_pages(), 0);
-        // Data survives the pin/unpin round trip bit-for-bit.
-        assert_eq!(resident_rows(&store, &(0..20).collect::<Vec<_>>()), (k, v));
-        drop(store);
-        assert_eq!(tier.allocator().pages_in_use(), 0);
     }
 
     #[test]
@@ -1118,7 +1048,6 @@ mod tests {
         let pages_before = tier.allocator().pages_in_use();
 
         let f = tier.fork_namespace(&a);
-        assert_ne!(f.namespace(), a.namespace());
         assert_eq!(f.stats(), TransferStats::default(), "fork starts unmetered");
         assert_eq!(tier.allocator().pages_in_use(), pages_before, "fork must not allocate");
         assert_eq!(f.len(0, 0), 6);

@@ -19,7 +19,7 @@ pub mod sim;
 pub use costmodel::{CostModel, ModelShape};
 pub use decomp::{labels, Decomposition};
 pub use kvstore::{
-    token_chain_hash, HostKvStore, KvTier, NamespaceId, PrefixCacheStats, PrefixHit,
+    token_chain_hash, HostKvStore, KvTier, PrefixCacheStats, PrefixHit,
     TransferStats, WIRE_BYTES_PER_ELEM,
 };
 pub use pages::{MemError, PageAllocator, SharingStats, DEFAULT_PAGE_TOKENS};

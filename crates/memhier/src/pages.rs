@@ -127,9 +127,6 @@ struct Page {
     v: Vec<f32>,
     rows: usize,
     rc: u32,
-    /// Pin count: a pinned page must stay resident — releasing its last
-    /// reference while pinned is a refcounting bug and panics.
-    pinned: u32,
     /// Incrementally-maintained FNV-1a checksum of the K buffer.
     ck: u64,
     /// Incrementally-maintained FNV-1a checksum of the V buffer.
@@ -178,25 +175,11 @@ impl Pool {
         p.v.reserve(cap);
         p.rows = 0;
         p.rc = 1;
-        debug_assert!(p.pinned == 0, "recycled page {id} still pinned");
-        p.pinned = 0;
         p.ck = FNV_OFFSET;
         p.cv = FNV_OFFSET;
         self.in_use += 1;
         self.peak_in_use = self.peak_in_use.max(self.in_use);
         Ok(id)
-    }
-
-    fn pin(&mut self, id: u32) {
-        let p = &mut self.pages[id as usize];
-        assert!(p.rc > 0, "pin of freed page {id}");
-        p.pinned += 1;
-    }
-
-    fn unpin(&mut self, id: u32) {
-        let p = &mut self.pages[id as usize];
-        assert!(p.pinned > 0, "unpin of unpinned page {id}");
-        p.pinned -= 1;
     }
 
     fn retain(&mut self, id: u32) {
@@ -210,7 +193,6 @@ impl Pool {
         assert!(p.rc > 0, "release of freed page {id}");
         p.rc -= 1;
         if p.rc == 0 {
-            assert!(p.pinned == 0, "release of pinned page {id} to refcount zero");
             p.k = Vec::new();
             p.v = Vec::new();
             p.rows = 0;
@@ -379,34 +361,6 @@ impl PageAllocator {
     /// Whether two handles share one pool (page ids interchangeable).
     pub fn same_pool(&self, other: &PageAllocator) -> bool {
         Arc::ptr_eq(&self.pool, &other.pool)
-    }
-
-    /// Pin every page in `chain`: a pinned page must stay resident, so
-    /// dropping its last reference panics instead of silently recycling KV
-    /// data a suspended session still owns. Pins nest (a page shared by two
-    /// suspended namespaces carries two pins) and do **not** count as
-    /// references — pair every pin with [`PageAllocator::unpin_chain`].
-    pub fn pin_chain(&self, chain: &[u32]) {
-        let mut pool = self.pool.lock();
-        for &id in chain {
-            pool.pin(id);
-        }
-    }
-
-    /// Remove one pin from every page in `chain`.
-    pub fn unpin_chain(&self, chain: &[u32]) {
-        let mut pool = self.pool.lock();
-        for &id in chain {
-            pool.unpin(id);
-        }
-    }
-
-    /// Number of live pages with at least one pin (each page counted once,
-    /// however many pins it carries) — the swap-audit metric: after every
-    /// suspended session resumes or retires this must return to zero.
-    pub fn pinned_pages(&self) -> usize {
-        let pool = self.pool.lock();
-        pool.pages.iter().filter(|p| p.rc > 0 && p.pinned > 0).count()
     }
 
     /// Bump the refcount of every page in `chain`.
@@ -806,58 +760,6 @@ mod tests {
         alloc.release_chain(&a);
         alloc.release_chain(&b);
         assert_eq!(alloc.pages_in_use(), 0);
-    }
-
-    #[test]
-    fn pin_counts_and_unpin_returns_to_zero() {
-        let alloc = PageAllocator::new(4, 2);
-        let chain = write_rows(&alloc, &Matrix::zeros(10, 2), &Matrix::zeros(10, 2));
-        assert_eq!(alloc.pinned_pages(), 0);
-        alloc.pin_chain(&chain);
-        assert_eq!(alloc.pinned_pages(), 3);
-        // Pins nest: a second pin of the same chain keeps the same page count.
-        alloc.pin_chain(&chain);
-        assert_eq!(alloc.pinned_pages(), 3);
-        alloc.unpin_chain(&chain);
-        assert_eq!(alloc.pinned_pages(), 3, "one pin layer remains");
-        alloc.unpin_chain(&chain);
-        assert_eq!(alloc.pinned_pages(), 0);
-        alloc.release_chain(&chain);
-        assert_eq!(alloc.pages_in_use(), 0);
-    }
-
-    #[test]
-    fn pinned_shared_page_survives_one_owner_releasing() {
-        // Two namespaces share a chain; one suspends (pins), the other
-        // retires (releases). The pinned page must stay live and readable.
-        let alloc = PageAllocator::new(2, 1);
-        let a = write_rows(&alloc, &Matrix::zeros(2, 1), &Matrix::zeros(2, 1));
-        let b = a.clone();
-        alloc.retain_chain(&b);
-        alloc.pin_chain(&a);
-        alloc.release_chain(&b);
-        assert_eq!(alloc.pages_in_use(), 1);
-        assert_eq!(alloc.pinned_pages(), 1);
-        alloc.unpin_chain(&a);
-        alloc.release_chain(&a);
-        assert_eq!(alloc.pages_in_use(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "release of pinned page")]
-    fn releasing_last_reference_of_pinned_page_panics() {
-        let alloc = PageAllocator::new(2, 1);
-        let chain = write_rows(&alloc, &Matrix::zeros(1, 1), &Matrix::zeros(1, 1));
-        alloc.pin_chain(&chain);
-        alloc.release_chain(&chain);
-    }
-
-    #[test]
-    #[should_panic(expected = "unpin of unpinned page")]
-    fn unpinning_unpinned_page_panics() {
-        let alloc = PageAllocator::new(2, 1);
-        let chain = write_rows(&alloc, &Matrix::zeros(1, 1), &Matrix::zeros(1, 1));
-        alloc.unpin_chain(&chain);
     }
 
     #[test]

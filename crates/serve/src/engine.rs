@@ -11,7 +11,7 @@
 //! Each worker is a `Shard` (`shard.rs`) holding four pools: `waiting`
 //! (popped requests waiting out a retry backoff or a preemption that could
 //! not go ahead), `prefilling` and `active` (the two kinds of slot holder),
-//! and `parked` (preempted: off slot, pages pinned in the host tier). A
+//! and `parked` (preempted: off slot, pages held in the host tier). A
 //! request's scheduler-side state is one `Ticket` (`ticket.rs`) that moves
 //! whole between pools and into its [`Completion`].
 //!
@@ -72,7 +72,7 @@
 //! - **Checkpointing** ([`ServeConfig::checkpoint_every_ticks`]): every k
 //!   ticks each resident session is snapshotted *without being evicted*
 //!   (`SelectiveSession::checkpoint`): the GPU-resident rows offload into
-//!   a pinned swap namespace, the host middle store is forked
+//!   a fresh swap namespace, the host middle store is forked
 //!   copy-on-write, and the policy is deep-copied. Snapshots live in a
 //!   registry shared across shards; bytes and counts are metered
 //!   ([`ShardStats::checkpoints`], [`ShardStats::checkpoint_bytes`]).

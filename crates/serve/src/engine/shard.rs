@@ -140,7 +140,7 @@ impl<'a> Shard<'a> {
     }
 
     /// Slot holders: decoding + prefilling sessions (parked sessions hold
-    /// pinned pages, not slots).
+    /// host pages, not slots).
     fn resident(&self) -> usize {
         self.active.len() + self.prefilling.len()
     }

@@ -210,8 +210,8 @@ pub(super) struct Prefilling<'m> {
     pub(super) policy: Box<dyn SelectionPolicy + Send>,
 }
 
-/// A session off its slot, held in the paged host tier with its pages
-/// pinned: a preemption victim waiting for a slot, or a checkpoint snapshot
+/// A session off its slot, held in the paged host tier by its own page
+/// tables: a preemption victim waiting for a slot, or a checkpoint snapshot
 /// in the cross-shard registry. Either resumes the same way, on any shard.
 pub(super) struct Parked {
     pub(super) ticket: Ticket,
@@ -267,8 +267,8 @@ impl<'m> Active<'m> {
 
 impl Parked {
     /// Leave the pool without resuming. Dropping the suspended session
-    /// unpins and releases its pages; the completion still accounts its
-    /// full transfer history.
+    /// releases its pages; the completion still accounts its full transfer
+    /// history.
     pub(super) fn finish(self) -> (Ticket, SessionStats) {
         let held = SessionStats::suspended(&self.suspended);
         (self.ticket, held)

@@ -85,7 +85,7 @@ pub struct ServeConfig {
     pub faults: Option<FaultPlan>,
     /// Crash-recovery checkpoint cadence: every `k` scheduler ticks each
     /// resident session is snapshotted through the paged host tier
-    /// ([`pqc_core::SelectiveSession::checkpoint`] — pinned swap pages + a
+    /// ([`pqc_core::SelectiveSession::checkpoint`] — held swap pages + a
     /// copy-on-write fork of the middle store, no eviction, no extra
     /// middle-store copies) into a registry shared across shards. A shard
     /// that later dies fails its checkpointed sessions over to healthy

@@ -45,7 +45,7 @@
 //! bounded, recoverable events:
 //! - **checkpointing** ([`ServeConfig::checkpoint_every_ticks`]) snapshots
 //!   every resident session through the paged tier without evicting it
-//!   (pinned swap pages + a copy-on-write store fork);
+//!   (held swap pages + a copy-on-write store fork);
 //! - **shard failover**: a dead worker's checkpointed sessions are resumed
 //!   and replayed forward on healthy shards, bit-identical to the
 //!   fault-free run; un-checkpointed ones fail typed

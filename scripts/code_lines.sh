@@ -9,10 +9,11 @@
 # Lines after it count again, so marking one function test-only drops only
 # that function. Bench targets count like library code, so moving code
 # between benches/ and src/ is neutral. Prints per crate and the total; `-v`
-# adds per file.
+# adds per file; `-l` prints each counted line as `file:line: text` instead,
+# so a check can search library code alone (CI's one-step-path guard).
 cd "$(dirname "$0")/.." || exit 1
 find crates/*/src crates/*/benches -name '*.rs' ! -path crates/serve/src/engine/tests.rs | sort |
-    xargs awk -v per_file="${1:-}" '
+    xargs awk -v mode="${1:-}" '
         FNR == 1 { skip = 0 }
         # Inside a marked item'"'"'s block: wait for the brace that closes it.
         skip == 2 { if ($0 ~ "^" ind "}") skip = 0; next }
@@ -32,6 +33,7 @@ find crates/*/src crates/*/benches -name '*.rs' ! -path crates/serve/src/engine/
             next
         }
         /^[ \t]*$/ || /^[ \t]*\/\// { next }
+        mode == "-l" { print FILENAME ":" FNR ": " $0; next }
         {
             split(FILENAME, part, "/")
             if (!(part[2] in crate)) crates[++nc] = part[2]
@@ -39,7 +41,8 @@ find crates/*/src crates/*/benches -name '*.rs' ! -path crates/serve/src/engine/
             crate[part[2]]++; file[FILENAME]++; total++
         }
         END {
-            if (per_file == "-v")
+            if (mode == "-l") exit
+            if (mode == "-v")
                 for (i = 1; i <= nf; i++) printf "%6d  %s\n", file[files[i]], files[i]
             for (i = 1; i <= nc; i++) printf "%6d  crates/%s\n", crate[crates[i]], crates[i]
             printf "%6d  total\n", total
