@@ -145,30 +145,30 @@ impl SessionConfig {
         if self.cache.block_size == 0 {
             return Err(ConfigError::new("cache.block_size", "cache block size must be positive"));
         }
-        if let IvfMode::Probe(n_probe) = self.ivf {
-            if n_probe < 1 {
-                return Err(ConfigError::new("ivf", "ivf probe width must be at least one cell"));
-            }
-            // This knob is pushed down to IVF-capable policies via
-            // `SelectionPolicy::configure_ivf`, whose tiers carry the
-            // default coarse-cell geometry; probing past `n_list` is a
-            // configuration error surfaced here, typed, rather than a
-            // silent saturation deep in the ADC kernel. (Policies built
-            // directly with a custom `ivf_n_list` bypass this knob and
-            // validate against their own geometry.)
-            let n_list = pqc_policies::PqCachePolicyConfig::default().ivf_n_list;
-            if n_probe > n_list {
-                return Err(ConfigError::new(
-                    "ivf",
-                    format!(
-                        "ivf probe width {n_probe} exceeds the routing tier's \
-                         {n_list} coarse cells (n_probe must be <= n_list; \
-                         Probe(n_list) is already bit-identical to Exact)"
-                    ),
-                ));
-            }
+        if self.ivf == IvfMode::Probe(0) {
+            return Err(ConfigError::new("ivf", "ivf probe width must be at least one cell"));
         }
         Ok(())
+    }
+
+    /// The probe-width bound, which depends on the policy a session runs:
+    /// `Probe(n_probe)` is pushed down to it
+    /// (`SelectionPolicy::configure_ivf`), so `n_probe` may not exceed its
+    /// coarse cells (`SelectionPolicy::ivf_n_list`). Probing past `n_list`
+    /// is a typed configuration error here rather than a silent saturation
+    /// deep in the ADC kernel; a policy without an IVF tier ignores the
+    /// knob and passes.
+    pub fn check_probe(&self, policy: &dyn pqc_policies::SelectionPolicy) -> Result<(), ConfigError> {
+        match (self.ivf, policy.ivf_n_list()) {
+            (IvfMode::Probe(n_probe), Some(n_list)) if n_probe > n_list => Err(ConfigError::new(
+                "ivf",
+                format!(
+                    "ivf probe width {n_probe} exceeds the policy's {n_list} coarse cells \
+                     (n_probe must be <= n_list; Probe(n_list) is already bit-identical to Exact)"
+                ),
+            )),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -250,17 +250,24 @@ mod tests {
 
     #[test]
     fn probe_width_bounded_by_coarse_cells() {
-        let n_list = pqc_policies::PqCachePolicyConfig::default().ivf_n_list;
-        // The boundary itself is valid (Probe(n_list) ≡ Exact)...
-        SessionConfig { ivf: IvfMode::Probe(n_list), ..Default::default() }
-            .validate()
-            .expect("probing every cell is valid");
+        // The bound is the coarse-cell count of the policy the session
+        // runs, not the default policy's 16.
+        let probe = |n| SessionConfig { ivf: IvfMode::Probe(n), ..Default::default() };
+        let pq = |ivf_n_list| {
+            let cfg = pqc_policies::PqCachePolicyConfig { ivf_n_list, ..Default::default() };
+            pqc_policies::PqCachePolicy::new(cfg)
+        };
+        // Wider than 16 cells is fine on a 32-cell policy...
+        probe(20).validate().expect("the width alone is valid");
+        probe(20).check_probe(&pq(32)).expect("20 of 32 cells");
+        // ...the boundary itself is valid (Probe(n_list) ≡ Exact)...
+        probe(8).check_probe(&pq(8)).expect("probing every cell is valid");
         // ...one past it is a typed rejection, not a silent kernel clamp.
-        let e = SessionConfig { ivf: IvfMode::Probe(n_list + 1), ..Default::default() }
-            .validate()
-            .expect_err("overwide probe");
+        let e = probe(12).check_probe(&pq(8)).expect_err("12 of 8 cells");
         assert_eq!(e.field, "ivf");
         assert!(e.message.contains("n_probe must be <= n_list"), "{}", e.message);
+        // A policy without an IVF tier ignores the width.
+        probe(99).check_probe(&pqc_policies::StreamingLlmPolicy).expect("no tier, no bound");
     }
 
     #[test]

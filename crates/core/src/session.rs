@@ -316,6 +316,7 @@ impl<'m> SelectiveSession<'m> {
         shared: Option<&SharedPolicyState>,
     ) -> Result<SessionStart<'m>, MemError> {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+        cfg.check_probe(policy.as_ref()).unwrap_or_else(|e| panic!("{e}"));
         let mcfg = *model.config();
         let s = prefill.kv[0].len();
         assert!(s > cfg.n_init + cfg.n_local, "prompt too short for segmentation");
@@ -1143,6 +1144,18 @@ mod tests {
         assert!(session.transfer_stats().h2d_bytes > 0);
         let sel = session.last_selected(0, 0);
         assert!(!sel.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "n_probe must be <= n_list")]
+    fn probe_wider_than_the_policys_cells_panics_instead_of_clamping() {
+        // Probe(12) is within the default policy's 16 cells, but this
+        // policy has 8: the session refuses to start rather than let the
+        // kernel clamp the width.
+        let model = Model::new(LlmConfig::tiny());
+        let c = SessionConfig { ivf: crate::config::IvfMode::Probe(12), ..cfg() };
+        let pq = pqc_policies::PqCachePolicyConfig { ivf_n_list: 8, ..Default::default() };
+        SelectiveSession::start(&model, Box::new(PqCachePolicy::new(pq)), c, &prompt(80, 43));
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! sessions interleaving appends never perturb each other's middle indices)
 //! whose transfers are additionally metered into one shared aggregate, so
 //! engine-level accounting equals the sum of per-session stats by
-//! construction. The tier also keeps a **prefix registry** keyed on
-//! token-content hash chains: a session that registers its prompt lets later
+//! construction. The tier also keeps a **prefix registry** keyed by the
+//! prompt tokens: a session that registers its prompt lets later
 //! sessions with the same prompt adopt its pages (and an opaque payload —
 //! the serving layer stores the prefill output and trained policy state
 //! there) via [`KvTier::new_namespace_with_prefix`].
@@ -79,16 +79,6 @@ impl std::iter::Sum for TransferStats {
     }
 }
 
-/// Fold `tokens` into a positional content hash (FNV-1a with an avalanche
-/// step per token) — the key the tier's prefix registry stores prompts
-/// under, together with their length.
-pub fn token_chain_hash(tokens: &[u32]) -> u64 {
-    tokens.iter().fold(0xcbf2_9ce4_8422_2325, |h, &t| {
-        let h = (h ^ t as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        h ^ (h >> 29)
-    })
-}
-
 /// Snapshot of the tier prefix-cache counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixCacheStats {
@@ -111,19 +101,19 @@ impl PrefixCacheStats {
     }
 }
 
-/// One registered prefix: the exact tokens (hash-collision guard), a frozen
-/// snapshot of the registrant's page tables (holding their own page
-/// references), and an opaque payload the registering layer attaches (e.g.
-/// prefill output + trained policy state).
+/// One registered prefix: a frozen snapshot of the registrant's page
+/// tables (holding their own page references), and an opaque payload the
+/// registering layer attaches (e.g. prefill output + trained policy state).
 struct PrefixEntry {
-    tokens: Vec<u32>,
     tables: PageTables,
     payload: Arc<dyn Any + Send + Sync>,
 }
 
+/// Registered prefixes keyed by the prompt itself: lookups match whole
+/// prompts only, so the key needs no prefix structure.
 #[derive(Default)]
 struct PrefixRegistry {
-    map: HashMap<(u64, usize), PrefixEntry>,
+    map: HashMap<Vec<u32>, PrefixEntry>,
 }
 
 impl std::fmt::Debug for PrefixRegistry {
@@ -290,29 +280,26 @@ impl KvTier {
         if tokens.is_empty() {
             return false;
         }
-        let key = (token_chain_hash(tokens), tokens.len());
         let mut reg = self.registry.lock();
-        if reg.map.contains_key(&key) {
+        if reg.map.contains_key(tokens) {
             return false;
         }
         let tables = store.tables.clone();
-        reg.map.insert(key, PrefixEntry { tokens: tokens.to_vec(), tables, payload });
+        reg.map.insert(tokens.to_vec(), PrefixEntry { tables, payload });
         true
     }
 
-    /// Look up `tokens` as a whole registered prompt (token content is
-    /// verified, not just the hash). Only whole-prompt matches hit: a
-    /// partial hit would need a partial prefill the dense model cannot
-    /// resume. The returned [`PrefixHit`] holds the matched pages until
-    /// dropped.
+    /// Look up `tokens` as a whole registered prompt. Only whole-prompt
+    /// matches hit: a partial hit would need a partial prefill the dense
+    /// model cannot resume. The returned [`PrefixHit`] holds the matched
+    /// pages until dropped.
     pub fn lookup_prefix(&self, tokens: &[u32]) -> Option<PrefixHit> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let key = (token_chain_hash(tokens), tokens.len());
         let reg = self.registry.lock();
-        let entry = reg.map.get(&key).filter(|e| e.tokens == tokens)?;
+        let entry = reg.map.get(tokens)?;
         self.full_hits.fetch_add(1, Ordering::Relaxed);
         Some(PrefixHit {
-            len: entry.tokens.len(),
+            len: tokens.len(),
             payload: Arc::clone(&entry.payload),
             tables: entry.tables.clone(),
         })
@@ -337,8 +324,7 @@ impl KvTier {
     /// Remove a registered prefix and release its page references. Returns
     /// `false` when no such prefix is registered.
     pub fn release_prefix(&self, tokens: &[u32]) -> bool {
-        let key = (token_chain_hash(tokens), tokens.len());
-        self.registry.lock().map.remove(&key).is_some()
+        self.registry.lock().map.remove(tokens).is_some()
     }
 
     /// Snapshot of the prefix-cache counters.
@@ -1084,14 +1070,6 @@ mod tests {
         ckpt.verify().expect("checkpoint keeps the intact original");
         let (ck, _) = resident_rows(&ckpt, &[4]);
         assert_eq!(ck.row(0), k.row(4));
-    }
-
-    #[test]
-    fn chain_hash_is_prefix_consistent_and_content_sensitive() {
-        let toks = [5u32, 9, 9, 2, 7];
-        assert_eq!(token_chain_hash(&toks[..3]), token_chain_hash(&[5, 9, 9]));
-        assert_ne!(token_chain_hash(&toks[..3]), token_chain_hash(&toks[..4]));
-        assert_ne!(token_chain_hash(&[1, 2]), token_chain_hash(&[2, 1]), "order must matter");
     }
 
     #[test]

@@ -212,6 +212,13 @@ pub trait SelectionPolicy {
         let _ = (layer, kv_head, key, middle_idx);
     }
 
+    /// Coarse cells per IVF tier, the most cells an `IvfMode::Probe` may
+    /// route through; `None` (the default) for a policy without an IVF
+    /// tier, which ignores the probe width.
+    fn ivf_n_list(&self) -> Option<usize> {
+        None
+    }
+
     /// Dropping policies keep a static set and never fetch from host.
     fn is_dropping(&self) -> bool {
         false

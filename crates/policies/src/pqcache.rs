@@ -62,8 +62,8 @@ pub struct PqCachePolicy {
     books: Vec<Vec<PqCodebook>>,
     /// `[layer][kv_head]` per-token codes (grow with evictions).
     codes: Vec<Vec<PqCodes>>,
-    /// `[layer][kv_head]` IVF tiers (empty under [`IvfMode::Exact`]; built
-    /// alongside the codebooks and grown by `on_evict` otherwise).
+    /// `[layer][kv_head]` IVF tiers (no tiers under [`IvfMode::Exact`];
+    /// built alongside the codebooks and grown by `on_evict` otherwise).
     ivf: Vec<Vec<IvfIndex>>,
     /// Reusable eviction-encoding buffer.
     code_buf: Vec<u16>,
@@ -125,37 +125,27 @@ impl SelectionPolicy for PqCachePolicy {
         let pq_cfg = self.pq_config();
         self.books = Vec::with_capacity(init.n_layers);
         self.codes = Vec::with_capacity(init.n_layers);
-        self.ivf = Vec::new();
-        for layer_keys in &init.middle_keys {
+        self.ivf = Vec::with_capacity(init.n_layers);
+        for (l, layer_keys) in init.middle_keys.iter().enumerate() {
             let mut lb = Vec::with_capacity(init.n_kv_heads);
             let mut lc = Vec::with_capacity(init.n_kv_heads);
+            let mut li = Vec::new();
             for (h, keys) in layer_keys.iter().enumerate() {
                 let mut cfg_h = pq_cfg;
                 cfg_h.seed = pq_cfg.seed.wrapping_add((lb.len() as u64) << 32 | h as u64);
                 let (book, codes) = PqCodebook::train(keys, cfg_h);
+                if self.cfg.ivf.is_probe() {
+                    // The IVF tier indexes the same middle keys the
+                    // codebook trained on, one inverted file per (layer,
+                    // kv-head).
+                    li.push(IvfIndex::build(keys, &codes, self.ivf_config(l, h)));
+                }
                 lb.push(book);
                 lc.push(codes);
             }
             self.books.push(lb);
             self.codes.push(lc);
-        }
-        if self.cfg.ivf.is_probe() {
-            // Build the IVF tiers over the same middle keys the codebooks
-            // trained on, one inverted file per (layer, kv-head).
-            self.ivf = init
-                .middle_keys
-                .iter()
-                .enumerate()
-                .map(|(l, layer_keys)| {
-                    layer_keys
-                        .iter()
-                        .enumerate()
-                        .map(|(h, keys)| {
-                            IvfIndex::build(keys, &self.codes[l][h], self.ivf_config(l, h))
-                        })
-                        .collect()
-                })
-                .collect();
+            self.ivf.push(li);
         }
     }
 
@@ -165,6 +155,10 @@ impl SelectionPolicy for PqCachePolicy {
             "configure_ivf must run before init (the IVF tiers are built there)"
         );
         self.cfg.ivf = mode;
+    }
+
+    fn ivf_n_list(&self) -> Option<usize> {
+        Some(self.cfg.ivf_n_list)
     }
 
     fn select_with_scratch(

@@ -8,31 +8,32 @@
 //! share of [`ServeConfig::queue_capacity`] (`queue.rs`); each pop refills
 //! the window in batch order, so no thread ever waits on another.
 //!
-//! Each worker is a `Shard` (`shard.rs`) holding four pools: `waiting`
-//! (popped requests waiting out a retry backoff or a preemption that could
-//! not go ahead), `prefilling` and `active` (the two kinds of slot holder),
-//! and `parked` (preempted: off slot, pages held in the host tier). A
-//! request's scheduler-side state is one `Ticket` (`ticket.rs`) that moves
-//! whole between pools and into its [`Completion`].
+//! Each worker is a `Shard` (`shard.rs`) holding three pools:
+//! `prefilling` and `active` (the two kinds of slot holder), and `parked`
+//! (preempted: off slot, pages held in the host tier). A request leaves its
+//! window only to take a slot at once, so no pool holds popped requests
+//! waiting for one. A request's scheduler-side state is one `Ticket`
+//! (`ticket.rs`) that moves whole between pools and into its
+//! [`Completion`].
 //!
 //! ## `Shard::tick`
 //!
 //! One pass runs these phases, in this order — the order is part of every
-//! tick-clocked outcome (retry backoff, stalls, checkpoint cadence, TTFT
-//! ticks):
+//! tick-clocked outcome (stalls, checkpoint cadence, TTFT ticks):
 //!
-//! 1. `admit` — reads free slots, `parked`, matured `waiting`, the window.
-//!    Moves parked → active (resume), and window/waiting → waiting
-//!    (rejected), prefilling, active, or a shed completion. A shard with
+//! 1. `admit` — reads free slots, `parked`, the window. Moves parked →
+//!    active (resume), and window → prefilling, active, or a failed
+//!    completion (the prompt did not fit the host tier). A shard with
 //!    every pool empty and nothing left in its window is finished.
 //! 2. `retire` — reads `active`. Moves sessions with nothing left to decode
 //!    → completions.
-//! 3. `preempt` — reads full slots and the best pending priority (window,
-//!    matured `waiting`). Moves the weakest strictly-lower active → parked
-//!    and the pending request into its slot.
-//! 4. idle tick — when nothing holds a slot but `waiting`/`parked` are not
-//!    empty: moves nothing, burns one tick so holds elapse, and ends the
-//!    pass.
+//! 3. `preempt` — reads full slots and the window's best priority. Moves
+//!    the weakest strictly-lower active → parked, then pops a request that
+//!    strictly outranks it into the freed slot. A failed suspend pops
+//!    nothing; a request lost to another shard leaves the slot to the
+//!    victim's resume at the next `admit`.
+//! 4. empty pass — when nothing holds a slot (every admitted session
+//!    retired at once): the pass ends here, counting no tick.
 //! 5. `publish` — moves local completions → the fleet (a published id
 //!    leaves the in-flight map and drops its checkpoint).
 //! 6. kill / stall — reads the fault plan. A planned kill unwinds the
@@ -54,15 +55,15 @@
 //!
 //! Per-request failure is a normal state, not an abort. Every recoverable
 //! fault — a panicking session, an exhausted page pool, a corrupt page
-//! with no checkpoint, an admission shed — is contained to the session it
-//! hit: the session becomes a [`Completion`] carrying a
+//! with no checkpoint — is contained to the session it hit: the session
+//! becomes a [`Completion`] carrying a
 //! [`FailureCause`](crate::FailureCause), its slot frees for the next
 //! request, and every other session keeps its bit-identical results
 //! (locked down by `tests/chaos.rs`). Every failure class but `Config`
 //! traces to a planned or a real fault. Only a config rejection fails the
-//! whole run, as a typed `Err` from [`ServeEngine::run`]. A seeded [`FaultPlan`] threaded through
-//! [`ServeConfig::faults`] provokes each fault class deterministically at
-//! chosen points.
+//! whole run, as a typed `Err` from [`ServeEngine::run`]. A [`FaultPlan`]
+//! threaded through [`ServeConfig::faults`] provokes each fault class
+//! deterministically at chosen points.
 //!
 //! ## Crash recovery
 //!
@@ -135,7 +136,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// when popped from a window and leaves when its completion is published.
 struct InflightInfo {
     priority: Priority,
-    retries: u32,
     decode_steps: usize,
 }
 
@@ -220,7 +220,8 @@ impl<'a> Fleet<'a> {
 
 /// Why a shard worker would panic on `req`, if it would: a prompt must be
 /// long enough to segment (which also rules out an empty one) and carry
-/// only ids the model can embed.
+/// only ids the model can embed, and the session's probe width must fit
+/// the request's policy.
 fn request_error(model: &Model, cfg: &ServeConfig, req: &ServeRequest) -> Option<ConfigError> {
     let tokens = &req.tokens;
     let floor = cfg.session.n_init + cfg.session.n_local;
@@ -234,7 +235,7 @@ fn request_error(model: &Model, cfg: &ServeConfig, req: &ServeRequest) -> Option
         let message = format!("token id {stray} is outside the vocabulary ({vocab})");
         return Some(ConfigError::new("tokens", message));
     }
-    None
+    cfg.session.check_probe(req.policy.as_ref()).err()
 }
 
 /// The sharded multi-session serving engine. Stateless: each [`Self::run`]
@@ -249,10 +250,10 @@ impl ServeEngine {
     /// is safe because results are scheduling-independent.
     ///
     /// `Err` only on a rejected configuration or a batch that repeats a
-    /// request id (the in-flight map, the checkpoint registry and retry
-    /// bookkeeping are all keyed by id); every per-request fault
-    /// (malformed prompt, panic, page exhaustion, shed) is reported as a
-    /// failed [`Completion`] inside an `Ok` report instead.
+    /// request id (the in-flight map and the checkpoint registry are keyed
+    /// by id); every per-request fault (malformed prompt, panic, page
+    /// exhaustion, lost shard) is reported as a failed [`Completion`]
+    /// inside an `Ok` report instead.
     pub fn run(
         model: &Model,
         cfg: &ServeConfig,
@@ -272,7 +273,7 @@ impl ServeEngine {
             None => true,
             Some(e) => {
                 let error = ServeError::Config(e);
-                turned_away.push(Completion::unserved(r.id, r.priority, 0, 0, error, false));
+                turned_away.push(Completion::unserved(r.id, r.priority, 0, error, false));
                 false
             }
         });

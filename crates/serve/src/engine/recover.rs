@@ -58,11 +58,7 @@ pub(super) fn recover_dead_shards(
     if fleet.inboxes.len() == shards || dead.len() == shards {
         for &shard in dead {
             for req in fleet.inbox(shard).drain() {
-                let info = InflightInfo {
-                    priority: req.priority,
-                    retries: 0,
-                    decode_steps: req.decode_steps,
-                };
+                let info = InflightInfo { priority: req.priority, decode_steps: req.decode_steps };
                 completions.push(lose(fleet, shard, req.id, &info, &mut shard_stats[shard]));
             }
         }
@@ -81,7 +77,7 @@ fn lose(
     stats.failed += 1;
     stats.shed_tokens += info.decode_steps as u64;
     let error = ServeError::ShardLost { shard };
-    Completion::unserved(id, info.priority, info.retries, shard, error, fleet.kills_injected())
+    Completion::unserved(id, info.priority, shard, error, fleet.kills_injected())
 }
 
 /// Resume a checkpoint on the coordinator thread and decode it to

@@ -1,19 +1,21 @@
-//! One shard's scheduler: the pools a request moves through and the
-//! `tick()` that moves it. The phase order is the engine's contract with
-//! every tick-clocked outcome (retry backoff, stalls, checkpoint cadence,
-//! TTFT ticks) — see the module header of `engine.rs` for the phase list.
+//! One shard's scheduler: the three pools a request moves through
+//! (`prefilling`, `active`, `parked`) and the `tick()` that moves it. A
+//! request leaves the admission window only to take a slot, so nothing
+//! popped ever waits outside one. The phase order is the engine's contract
+//! with every tick-clocked outcome (stalls, checkpoint cadence, TTFT ticks)
+//! — see the module header of `engine.rs` for the phase list.
 
 use super::ticket::{step_fault, store_fault, Active, Parked, Prefilling, SessionStats, Ticket};
 use super::types::{Completion, Priority, ServeRequest, ShardStats};
 use super::{lock, Fleet, InflightInfo};
-use crate::error::{RetryPolicy, ServeError};
+use crate::error::ServeError;
 use crate::faults::InjectedPanic;
 use pqc_core::{SelectiveSession, SessionResources, SessionScratch, SessionStart, StepError};
 use pqc_llm::{PrefillOptions, PrefillOutput};
 use pqc_memhier::{MemError, PrefixHit};
 use pqc_policies::{SelectionPolicy, SharedPolicyState};
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,32 +27,6 @@ use std::time::Instant;
 struct SharedPrefix {
     prefill: PrefillOutput,
     policy: Option<SharedPolicyState>,
-}
-
-/// A popped request not yet admitted: waiting out an admission-retry
-/// backoff, or a preemption that could not go ahead.
-struct Waiting {
-    req: ServeRequest,
-    not_before: u64,
-}
-
-/// Where [`Shard::take_request`] gets the next request.
-enum Source {
-    /// The matured `waiting` entry at this index.
-    Waiting(usize),
-    /// The shard's admission window.
-    Window,
-}
-
-/// What became of a taken request.
-enum Taken {
-    /// Clear to admit.
-    Ready(ServeRequest),
-    /// Rejected by the fault plan: back in `waiting` with a backoff, or
-    /// shed.
-    TurnedAway,
-    /// The source had nothing to give.
-    Empty,
 }
 
 /// Index of the highest of a pool's priorities; the earliest wins ties, so
@@ -66,15 +42,12 @@ pub(super) struct Shard<'a> {
     id: usize,
     /// Hot-path buffers shared by every session this shard steps.
     scratch: SessionScratch,
-    waiting: Vec<Waiting>,
     prefilling: Vec<Prefilling<'a>>,
     active: Vec<Active<'a>>,
     parked: Vec<Parked>,
     stats: ShardStats,
     /// Finished completions not yet published to the fleet.
     done: Vec<Completion>,
-    /// Fault-plan rejections consumed per request.
-    rejected: HashMap<u64, u32>,
     stall_remaining: u64,
     /// Bit flips already injected: a rollback replays the trigger step,
     /// and the fault must not re-fire or recovery could never converge.
@@ -87,13 +60,11 @@ impl<'a> Shard<'a> {
             fleet,
             id,
             scratch: SessionScratch::new(),
-            waiting: Vec::new(),
             prefilling: Vec::new(),
             active: Vec::new(),
             parked: Vec::new(),
             stats: ShardStats::default(),
             done: Vec::new(),
-            rejected: HashMap::new(),
             stall_remaining: 0,
             fired_flips: HashSet::new(),
         }
@@ -114,12 +85,7 @@ impl<'a> Shard<'a> {
         self.retire();
         self.preempt();
         if self.resident() == 0 {
-            if !self.is_idle() {
-                // Retries or parked work are pending: ticks are the
-                // engine's clock, so burn one to let backoff elapse
-                // (parked work resumes via admission next pass).
-                self.stats.ticks += 1;
-            }
+            // Nothing to step: parked work resumes at the next admission.
             return true;
         }
         let tick = self.stats.ticks;
@@ -146,27 +112,7 @@ impl<'a> Shard<'a> {
     }
 
     fn is_idle(&self) -> bool {
-        self.resident() == 0 && self.parked.is_empty() && self.waiting.is_empty()
-    }
-
-    /// The strongest `waiting` entry whose hold has elapsed: highest
-    /// priority, then longest matured, then lowest id. A total order — the
-    /// pick must not depend on where an entry sits in `waiting`, because
-    /// that follows the order requests were popped in, which under
-    /// first-free assignment races the other shards.
-    fn matured(&self) -> Option<usize> {
-        let now = self.stats.ticks;
-        let due = self.waiting.iter().enumerate().filter(|(_, w)| w.not_before <= now);
-        due.min_by_key(|(_, w)| (Reverse(w.req.priority), w.not_before, w.req.id)).map(|(i, _)| i)
-    }
-
-    fn hold(&mut self, req: ServeRequest, not_before: u64) {
-        self.waiting.push(Waiting { req, not_before });
-    }
-
-    /// Admission retries `id` has consumed.
-    fn retries_of(&self, id: u64) -> u32 {
-        self.rejected.get(&id).copied().unwrap_or(0)
+        self.resident() == 0 && self.parked.is_empty()
     }
 
     /// Fail a ticketed request out of the shard.
@@ -176,36 +122,20 @@ impl<'a> Shard<'a> {
         self.done.push(ticket.fail(self.id, held, error, injected));
     }
 
-    /// Shed a request that never got a ticket.
-    fn shed(&mut self, req: &ServeRequest, error: ServeError, injected: bool, retries: u32) {
-        self.stats.failed += 1;
-        self.stats.shed_tokens += req.decode_steps as u64;
-        self.done.push(Completion::unserved(
-            req.id,
-            req.priority,
-            retries,
-            self.id,
-            error,
-            injected,
-        ));
-    }
-
     // ---- admission -------------------------------------------------------
 
-    /// Fill free slots. Order: resume preempted work, then matured
-    /// retries, then the window — highest priority first, FIFO within a
-    /// class. Returns `true` when the shard is finished: every pool is
-    /// empty and so is its window, which never refills once empty.
+    /// Fill free slots. Order: resume preempted work, then the window —
+    /// highest priority first, FIFO within a class. Returns `true` when the
+    /// shard is finished: every pool is empty and so is its window, which
+    /// never refills once empty.
     fn admit(&mut self) -> bool {
         while self.resident() < self.fleet.cfg.max_active_per_shard {
             if self.resume_parked() {
                 continue;
             }
-            let source = self.matured().map_or(Source::Window, Source::Waiting);
-            match self.take_request(source) {
-                Taken::Ready(req) => self.seat(req),
-                Taken::TurnedAway => {}
-                Taken::Empty => return self.is_idle(),
+            match self.take_request(None) {
+                Some(req) => self.seat(req),
+                None => return self.is_idle(),
             }
         }
         false
@@ -229,49 +159,15 @@ impl<'a> Shard<'a> {
         true
     }
 
-    /// The one path a request takes from a source towards a slot: pop →
-    /// in-flight insert → injected screening. Both the
-    /// admission and the preemption loop come through here, so a request's
-    /// rejection schedule plays out identically whichever first pops it.
-    fn take_request(&mut self, source: Source) -> Taken {
-        let req = match source {
-            Source::Waiting(i) => self.waiting.swap_remove(i).req,
-            Source::Window => match self.fleet.inbox(self.id).pop_max_by_key(|r| r.priority) {
-                Some(req) => req,
-                None => return Taken::Empty,
-            },
-        };
-        lock(&self.fleet.inflight[self.id]).insert(
-            req.id,
-            InflightInfo {
-                priority: req.priority,
-                retries: self.retries_of(req.id),
-                decode_steps: req.decode_steps,
-            },
-        );
-        self.screen(req).map_or(Taken::TurnedAway, Taken::Ready)
-    }
-
-    /// Injected admission screening: consume a planned rejection, then
-    /// re-queue with seeded backoff while the retry budget
-    /// ([`RetryPolicy::ADMISSION`]) lasts, else shed it typed. Returns the
-    /// request when it's clear to admit.
-    fn screen(&mut self, req: ServeRequest) -> Option<ServeRequest> {
-        const RETRY: RetryPolicy = RetryPolicy::ADMISSION;
-        let consumed = self.retries_of(req.id);
-        if consumed >= self.fleet.plan.rejections(req.id) {
-            return Some(req);
-        }
-        let attempts = consumed + 1;
-        self.rejected.insert(req.id, attempts);
-        if attempts > RETRY.max_retries {
-            self.shed(&req, ServeError::Admission { attempts }, true, consumed);
-            return None;
-        }
-        self.stats.retries += 1;
-        let backoff = RETRY.backoff(self.fleet.plan.seed ^ req.id, attempts);
-        self.hold(req, self.stats.ticks + backoff);
-        None
+    /// The one path a request takes out of the window: pop the strongest
+    /// request strictly above `floor` (any, for `None`) and enter it in the
+    /// in-flight map. Admission and preemption both come through here, and
+    /// the caller seats what it gets at once.
+    fn take_request(&self, floor: Option<Priority>) -> Option<ServeRequest> {
+        let req = self.fleet.inbox(self.id).pop_max_above(floor, |r| r.priority)?;
+        let info = InflightInfo { priority: req.priority, decode_steps: req.decode_steps };
+        lock(&self.fleet.inflight[self.id]).insert(req.id, info);
+        Some(req)
     }
 
     fn prefill_options(&self, prompt_len: usize) -> PrefillOptions {
@@ -281,7 +177,7 @@ impl<'a> Shard<'a> {
         PrefillOptions { parallel: false, ..opts }
     }
 
-    /// Seat a screened request in a free slot: bind a session to a fresh
+    /// Seat a popped request in a free slot: bind a session to a fresh
     /// tier namespace and a fresh cache, adopting a shared prefix
     /// or prefilling. Under chunked admission a cold prompt enters
     /// `prefilling` instead — its prefill runs one budgeted chunk per tick,
@@ -289,8 +185,7 @@ impl<'a> Shard<'a> {
     fn seat(&mut self, req: ServeRequest) {
         let t0 = Instant::now();
         let fleet = self.fleet;
-        let retries = self.retries_of(req.id);
-        let ticket = Ticket::new(&req, retries, self.stats.ticks);
+        let ticket = Ticket::new(&req, self.stats.ticks);
         let ServeRequest { tokens, policy, .. } = req;
         let started = match self.full_prefix_hit(&tokens) {
             Some((hit, shared)) => {
@@ -389,46 +284,30 @@ impl<'a> Shard<'a> {
 
     // ---- preemption ------------------------------------------------------
 
-    /// Slots full and a pending request (in the window, or a matured retry)
-    /// strictly outranking a running session claims its slot. The weakest
-    /// victim is suspended through the paged host tier — bit-identical on
-    /// resume — and the request seats in the freed slot. Loops while
-    /// candidates remain.
+    /// Slots full and a request in the window strictly outranking a
+    /// running session claims its slot. The weakest victim is suspended
+    /// through the paged host tier — bit-identical on resume — first; only
+    /// then is a request that strictly outranks it popped, in one locked
+    /// call, and seated in the freed slot. Loops while candidates remain.
+    ///
+    /// Parking first means nothing popped ever waits off a slot: a failed
+    /// suspend has popped nothing (the request stays in the window, the
+    /// victim keeps decoding, and the next tick tries again), and when
+    /// another shard took the outranking request meanwhile, the parked
+    /// victim takes its slot back at the next admission.
     fn preempt(&mut self) {
         while self.resident() >= self.fleet.cfg.max_active_per_shard {
             let queued = self.fleet.inbox(self.id).max_key(|r| r.priority);
-            let matured = self.matured();
-            let waited = matured.map(|i| self.waiting[i].req.priority);
-            let Some(vi) = queued.max(waited).and_then(|qp| self.victim(qp)) else { break };
-            // Prefer the matured retry when it's at least as strong (it
-            // arrived first); otherwise pop the window.
-            let source = match matured {
-                Some(i) if waited >= queued => Source::Waiting(i),
-                _ => Source::Window,
-            };
-            let req = match self.take_request(source) {
-                Taken::Ready(req) => req,
-                Taken::TurnedAway => continue,
-                // Another shard emptied the window between the scan and the
-                // pop.
-                Taken::Empty => break,
-            };
-            if req.priority <= self.active[vi].ticket.priority {
-                // Raced: another shard took the stronger request between
-                // the scan and the pop. Hold this one for admission.
-                self.hold(req, self.stats.ticks);
-                break;
-            }
+            let Some(vi) = queued.and_then(|qp| self.victim(qp)) else { break };
+            let floor = self.active[vi].ticket.priority;
             let t0 = Instant::now();
             let parked = self.park(vi);
             self.stats.busy += t0.elapsed();
             if !parked {
-                // The host pool can't take the swap right now: the victim
-                // came back intact — keep decoding it, retry next tick.
-                self.hold(req, self.stats.ticks + 1);
                 break;
             }
             self.stats.preemptions += 1;
+            let Some(req) = self.take_request(Some(floor)) else { break };
             self.seat(req);
         }
     }
@@ -655,16 +534,15 @@ mod tests {
             shards: 1,
             max_active_per_shard: 4,
             session: session_cfg(),
-            faults: Some(FaultPlan::seeded(5).with_session_panic(0, 2)),
+            faults: Some(FaultPlan::default().with_session_panic(0, 2)),
             ..Default::default()
         };
         let fleet = Fleet::new(&model, &cfg, Vec::new());
         let mut shard = Shard::new(&fleet, 0);
-        // (id, decode steps, priority, retries): 0 fails at step 2, 1 gets
-        // parked, then resumed and retired.
-        let plan = [(0, 30, Priority::High, 1), (1, 20, Priority::Low, 2)];
-        for &(id, steps, priority, retries) in &plan {
-            shard.rejected.insert(id, retries);
+        // (id, decode steps, priority): 0 fails at step 2, 1 gets parked,
+        // then resumed and retired.
+        let plan = [(0, 30, Priority::High), (1, 20, Priority::Low)];
+        for &(id, steps, priority) in &plan {
             shard.seat(request(id, steps, priority));
         }
         shard.decode();
@@ -683,7 +561,7 @@ mod tests {
 
         // (generated, preemptions, failed) per id.
         let expect = [(2, 0, true), (20, 1, false)];
-        for (&(id, _, priority, retries), (generated, preemptions, failed)) in
+        for (&(id, _, priority), (generated, preemptions, failed)) in
             plan.iter().zip(expect)
         {
             let c = shard.done.iter().find(|c| c.id == id).expect("one completion per request");
@@ -694,10 +572,50 @@ mod tests {
                 assert_eq!(cause.step, generated as u64, "request {id}: step = tokens served");
             }
             assert_eq!(c.generated.len(), generated, "request {id}");
-            assert_eq!((c.retries, c.priority, c.preemptions), (retries, priority, preemptions));
+            assert_eq!((c.priority, c.preemptions), (priority, preemptions));
             assert_eq!(c.ttft_ticks, Some(0), "request {id}: prefilled at admission");
             assert!(c.ttft_wall.is_some() && c.tpot_wall.is_some(), "request {id}");
             assert!(c.transfer.d2h_bytes > 0, "request {id} offloaded its prompt");
+        }
+    }
+
+    #[test]
+    fn failed_suspend_leaves_the_request_in_the_window_and_the_victim_decoding() {
+        // One slot held by a Low session, a High request in the window, and
+        // a page pool capped at exactly what the Low session holds: the
+        // suspend cannot allocate its swap pages. Parking comes before the
+        // pop, so nothing was popped — the High request is still in the
+        // window, still nowhere in flight — and the victim decodes on.
+        let model = Model::new(LlmConfig::tiny());
+        let cfg = |plan| ServeConfig {
+            shards: 1,
+            max_active_per_shard: 1,
+            session: session_cfg(),
+            prefix_cache: false,
+            faults: plan,
+            ..Default::default()
+        };
+        let uncapped = cfg(None);
+        let fleet = Fleet::new(&model, &uncapped, Vec::new());
+        let mut shard = Shard::new(&fleet, 0);
+        shard.seat(request(0, 8, Priority::Low));
+        let held = fleet.tier.allocator().pages_in_use();
+        drop(shard);
+
+        let capped = cfg(Some(FaultPlan::default().with_page_limit(held)));
+        let fleet = Fleet::new(&model, &capped, vec![request(1, 4, Priority::High)]);
+        let mut shard = Shard::new(&fleet, 0);
+        shard.seat(request(0, 8, Priority::Low));
+        assert_eq!(fleet.tier.allocator().free_pages(), 0, "the Low session fills the pool");
+        for step in 1..=2 {
+            shard.preempt();
+            assert_eq!(shard.stats.preemptions, 0);
+            assert!(shard.parked.is_empty());
+            assert_eq!(fleet.inbox(0).max_key(|r| r.priority), Some(Priority::High));
+            assert!(!lock(&fleet.inflight[0]).contains_key(&1), "the High request was popped");
+            shard.decode();
+            let victim = &shard.active[0];
+            assert_eq!((victim.ticket.id, victim.ticket.generated.len()), (0, step));
         }
     }
 

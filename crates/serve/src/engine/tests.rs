@@ -56,7 +56,6 @@ fn serves_all_requests_to_completion() {
         assert_eq!(c.generated.len(), 4 + i % 3);
         assert!(c.shard < 2);
         assert!(c.is_success());
-        assert_eq!(c.retries, 0);
     }
     assert!(report.queue_high_water <= 3);
     let sum: TransferStats = report.completions.iter().map(|c| c.transfer).sum();
@@ -185,6 +184,45 @@ fn ivf_narrow_probe_fleet_completes() {
 }
 
 #[test]
+fn probe_width_is_checked_against_each_requests_policy_at_the_door() {
+    // Probe(20) is wider than the default policy's 16 cells but fits a
+    // 32-cell policy: the run starts, the 32-cell request is served, the
+    // 16-cell one fails alone at the door (its kernel would otherwise
+    // clamp the width), and a policy without an IVF tier ignores the knob.
+    let model = Model::new(LlmConfig::tiny());
+    let cfg = ServeConfig {
+        shards: 1,
+        max_active_per_shard: 2,
+        queue_capacity: 4,
+        session: SessionConfig { ivf: pqc_core::IvfMode::Probe(20), ..session_cfg() },
+        ..Default::default()
+    };
+    let wide = pqc_policies::PqCachePolicyConfig { ivf_n_list: 32, ..Default::default() };
+    let policies: [Box<dyn pqc_policies::SelectionPolicy + Send>; 3] = [
+        Box::new(PqCachePolicy::new(wide)),
+        Box::new(PqCachePolicy::default()),
+        Box::new(pqc_policies::StreamingLlmPolicy),
+    ];
+    let reqs = policies
+        .into_iter()
+        .enumerate()
+        .map(|(i, policy)| ServeRequest::new(i as u64, prompt(64, 60 + i as u64), 4, policy))
+        .collect();
+    let report = ServeEngine::run(&model, &cfg, reqs).expect("the width alone is valid");
+    assert_eq!(report.worker_panics, 0);
+    for id in [0u64, 2] {
+        let c = report.completion(id).unwrap();
+        assert!(c.is_success() && c.generated.len() == 4, "request {id}: {:?}", c.failure);
+    }
+    let cause = report.completion(1).unwrap().failure.as_ref().expect("16 cells < Probe(20)");
+    match &cause.error {
+        ServeError::Config(e) => assert_eq!(e.field, "ivf"),
+        other => panic!("expected Config, got {other:?}"),
+    }
+    assert_eq!(report.shards[0].admitted, 2);
+}
+
+#[test]
 fn prefix_cache_shares_pages_across_identical_prompts() {
     // One shard, sequential admission, four identical prompts: the
     // first session registers the prefix, the other three adopt it.
@@ -281,9 +319,9 @@ fn round_robin_needs_queue_slots() {
 
 #[test]
 fn repeated_request_id_is_rejected_before_any_worker_starts() {
-    // Completions, the in-flight map, the checkpoint registry and retry
-    // bookkeeping are keyed by id: a twin's publish would drop the other's
-    // in-flight entry and checkpoint. The whole batch is refused, typed.
+    // Completions, the in-flight map and the checkpoint registry are keyed
+    // by id: a twin's publish would drop the other's in-flight entry and
+    // checkpoint. The whole batch is refused, typed.
     let model = Model::new(LlmConfig::tiny());
     let cfg = ServeConfig {
         shards: 2,
@@ -315,7 +353,7 @@ fn injected_panic_fails_one_session_and_spares_the_rest() {
     };
     let clean = ServeEngine::run(&model, &clean_cfg, requests(5)).unwrap();
     let cfg = ServeConfig {
-        faults: Some(FaultPlan::seeded(11).with_session_panic(2, 1)),
+        faults: Some(FaultPlan::default().with_session_panic(2, 1)),
         ..clean_cfg
     };
     let report = ServeEngine::run(&model, &cfg, requests(5)).unwrap();
@@ -334,45 +372,6 @@ fn injected_panic_fails_one_session_and_spares_the_rest() {
     }
     assert_eq!(report.shards[0].failed, 1);
     assert!(report.total_shed_tokens() > 0);
-}
-
-#[test]
-fn admission_rejects_retry_then_succeed_or_shed() {
-    let model = Model::new(LlmConfig::tiny());
-    let base = ServeConfig {
-        shards: 1,
-        max_active_per_shard: 2,
-        queue_capacity: 4,
-        session: session_cfg(),
-        ..Default::default()
-    };
-    // Two rejections, default policy allows two retries: admitted on
-    // the third attempt.
-    let cfg = ServeConfig {
-        faults: Some(FaultPlan::seeded(3).with_admission_rejects(1, 2)),
-        ..base.clone()
-    };
-    let report = ServeEngine::run(&model, &cfg, requests(3)).unwrap();
-    let retried = report.completion(1).unwrap();
-    assert!(retried.is_success(), "should admit after retries: {:?}", retried.failure);
-    assert_eq!(retried.retries, 2);
-    assert_eq!(report.shards[0].retries, 2);
-    // Rejections exceeding the retry budget shed the request.
-    let cfg = ServeConfig {
-        faults: Some(FaultPlan::seeded(3).with_admission_rejects(1, 10)),
-        ..base
-    };
-    let report = ServeEngine::run(&model, &cfg, requests(3)).unwrap();
-    let shed = report.completion(1).unwrap();
-    let cause = shed.failure.as_ref().expect("request 1 must be shed");
-    assert!(cause.injected);
-    match cause.error {
-        ServeError::Admission { attempts } => assert_eq!(attempts, 3),
-        ref other => panic!("unexpected cause {other:?}"),
-    }
-    assert_eq!(shed.retries, 2, "a shed reports the retries it consumed");
-    assert!(report.completion(0).unwrap().is_success());
-    assert!(report.completion(2).unwrap().is_success());
 }
 
 #[test]
@@ -452,17 +451,20 @@ fn chunk_budget_edge_cases_serve_identically() {
 
 #[test]
 fn high_priority_preempts_victim_and_resumes_it_bit_identically() {
-    // One slot. The low-priority session decodes until the delayed
-    // high-priority request matures, gets preempted through the paged
-    // tier, and resumes after the high request retires — with output
-    // bit-identical to an uncontended run.
+    // One slot and a window of one: the high-priority request waits behind
+    // the low one in batch order and shows only once the low one is
+    // popped. Chunked prefill keeps the low session out of the victim pool
+    // until its prompt is in, so it is mid-decode when it gets preempted
+    // through the paged tier; it resumes after the high request retires —
+    // with output bit-identical to an uncontended run.
     let model = Model::new(LlmConfig::tiny());
-    let base = ServeConfig {
+    let cfg = ServeConfig {
         shards: 1,
         max_active_per_shard: 1,
-        queue_capacity: 4,
+        queue_capacity: 1,
         session: session_cfg(),
         record_trace: true,
+        prefill_chunk_tokens: Some(16),
         ..Default::default()
     };
     let mk = |priorities: bool| {
@@ -475,19 +477,15 @@ fn high_priority_preempts_victim_and_resumes_it_bit_identically() {
         }
         reqs
     };
-    let reference = ServeEngine::run(&model, &base, mk(false)).unwrap();
-    // Delay the high request one injected rejection so the low session
-    // is mid-decode when it matures — forcing the preemption path.
-    let cfg = ServeConfig {
-        faults: Some(FaultPlan::seeded(21).with_admission_rejects(1, 1)),
-        ..base
-    };
+    let reference = ServeEngine::run(&model, &cfg, mk(false)).unwrap();
+    assert_eq!(reference.total_preemptions(), 0);
     let report = ServeEngine::run(&model, &cfg, mk(true)).unwrap();
     assert_eq!(report.total_preemptions(), 1, "exactly one preemption");
     let low = report.completion(0).unwrap();
     let high = report.completion(1).unwrap();
     assert!(low.is_success() && high.is_success());
     assert_eq!(low.preemptions, 1);
+    assert!(low.ttft_wall < high.ttft_wall, "the low session reached its first token first");
     assert_eq!(high.preemptions, 0);
     assert_eq!(low.priority, Priority::Low);
     assert_eq!(high.priority, Priority::High);
@@ -563,7 +561,7 @@ fn closed_batch_is_queued_before_the_first_pop_replays_identically() {
     };
     let fingerprint = |c: &Completion| {
         let stats = (c.transfer, c.cache, c.sharing);
-        (c.generated.clone(), stats, c.ttft_ticks, c.retries, c.preemptions, c.shard)
+        (c.generated.clone(), stats, c.ttft_ticks, c.preemptions, c.shard)
     };
     let (a, b) = (run(), run());
     assert_eq!(fingerprint(&a), fingerprint(&b), "the High request's completion moved");
@@ -600,7 +598,7 @@ fn overflowing_batch_replays_identically() {
     assert!(a.total_preemptions() > 0, "the overflow must reach the preemption path");
     let schedule = |r: &ServeReport| -> Vec<_> {
         let per_request = |c: &Completion| {
-            (c.id, c.generated.clone(), c.ttft_ticks, c.preemptions, c.retries)
+            (c.id, c.generated.clone(), c.ttft_ticks, c.preemptions)
         };
         r.completions.iter().map(per_request).collect()
     };
@@ -683,7 +681,7 @@ fn shard_stall_degrades_without_changing_results() {
     let clean = ServeEngine::run(&model, &base, requests(4)).unwrap();
     const STALL: u64 = 3;
     let cfg =
-        ServeConfig { faults: Some(FaultPlan::seeded(5).with_stall(0, 1, STALL)), ..base };
+        ServeConfig { faults: Some(FaultPlan::default().with_stall(0, 1, STALL)), ..base };
     let stalled = ServeEngine::run(&model, &cfg, requests(4)).unwrap();
     assert!(stalled.total_stalled_steps() > 0, "stall must meter stalled steps");
     assert_eq!(clean.completions.len(), stalled.completions.len());

@@ -22,8 +22,6 @@ use std::time::{Duration, Instant};
 pub(super) struct Ticket {
     pub(super) id: u64,
     pub(super) priority: Priority,
-    /// Admission retries consumed before a slot was granted.
-    pub(super) retries: u32,
     /// Per-shard tick at admission: the base chunked-prefill TTFT ticks
     /// count from, and the preemption victim order's tie-break.
     pub(super) admitted_tick: u64,
@@ -51,12 +49,11 @@ pub(super) struct Ticket {
 }
 
 impl Ticket {
-    /// The ticket for `req`, admitted now after `retries` rejections.
-    pub(super) fn new(req: &ServeRequest, retries: u32, tick: u64) -> Self {
+    /// The ticket for `req`, admitted at `tick`.
+    pub(super) fn new(req: &ServeRequest, tick: u64) -> Self {
         Self {
             id: req.id,
             priority: req.priority,
-            retries,
             admitted_tick: tick,
             next: 0,
             remaining: req.decode_steps,
@@ -111,7 +108,6 @@ impl Ticket {
             generated: self.generated,
             trace: self.trace,
             failure,
-            retries: self.retries,
             priority: self.priority,
             ttft_wall: self.ttft_wall,
             ttft_ticks: self.ttft_ticks,
@@ -139,12 +135,11 @@ impl Ticket {
 
 impl Completion {
     /// A completion for a request that never got a ticket: turned away at
-    /// the door, shed at admission, left in a dead shard's window, or lost
-    /// with its shard before any checkpoint.
+    /// the door, left in a dead shard's window, or lost with its shard
+    /// before any checkpoint.
     pub(super) fn unserved(
         id: u64,
         priority: Priority,
-        retries: u32,
         shard: usize,
         error: ServeError,
         injected: bool,
@@ -158,7 +153,6 @@ impl Completion {
             sharing: SharingStats::default(),
             trace: Vec::new(),
             failure: Some(FailureCause { error, injected, step: 0 }),
-            retries,
             priority,
             ttft_wall: None,
             ttft_ticks: None,

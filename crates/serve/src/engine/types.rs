@@ -172,7 +172,10 @@ pub struct ServeRequest {
     pub tokens: Vec<u32>,
     /// Greedy decode steps to run after prefill.
     pub decode_steps: usize,
-    /// Selection policy instance for this session.
+    /// Selection policy instance for this session. A
+    /// [`SessionConfig::ivf`] probe width wider than its coarse cells fails
+    /// this request alone, at the door, with a `Config` cause on field
+    /// `"ivf"`.
     pub policy: Box<dyn SelectionPolicy + Send>,
     /// Scheduling class. `Normal` (the default) keeps exact FIFO among
     /// itself; `High` is admitted first and may preempt a strictly
@@ -213,7 +216,7 @@ pub struct StepTrace {
     pub selected: Vec<Vec<Vec<usize>>>,
 }
 
-/// A finished request — successfully decoded, or failed/shed with a typed
+/// A finished request — successfully decoded, or failed with a typed
 /// cause ([`Self::failure`]). Every admitted request produces exactly one.
 #[derive(Debug, Clone)]
 pub struct Completion {
@@ -236,13 +239,12 @@ pub struct Completion {
     pub trace: Vec<StepTrace>,
     /// Why the session failed (`None` = clean completion).
     pub failure: Option<FailureCause>,
-    /// Admission retries this request consumed before being served or shed.
-    pub retries: u32,
     /// Scheduling class the request ran at.
     pub priority: Priority,
     /// Time-to-first-token, wall clock from batch arrival (includes queue
     /// wait and head-of-line blocking). `None` when the request never
-    /// produced a first token (shed, or failed before its prefill ended).
+    /// produced a first token (turned away, lost, or failed before its
+    /// prefill ended).
     pub ttft_wall: Option<Duration>,
     /// Time-to-first-token in scheduler ticks from admission: 0 for
     /// monolithic or prefix-adopted prefill (one admission event), the
@@ -274,16 +276,14 @@ pub struct ShardStats {
     pub ticks: u64,
     /// Sessions admitted on this shard.
     pub admitted: u64,
-    /// Sessions that failed or were shed on this shard.
+    /// Sessions that failed on this shard.
     pub failed: u64,
-    /// Decode tokens requested but never produced (shed at admission, or
-    /// lost to a mid-decode fault or a dead shard).
+    /// Decode tokens requested but never produced (lost to a page fault, a
+    /// mid-decode fault or a dead shard).
     pub shed_tokens: u64,
     /// Session-steps skipped while the shard was stalled by an injected
     /// slow-shard fault (sessions held but not decoded that tick).
     pub stalled_steps: u64,
-    /// Admission retries performed (re-attempts after a rejection).
-    pub retries: u64,
     /// Priority preemptions performed: a running session suspended through
     /// the paged host tier to free its slot for a higher-class request.
     pub preemptions: u64,

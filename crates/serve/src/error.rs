@@ -15,14 +15,9 @@ use pqc_memhier::MemError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// The engine or session configuration was rejected up front (the run
-    /// fails), or one request's prompt was (only that request does).
+    /// fails), or one request was — its prompt, or the probe width against
+    /// its policy (only that request fails).
     Config(ConfigError),
-    /// Admission shed the request: it was rejected on every permitted
-    /// retry.
-    Admission {
-        /// Admission attempts consumed (initial attempt + retries).
-        attempts: u32,
-    },
     /// The host-tier page pool hit its cap mid-session.
     PageExhausted {
         /// The pool cap that was hit.
@@ -55,7 +50,6 @@ impl ServeError {
     pub fn class(&self) -> &'static str {
         match self {
             ServeError::Config(_) => "config",
-            ServeError::Admission { .. } => "admission",
             ServeError::PageExhausted { .. } => "page_exhausted",
             ServeError::SessionPoisoned { .. } => "session_poisoned",
             ServeError::ShardLost { .. } => "shard_lost",
@@ -68,9 +62,6 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Config(e) => write!(f, "{e}"),
-            ServeError::Admission { attempts } => {
-                write!(f, "request shed at admission after {attempts} attempt(s)")
-            }
             ServeError::PageExhausted { max_pages } => {
                 write!(f, "host page pool exhausted (max_pages {max_pages})")
             }
@@ -117,40 +108,8 @@ pub struct FailureCause {
     /// assert the injected cause round-trips to the report).
     pub injected: bool,
     /// Decode steps the session completed before failing (0 when it never
-    /// stepped — admission sheds, prefill exhaustion).
+    /// stepped — a prompt turned away at the door, prefill exhaustion).
     pub step: u64,
-}
-
-/// Bounded-retry policy for admission shedding, with deterministic seeded
-/// backoff (tick-based, so retries replay identically across runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RetryPolicy {
-    /// Re-admission attempts after the first rejection (0 = shed at once).
-    pub(crate) max_retries: u32,
-    /// Base backoff in scheduler ticks; the r-th retry waits
-    /// `backoff_ticks << r` ticks plus a seeded jitter in `[0, backoff)`.
-    pub(crate) backoff_ticks: u64,
-}
-
-impl RetryPolicy {
-    /// The budget every request gets when admission rejects it: two
-    /// retries on a 2-tick base.
-    pub(crate) const ADMISSION: Self = Self { max_retries: 2, backoff_ticks: 2 };
-
-    /// Ticks to wait before retry number `attempt` (1-based), jittered
-    /// deterministically from `seed` (exponential backoff, full jitter).
-    ///
-    /// Precondition: `backoff_ticks · 2^(min(attempt, 16) + 1)` fits in a
-    /// u64, which bounds the result.
-    pub(crate) fn backoff(&self, seed: u64, attempt: u32) -> u64 {
-        let base = self.backoff_ticks << attempt.min(16);
-        if base == 0 {
-            return 0;
-        }
-        let mut rng =
-            pqc_tensor::Rng64::new(seed ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        base + rng.below(base as usize) as u64
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +124,6 @@ mod tests {
                 "config",
                 "shards",
             ),
-            (ServeError::Admission { attempts: 3 }, "admission", "3 attempt"),
             (ServeError::PageExhausted { max_pages: 8 }, "page_exhausted", "max_pages 8"),
             (
                 ServeError::SessionPoisoned { message: "boom".into() },
@@ -195,19 +153,5 @@ mod tests {
             ServeError::SessionPoisoned { message } => assert!(message.contains("empty slot")),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let p = RetryPolicy { max_retries: 3, backoff_ticks: 2 };
-        for attempt in 1..=3 {
-            let a = p.backoff(42, attempt);
-            let b = p.backoff(42, attempt);
-            assert_eq!(a, b, "same seed must give the same backoff");
-            let base = 2u64 << attempt;
-            assert!(a >= base && a < 2 * base, "attempt {attempt}: {a} outside [{base}, {})", 2 * base);
-        }
-        assert_ne!(p.backoff(1, 1), p.backoff(2, 1), "seeds decorrelate sessions");
-        assert_eq!(RetryPolicy { max_retries: 0, backoff_ticks: 0 }.backoff(7, 1), 0);
     }
 }

@@ -1,17 +1,18 @@
 //! Deterministic fault injection for chaos testing the serve engine.
 //!
-//! A [`FaultPlan`] is a declarative, seeded schedule of failures threaded
-//! through [`ServeConfig`](crate::ServeConfig): the engine consults it at
-//! well-defined points (admission, tick start, per-session step) and
-//! injects the planned fault there. Because every injection point is keyed
-//! on deterministic state — request ids, per-session step counts, per-shard
-//! tick counts — a plan replays identically run over run, which is what
-//! lets `tests/chaos.rs` assert exact failure causes and bit-identical
-//! surviving logits.
+//! A [`FaultPlan`] is a declarative schedule of failures threaded through
+//! [`ServeConfig`](crate::ServeConfig): the engine consults it at
+//! well-defined points (tick start, per-session step, the tier's page cap)
+//! and injects the planned fault there. Because every injection point is
+//! keyed on deterministic state — request ids, per-session step counts,
+//! per-shard tick counts — a plan replays identically run over run, which
+//! is what lets `tests/chaos.rs` assert exact failure causes and
+//! bit-identical surviving logits.
 //!
-//! Real faults (a genuinely exhausted page pool, a real panic) flow through
-//! the same reporting paths; the plan only *provokes* them early and
-//! predictably.
+//! Every fault the plan can inject has a real cause that raises it too (an
+//! exhausted page pool, a panic, a slow or dead worker, a damaged page),
+//! and both flow through the same reporting paths; the plan only
+//! *provokes* them early and predictably.
 
 use crate::error::ServeError;
 
@@ -36,17 +37,6 @@ pub struct ShardStall {
     pub at_tick: u64,
     /// How many ticks the stall lasts.
     pub ticks: u64,
-}
-
-/// Reject a request at admission a number of times (queue-full burst /
-/// transient overload stand-in). The request retries up to twice, with
-/// seeded exponential backoff, and is shed when retries run out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionReject {
-    /// The request to reject.
-    pub request_id: u64,
-    /// How many consecutive admission attempts to reject.
-    pub rejections: u32,
 }
 
 /// Kill a worker thread outright at a chosen tick: the whole shard dies
@@ -76,14 +66,10 @@ pub struct BitFlip {
     pub bit: u64,
 }
 
-/// A deterministic, seeded schedule of injected faults.
-///
-/// `Default` is the empty plan (no faults). The `seed` feeds retry-backoff
-/// jitter so two runs of the same plan schedule retries identically.
+/// A deterministic schedule of injected faults. `Default` is the empty
+/// plan (no faults); the builder methods add to it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Seed for every piece of injected randomness (backoff jitter).
-    pub seed: u64,
     /// Cap the engine's host KV tier at this many pages (allocator
     /// exhaustion under load; `None` leaves the tier unbounded).
     pub page_limit: Option<usize>,
@@ -91,8 +77,6 @@ pub struct FaultPlan {
     pub session_panics: Vec<SessionPanic>,
     /// Shard stalls.
     pub stalls: Vec<ShardStall>,
-    /// Admission rejections.
-    pub admission_rejects: Vec<AdmissionReject>,
     /// Worker kills (whole-shard crashes).
     pub worker_kills: Vec<WorkerKill>,
     /// KV bit flips (silent store corruption).
@@ -100,11 +84,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan with a seed (faults are added via the builder methods).
-    pub fn seeded(seed: u64) -> Self {
-        Self { seed, ..Self::default() }
-    }
-
     /// Cap the host tier's page pool.
     pub fn with_page_limit(mut self, pages: usize) -> Self {
         self.page_limit = Some(pages);
@@ -120,12 +99,6 @@ impl FaultPlan {
     /// Stall `shard` for `ticks` ticks starting at its `at_tick`-th tick.
     pub fn with_stall(mut self, shard: usize, at_tick: u64, ticks: u64) -> Self {
         self.stalls.push(ShardStall { shard, at_tick, ticks });
-        self
-    }
-
-    /// Reject `request_id` at admission `rejections` times in a row.
-    pub fn with_admission_rejects(mut self, request_id: u64, rejections: u32) -> Self {
-        self.admission_rejects.push(AdmissionReject { request_id, rejections });
         self
     }
 
@@ -147,7 +120,6 @@ impl FaultPlan {
         self.page_limit.is_none()
             && self.session_panics.is_empty()
             && self.stalls.is_empty()
-            && self.admission_rejects.is_empty()
             && self.worker_kills.is_empty()
             && self.bit_flips.is_empty()
     }
@@ -178,14 +150,6 @@ impl FaultPlan {
             .iter()
             .find(|b| b.request_id == request_id && b.at_step == step)
             .map(|b| b.bit)
-    }
-
-    /// Planned admission rejections for `request_id` (0 = admit normally).
-    pub fn rejections(&self, request_id: u64) -> u32 {
-        self.admission_rejects
-            .iter()
-            .find(|r| r.request_id == request_id)
-            .map_or(0, |r| r.rejections)
     }
 }
 
@@ -220,23 +184,19 @@ mod tests {
 
     #[test]
     fn builder_accumulates_and_lookups_resolve() {
-        let plan = FaultPlan::seeded(7)
+        let plan = FaultPlan::default()
             .with_page_limit(64)
             .with_session_panic(3, 5)
             .with_stall(1, 10, 4)
-            .with_admission_rejects(9, 2)
             .with_worker_kill(1, 12)
             .with_bit_flip(6, 3, 41);
         assert!(!plan.is_empty());
-        assert_eq!(plan.seed, 7);
         assert_eq!(plan.page_limit, Some(64));
         assert_eq!(plan.panic_step(3), Some(5));
         assert_eq!(plan.panic_step(4), None);
         assert_eq!(plan.stall_ticks(1, 10), Some(4));
         assert_eq!(plan.stall_ticks(1, 11), None);
         assert_eq!(plan.stall_ticks(0, 10), None);
-        assert_eq!(plan.rejections(9), 2);
-        assert_eq!(plan.rejections(8), 0);
         assert!(plan.kill_at(1, 12));
         assert!(!plan.kill_at(1, 13));
         assert!(!plan.kill_at(0, 12));
@@ -247,14 +207,13 @@ mod tests {
 
     #[test]
     fn kill_and_flip_alone_make_a_nonempty_plan() {
-        assert!(!FaultPlan::seeded(1).with_worker_kill(0, 5).is_empty());
-        assert!(!FaultPlan::seeded(1).with_bit_flip(0, 1, 2).is_empty());
+        assert!(!FaultPlan::default().with_worker_kill(0, 5).is_empty());
+        assert!(!FaultPlan::default().with_bit_flip(0, 1, 2).is_empty());
     }
 
     #[test]
     fn default_plan_is_empty() {
         assert!(FaultPlan::default().is_empty());
-        assert!(FaultPlan::seeded(99).is_empty());
     }
 
     #[test]

@@ -75,6 +75,4 @@ pub use engine::{
     ShardStats, StepTrace,
 };
 pub use error::{FailureCause, ServeError};
-pub use faults::{
-    AdmissionReject, BitFlip, FaultPlan, InjectedPanic, SessionPanic, ShardStall, WorkerKill,
-};
+pub use faults::{BitFlip, FaultPlan, InjectedPanic, SessionPanic, ShardStall, WorkerKill};

@@ -51,13 +51,21 @@ impl<T> Window<T> {
 
     /// Remove the highest-`key` visible item — the **earliest** such item
     /// wins ties, so a constant key pops in batch order — and refill the
-    /// window from the backlog. `None` once the share is used up.
-    pub fn pop_max_by_key<K: Ord>(&self, key: impl Fn(&T) -> K) -> Option<T> {
+    /// window from the backlog, provided that key is strictly above `floor`
+    /// (`None` is below every key). `None` once the share is used up, or
+    /// when nothing visible clears the floor (the window stays as it is).
+    /// Checking and popping under one lock lets a shard that has already
+    /// freed a slot take only a request that earns it, whatever the other
+    /// shards popped meanwhile.
+    pub fn pop_max_above<K: Ord>(&self, floor: Option<K>, key: impl Fn(&T) -> K) -> Option<T> {
         let mut st = self.lock();
         let State { visible, backlog } = &mut *st;
         // `max_by_key` keeps the last of equal maxima; scanning backwards
         // makes that the earliest.
         let best = (0..visible.len()).rev().max_by_key(|&i| key(&visible[i]))?;
+        if Some(key(&visible[best])) <= floor {
+            return None;
+        }
         let item = visible.remove(best);
         visible.extend(backlog.next());
         item
@@ -92,7 +100,7 @@ mod tests {
 
     /// Pop everything with `key`, in pop order.
     fn pop_all<T, K: Ord>(w: &Window<T>, key: impl Fn(&T) -> K + Copy) -> Vec<T> {
-        std::iter::from_fn(|| w.pop_max_by_key(key)).collect()
+        std::iter::from_fn(|| w.pop_max_above(None, key)).collect()
     }
 
     #[test]
@@ -122,13 +130,22 @@ mod tests {
     }
 
     #[test]
+    fn pop_above_takes_only_a_strictly_higher_key() {
+        let w = Window::new(2, vec![(1u8, 'a'), (2, 'b'), (3, 'c')]);
+        assert_eq!(w.pop_max_above(Some(2), |&(p, _)| p), None, "b only ties the floor");
+        assert_eq!(w.max_key(|&(p, _)| p), Some(2), "a refused pop leaves the window alone");
+        assert_eq!(w.pop_max_above(Some(1), |&(p, _)| p), Some((2, 'b')));
+        assert_eq!(w.pop_max_above(None, |&(p, _)| p), Some((3, 'c')), "the pop refilled c");
+    }
+
+    #[test]
     fn only_the_window_is_visible_and_each_pop_refills_in_batch_order() {
         // A window of 2 over [Low a, Low b, High c, Low d]: c waits in the
         // backlog, so the first pop takes a (FIFO among the visible) and
         // makes c visible; c then outranks b.
         let w = Window::new(2, vec![(0u8, 'a'), (0, 'b'), (9, 'c'), (0, 'd')]);
         assert_eq!(w.max_key(|&(p, _)| p), Some(0), "c is not visible yet");
-        assert_eq!(w.pop_max_by_key(|&(p, _)| p), Some((0, 'a')));
+        assert_eq!(w.pop_max_above(None, |&(p, _)| p), Some((0, 'a')));
         assert_eq!(w.max_key(|&(p, _)| p), Some(9), "the pop refilled c");
         assert_eq!(pop_all(&w, |&(p, _)| p), vec![(9, 'c'), (0, 'b'), (0, 'd')]);
     }
@@ -140,18 +157,18 @@ mod tests {
             assert_eq!(w.high_water(), capacity.min(n), "capacity {capacity}, {n} items");
             for _ in 0..n {
                 assert!(w.lock().visible.len() <= capacity);
-                w.pop_max_by_key(|&i| i % 2);
+                w.pop_max_above(None, |&i| i % 2);
             }
-            assert!(w.pop_max_by_key(|_| ()).is_none(), "capacity {capacity}, {n} items");
+            assert!(w.pop_max_above(None, |_| ()).is_none(), "capacity {capacity}, {n} items");
         }
     }
 
     #[test]
     fn drain_takes_window_then_backlog() {
         let w = Window::new(2, (0..5u32).collect());
-        assert_eq!(w.pop_max_by_key(|&i| i), Some(1), "1 outranks 0 in the first window");
+        assert_eq!(w.pop_max_above(None, |&i| i), Some(1), "1 outranks 0 in the first window");
         assert_eq!(w.drain(), vec![0, 2, 3, 4]);
-        assert_eq!(w.pop_max_by_key(|_| ()), None);
+        assert_eq!(w.pop_max_above(None, |_| ()), None);
     }
 
     #[test]
@@ -167,9 +184,9 @@ mod tests {
         .join();
         assert!(w.state.is_poisoned(), "test setup: lock must be poisoned");
         assert_eq!(w.max_key(|&i| i), Some(2));
-        assert_eq!(w.pop_max_by_key(|_| ()), Some(1));
+        assert_eq!(w.pop_max_above(None, |_| ()), Some(1));
         assert_eq!(w.drain(), vec![2, 3]);
-        assert_eq!(w.pop_max_by_key(|_| ()), None);
+        assert_eq!(w.pop_max_above(None, |_| ()), None);
     }
 
     #[test]

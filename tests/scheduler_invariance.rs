@@ -3,11 +3,12 @@
 //! `tests/serve_equivalence.rs` proves the serve engine matches sequential
 //! decoding under the default schedule. This battery proves the *SLO*
 //! schedule space preserves that contract: proptest sweeps random prefill
-//! chunk budgets, priority mixes, slot pressure, and injected admission
-//! rejections (which delay requests into the maturity queue and force
-//! preemption orderings) across 1, 2, and 4 shards — and every swept
-//! schedule must reproduce each session's logits bit-for-bit against the
-//! sequential engine. A deterministic storm case additionally pins that
+//! chunk budgets, priority mixes, slot pressure, and admission windows
+//! (a small window hides later requests until earlier ones pop, so a
+//! high-priority request shows up against a full shard and forces a
+//! preemption) across 1, 2, and 4 shards — and every swept schedule must
+//! reproduce each session's logits bit-for-bit against the sequential
+//! engine. A deterministic storm case additionally pins that
 //! the sweep really exercises the preemption path (suspend through the
 //! paged tier, resume later) rather than vacuously passing.
 
@@ -15,7 +16,7 @@ use proptest::prelude::*;
 use pqcache::core::{CacheConfig, SelectiveSession, SessionConfig};
 use pqcache::llm::{LlmConfig, Model};
 use pqcache::policies::{PqCachePolicy, SelectionPolicy, StreamingLlmPolicy};
-use pqcache::serve::{FaultPlan, Priority, ServeConfig, ServeEngine, ServeReport, ServeRequest};
+use pqcache::serve::{Priority, ServeConfig, ServeEngine, ServeReport, ServeRequest};
 use pqcache::tensor::{argmax, Rng64};
 use std::sync::OnceLock;
 
@@ -94,32 +95,25 @@ fn tier(p: u8) -> Priority {
     }
 }
 
-/// One swept schedule: `rejects[i]` injected admission rejections delay
-/// request `i` into the maturity queue (≤ the default retry budget, so it
-/// always lands eventually), shifting arrival order and forcing preemptions
-/// when a delayed high-priority request matures against a full shard.
+/// One swept schedule: the batch waits behind an admission window of
+/// `window` requests, so request `i` is hidden until `i - window + 1`
+/// earlier ones have popped — a high-priority request that shows up
+/// against full slots preempts.
 fn serve_fleet(
     model: &Model,
     shards: usize,
     slots: usize,
     chunk: Option<usize>,
     priorities: &[u8],
-    rejects: &[u8],
+    window: usize,
 ) -> ServeReport {
-    let mut plan = FaultPlan::seeded(0xC0DE);
-    for (i, &r) in rejects.iter().enumerate() {
-        if r > 0 {
-            plan = plan.with_admission_rejects(i as u64, r as u32);
-        }
-    }
     let cfg = ServeConfig {
         shards,
         max_active_per_shard: slots,
-        queue_capacity: N_SESSIONS,
+        queue_capacity: window,
         prefill_chunk_tokens: chunk,
         session: session_cfg(),
         record_trace: true,
-        faults: Some(plan),
         ..Default::default()
     };
     let requests: Vec<ServeRequest> = fixture_prompts()
@@ -156,7 +150,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The core property: any (chunk budget, priority mix, slot pressure,
-    /// rejection schedule) × any shard count decodes bit-identically to the
+    /// admission window) × any shard count decodes bit-identically to the
     /// sequential engine.
     #[test]
     fn random_schedules_decode_bit_identically(
@@ -164,16 +158,16 @@ proptest! {
         // is a per-tick chunk budget.
         chunk_raw in 0usize..=96,
         priorities in proptest::collection::vec(0u8..3, N_SESSIONS),
-        rejects in proptest::collection::vec(0u8..=2, N_SESSIONS),
+        window in 1usize..=N_SESSIONS,
         slots in 1usize..=3,
     ) {
         let chunk = (chunk_raw > 0).then_some(chunk_raw);
         let (model, _) = fixture();
         for shards in [1usize, 2, 4] {
-            let report = serve_fleet(model, shards, slots, chunk, &priorities, &rejects);
+            let report = serve_fleet(model, shards, slots, chunk, &priorities, window);
             assert_matches_sequential(
                 &report,
-                &format!("chunk {chunk:?} priorities {priorities:?} rejects {rejects:?} \
+                &format!("chunk {chunk:?} priorities {priorities:?} window {window} \
                           slots {slots} shards {shards}"),
             );
         }
@@ -181,17 +175,16 @@ proptest! {
 }
 
 /// Maximum contention, deterministically: one shard, one slot, every
-/// priority tier present, and both high-priority requests delayed by
-/// injected rejections so a lower-class session is always mid-decode when
-/// they mature. The schedule *must* preempt (proving the sweep exercises
+/// priority tier present, and a window of one, so each request shows up
+/// only when the one ahead of it pops — against a lower-class session in
+/// the slot. The schedule *must* preempt (proving the sweep exercises
 /// suspend/resume through the paged tier) and still match sequential.
 #[test]
 fn forced_preemption_storm_is_bit_identical() {
     let (model, _) = fixture();
     let priorities = [0u8, 1, 2, 0, 1, 2];
-    let rejects = [0u8, 0, 1, 0, 0, 2];
     for chunk in [None, Some(5), Some(32)] {
-        let report = serve_fleet(model, 1, 1, chunk, &priorities, &rejects);
+        let report = serve_fleet(model, 1, 1, chunk, &priorities, 1);
         assert!(
             report.total_preemptions() >= 1,
             "storm (chunk {chunk:?}) never preempted — the battery is vacuous"
@@ -206,9 +199,8 @@ fn forced_preemption_storm_is_bit_identical() {
 fn storm_knobs_are_shard_count_invariant() {
     let (model, _) = fixture();
     let priorities = [2u8, 0, 1, 2, 0, 1];
-    let rejects = [1u8, 0, 0, 2, 0, 0];
     for shards in [1usize, 2, 4] {
-        let report = serve_fleet(model, shards, 2, Some(7), &priorities, &rejects);
+        let report = serve_fleet(model, shards, 2, Some(7), &priorities, 2);
         assert_matches_sequential(&report, &format!("shards {shards}"));
     }
 }
@@ -219,9 +211,8 @@ fn storm_knobs_are_shard_count_invariant() {
 fn chunk_budget_sweep_under_slot_starvation() {
     let (model, _) = fixture();
     let priorities = [1u8; N_SESSIONS];
-    let rejects = [0u8; N_SESSIONS];
     for chunk in [1usize, 3, 16, 1000] {
-        let report = serve_fleet(model, 2, 1, Some(chunk), &priorities, &rejects);
+        let report = serve_fleet(model, 2, 1, Some(chunk), &priorities, N_SESSIONS);
         assert_matches_sequential(&report, &format!("chunk {chunk}"));
     }
 }
